@@ -2,19 +2,20 @@
 
 Reports four model variants: the multi-head baseline, the multi-query
 variant widened to parameter parity, and local versions of both where only
-decoder self-attention is windowed.  Timed decode steps run on
-fixed-shape preallocated buffers (full variants padded to the target
-length, local variants to the window), so every step costs the same.
-Counted columns come from the cost model and are machine-independent:
+decoder self-attention is windowed.  Decode columns time the engine that
+`decoding.decode` runs after encoding: `greedy_search` and `beam_search`
+on encoder memory computed once by the timed `encode_source`.  Counted
+columns come from the cost model and are machine-independent:
 kv_words_per_step counts decoder self-attention cache words averaged over
 the run, flops_per_step counts the self-attention step ops.  Cross
 attention reads constant-size memory per step and its one-off projection
-happens at setup, outside the timed region.
+happens when a decode run starts, inside the timed decoder region.
 
 Amortization follows the per-token convention: a phase's wall time divided
 by the tokens it processes (training: b * (source_len + target_len);
-encoder: b * source_len; decoder: median step time * steps / (b *
-target_len)).  Wall-clock numbers are reported, never asserted here;
+encoder: b * source_len; decoder: median run time / (b * target_len)).
+Beam search runs the same encoder, so its encoder column repeats the
+greedy one.  Wall-clock numbers are reported, never asserted here;
 directional claims live in the acceptance tests.
 """
 
@@ -31,19 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import DecodeConfig, ModelConfig
 from .costs import ShapeConfig, dff_for_parity, incremental_step_flops, kv_cache_words_step
-from .decoding import encode_source
+from .decoding import beam_search, encode_source, greedy_search
 from .exceptions import ConfigError, InputError
-from .model import (
-    Batch,
-    ModelParams,
-    feed_forward,
-    init_params,
-    layer_norm,
-    loss_and_grads,
-    param_count,
-)
+from .model import Batch, init_params, loss_and_grads, param_count
 from .training import BOS
 
 LOCAL_WINDOW = 32
@@ -121,192 +114,6 @@ def variant_config(base: ModelConfig, variant: str) -> ModelConfig:
     if variant.endswith("local"):
         config = dataclasses.replace(config, dec_self_window=LOCAL_WINDOW)
     return config
-
-
-# ---------------------------------------------------------------------------
-# fixed-shape decoder used only for timing runs
-
-class FastDecoder:
-    """Incremental decoder on preallocated buffers.
-
-    Key/value buffers hold `slots` positions; full attention uses one slot
-    per step while a window smaller than the step count turns the buffer
-    into a ring.  Softmax is slot-order invariant, so ring occupancy needs
-    no rotation, only a validity cutoff before the buffer first fills.
-    Outputs are pinned to the correctness-path decoder by tests (1e-10).
-    """
-
-    def __init__(self, params: ModelParams, config: ModelConfig, *,
-                 batch_size: int, steps: int,
-                 memory: np.ndarray | None = None):
-        if config.has_encoder and memory is None:
-            raise ConfigError("encoder_decoder timing needs encoder memory")
-        self.params = params
-        self.config = config
-        self.batch = batch_size
-        window = config.dec_self_window
-        self.slots = steps if window is None else min(window, steps)
-        self.t = 0
-        d, h = config.d_model, config.heads
-        k, v = config.d_k, config.d_v
-        self.blocks = []
-        for block in params.decoder:
-            folded = {
-                "ln_attn": block.ln_attn,
-                "ln_cross": block.ln_cross,
-                "ln_ff": block.ln_ff,
-                "ff": block.ff,
-                "w_q": _fold_in(block.attn.p_q),
-                "w_o": _fold_to_model(block.attn.p_o),
-                "self_kind": block.attn.kind,
-            }
-            if block.attn.kind == "multi_head":
-                folded["w_k"] = _fold_in(block.attn.p_k)
-                folded["w_v"] = _fold_in(block.attn.p_v)
-                folded["k_buf"] = np.zeros((batch_size, h, self.slots, k))
-                folded["v_buf"] = np.zeros((batch_size, h, self.slots, v))
-            else:
-                folded["w_k"] = block.attn.p_k
-                folded["w_v"] = block.attn.p_v
-                folded["k_buf"] = np.zeros((batch_size, self.slots, k))
-                folded["v_buf"] = np.zeros((batch_size, self.slots, v))
-            if block.cross is not None:
-                folded["cross_kind"] = block.cross.kind
-                folded["cw_q"] = _fold_in(block.cross.p_q)
-                folded["cw_o"] = _fold_to_model(block.cross.p_o)
-                if block.cross.kind == "multi_head":
-                    folded["k_cross"] = np.einsum("bmd,hdk->bhmk", memory,
-                                                  block.cross.p_k)
-                    folded["v_cross"] = np.einsum("bmd,hdv->bhmv", memory,
-                                                  block.cross.p_v)
-                else:
-                    folded["k_cross"] = memory @ block.cross.p_k
-                    folded["v_cross"] = memory @ block.cross.p_v
-            self.blocks.append(folded)
-
-    def gather_rows(self, rows: np.ndarray) -> None:
-        """Reorder the batch axis in place (beam bookkeeping)."""
-        for blk in self.blocks:
-            blk["k_buf"][:] = blk["k_buf"][rows]
-            blk["v_buf"][:] = blk["v_buf"][rows]
-
-    def _self_attend(self, blk, a):
-        b = self.batch
-        h = self.config.heads
-        k, v = self.config.d_k, self.config.d_v
-        q = (a @ blk["w_q"]).reshape(b, h, k)
-        slot = self.t % self.slots
-        if blk["self_kind"] == "multi_head":
-            blk["k_buf"][:, :, slot, :] = (a @ blk["w_k"]).reshape(b, h, k)
-            blk["v_buf"][:, :, slot, :] = (a @ blk["w_v"]).reshape(b, h, v)
-            logits = np.matmul(blk["k_buf"], q[..., None])[..., 0]
-        else:
-            blk["k_buf"][:, slot, :] = a @ blk["w_k"]
-            blk["v_buf"][:, slot, :] = a @ blk["w_v"]
-            logits = np.matmul(q, blk["k_buf"].swapaxes(-1, -2))
-        valid = min(self.t + 1, self.slots)
-        if valid < self.slots:
-            logits[..., valid:] = -np.inf
-        weights = _softmax_last(logits)
-        if blk["self_kind"] == "multi_head":
-            mixed = np.matmul(weights[:, :, None, :], blk["v_buf"])[:, :, 0, :]
-        else:
-            mixed = np.matmul(weights, blk["v_buf"])
-        return mixed.reshape(b, h * v) @ blk["w_o"]
-
-    def _cross_attend(self, blk, a):
-        b = self.batch
-        h = self.config.heads
-        k, v = self.config.d_k, self.config.d_v
-        q = (a @ blk["cw_q"]).reshape(b, h, k)
-        if blk["cross_kind"] == "multi_head":
-            logits = np.matmul(blk["k_cross"], q[..., None])[..., 0]
-            weights = _softmax_last(logits)
-            mixed = np.matmul(weights[:, :, None, :], blk["v_cross"])[:, :, 0, :]
-        else:
-            logits = np.matmul(q, blk["k_cross"].swapaxes(-1, -2))
-            weights = _softmax_last(logits)
-            mixed = np.matmul(weights, blk["v_cross"])
-        return mixed.reshape(b, h * v) @ blk["cw_o"]
-
-    def step(self, tokens: np.ndarray) -> np.ndarray:
-        """Feed one token per row; returns next-token logits [b, vocab]."""
-        params = self.params
-        x = params.embedding[tokens] + params.positions[self.t]
-        for blk in self.blocks:
-            a, _ = layer_norm(x, blk["ln_attn"])
-            x = x + self._self_attend(blk, a)
-            if "cw_q" in blk:
-                a, _ = layer_norm(x, blk["ln_cross"])
-                x = x + self._cross_attend(blk, a)
-            a, _ = layer_norm(x, blk["ln_ff"])
-            x = x + feed_forward(a, blk["ff"])[0]
-        self.t += 1
-        final, _ = layer_norm(x, params.dec_out_ln)
-        return final @ params.embedding.T
-
-
-def _fold_in(p):  # [h, d, w] -> [d, h*w]
-    h, d, w = p.shape
-    return np.ascontiguousarray(p.transpose(1, 0, 2)).reshape(d, h * w)
-
-
-def _fold_to_model(p):  # [h, d, v] -> [h*v, d]
-    h, d, v = p.shape
-    return np.ascontiguousarray(p.transpose(0, 2, 1)).reshape(h * v, d)
-
-
-def _softmax_last(z):
-    top = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - top)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def fast_greedy(params, config, source, steps, memory=None):
-    """Timed greedy loop: exactly `steps` decoder step calls."""
-    if memory is None:
-        memory = encode_source(params, config, source)
-    b = source.shape[0]
-    dec = FastDecoder(params, config, batch_size=b, steps=steps,
-                      memory=memory)
-    tokens = np.full(b, BOS, dtype=np.int64)
-    out = np.zeros((b, steps), dtype=np.int64)
-    for t in range(steps):
-        logits = dec.step(tokens)
-        tokens = np.argmax(logits, axis=-1)
-        out[:, t] = tokens
-    return out
-
-
-def fast_beam(params, config, source, steps, beam, memory=None):
-    """Timed beam loop without an end token: fixed steps, top-k bookkeeping
-    and cache gathers each step.  Returns the best row per source."""
-    if memory is None:
-        memory = encode_source(params, config, source)
-    b = source.shape[0]
-    wide = np.repeat(memory, beam, axis=0)
-    dec = FastDecoder(params, config, batch_size=b * beam, steps=steps,
-                      memory=wide)
-    tokens = np.full(b * beam, BOS, dtype=np.int64)
-    scores = np.full((b, beam), -np.inf)
-    scores[:, 0] = 0.0
-    seqs = np.zeros((b * beam, steps), dtype=np.int64)
-    vocab = config.vocab_size
-    for t in range(steps):
-        logits = dec.step(tokens)
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        totals = (scores[..., None] + logp.reshape(b, beam, vocab)) \
-            .reshape(b, beam * vocab)
-        top = np.argsort(-totals, axis=-1, kind="stable")[:, :beam]
-        parents, picks = np.divmod(top, vocab)
-        rows = (np.arange(b)[:, None] * beam + parents).ravel()
-        dec.gather_rows(rows)
-        seqs = seqs[rows]
-        seqs[:, t] = picks.ravel()
-        scores = np.take_along_axis(totals, top, axis=-1)
-        tokens = picks.ravel()
-    return seqs.reshape(b, beam, steps)[:, 0], scores[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -420,42 +227,35 @@ def bench_decode(workload: Workload, variants=VARIANTS, *,
         params = init_params(config)
         batch = _bench_batch(workload, config)
         source, steps = batch.source, workload.target_len
-
+        opener = batch.target_in[:, :1]
+        greedy = DecodeConfig(strategy="greedy", max_steps=steps)
         memory_holder = {}
 
         def encode():
             memory_holder["m"] = encode_source(params, config, source)
 
+        def run_greedy():
+            greedy_search(params, config, greedy, opener, memory_holder["m"])
+
         encode()
         probe = time.perf_counter()
-        fast_greedy(params, config, source, steps,
-                    memory=memory_holder["m"])
+        run_greedy()
         probe = time.perf_counter() - probe
         reps = _guard_repetitions(workload, probe, steps)
 
         enc_seconds = _median_seconds(encode, reps, workload.warmup_reps)
         row.encoder_us = enc_seconds * 1e6 / (workload.b * workload.source_len)
 
-        dec_seconds = _median_seconds(
-            lambda: fast_greedy(params, config, source, steps,
-                                memory=memory_holder["m"]),
-            reps, workload.warmup_reps)
-        # median run / steps is the median step time (fixed-shape steps),
-        # reported as step time * steps / (b * target_len)
+        dec_seconds = _median_seconds(run_greedy, reps, workload.warmup_reps)
         row.decoder_us = dec_seconds * 1e6 / (workload.b * workload.target_len)
 
         if include_beam:
-            def beam_encode():
-                memory_holder["m"] = encode_source(params, config, source)
-                np.repeat(memory_holder["m"], beam_size, axis=0)
-
-            beam_enc_seconds = _median_seconds(beam_encode, reps,
-                                               workload.warmup_reps)
-            row.beam_encoder_us = beam_enc_seconds * 1e6 / (
-                workload.b * workload.source_len)
+            beam = DecodeConfig(strategy="beam", beam_size=beam_size,
+                                max_steps=steps)
+            row.beam_encoder_us = row.encoder_us
             beam_seconds = _median_seconds(
-                lambda: fast_beam(params, config, source, steps, beam_size,
-                                  memory=memory_holder["m"]),
+                lambda: beam_search(params, config, beam, opener,
+                                    memory_holder["m"]),
                 reps, workload.warmup_reps)
             row.beam_decoder_us = beam_seconds * 1e6 / (
                 workload.b * workload.target_len)

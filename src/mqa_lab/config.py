@@ -130,7 +130,6 @@ class DecodeConfig:
     length_alpha: float = 0.0
     max_steps: int = 32
     eos_id: int | None = None
-    cache_policy: str = "growing"
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -143,8 +142,6 @@ class DecodeConfig:
             raise ConfigError("length_alpha must be >= 0")
         if self.max_steps < 1:
             raise ConfigError("max_steps must be >= 1")
-        if self.cache_policy not in ("growing", "padded"):
-            raise ConfigError(f"unknown cache_policy {self.cache_policy!r}")
 
 
 def dataclass_from_dict(cls, data):

@@ -128,14 +128,6 @@ def batched_costs(cfg: ShapeConfig, kind: str) -> CostBreakdown:
                          memory, traffic, Fraction(memory, flops))
 
 
-def flops_batched(cfg: ShapeConfig, kind: str) -> int:
-    return batched_costs(cfg, kind).flops
-
-
-def memory_batched(cfg: ShapeConfig, kind: str) -> int:
-    return batched_costs(cfg, kind).memory_words
-
-
 def flops_batched_closed(cfg: ShapeConfig, kind: str) -> int:
     """Closed-form batched flop total, written out independently of the
     operation table."""
@@ -221,10 +213,6 @@ def incremental_costs(cfg: ShapeConfig, kind: str) -> CostBreakdown:
     flops = sum(flops_by_op.values())
     return CostBreakdown(kind, "incremental", flops, flops_by_op, tensor_words,
                          memory, traffic, Fraction(memory, flops))
-
-
-def cost_incremental(cfg: ShapeConfig, kind: str) -> CostBreakdown:
-    return incremental_costs(cfg, kind)
 
 
 def incremental_step_flops(cfg: ShapeConfig, kind: str) -> int:

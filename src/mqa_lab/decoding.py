@@ -1,11 +1,21 @@
-"""Incremental decoding with per-layer key/value caches.
+"""Incremental decoding on preallocated key/value buffers.
 
-The step path runs the same contraction-kernel attention as the correctness
-suite: self-attention sites use the incremental kernels and grow a cache by
-one position per step, cross-attention sites read a cache projected once
-from the encoder output.  Greedy emission is the beam_size=1,
-length_alpha=0 special case of beam search, and the tests hold the two
-routes to exact agreement.
+This is the one runtime decoder: `mqa-lab decode`, `mqa-lab bench` and the
+library entry points all run `decoder_step`.  A decode state holds, per
+decoder layer, self-attention key/value buffers ([b, h, slots, k] for
+multi-head, [b, slots, k] for multi-query) that each step writes one slot
+of in place, plus cross-attention keys/values projected once from the
+encoder output.  Attention runs on folded matmul shapes and reads only the
+slots written so far.  With a local window the buffers hold only `window`
+slots and become a ring: softmax is invariant to slot order, so the ring
+never rotates.  The contraction kernels and immutable caches in
+`attention.py`/`cache.py` are the reference these outputs are tested
+against, together with the teacher-forced batched forward pass.
+
+A decoder-only prompt is prefilled in one batched pass through the model's
+blocks.  Beam search runs every source row at once, beams riding the batch
+axis; greedy emission is its beam_size=1, length_alpha=0 special case, and
+the tests hold the two routes to exact agreement.
 
 Beam scores are sums of token log-probabilities divided by the length
 penalty ((5 + length) / 6) ** alpha, with length counting every emitted
@@ -18,12 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (
-    attend_cache,
-    multihead_self_attention_incremental,
-    multiquery_self_attention_incremental,
-)
-from .cache import KVCache, cache_from_memory, new_cache, select_rows
 from .config import DecodeConfig, ModelConfig
 from .exceptions import ConfigError, InputError
 from .model import (
@@ -31,16 +35,15 @@ from .model import (
     ModelParams,
     _block_forward,
     _embed,
+    _fold_heads,
+    _fold_out,
+    _self_bias,
+    _softmax_rows,
     feed_forward,
     forward,
     layer_norm,
 )
 from .training import BOS
-
-_STEP_KERNELS = {
-    "multi_head": multihead_self_attention_incremental,
-    "multi_query": multiquery_self_attention_incremental,
-}
 
 
 def encode_source(params: ModelParams, config: ModelConfig,
@@ -56,91 +59,168 @@ def encode_source(params: ModelParams, config: ModelConfig,
 
 
 def _project_memory(memory: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
-    if w.kind == "multi_head":
-        keys = np.einsum("bmd,hdk->bhmk", memory, w.p_k)
-        values = np.einsum("bmd,hdv->bhmv", memory, w.p_v)
-    else:
-        keys = np.einsum("bmd,dk->bmk", memory, w.p_k)
-        values = np.einsum("bmd,dv->bmv", memory, w.p_v)
-    return keys, values
+    """Cross-attention keys and values in buffer layout."""
+    if w.kind == "multi_query":
+        return memory @ w.p_k, memory @ w.p_v
+    b, m, _ = memory.shape
+
+    def heads(p):
+        return np.ascontiguousarray(
+            (memory @ _fold_heads(p)).reshape(b, m, w.heads, -1).transpose(0, 2, 1, 3))
+
+    return heads(w.p_k), heads(w.p_v)
+
+
+def _fold_block(block):
+    """((fused q/k/v projection, output projection) of self-attention,
+    (query, output projection) of cross-attention or None)."""
+    attn = block.attn
+    w_k, w_v = attn.p_k, attn.p_v
+    if attn.kind == "multi_head":
+        w_k, w_v = _fold_heads(w_k), _fold_heads(w_v)
+    fused = np.concatenate([_fold_heads(attn.p_q), w_k, w_v], axis=1)
+    cross = None
+    if block.cross is not None:
+        cross = (_fold_heads(block.cross.p_q), _fold_out(block.cross.p_o))
+    return (fused, _fold_out(attn.p_o)), cross
 
 
 @dataclass
 class DecoderState:
-    """Mutable position counter plus immutable caches for one decode run."""
+    """Buffers for one decode run, written in place.
 
-    self_caches: list[KVCache]
-    cross_caches: list[KVCache] | None
+    keys[i] / values[i] are layer i's self-attention buffers; slot
+    position % slots holds that position.  cross[i] is layer i's projected
+    encoder memory (keys, values), or None for decoder_only models.
+    weights[i] are layer i's folded projections.  position is the next
+    position to feed; limit is how many positions the run was started for.
+    """
+
+    keys: list[np.ndarray]
+    values: list[np.ndarray]
+    cross: list[tuple[np.ndarray, np.ndarray]] | None
+    weights: list[tuple]
     position: int
+    limit: int
+
+    @property
+    def slots(self) -> int:
+        return self.keys[0].shape[-2]
 
 
 def start_state(params: ModelParams, config: ModelConfig, *,
                 batch_size: int, memory: np.ndarray | None = None,
-                cache_policy: str = "growing",
                 max_positions: int | None = None) -> DecoderState:
-    """Fresh decode state.  memory is the encoder output for
-    encoder_decoder configs; max_positions bounds padded caches."""
+    """Fresh decode state for max_positions positions (default max_len).
+    memory is the encoder output for encoder_decoder configs."""
     if config.has_encoder and memory is None:
         raise ConfigError("encoder_decoder decode needs encoder memory")
     if not config.has_encoder and memory is not None:
         raise ConfigError("decoder_only decode takes no memory")
-    max_len = None
-    if cache_policy == "padded":
-        max_len = config.max_len if max_positions is None else max_positions
-    heads = config.heads if config.dec_self_kind == "multi_head" else None
-    self_caches = [
-        new_cache(config.dec_self_kind, batch=batch_size, key_width=config.d_k,
-                  value_width=config.d_v, heads=heads,
-                  policy=cache_policy, max_len=max_len)
-        for _ in params.decoder
-    ]
-    cross_caches = None
+    limit = config.max_len if max_positions is None else max_positions
+    if not 1 <= limit <= config.max_len:
+        raise InputError(f"max_positions {limit} outside [1, {config.max_len}]")
+    window = config.dec_self_window
+    slots = limit if window is None else min(window, limit)
+    lead = (batch_size, config.heads) if config.dec_self_kind == "multi_head" \
+        else (batch_size,)
+    keys = [np.zeros(lead + (slots, config.d_k)) for _ in params.decoder]
+    values = [np.zeros(lead + (slots, config.d_v)) for _ in params.decoder]
+    cross = None
     if config.has_encoder:
-        cross_caches = []
-        for block in params.decoder:
-            keys, values = _project_memory(memory, block.cross)
-            cross_caches.append(cache_from_memory(config.cross_kind, keys, values))
-    return DecoderState(self_caches, cross_caches, 0)
+        cross = [_project_memory(memory, block.cross) for block in params.decoder]
+    weights = [_fold_block(block) for block in params.decoder]
+    return DecoderState(keys, values, cross, weights, 0, limit)
+
+
+def _attend(q, keys, values):
+    """q [b, h, k] against keys [b, h, t, k] (multi-head) or [b, t, k]
+    (multi-query); returns the mixed values folded to [b, h*v]."""
+    if keys.ndim == 4:
+        weights = _softmax_rows(np.matmul(keys, q[..., None])[..., 0])
+        mixed = np.matmul(weights[:, :, None, :], values)[:, :, 0]
+    else:
+        weights = _softmax_rows(np.matmul(q, keys.swapaxes(-1, -2)))
+        mixed = np.matmul(weights, values)
+    return mixed.reshape(len(q), -1)
 
 
 def decoder_step(params: ModelParams, config: ModelConfig,
                  state: DecoderState, tokens: np.ndarray):
-    """Advance one position.  tokens [b] feeds position state.position;
-    returns (logits [b, vocab], new state)."""
+    """Feed tokens [b] at position state.position.
+
+    Returns (logits [b, vocab], state).  The returned state is the same
+    object, advanced in place: its buffers now hold this position.
+    """
     tokens = np.asarray(tokens)
     if tokens.ndim != 1:
         raise InputError(f"step tokens must be [batch], got {tokens.shape}")
     if tokens.min() < 0 or tokens.max() >= config.vocab_size:
         raise InputError("step tokens outside the vocabulary")
-    if state.position >= config.max_len:
+    t = state.position
+    if t >= state.limit:
         raise InputError(
-            f"position {state.position} exceeds max_len {config.max_len}")
-    x = params.embedding[tokens] + params.positions[state.position]
-    step = _STEP_KERNELS[config.dec_self_kind]
-    new_self = []
+            f"position {t} is past the {state.limit} positions this decode "
+            f"state was started for (max_len {config.max_len})")
+    b, h, dk = len(tokens), config.heads, config.d_k
+    kv_heads = h if config.dec_self_kind == "multi_head" else 1
+    slot, valid = t % state.slots, min(t + 1, state.slots)
+    x = params.embedding[tokens] + params.positions[t]
     for i, block in enumerate(params.decoder):
+        (fused, w_o), cross = state.weights[i]
+        keys, values = state.keys[i], state.values[i]
         normed, _ = layer_norm(x, block.ln_attn)
-        attn_out, grown = step(normed, state.self_caches[i], block.attn,
-                               window=config.dec_self_window)
-        new_self.append(grown)
-        x = x + attn_out
-        if block.cross is not None:
+        q, k_new, v_new = np.split(normed @ fused, [h * dk, (h + kv_heads) * dk],
+                                   axis=1)
+        keys[..., slot, :] = k_new.reshape(keys.shape[:-2] + (dk,))
+        values[..., slot, :] = v_new.reshape(values.shape[:-2] + (-1,))
+        x = x + _attend(q.reshape(b, h, dk), keys[..., :valid, :],
+                        values[..., :valid, :]) @ w_o
+        if cross is not None:
             normed, _ = layer_norm(x, block.ln_cross)
-            x = x + attend_cache(normed, state.cross_caches[i], block.cross)
+            q = (normed @ cross[0]).reshape(b, h, dk)
+            x = x + _attend(q, *state.cross[i]) @ cross[1]
         normed, _ = layer_norm(x, block.ln_ff)
-        ff_out, _ = feed_forward(normed, block.ff)
-        x = x + ff_out
+        x = x + feed_forward(normed, block.ff)[0]
+    state.position = t + 1
     final, _ = layer_norm(x, params.dec_out_ln)
-    logits = final @ params.embedding.T
-    return logits, DecoderState(new_self, state.cross_caches,
-                                state.position + 1)
+    return final @ params.embedding.T, state
 
 
-def _gather_rows(state: DecoderState, rows: np.ndarray) -> DecoderState:
-    return DecoderState([select_rows(c, rows) for c in state.self_caches],
-                        None if state.cross_caches is None
-                        else [select_rows(c, rows) for c in state.cross_caches],
-                        state.position)
+def _prefill(params, config, state, opener):
+    """Feed the opener [b, n] from position 0; returns the logits after its
+    last token.  A decoder_only prompt runs as one batched pass whose
+    keys/values fill the buffers (ring slots at position % slots)."""
+    if config.has_encoder:
+        return decoder_step(params, config, state, opener[:, 0])[0]
+    n = opener.shape[1]
+    kept = np.arange(max(0, n - state.slots), n)
+    x = _embed(params, config, opener, "prompt")
+    bias = _self_bias(config, n)
+    for i, block in enumerate(params.decoder):
+        x, caches = _block_forward(x, block, None, bias)
+        key, val = caches[1][3], caches[1][4]
+        state.keys[i][..., kept % state.slots, :] = key[..., kept, :]
+        state.values[i][..., kept % state.slots, :] = val[..., kept, :]
+    state.position = n
+    final, _ = layer_norm(x[:, -1], params.dec_out_ln)
+    return final @ params.embedding.T
+
+
+def _begin(params, config, decode: DecodeConfig, opener, memory, beam=1):
+    """Start a state sized for the run, prefill the opener and repeat every
+    row `beam` times; returns (state, logits)."""
+    state = start_state(params, config, batch_size=len(opener), memory=memory,
+                        max_positions=opener.shape[1] + decode.max_steps - 1)
+    logits = _prefill(params, config, state, opener)
+    if beam > 1:
+        state.keys = [np.repeat(k, beam, axis=0) for k in state.keys]
+        state.values = [np.repeat(v, beam, axis=0) for v in state.values]
+        if state.cross is not None:
+            state.cross = [(np.repeat(k, beam, axis=0), np.repeat(v, beam, axis=0))
+                           for k, v in state.cross]
+        logits = np.repeat(logits, beam, axis=0)
+    return state, logits
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -165,43 +245,67 @@ class DecodeResult:
     scores: np.ndarray
 
 
-def _prefill(params, config, state, prompt):
-    """Feed prompt tokens; returns (logits after the last one, state)."""
-    logits = None
-    for j in range(prompt.shape[1]):
-        logits, state = decoder_step(params, config, state, prompt[:, j])
-    return logits, state
+def _ids(what: str, ids, config: ModelConfig) -> np.ndarray:
+    ids = np.asarray(ids)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise InputError(f"{what} ids must be integers, got dtype {ids.dtype}")
+    if ids.ndim != 2 or 0 in ids.shape:
+        raise InputError(f"{what} ids must be a non-empty [batch, positions] "
+                         f"array, got shape {ids.shape}")
+    if ids.shape[1] > config.max_len:
+        raise InputError(
+            f"{what} length {ids.shape[1]} exceeds max_len {config.max_len}")
+    if ids.min() < 0 or ids.max() >= config.vocab_size:
+        raise InputError(f"{what} ids outside [0, {config.vocab_size})")
+    return ids
 
 
-def _start_tokens(config: ModelConfig, source, prompt, batch_size):
-    """The decoder stream opener: BOS for encoder_decoder; the caller's
-    prompt (usually source + BOS) for decoder_only."""
+def _inputs(params, config: ModelConfig, decode: DecodeConfig, source, prompt):
+    """Check the inputs of one decode call before any work, then encode;
+    returns (the decoder stream opener, encoder memory or None).  The opener
+    is BOS for encoder_decoder and the caller's prompt (usually source +
+    BOS) for decoder_only."""
     if config.has_encoder:
         if prompt is not None:
             raise ConfigError("encoder_decoder decode derives its own prompt")
-        return np.full((batch_size, 1), BOS, dtype=np.int64)
-    if prompt is None:
-        raise ConfigError("decoder_only decode needs a prompt")
-    if source is not None:
-        raise ConfigError("decoder_only decode takes no source")
-    return np.asarray(prompt)
+        if source is None:
+            raise ConfigError("encoder_decoder decode needs a source")
+        source = _ids("source", source, config)
+        opener = np.full((len(source), 1), BOS, dtype=np.int64)
+    else:
+        if source is not None:
+            raise ConfigError("decoder_only decode takes no source")
+        if prompt is None:
+            raise ConfigError("decoder_only decode needs a prompt")
+        opener = _ids("prompt", prompt, config)
+    if decode.eos_id is not None and not 0 <= decode.eos_id < config.vocab_size:
+        raise InputError(
+            f"eos_id {decode.eos_id} outside [0, {config.vocab_size})")
+    if opener.shape[1] + decode.max_steps - 1 > config.max_len:
+        raise InputError(
+            f"an opener of {opener.shape[1]} plus max_steps {decode.max_steps} "
+            f"feeds {opener.shape[1] + decode.max_steps - 1} positions, over "
+            f"max_len {config.max_len}")
+    if source is None:
+        return opener, None
+    return opener, encode_source(params, config, source)
 
 
 def greedy_decode(params: ModelParams, config: ModelConfig,
                   decode: DecodeConfig, *, source: np.ndarray | None = None,
                   prompt: np.ndarray | None = None) -> DecodeResult:
     """Argmax emission, first maximum winning ties."""
-    memory = None
-    if config.has_encoder:
-        memory = encode_source(params, config, source)
-        batch = source.shape[0]
-    else:
-        batch = np.asarray(prompt).shape[0]
-    opener = _start_tokens(config, source, prompt, batch)
-    state = start_state(params, config, batch_size=batch, memory=memory,
-                        cache_policy=decode.cache_policy,
-                        max_positions=opener.shape[1] + decode.max_steps)
-    logits, state = _prefill(params, config, state, opener)
+    return greedy_search(params, config, decode,
+                         *_inputs(params, config, decode, source, prompt))
+
+
+def greedy_search(params: ModelParams, config: ModelConfig,
+                  decode: DecodeConfig, opener: np.ndarray,
+                  memory: np.ndarray | None = None) -> DecodeResult:
+    """The greedy loop of greedy_decode on an opener and encoder memory
+    that are already checked and computed."""
+    state, logits = _begin(params, config, decode, opener, memory)
+    batch = len(opener)
     tokens = np.zeros((batch, decode.max_steps), dtype=np.int64)
     raw = np.zeros(batch)
     lengths = np.zeros(batch, dtype=np.int64)
@@ -225,98 +329,92 @@ def greedy_decode(params: ModelParams, config: ModelConfig,
     return DecodeResult(tokens, lengths, raw, scores)
 
 
-def _beam_decode_row(params, config, decode: DecodeConfig, *,
-                     source_row=None, prompt_row=None):
-    """Beam search for a single source row.  Beams ride the batch axis."""
-    beam = decode.beam_size
-    memory = None
-    if config.has_encoder:
-        memory = np.repeat(encode_source(params, config, source_row[None, :]),
-                           beam, axis=0)
-        opener = _start_tokens(config, None, None, beam)
-    else:
-        opener = np.repeat(_start_tokens(config, None, prompt_row[None, :], 1),
-                           beam, axis=0)
-    state = start_state(params, config, batch_size=beam, memory=memory,
-                        cache_policy=decode.cache_policy,
-                        max_positions=opener.shape[1] + decode.max_steps)
-    logits, state = _prefill(params, config, state, opener)
-
-    vocab = config.vocab_size
-    sequences = np.zeros((beam, 0), dtype=np.int64)
-    live_raw = np.full(beam, -np.inf)
-    live_raw[0] = 0.0  # identical beams; expand only the first at step one
-    finished: list[tuple[np.ndarray, float, float]] = []
-
-    for t in range(decode.max_steps):
-        logp = _log_softmax(logits)
-        totals = (live_raw[:, None] + logp).ravel()
-        order = np.argsort(-totals, kind="stable")
-        next_rows, next_tokens, next_raw = [], [], []
-        for flat in order[: 2 * beam]:
-            parent, token = divmod(int(flat), vocab)
-            raw = float(totals[flat])
-            if raw == -np.inf:
-                break
-            if decode.eos_id is not None and token == decode.eos_id:
-                seq = np.concatenate([sequences[parent], [token]])
-                finished.append((seq, raw,
-                                 raw / length_penalty(t + 1,
-                                                      decode.length_alpha)))
-                continue
-            if len(next_rows) < beam:
-                next_rows.append(parent)
-                next_tokens.append(token)
-                next_raw.append(raw)
-        if not next_rows:
-            break
-        rows = np.array(next_rows)
-        pick = np.array(next_tokens)
-        while len(pick) < beam:  # fewer survivors than beams: repeat row 0
-            rows = np.append(rows, rows[0])
-            pick = np.append(pick, pick[0])
-            next_raw.append(-np.inf)
-        sequences = np.concatenate([sequences[rows], pick[:, None]], axis=1)
-        live_raw = np.array(next_raw)
-        if finished and len(finished) >= beam:
-            best_possible = max(live_raw) / length_penalty(
-                decode.max_steps, decode.length_alpha)
-            if best_possible <= max(f[2] for f in finished):
-                break
-        if t + 1 < decode.max_steps:
-            state = _gather_rows(state, rows)
-            logits, state = decoder_step(params, config, state, pick)
-
-    for i in range(beam):
-        if live_raw[i] > -np.inf:
-            finished.append((sequences[i], float(live_raw[i]),
-                             float(live_raw[i]) / length_penalty(
-                                 sequences.shape[1], decode.length_alpha)))
-    finished.sort(key=lambda f: -f[2])
-    return finished[0]
-
-
 def beam_decode(params: ModelParams, config: ModelConfig,
                 decode: DecodeConfig, *, source: np.ndarray | None = None,
                 prompt: np.ndarray | None = None) -> DecodeResult:
     """Best hypothesis per row under the length-penalized score."""
-    rows = source if config.has_encoder else np.asarray(prompt)
-    batch = rows.shape[0]
-    pad = decode.eos_id if decode.eos_id is not None else 0
-    tokens = np.full((batch, decode.max_steps), pad, dtype=np.int64)
-    lengths = np.zeros(batch, dtype=np.int64)
-    raw = np.zeros(batch)
-    scores = np.zeros(batch)
-    for i in range(batch):
-        kwargs = ({"source_row": source[i]} if config.has_encoder
-                  else {"prompt_row": rows[i]})
-        seq, seq_raw, seq_score = _beam_decode_row(params, config, decode,
-                                                   **kwargs)
-        tokens[i, : len(seq)] = seq
-        lengths[i] = len(seq)
-        raw[i] = seq_raw
-        scores[i] = seq_score
-    return DecodeResult(tokens, lengths, raw, scores)
+    return beam_search(params, config, decode,
+                        *_inputs(params, config, decode, source, prompt))
+
+
+def beam_search(params: ModelParams, config: ModelConfig,
+                decode: DecodeConfig, opener: np.ndarray,
+                memory: np.ndarray | None = None) -> DecodeResult:
+    """The beam loop of beam_decode on an opener and encoder memory that
+    are already checked and computed.
+
+    Every source row searches on its own: each step it scans its top
+    2*beam candidates in score order (ties by flat index), sends end-marker
+    hits to its finished list, keeps up to `beam` survivors (padding with
+    -inf copies of the first) and stops once no survivor can beat its best
+    finished hypothesis.  The rows share each decoder step, row i's beams
+    at batch rows i*beam .. i*beam + beam - 1.
+    """
+    beam, vocab, steps, alpha = (decode.beam_size, config.vocab_size,
+                                 decode.max_steps, decode.length_alpha)
+    eos = decode.eos_id
+    state, logits = _begin(params, config, decode, opener, memory, beam)
+    b = len(opener)
+    seqs = np.zeros((b, beam, steps), dtype=np.int64)
+    live_raw = np.full((b, beam), -np.inf)
+    live_raw[:, 0] = 0.0  # identical beams; expand only the first at step one
+    done = np.zeros(b, dtype=bool)
+    length = np.zeros(b, dtype=np.int64)
+    finished: list[list] = [[] for _ in range(b)]
+    picks = np.zeros(b * beam, dtype=np.int64)
+
+    for t in range(steps):
+        totals = (live_raw[:, :, None]
+                  + _log_softmax(logits).reshape(b, beam, vocab)).reshape(b, -1)
+        order = np.argsort(-totals, axis=-1, kind="stable")[:, : 2 * beam]
+        rows = np.arange(b * beam)
+        for i in np.flatnonzero(~done):
+            kept = []
+            for flat in order[i]:
+                raw = float(totals[i, flat])
+                if raw == -np.inf:
+                    break
+                parent, token = divmod(int(flat), vocab)
+                if eos is not None and token == eos:
+                    finished[i].append((np.append(seqs[i, parent, :t], token), raw,
+                                        raw / length_penalty(t + 1, alpha)))
+                elif len(kept) < beam:
+                    kept.append((parent, token, raw))
+            if not kept:
+                done[i] = True
+                continue
+            kept += [kept[0][:2] + (-np.inf,)] * (beam - len(kept))
+            parents, tokens, raws = (np.array(c) for c in zip(*kept))
+            seqs[i] = seqs[i, parents]
+            seqs[i, :, t] = tokens
+            live_raw[i] = raws
+            length[i] = t + 1
+            rows[i * beam:(i + 1) * beam] = i * beam + parents
+            picks[i * beam:(i + 1) * beam] = tokens
+            if len(finished[i]) >= beam and max(raws) / length_penalty(
+                    steps, alpha) <= max(f[2] for f in finished[i]):
+                done[i] = True
+        if done.all() or t + 1 == steps:
+            break
+        valid = min(state.position, state.slots)
+        for buf in state.keys + state.values:
+            buf[..., :valid, :] = buf[rows, ..., :valid, :]
+        logits, state = decoder_step(params, config, state, picks)
+
+    pad = eos if eos is not None else 0
+    out = DecodeResult(np.full((b, steps), pad, dtype=np.int64),
+                       np.zeros(b, dtype=np.int64), np.zeros(b), np.zeros(b))
+    for i in range(b):
+        for j in range(beam):
+            if live_raw[i, j] > -np.inf:
+                raw = float(live_raw[i, j])
+                finished[i].append((seqs[i, j, :length[i]], raw,
+                                    raw / length_penalty(int(length[i]), alpha)))
+        finished[i].sort(key=lambda f: -f[2])
+        seq, out.raw_scores[i], out.scores[i] = finished[i][0]
+        out.tokens[i, :len(seq)] = seq
+        out.lengths[i] = len(seq)
+    return out
 
 
 def decode(params: ModelParams, config: ModelConfig, decode_config: DecodeConfig,

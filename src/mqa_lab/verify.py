@@ -26,7 +26,7 @@ from .attention import (
     random_attention_weights,
     replicate_heads,
 )
-from .cache import cache_words, new_cache
+from .cache import append, cache_words, new_cache
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import DecodeConfig, ModelConfig
 from .costs import ShapeConfig, batched_costs, dff_for_parity, incremental_costs
@@ -169,13 +169,8 @@ def check_kv_cache_ratio_is_heads():
         mq = new_cache("multi_query", batch=2, key_width=3, value_width=5)
         rng = _rng()
         for _ in range(4):
-            if h > 0:
-                k_mh = rng.normal(size=(2, h, 3))
-                v_mh = rng.normal(size=(2, h, 5))
-                from .cache import append
-                mh = append(mh, k_mh, v_mh)
-                mq = append(mq, rng.normal(size=(2, 3)),
-                            rng.normal(size=(2, 5)))
+            mh = append(mh, rng.normal(size=(2, h, 3)), rng.normal(size=(2, h, 5)))
+            mq = append(mq, rng.normal(size=(2, 3)), rng.normal(size=(2, 5)))
         assert cache_words(mh) == h * cache_words(mq), h
 
 

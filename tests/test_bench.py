@@ -1,12 +1,13 @@
 """Bench harness checks.
 
 Wall-clock values are only smoke-checked (positive, finite); everything
-else is pinned: the fast decode path against the correctness-path decoder,
-counted columns against the cost model, and report rendering against a
-golden fixture.
+else is pinned: the decode engine the bench times against the teacher-forced
+batched forward pass, counted columns against the cost model, and report
+rendering against a golden fixture.
 """
 
 import csv
+import dataclasses
 import io
 from pathlib import Path
 
@@ -16,23 +17,20 @@ import pytest
 from mqa_lab.bench import (
     BenchReport,
     BenchRow,
-    FastDecoder,
     Workload,
     bench_decode,
     bench_training_pass,
     emit_report,
-    fast_beam,
-    fast_greedy,
     parse_report_csv,
     run_bench,
     timer_resolution,
     variant_config,
 )
-from mqa_lab.config import DecodeConfig, ModelConfig
+from mqa_lab.config import ModelConfig
 from mqa_lab.costs import ShapeConfig, incremental_costs
-from mqa_lab.decoding import beam_decode, decoder_step, encode_source, start_state
+from mqa_lab.decoding import decoder_step, encode_source, start_state
 from mqa_lab.exceptions import ConfigError
-from mqa_lab.model import init_params, param_count
+from mqa_lab.model import Batch, forward, init_params, param_count
 from mqa_lab.training import BOS
 
 GOLDEN = Path(__file__).parent / "golden" / "bench_report.md"
@@ -89,79 +87,34 @@ class TestVariants:
             tiny_workload(model=base_config(mode="decoder_only"))
 
 
-class TestFastDecoderMatchesCorrectnessPath:
-    """The timing kernels must agree with the contraction-kernel decoder."""
+class TestEngineMatchesTeacherForcing:
+    """The decode engine the bench times must agree with the batched
+    forward pass, windowed variants included."""
 
-    @pytest.mark.parametrize("variant", ["multi-head", "multi-query",
-                                         "multi-head local",
-                                         "multi-query local"])
-    def test_stepwise_logits_agree(self, rng, variant):
-        config = variant_config(base_config(dec_self_window=None), variant)
-        if variant.endswith("local"):
-            # shrink the window below the step count to exercise the ring
-            config = variant_config(base_config(), variant)
-            import dataclasses
-            config = dataclasses.replace(config, dec_self_window=3)
+    @pytest.mark.parametrize("variant,window", [
+        ("multi-head", None), ("multi-query", None),
+        ("multi-head local", 2), ("multi-head local", 3),
+        ("multi-query local", 2), ("multi-query local", 3)])
+    def test_stepwise_logits_agree(self, rng, variant, window):
+        config = dataclasses.replace(variant_config(base_config(), variant),
+                                     dec_self_window=window)
         params = init_params(config)
         b, steps = 2, 8
         source = rng.integers(1, config.vocab_size, size=(b, 4))
-        memory = encode_source(params, config, source)
-        fast = FastDecoder(params, config, batch_size=b, steps=steps,
-                           memory=memory)
-        slow = start_state(params, config, batch_size=b, memory=memory)
-        tokens = np.full(b, BOS, dtype=np.int64)
-        for _ in range(steps):
-            fast_logits = fast.step(tokens)
-            slow_logits, slow = decoder_step(params, config, slow, tokens)
-            assert np.max(np.abs(fast_logits - slow_logits)) < 1e-10
-            tokens = np.argmax(fast_logits, axis=-1)
-
-    def test_fast_greedy_tokens_match_slow_greedy(self, rng):
-        from mqa_lab.decoding import greedy_decode
-        config = variant_config(base_config(), "multi-query")
-        params = init_params(config)
-        source = rng.integers(1, config.vocab_size, size=(3, 4))
-        steps = 6
-        fast_tokens = fast_greedy(params, config, source, steps)
-        slow = greedy_decode(params, config,
-                             DecodeConfig(strategy="greedy", max_steps=steps),
-                             source=source)
-        assert np.array_equal(fast_tokens, slow.tokens)
-
-    def test_fast_beam_matches_slow_beam(self, rng):
-        config = variant_config(base_config(), "multi-head")
-        params = init_params(config)
-        source = rng.integers(1, config.vocab_size, size=(2, 4))
-        steps, beam = 5, 3
-        fast_tokens, fast_scores = fast_beam(params, config, source, steps,
-                                             beam)
-        slow = beam_decode(params, config,
-                           DecodeConfig(strategy="beam", beam_size=beam,
-                                        max_steps=steps),
-                           source=source)
-        assert np.array_equal(fast_tokens, slow.tokens)
-        assert np.allclose(fast_scores, slow.raw_scores, atol=1e-10)
-
-    def test_ring_buffer_never_rotates_contents(self, rng):
-        # permutation invariance of softmax over slots backs the ring design;
-        # equality with the windowed correctness path at window < steps is
-        # the observable contract (covered above at window=3, steps=8)
-        config = variant_config(base_config(), "multi-head local")
-        import dataclasses
-        config = dataclasses.replace(config, dec_self_window=2)
-        params = init_params(config)
-        source = rng.integers(1, config.vocab_size, size=(1, 3))
-        memory = encode_source(params, config, source)
-        fast = FastDecoder(params, config, batch_size=1, steps=6,
-                           memory=memory)
-        assert fast.slots == 2
-        slow = start_state(params, config, batch_size=1, memory=memory)
-        tokens = np.zeros(1, dtype=np.int64)
-        for _ in range(6):
-            a = fast.step(tokens)
-            b, slow = decoder_step(params, config, slow, tokens)
-            assert np.max(np.abs(a - b)) < 1e-10
-            tokens = np.argmax(a, axis=-1)
+        state = start_state(params, config, batch_size=b,
+                            memory=encode_source(params, config, source),
+                            max_positions=steps)
+        assert state.slots == (steps if window is None else window)
+        stream = np.full((b, steps), BOS, dtype=np.int64)
+        stepwise = []
+        for t in range(steps):
+            logits, state = decoder_step(params, config, state, stream[:, t])
+            stepwise.append(logits)
+            if t + 1 < steps:
+                stream[:, t + 1] = np.argmax(logits, axis=-1)
+        batch = Batch(source, stream, stream, np.ones((b, steps)))
+        teacher = forward(params, config, batch).logits
+        assert np.max(np.abs(np.stack(stepwise, axis=1) - teacher)) < 1e-10
 
 
 class TestCountedColumns:
@@ -195,7 +148,6 @@ class TestCountedColumns:
         # window 32 exceeds target_len 6, so local == full at this scale
         assert by_name["multi-head local"].kv_words_per_step == \
             by_name["multi-head"].kv_words_per_step
-        import dataclasses
         small = dataclasses.replace(workload, target_len=6)
         config = variant_config(small.model, "multi-head local")
         config = dataclasses.replace(config, dec_self_window=2)

@@ -235,6 +235,15 @@ class TestTrainDecode:
         assert run_cli(capsys, *argv, "--out", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("setting", ["decode.eos_id=12", "decode.max_steps=33"])
+    def test_decode_input_out_of_range_is_usage_error(self, capsys, setting):
+        code, _, err = run_cli(capsys, "decode",
+                               "--set", f"model={json.dumps(TINY_MODEL)}",
+                               "--set", "batch=2", "--set", "length=3",
+                               "--set", setting)
+        assert code == 2
+        assert "max_len" in err or "eos_id" in err
+
     def test_missing_checkpoint_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "decode", "--checkpoint",
                                str(tmp_path / "nothing"))

@@ -11,11 +11,11 @@ from mqa_lab.attention import (TrafficTally, multihead_attention_batched,
 from mqa_lab.cache import new_cache
 from mqa_lab.config import ModelConfig
 from mqa_lab.costs import (CostBreakdown, ShapeConfig, batched_costs,
-                           breakdown_csv, dff_for_parity, flops_batched,
+                           breakdown_csv, dff_for_parity,
                            flops_batched_closed, format_breakdown,
                            incremental_costs, incremental_step_flops,
                            kv_cache_words_step,
-                           kv_cache_words_total, memory_batched,
+                           kv_cache_words_total,
                            memory_batched_closed, param_count_attention)
 from mqa_lab.exceptions import ConfigError
 
@@ -47,8 +47,9 @@ class TestBatchedTotals:
     @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
     def test_closed_forms_match_table(self, kind):
         for cfg in SWEEP:
-            assert flops_batched(cfg, kind) == flops_batched_closed(cfg, kind)
-            assert memory_batched(cfg, kind) == memory_batched_closed(cfg, kind)
+            table = batched_costs(cfg, kind)
+            assert table.flops == flops_batched_closed(cfg, kind)
+            assert table.memory_words == memory_batched_closed(cfg, kind)
 
     def test_simplified_flop_total(self):
         # m = n and k = v = d/h collapse the total to 8*b*n*d^2 + 4*b*n^2*d
@@ -58,12 +59,13 @@ class TestBatchedTotals:
                     for h in (2, 4):
                         cfg = ShapeConfig(b, n, n, d, h, d // h, d // h)
                         want = 8 * b * n * d * d + 4 * b * n * n * d
-                        assert flops_batched(cfg, "multi_head") == want
+                        assert batched_costs(cfg, "multi_head").flops == want
 
     def test_multi_query_never_costs_more(self):
         for cfg in SWEEP:
-            assert flops_batched(cfg, "multi_query") <= flops_batched(cfg, "multi_head")
-            assert memory_batched(cfg, "multi_query") <= memory_batched(cfg, "multi_head")
+            mq, mh = batched_costs(cfg, "multi_query"), batched_costs(cfg, "multi_head")
+            assert mq.flops <= mh.flops
+            assert mq.memory_words <= mh.memory_words
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):

@@ -11,9 +11,10 @@ import itertools
 import numpy as np
 import pytest
 
+from mqa_lab import decoding
 from mqa_lab.config import DecodeConfig, ModelConfig, OptimizerSettings, TaskSpec
 from mqa_lab.decoding import (
-    DecoderState,
+    _prefill,
     beam_decode,
     decode,
     decoder_step,
@@ -50,15 +51,13 @@ class TestStepAgainstBatchedForward:
         ("multi_query", "multi_query"),
         ("multi_head", "multi_query"),
     ])
-    @pytest.mark.parametrize("policy", ["growing", "padded"])
-    def test_stepwise_logits_match_teacher_forcing(self, rng, kinds, policy):
+    def test_stepwise_logits_match_teacher_forcing(self, rng, kinds):
         dec_kind, cross_kind = kinds
         config = tiny_config(dec_self_kind=dec_kind, cross_kind=cross_kind)
         params = init_params(config)
         b, m, steps = 3, 5, 6
         source = rng.integers(1, config.vocab_size, size=(b, m))
-        dc = DecodeConfig(strategy="greedy", max_steps=steps,
-                          cache_policy=policy)
+        dc = DecodeConfig(strategy="greedy", max_steps=steps)
         result = greedy_decode(params, config, dc, source=source)
         assert result.tokens.shape == (b, steps)
         again = replay_logits(params, config, source, result.tokens)
@@ -102,19 +101,27 @@ class TestStepAgainstBatchedForward:
         batched = forward(params, config, batch).logits
         assert np.max(np.abs(np.stack(stepwise, axis=1) - batched)) < 1e-10
 
-    def test_cache_policies_decode_identically(self, rng):
-        config = tiny_config()
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    @pytest.mark.parametrize("window", [None, 3])
+    def test_prefill_then_steps_match_teacher_forcing(self, rng, kind, window):
+        # a 6-token prompt fills the buffers in one batched pass; with
+        # window 3 it is longer than the ring, which then wraps while stepping
+        config = tiny_config(mode="decoder_only", dec_self_kind=kind,
+                             dec_self_window=window)
         params = init_params(config)
-        source = rng.integers(1, config.vocab_size, size=(3, 5))
-        results = {}
-        for policy in ("growing", "padded"):
-            dc = DecodeConfig(strategy="greedy", max_steps=6,
-                              cache_policy=policy)
-            results[policy] = greedy_decode(params, config, dc, source=source)
-        assert np.array_equal(results["growing"].tokens,
-                              results["padded"].tokens)
-        assert np.array_equal(results["growing"].raw_scores,
-                              results["padded"].raw_scores)
+        b, n, steps = 2, 6, 4
+        stream = rng.integers(1, config.vocab_size, size=(b, n + steps))
+        state = start_state(params, config, batch_size=b,
+                            max_positions=n + steps)
+        stepwise = [_prefill(params, config, state, stream[:, :n])]
+        assert state.position == n
+        for j in range(n, n + steps):
+            logits, state = decoder_step(params, config, state, stream[:, j])
+            stepwise.append(logits)
+        assert state.slots == (n + steps if window is None else window)
+        batch = Batch(None, stream, stream, np.ones_like(stream, dtype=float))
+        teacher = forward(params, config, batch).logits[:, n - 1:]
+        assert np.max(np.abs(np.stack(stepwise, axis=1) - teacher)) < 1e-10
 
     def test_step_input_validation(self, rng):
         config = tiny_config()
@@ -128,8 +135,7 @@ class TestStepAgainstBatchedForward:
         with pytest.raises(InputError):
             decoder_step(params, config, state,
                          np.array([0, config.vocab_size]))
-        state = DecoderState(state.self_caches, state.cross_caches,
-                             config.max_len)
+        state.position = config.max_len
         with pytest.raises(InputError):
             decoder_step(params, config, state, np.array([0, 1]))
 
@@ -224,6 +230,45 @@ class TestBeam:
             assert b.raw_scores[0] == pytest.approx(g.raw_scores[0],
                                                     abs=1e-10)
 
+    def test_beam_one_scores_equal_greedy_bit_for_bit(self, rng):
+        config = tiny_config()
+        params = init_params(config)
+        source = rng.integers(1, config.vocab_size, size=(4, 4))
+        g = greedy_decode(params, config,
+                          DecodeConfig(strategy="greedy", max_steps=5),
+                          source=source)
+        b = beam_decode(params, config,
+                        DecodeConfig(strategy="beam", beam_size=1, max_steps=5),
+                        source=source)
+        assert np.array_equal(g.tokens, b.tokens)
+        assert np.array_equal(g.lengths, b.lengths)
+        assert np.array_equal(g.raw_scores, b.raw_scores)
+
+    @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
+    @pytest.mark.parametrize("with_eos", [False, True])
+    def test_batched_rows_match_single_rows(self, rng, mode, with_eos):
+        config = tiny_config(mode=mode)
+        params = init_params(config)
+        rows = rng.integers(1, config.vocab_size, size=(4, 4))
+        key = "source" if mode == "encoder_decoder" else "prompt"
+        dc = DecodeConfig(strategy="beam", beam_size=3, max_steps=6,
+                          length_alpha=0.6)
+        if with_eos:
+            # the commonest first pick ends some rows early, others not
+            free = beam_decode(params, config, dc, **{key: rows})
+            dc = DecodeConfig(strategy="beam", beam_size=3, max_steps=6,
+                              length_alpha=0.6,
+                              eos_id=int(np.bincount(free.tokens[:, 1]).argmax()))
+        together = beam_decode(params, config, dc, **{key: rows})
+        for i in range(len(rows)):
+            alone = beam_decode(params, config, dc, **{key: rows[i:i + 1]})
+            assert np.array_equal(together.tokens[i], alone.tokens[0])
+            assert together.lengths[i] == alone.lengths[0]
+            assert abs(together.raw_scores[i] - alone.raw_scores[0]) < 1e-10
+            assert abs(together.scores[i] - alone.scores[0]) < 1e-10
+        if with_eos:
+            assert (together.lengths < dc.max_steps).any()
+
     def test_beam_score_matches_oracle(self, rng):
         config = tiny_config()
         params = init_params(config)
@@ -301,6 +346,67 @@ class TestBeam:
                    DecodeConfig(strategy="beam", beam_size=2, max_steps=3),
                    source=source)
         assert g.tokens.shape == b.tokens.shape
+
+
+def _int_rows(b, n, dtype=np.int64):
+    return np.ones((b, n), dtype=dtype)
+
+
+BAD_INPUTS = [
+    # (mode, inputs, decode settings, error)
+    pytest.param("encoder_decoder", {}, {}, ConfigError, id="no-source"),
+    pytest.param("encoder_decoder", {"source": _int_rows(2, 4, float)}, {},
+                 InputError, id="float-source"),
+    pytest.param("decoder_only", {"prompt": _int_rows(2, 4, float)}, {},
+                 InputError, id="float-prompt"),
+    pytest.param("encoder_decoder", {"source": _int_rows(0, 4)}, {},
+                 InputError, id="empty-source"),
+    pytest.param("decoder_only", {"prompt": _int_rows(0, 4)}, {},
+                 InputError, id="empty-prompt"),
+    pytest.param("encoder_decoder", {"source": _int_rows(2, 4)}, {"eos_id": 10},
+                 InputError, id="eos-past-vocab"),
+    pytest.param("decoder_only", {"prompt": _int_rows(2, 4)}, {"eos_id": -1},
+                 InputError, id="eos-negative"),
+    pytest.param("encoder_decoder", {"source": _int_rows(2, 4)}, {"max_steps": 25},
+                 InputError, id="steps-past-max_len"),
+    pytest.param("decoder_only", {"prompt": _int_rows(2, 5)}, {"max_steps": 21},
+                 InputError, id="prompt-and-steps-past-max_len"),
+]
+
+
+class TestDecodeBoundary:
+    """Bad input to the decode entry points fails there, before the
+    encoder runs or any buffer is allocated (vocab 10, max_len 24)."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decode work started before the input checks")
+        monkeypatch.setattr(decoding, "encode_source", refuse)
+        monkeypatch.setattr(decoding, "start_state", refuse)
+
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    @pytest.mark.parametrize("mode,inputs,settings,error", BAD_INPUTS)
+    def test_rejected_up_front(self, strategy, mode, inputs, settings, error):
+        config = tiny_config(mode=mode)
+        params = init_params(config)
+        dc = DecodeConfig(strategy=strategy, beam_size=2 if strategy == "beam" else 1,
+                          **settings)
+        with pytest.raises(error):
+            decode(params, config, dc, **inputs)
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "beam"])
+def test_positions_that_fit_max_len_exactly_decode(strategy):
+    # the opener plus max_steps - 1 fed tokens fill all 24 positions
+    beam = 2 if strategy == "beam" else 1
+    for mode, inputs, steps in (("encoder_decoder", {"source": _int_rows(2, 4)}, 24),
+                                ("decoder_only", {"prompt": _int_rows(2, 5)}, 20)):
+        config = tiny_config(mode=mode)
+        out = decode(init_params(config), config,
+                     DecodeConfig(strategy=strategy, beam_size=beam,
+                                  max_steps=steps), **inputs)
+        assert out.tokens.shape == (2, steps)
 
 
 class TestScoreSequence:
