@@ -1,11 +1,15 @@
 """Attention kernels over the validated contraction engine.
 
-Six kernels cover the single-query, batched, and incremental settings for
-multi-head attention and for multi-query attention (one shared key/value set
-serving all query heads).  Every tensor product is a contract() call whose
-spec string is the definition; no kernel reshapes its way around the stated
-index structure.  The incremental kernels accumulate over cached positions in
-index order, which makes growing and padded cache layouts bit-identical.
+Multi-head and multi-query attention are one formulation: h query heads
+share g key/value heads, query head j reading key/value head j // (h // g).
+Multi-head attention is g = h; multi-query attention is g = 1, one shared
+key/value set serving all query heads.  Each kernel is written once over
+that grouped view, with queries [b, g, h // g, n, k] and keys/values
+[b, g, m, .]; g is read from the weights.  Every tensor product is a
+contract() call whose spec string is the definition; the only reshapes split
+the heads axis h into (g, h // g) or merge it back.  The incremental kernel
+accumulates over cached positions in index order, which makes growing and
+padded cache layouts bit-identical.
 
 An optional TrafficTally records, per operation, the flops performed and the
 words of every tensor read and written, so closed-form cost predictions can
@@ -31,7 +35,8 @@ class AttentionWeights:
 
     p_q and p_o always carry a heads axis: [h, d, k] and [h, d, v].  For
     multi_head, p_k / p_v are per head ([h, d, k] / [h, d, v]); for
-    multi_query a single shared pair is used ([d, k] / [d, v]).
+    multi_query a single shared pair is used ([d, k] / [d, v]).  The
+    kernels read p_k / p_v as g key/value heads, [g, d, k] / [g, d, v].
     """
 
     kind: str
@@ -66,6 +71,11 @@ class AttentionWeights:
         return self.p_q.shape[0]
 
     @property
+    def groups(self) -> int:
+        """Key/value heads g: h for multi_head, 1 for multi_query."""
+        return _kv_heads(self.p_k).shape[0]
+
+    @property
     def model_width(self) -> int:
         return self.p_q.shape[1]
 
@@ -76,6 +86,12 @@ class AttentionWeights:
     @property
     def value_width(self) -> int:
         return self.p_o.shape[2]
+
+
+def _kv_heads(p: np.ndarray) -> np.ndarray:
+    """A key or value projection as [g, d, w]: multi-head [h, d, w] as it
+    is, multi-query [d, w] as one shared head [1, d, w]."""
+    return p.reshape((-1,) + p.shape[-2:])
 
 
 def random_attention_weights(rng, kind, *, d, h, k, v, query_scaled=True) -> AttentionWeights:
@@ -215,13 +231,6 @@ class TrafficTally:
                    for _, words in reads + writes)
 
 
-def _words(shape) -> int:
-    total = 1
-    for d in shape:
-        total *= d
-    return total
-
-
 def dot_product_attention(q, keys, values) -> np.ndarray:
     """Single query against an unprojected memory: softmax(q . K) mixing V."""
     q = as_array(q)
@@ -262,12 +271,10 @@ def _resolve_mask(mask, b, h, n, m) -> np.ndarray:
     return build_mask(mask)
 
 
-def multihead_attention_batched(x, memory, w: AttentionWeights,
-                                mask: MaskSpec | None = None,
-                                tally: TrafficTally | None = None) -> np.ndarray:
-    """Batched multi-head attention: x [b, n, d] against memory [b, m, d]."""
-    if w.kind != "multi_head":
-        raise ConfigError(f"kernel needs multi_head weights, got {w.kind}")
+def attention_batched(x, memory, w: AttentionWeights,
+                      mask: MaskSpec | None = None,
+                      tally: TrafficTally | None = None) -> np.ndarray:
+    """Batched attention: x [b, n, d] against memory [b, m, d]."""
     x = as_array(x)
     memory = as_array(memory)
     if x.ndim != 3 or memory.ndim != 3:
@@ -278,88 +285,31 @@ def multihead_attention_batched(x, memory, w: AttentionWeights,
         raise ShapeError(f"memory {memory.shape} does not match x {x.shape}")
     if m == 0:
         raise ShapeError("attention over an empty memory")
-    h, k, v = w.heads, w.key_width, w.value_width
+    h, g, k, v = w.heads, w.groups, w.key_width, w.value_width
     if w.model_width != d:
         raise ShapeError(f"weights expect d={w.model_width}, inputs have d={d}")
     mask_arr = _resolve_mask(mask, b, h, n, m)
 
-    q = contract(x, w.p_q, "bnd,hdk->bhnk")
-    key = contract(memory, w.p_k, "bmd,hdk->bhmk")
-    val = contract(memory, w.p_v, "bmd,hdv->bhmv")
-    logits = contract(q, key, "bhnk,bhmk->bhnm")
-    weights = masked_softmax(logits, mask_arr)
-    o = contract(weights, val, "bhnm,bhmv->bhnv")
-    y = contract(o, w.p_o, "bhnv,hdv->bnd")
+    def product(op, a, c, spec, names):
+        out = contract(a, c, spec)
+        if tally is not None:
+            first, second, result = names.split()
+            tally.add(op, contraction_flops(spec, a.shape, c.shape),
+                      [(first, a.size), (second, c.size)], [(result, out.size)])
+        return out
 
+    q = product("q_proj", x, w.p_q, "bnd,hdk->bhnk", "x p_q q")
+    key = product("k_proj", memory, _kv_heads(w.p_k), "bmd,gdk->bgmk", "memory p_k k")
+    val = product("v_proj", memory, _kv_heads(w.p_v), "bmd,gdv->bgmv", "memory p_v v")
+    logits = product("logits", q.reshape(b, g, h // g, n, k), key,
+                     "bgrnk,bgmk->bgrnm", "q k logits")
+    weights = masked_softmax(logits, mask_arr.reshape(logits.shape))
     if tally is not None:
-        tally.add("q_proj", contraction_flops("bnd,hdk->bhnk", x.shape, w.p_q.shape),
-                  [("x", b * n * d), ("p_q", h * d * k)], [("q", b * h * n * k)])
-        tally.add("k_proj", contraction_flops("bmd,hdk->bhmk", memory.shape, w.p_k.shape),
-                  [("memory", b * m * d), ("p_k", h * d * k)], [("k", b * h * m * k)])
-        tally.add("v_proj", contraction_flops("bmd,hdv->bhmv", memory.shape, w.p_v.shape),
-                  [("memory", b * m * d), ("p_v", h * d * v)], [("v", b * h * m * v)])
-        tally.add("logits", contraction_flops("bhnk,bhmk->bhnm", q.shape, key.shape),
-                  [("q", b * h * n * k), ("k", b * h * m * k)],
-                  [("logits", b * h * n * m)])
-        tally.add("softmax", 0,
-                  [("logits", b * h * n * m), ("mask", b * h * n * m)],
-                  [("weights", b * h * n * m)])
-        tally.add("mix", contraction_flops("bhnm,bhmv->bhnv", weights.shape, val.shape),
-                  [("weights", b * h * n * m), ("v", b * h * m * v)],
-                  [("o", b * h * n * v)])
-        tally.add("out_proj", contraction_flops("bhnv,hdv->bnd", o.shape, w.p_o.shape),
-                  [("o", b * h * n * v), ("p_o", h * d * v)], [("y", b * n * d)])
-    return y
-
-
-def multiquery_attention_batched(x, memory, w: AttentionWeights,
-                                 mask: MaskSpec | None = None,
-                                 tally: TrafficTally | None = None) -> np.ndarray:
-    """Batched multi-query attention: per-head queries, one shared K/V."""
-    if w.kind != "multi_query":
-        raise ConfigError(f"kernel needs multi_query weights, got {w.kind}")
-    x = as_array(x)
-    memory = as_array(memory)
-    if x.ndim != 3 or memory.ndim != 3:
-        raise ShapeError("batched attention takes [b, n, d] and [b, m, d]")
-    b, n, d = x.shape
-    bm, m, dm = memory.shape
-    if (bm, dm) != (b, d):
-        raise ShapeError(f"memory {memory.shape} does not match x {x.shape}")
-    if m == 0:
-        raise ShapeError("attention over an empty memory")
-    h, k, v = w.heads, w.key_width, w.value_width
-    if w.model_width != d:
-        raise ShapeError(f"weights expect d={w.model_width}, inputs have d={d}")
-    mask_arr = _resolve_mask(mask, b, h, n, m)
-
-    q = contract(x, w.p_q, "bnd,hdk->bhnk")
-    key = contract(memory, w.p_k, "bmd,dk->bmk")
-    val = contract(memory, w.p_v, "bmd,dv->bmv")
-    logits = contract(q, key, "bhnk,bmk->bhnm")
-    weights = masked_softmax(logits, mask_arr)
-    o = contract(weights, val, "bhnm,bmv->bhnv")
-    y = contract(o, w.p_o, "bhnv,hdv->bnd")
-
-    if tally is not None:
-        tally.add("q_proj", contraction_flops("bnd,hdk->bhnk", x.shape, w.p_q.shape),
-                  [("x", b * n * d), ("p_q", h * d * k)], [("q", b * h * n * k)])
-        tally.add("k_proj", contraction_flops("bmd,dk->bmk", memory.shape, w.p_k.shape),
-                  [("memory", b * m * d), ("p_k", d * k)], [("k", b * m * k)])
-        tally.add("v_proj", contraction_flops("bmd,dv->bmv", memory.shape, w.p_v.shape),
-                  [("memory", b * m * d), ("p_v", d * v)], [("v", b * m * v)])
-        tally.add("logits", contraction_flops("bhnk,bmk->bhnm", q.shape, key.shape),
-                  [("q", b * h * n * k), ("k", b * m * k)],
-                  [("logits", b * h * n * m)])
-        tally.add("softmax", 0,
-                  [("logits", b * h * n * m), ("mask", b * h * n * m)],
-                  [("weights", b * h * n * m)])
-        tally.add("mix", contraction_flops("bhnm,bmv->bhnv", weights.shape, val.shape),
-                  [("weights", b * h * n * m), ("v", b * m * v)],
-                  [("o", b * h * n * v)])
-        tally.add("out_proj", contraction_flops("bhnv,hdv->bnd", o.shape, w.p_o.shape),
-                  [("o", b * h * n * v), ("p_o", h * d * v)], [("y", b * n * d)])
-    return y
+        tally.add("softmax", 0, [("logits", logits.size), ("mask", mask_arr.size)],
+                  [("weights", weights.size)])
+    o = product("mix", weights, val, "bgrnm,bgmv->bgrnv", "weights v o")
+    return product("out_proj", o.reshape(b, h, n, v), w.p_o, "bhnv,hdv->bnd",
+                   "o p_o y")
 
 
 def _ordered_mix(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -383,27 +333,24 @@ def _step_bias(cache: KVCache, window: int | None) -> np.ndarray:
     return bias
 
 
-def _check_step_inputs(x, cache: KVCache, w: AttentionWeights, kernel_kind: str):
-    if w.kind != kernel_kind:
-        raise ConfigError(f"kernel needs {kernel_kind} weights, got {w.kind}")
-    if cache.kind != kernel_kind:
-        raise CacheError(f"kernel needs a {kernel_kind} cache, got {cache.kind}")
+def _check_step_inputs(x, cache: KVCache, w: AttentionWeights):
     if x.ndim != 2:
         raise ShapeError(f"incremental step takes x [b, d], got {x.shape}")
     if x.shape[1] != w.model_width:
         raise ShapeError(f"x width {x.shape[1]} != weights d {w.model_width}")
     if cache.batch != x.shape[0]:
         raise CacheError(f"cache batch {cache.batch} != x batch {x.shape[0]}")
+    if cache.keys.shape[1:-2] != w.p_k.shape[:-2]:
+        raise CacheError(f"a {cache.kind} cache cannot serve {w.kind} weights "
+                         f"with {w.heads} heads")
     if cache.key_width != w.key_width or cache.value_width != w.value_width:
         raise CacheError(
             f"cache widths ({cache.key_width},{cache.value_width}) do not match "
             f"weights ({w.key_width},{w.value_width})"
         )
-    if kernel_kind == "multi_head" and cache.heads != w.heads:
-        raise CacheError(f"cache heads {cache.heads} != weights heads {w.heads}")
 
 
-def multihead_self_attention_incremental(
+def self_attention_incremental(
     x, cache: KVCache, w: AttentionWeights,
     window: int | None = None,
     tally: TrafficTally | None = None,
@@ -414,101 +361,38 @@ def multihead_self_attention_incremental(
     `window` cached positions are legal.
     """
     x = as_array(x)
-    _check_step_inputs(x, cache, w, "multi_head")
+    _check_step_inputs(x, cache, w)
     b, d = x.shape
-    h, k, v = w.heads, w.key_width, w.value_width
+    h, g, k, v = w.heads, w.groups, w.key_width, w.value_width
+    lead = cache.keys.shape[:-2]
 
     q = contract(x, w.p_q, "bd,hdk->bhk")
-    k_new = contract(x, w.p_k, "bd,hdk->bhk")
-    v_new = contract(x, w.p_v, "bd,hdv->bhv")
-    grown = append(cache, k_new, v_new)
+    k_new = contract(x, _kv_heads(w.p_k), "bd,gdk->bgk")
+    v_new = contract(x, _kv_heads(w.p_v), "bd,gdv->bgv")
+    grown = append(cache, k_new.reshape(lead + (k,)), v_new.reshape(lead + (v,)))
+    m_valid, m_storage = grown.valid_len, grown.storage_len
     bias = _step_bias(grown, window)
-    logits = contract(q, grown.keys, "bhk,bhmk->bhm")
+    logits = contract(q.reshape(b, g, h // g, k),
+                      grown.keys.reshape(b, g, m_storage, k), "bgrk,bgmk->bgrm")
     weights = masked_softmax(logits, bias)
-    o = _ordered_mix(weights, grown.values)
-    y = contract(o, w.p_o, "bhv,hdv->bd")
+    o = _ordered_mix(weights, grown.values.reshape(b, g, 1, m_storage, v))
+    y = contract(o.reshape(b, h, v), w.p_o, "bhv,hdv->bd")
 
     if tally is not None:
-        m_valid = grown.valid_len
-        m_storage = grown.storage_len
         tally.add("q_proj", 2 * b * d * h * k,
                   [("x", b * d), ("p_q", h * d * k)], [("q", b * h * k)])
-        tally.add("k_proj", 2 * b * d * h * k,
-                  [("x", b * d), ("p_k", h * d * k)], [("k_new", b * h * k)])
-        tally.add("v_proj", 2 * b * d * h * v,
-                  [("x", b * d), ("p_v", h * d * v)], [("v_new", b * h * v)])
+        tally.add("k_proj", 2 * b * d * g * k,
+                  [("x", b * d), ("p_k", g * d * k)], [("k_new", b * g * k)])
+        tally.add("v_proj", 2 * b * d * g * v,
+                  [("x", b * d), ("p_v", g * d * v)], [("v_new", b * g * v)])
         tally.add("logits", 2 * b * h * m_storage * k,
-                  [("q", b * h * k), ("k_cache", b * h * m_valid * k)],
+                  [("q", b * h * k), ("k_cache", b * g * m_valid * k)],
                   [("logits", b * h * m_valid)])
         tally.add("softmax", 0,
                   [("logits", b * h * m_valid)], [("weights", b * h * m_valid)])
         tally.add("mix", 2 * b * h * m_storage * v,
-                  [("weights", b * h * m_valid), ("v_cache", b * h * m_valid * v)],
+                  [("weights", b * h * m_valid), ("v_cache", b * g * m_valid * v)],
                   [("o", b * h * v)])
         tally.add("out_proj", 2 * b * h * v * d,
                   [("o", b * h * v), ("p_o", h * d * v)], [("y", b * d)])
     return y, grown
-
-
-def multiquery_self_attention_incremental(
-    x, cache: KVCache, w: AttentionWeights,
-    window: int | None = None,
-    tally: TrafficTally | None = None,
-) -> tuple[np.ndarray, KVCache]:
-    """One decode step with a shared key/value cache (no heads axis)."""
-    x = as_array(x)
-    _check_step_inputs(x, cache, w, "multi_query")
-    b, d = x.shape
-    h, k, v = w.heads, w.key_width, w.value_width
-
-    q = contract(x, w.p_q, "bd,hdk->bhk")
-    k_new = contract(x, w.p_k, "bd,dk->bk")
-    v_new = contract(x, w.p_v, "bd,dv->bv")
-    grown = append(cache, k_new, v_new)
-    bias = _step_bias(grown, window)
-    logits = contract(q, grown.keys, "bhk,bmk->bhm")
-    weights = masked_softmax(logits, bias)
-    o = _ordered_mix(weights, grown.values[:, np.newaxis, :, :])
-    y = contract(o, w.p_o, "bhv,hdv->bd")
-
-    if tally is not None:
-        m_valid = grown.valid_len
-        m_storage = grown.storage_len
-        tally.add("q_proj", 2 * b * d * h * k,
-                  [("x", b * d), ("p_q", h * d * k)], [("q", b * h * k)])
-        tally.add("k_proj", 2 * b * d * k,
-                  [("x", b * d), ("p_k", d * k)], [("k_new", b * k)])
-        tally.add("v_proj", 2 * b * d * v,
-                  [("x", b * d), ("p_v", d * v)], [("v_new", b * v)])
-        tally.add("logits", 2 * b * h * m_storage * k,
-                  [("q", b * h * k), ("k_cache", b * m_valid * k)],
-                  [("logits", b * h * m_valid)])
-        tally.add("softmax", 0,
-                  [("logits", b * h * m_valid)], [("weights", b * h * m_valid)])
-        tally.add("mix", 2 * b * h * m_storage * v,
-                  [("weights", b * h * m_valid), ("v_cache", b * m_valid * v)],
-                  [("o", b * h * v)])
-        tally.add("out_proj", 2 * b * h * v * d,
-                  [("o", b * h * v), ("p_o", h * d * v)], [("y", b * d)])
-    return y, grown
-
-
-def attend_cache(x, cache: KVCache, w: AttentionWeights,
-                 window: int | None = None) -> np.ndarray:
-    """Attend one query position [b, d] over a fixed cache without appending;
-    used for cross-attention during incremental decoding."""
-    x = as_array(x)
-    _check_step_inputs(x, cache, w, w.kind)
-    if cache.valid_len == 0:
-        raise CacheError("attention over an empty cache")
-    q = contract(x, w.p_q, "bd,hdk->bhk")
-    bias = _step_bias(cache, window)
-    if cache.kind == "multi_head":
-        logits = contract(q, cache.keys, "bhk,bhmk->bhm")
-        weights = masked_softmax(logits, bias)
-        o = _ordered_mix(weights, cache.values)
-    else:
-        logits = contract(q, cache.keys, "bhk,bmk->bhm")
-        weights = masked_softmax(logits, bias)
-        o = _ordered_mix(weights, cache.values[:, np.newaxis, :, :])
-    return contract(o, w.p_o, "bhv,hdv->bd")

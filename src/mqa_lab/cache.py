@@ -172,18 +172,6 @@ def append(cache: KVCache, k_new, v_new) -> KVCache:
                    valid_len=cache.valid_len + 1)
 
 
-def cache_from_memory(kind: str, keys, values) -> KVCache:
-    """Wrap precomputed keys/values (e.g. projected encoder output) as a
-    fully valid cache that is read but never appended to."""
-    keys = as_array(keys)
-    values = as_array(values)
-    rank = 4 if kind == "multi_head" else 3
-    if keys.ndim != rank:
-        raise CacheError(f"{kind} memory needs rank-{rank} keys, got {keys.shape}")
-    return KVCache(kind, _frozen(keys), _frozen(values), "growing",
-                   keys.shape[-2], None)
-
-
 def validity_bias(cache: KVCache) -> np.ndarray:
     """Additive bias over storage slots: 0 on the valid prefix, -inf beyond.
 
@@ -201,14 +189,3 @@ def cache_words(cache: KVCache) -> int:
         lead *= d
     return lead * cache.valid_len * (cache.key_width + cache.value_width)
 
-
-def select_rows(cache: KVCache, indices) -> KVCache:
-    """Reorder/duplicate batch rows (beam-search hypothesis gather)."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise CacheError("row selection takes a 1-d index list")
-    if idx.size and (idx.min() < 0 or idx.max() >= cache.batch):
-        raise CacheError(f"row index out of range for batch {cache.batch}")
-    return replace(cache,
-                   keys=_frozen(cache.keys[idx].copy()),
-                   values=_frozen(cache.values[idx].copy()))

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .config import ModelConfig, dataclass_from_dict, dataclass_to_dict
 from .exceptions import InputError, ShapeError
 from .model import ModelParams, init_params, named_arrays, tree_map
@@ -76,6 +78,8 @@ def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, dict]:
         if not file.exists():
             raise InputError(f"checkpoint tensor file missing: {rel}")
         arrays[name] = load_tensor(file)
+        if not np.isfinite(arrays[name]).all():
+            raise InputError(f"checkpoint tensor {name!r} has non-finite values")
     template = init_params(config)
     expected = {name for name, _ in named_arrays(template)}
     stray = set(arrays) - expected

@@ -19,6 +19,14 @@ TASKS = ("copy", "reverse")
 STRATEGIES = ("greedy", "beam")
 
 
+def kv_head_count(kind: str, heads: int) -> int:
+    """Key/value heads g of an attention kind with `heads` query heads:
+    g = heads for multi_head, g = 1 for multi_query (one shared head)."""
+    if kind not in ATTENTION_KINDS:
+        raise ConfigError(f"unknown attention kind {kind!r}")
+    return heads if kind == "multi_head" else 1
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Desk-scale transformer: pre-norm blocks, tied embeddings, bias-free

@@ -2,7 +2,9 @@
 
 All counts are integers derived from one symbolic operation table per
 setting, the same table the instrumented kernels mirror, so closed-form
-claims can be checked against executed code.  Conventions:
+claims can be checked against executed code.  The tables are written once
+over g key/value heads (g = h for multi-head, g = 1 for multi-query), so
+the two kinds differ only in g.  Conventions:
 
   * flops: 2 per multiply-add of a tensor contraction; softmax and masking
     are not counted.
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import ATTENTION_KINDS, ModelConfig
+from .config import ATTENTION_KINDS, ModelConfig, kv_head_count
 from .exceptions import ConfigError
 
 OP_NAMES = ("q_proj", "k_proj", "v_proj", "logits", "softmax", "mix", "out_proj")
@@ -52,30 +54,22 @@ class ShapeConfig:
                 "h": self.h, "k": self.k, "v": self.v}
 
 
-# Tensor shapes as axis strings, per attention kind.  Multi-query drops the
-# heads axis from the key/value side only.
+# Tensor shapes as axis strings.  g is the number of key/value heads: h for
+# multi-head, 1 for multi-query, which drops the heads axis from the
+# key/value side only.
 _TENSOR_AXES = {
-    "multi_head": {
-        "x": "bnd", "memory": "bmd",
-        "p_q": "hdk", "p_k": "hdk", "p_v": "hdv", "p_o": "hdv",
-        "q": "bhnk", "k": "bhmk", "v": "bhmv",
-        "logits": "bhnm", "mask": "bhnm", "weights": "bhnm",
-        "o": "bhnv", "y": "bnd",
-    },
-    "multi_query": {
-        "x": "bnd", "memory": "bmd",
-        "p_q": "hdk", "p_k": "dk", "p_v": "dv", "p_o": "hdv",
-        "q": "bhnk", "k": "bmk", "v": "bmv",
-        "logits": "bhnm", "mask": "bhnm", "weights": "bhnm",
-        "o": "bhnv", "y": "bnd",
-    },
+    "x": "bnd", "memory": "bmd",
+    "p_q": "hdk", "p_k": "gdk", "p_v": "gdv", "p_o": "hdv",
+    "q": "bhnk", "k": "bgmk", "v": "bgmv",
+    "logits": "bhnm", "mask": "bhnm", "weights": "bhnm",
+    "o": "bhnv", "y": "bnd",
 }
 
 # (op, contraction index space or None, reads, write)
 _BATCHED_CHAIN = [
     ("q_proj", "bnhdk", ("x", "p_q"), "q"),
-    ("k_proj", {"multi_head": "bmhdk", "multi_query": "bmdk"}, ("memory", "p_k"), "k"),
-    ("v_proj", {"multi_head": "bmhdv", "multi_query": "bmdv"}, ("memory", "p_v"), "v"),
+    ("k_proj", "bmgdk", ("memory", "p_k"), "k"),
+    ("v_proj", "bmgdv", ("memory", "p_v"), "v"),
     ("logits", "bhnmk", ("q", "k"), "logits"),
     ("softmax", None, ("logits", "mask"), "weights"),
     ("mix", "bhnmv", ("weights", "v"), "o"),
@@ -109,18 +103,14 @@ def _check_kind(kind: str) -> None:
 
 def batched_costs(cfg: ShapeConfig, kind: str) -> CostBreakdown:
     """Cost breakdown of one batched attention pass."""
-    _check_kind(kind)
-    dims = cfg.dims()
-    axes = _TENSOR_AXES[kind]
+    dims = dict(cfg.dims(), g=kv_head_count(kind, cfg.h))
     flops_by_op: dict[str, int] = {}
     tensor_words: dict[str, int] = {}
     traffic = 0
     for op, space, reads, write in _BATCHED_CHAIN:
-        if isinstance(space, dict):
-            space = space[kind]
         flops_by_op[op] = 0 if space is None else 2 * _prod(dims, space)
         for name in reads + (write,):
-            tensor_words[name] = _prod(dims, axes[name])
+            tensor_words[name] = _prod(dims, _TENSOR_AXES[name])
             traffic += tensor_words[name]
     memory = sum(tensor_words.values())
     flops = sum(flops_by_op.values())
@@ -161,24 +151,21 @@ def _incremental_step_ops(cfg: ShapeConfig, kind: str, t: int):
     after the append).  Flops span the fixed n-slot window; cached words
     span the t valid positions."""
     b, n, d, h, k, v = cfg.b, cfg.n, cfg.d, cfg.h, cfg.k, cfg.v
-    heads = h if kind == "multi_head" else 1
-    p_k_words = h * d * k if kind == "multi_head" else d * k
-    p_v_words = h * d * v if kind == "multi_head" else d * v
-    kv_flop_scale = h if kind == "multi_head" else 1
+    g = kv_head_count(kind, h)
     return [
         ("q_proj", 2 * b * d * h * k,
          (("x", b * d), ("p_q", h * d * k)), ("q", b * h * k)),
-        ("k_proj", 2 * b * d * k * kv_flop_scale,
-         (("x", b * d), ("p_k", p_k_words)), ("k_new", b * heads * k)),
-        ("v_proj", 2 * b * d * v * kv_flop_scale,
-         (("x", b * d), ("p_v", p_v_words)), ("v_new", b * heads * v)),
+        ("k_proj", 2 * b * d * g * k,
+         (("x", b * d), ("p_k", g * d * k)), ("k_new", b * g * k)),
+        ("v_proj", 2 * b * d * g * v,
+         (("x", b * d), ("p_v", g * d * v)), ("v_new", b * g * v)),
         ("logits", 2 * b * h * n * k,
-         (("q", b * h * k), ("k_cache", b * heads * t * k)),
+         (("q", b * h * k), ("k_cache", b * g * t * k)),
          ("logits", b * h * t)),
         ("softmax", 0,
          (("logits", b * h * t),), ("weights", b * h * t)),
         ("mix", 2 * b * h * n * v,
-         (("weights", b * h * t), ("v_cache", b * heads * t * v)),
+         (("weights", b * h * t), ("v_cache", b * g * t * v)),
          ("o", b * h * v)),
         ("out_proj", 2 * b * h * v * d,
          (("o", b * h * v), ("p_o", h * d * v)), ("y", b * d)),
@@ -191,7 +178,6 @@ def incremental_costs(cfg: ShapeConfig, kind: str) -> CostBreakdown:
     Requires the self-attention setting m == n.  Each step's tensors are
     distinct instances, so the declared-words total sums over steps.
     """
-    _check_kind(kind)
     if cfg.m != cfg.n:
         raise ConfigError(
             f"incremental decoding is self-attention: need m == n, got "
@@ -218,33 +204,27 @@ def incremental_costs(cfg: ShapeConfig, kind: str) -> CostBreakdown:
 def incremental_step_flops(cfg: ShapeConfig, kind: str) -> int:
     """Flops of a single decode step.  Constant across steps: logits and
     mixing span the fixed n-slot window regardless of how much is valid."""
-    _check_kind(kind)
     return sum(fl for _, fl, _, _ in _incremental_step_ops(cfg, kind, 1))
 
 
 def kv_cache_words_step(cfg: ShapeConfig, kind: str, t: int) -> int:
     """Cached key/value words read when t positions are valid."""
-    _check_kind(kind)
-    heads = cfg.h if kind == "multi_head" else 1
-    return cfg.b * heads * t * (cfg.k + cfg.v)
+    return cfg.b * kv_head_count(kind, cfg.h) * t * (cfg.k + cfg.v)
 
 
 def kv_cache_words_total(cfg: ShapeConfig, kind: str) -> int:
     """Cached key/value words summed over a full n-step decode:
-    b * heads * (k + v) * n(n+1)/2."""
-    _check_kind(kind)
-    heads = cfg.h if kind == "multi_head" else 1
-    return cfg.b * heads * (cfg.k + cfg.v) * cfg.n * (cfg.n + 1) // 2
+    b * g * (k + v) * n(n+1)/2."""
+    return (cfg.b * kv_head_count(kind, cfg.h) * (cfg.k + cfg.v)
+            * cfg.n * (cfg.n + 1) // 2)
 
 
 def param_count_attention(kind: str, *, d: int, h: int, k: int, v: int) -> int:
-    """Learned parameters of one attention site."""
-    _check_kind(kind)
+    """Learned parameters of one attention site: (h + g) * d * (k + v)."""
+    g = kv_head_count(kind, h)
     if min(d, h, k, v) < 1:
         raise ConfigError("attention dims must be >= 1")
-    if kind == "multi_head":
-        return 2 * h * d * (k + v)
-    return (h + 1) * d * (k + v)
+    return (h + g) * d * (k + v)
 
 
 @dataclass(frozen=True)

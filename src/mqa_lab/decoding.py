@@ -2,13 +2,13 @@
 
 This is the one runtime decoder: `mqa-lab decode`, `mqa-lab bench` and the
 library entry points all run `decoder_step`.  A decode state holds, per
-decoder layer, self-attention key/value buffers ([b, h, slots, k] for
-multi-head, [b, slots, k] for multi-query) that each step writes one slot
-of in place, plus cross-attention keys/values projected once from the
-encoder output.  Attention runs on folded matmul shapes and reads only the
-slots written so far.  With a local window the buffers hold only `window`
-slots and become a ring: softmax is invariant to slot order, so the ring
-never rotates.  The contraction kernels and immutable caches in
+decoder layer, self-attention key/value buffers [b, g, slots, k], g being
+the number of key/value heads (h for multi-head, 1 for multi-query), that
+each step writes one slot of in place, plus cross-attention keys/values
+[b, g, m, k] projected once from the encoder output.  Attention runs on
+folded matmul shapes and reads only the slots written so far.  With a
+local window the buffers hold only `window` slots and become a ring:
+softmax is invariant to slot order, so the ring never rotates.  The contraction kernels and immutable caches in
 `attention.py`/`cache.py` are the reference these outputs are tested
 against, together with the teacher-forced batched forward pass.
 
@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DecodeConfig, ModelConfig
+from .attention import _kv_heads
+from .config import DecodeConfig, ModelConfig, kv_head_count
 from .exceptions import ConfigError, InputError
 from .model import (
     Batch,
@@ -59,14 +60,13 @@ def encode_source(params: ModelParams, config: ModelConfig,
 
 
 def _project_memory(memory: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-attention keys and values in buffer layout."""
-    if w.kind == "multi_query":
-        return memory @ w.p_k, memory @ w.p_v
+    """Cross-attention keys and values in buffer layout [b, g, m, .]."""
     b, m, _ = memory.shape
 
     def heads(p):
+        p = _kv_heads(p)
         return np.ascontiguousarray(
-            (memory @ _fold_heads(p)).reshape(b, m, w.heads, -1).transpose(0, 2, 1, 3))
+            (memory @ _fold_heads(p)).reshape(b, m, len(p), -1).transpose(0, 2, 1, 3))
 
     return heads(w.p_k), heads(w.p_v)
 
@@ -75,10 +75,9 @@ def _fold_block(block):
     """((fused q/k/v projection, output projection) of self-attention,
     (query, output projection) of cross-attention or None)."""
     attn = block.attn
-    w_k, w_v = attn.p_k, attn.p_v
-    if attn.kind == "multi_head":
-        w_k, w_v = _fold_heads(w_k), _fold_heads(w_v)
-    fused = np.concatenate([_fold_heads(attn.p_q), w_k, w_v], axis=1)
+    fused = np.concatenate([_fold_heads(p) for p in
+                            (attn.p_q, _kv_heads(attn.p_k), _kv_heads(attn.p_v))],
+                           axis=1)
     cross = None
     if block.cross is not None:
         cross = (_fold_heads(block.cross.p_q), _fold_out(block.cross.p_o))
@@ -122,10 +121,9 @@ def start_state(params: ModelParams, config: ModelConfig, *,
         raise InputError(f"max_positions {limit} outside [1, {config.max_len}]")
     window = config.dec_self_window
     slots = limit if window is None else min(window, limit)
-    lead = (batch_size, config.heads) if config.dec_self_kind == "multi_head" \
-        else (batch_size,)
-    keys = [np.zeros(lead + (slots, config.d_k)) for _ in params.decoder]
-    values = [np.zeros(lead + (slots, config.d_v)) for _ in params.decoder]
+    lead = (batch_size, kv_head_count(config.dec_self_kind, config.heads), slots)
+    keys = [np.zeros(lead + (config.d_k,)) for _ in params.decoder]
+    values = [np.zeros(lead + (config.d_v,)) for _ in params.decoder]
     cross = None
     if config.has_encoder:
         cross = [_project_memory(memory, block.cross) for block in params.decoder]
@@ -134,15 +132,12 @@ def start_state(params: ModelParams, config: ModelConfig, *,
 
 
 def _attend(q, keys, values):
-    """q [b, h, k] against keys [b, h, t, k] (multi-head) or [b, t, k]
-    (multi-query); returns the mixed values folded to [b, h*v]."""
-    if keys.ndim == 4:
-        weights = _softmax_rows(np.matmul(keys, q[..., None])[..., 0])
-        mixed = np.matmul(weights[:, :, None, :], values)[:, :, 0]
-    else:
-        weights = _softmax_rows(np.matmul(q, keys.swapaxes(-1, -2)))
-        mixed = np.matmul(weights, values)
-    return mixed.reshape(len(q), -1)
+    """q [b, h, k] against keys [b, g, t, k] and values [b, g, t, v], query
+    head j reading key/value head j // (h // g); returns the mixed values
+    folded to [b, h*v]."""
+    b, g = keys.shape[:2]
+    weights = _softmax_rows(q.reshape(b, g, -1, q.shape[-1]) @ keys.swapaxes(-1, -2))
+    return (weights @ values).reshape(b, -1)
 
 
 def decoder_step(params: ModelParams, config: ModelConfig,
@@ -163,17 +158,16 @@ def decoder_step(params: ModelParams, config: ModelConfig,
             f"position {t} is past the {state.limit} positions this decode "
             f"state was started for (max_len {config.max_len})")
     b, h, dk = len(tokens), config.heads, config.d_k
-    kv_heads = h if config.dec_self_kind == "multi_head" else 1
+    g = state.keys[0].shape[1]
     slot, valid = t % state.slots, min(t + 1, state.slots)
     x = params.embedding[tokens] + params.positions[t]
     for i, block in enumerate(params.decoder):
         (fused, w_o), cross = state.weights[i]
         keys, values = state.keys[i], state.values[i]
         normed, _ = layer_norm(x, block.ln_attn)
-        q, k_new, v_new = np.split(normed @ fused, [h * dk, (h + kv_heads) * dk],
-                                   axis=1)
-        keys[..., slot, :] = k_new.reshape(keys.shape[:-2] + (dk,))
-        values[..., slot, :] = v_new.reshape(values.shape[:-2] + (-1,))
+        q, k_new, v_new = np.split(normed @ fused, [h * dk, (h + g) * dk], axis=1)
+        keys[:, :, slot] = k_new.reshape(b, g, dk)
+        values[:, :, slot] = v_new.reshape(b, g, -1)
         x = x + _attend(q.reshape(b, h, dk), keys[..., :valid, :],
                         values[..., :valid, :]) @ w_o
         if cross is not None:

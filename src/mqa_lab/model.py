@@ -2,10 +2,12 @@
 
 Pre-norm residual blocks, learned positions, embeddings tied with the output
 projection, bias-free feed-forward layers.  Attention kind (multi-head or
-multi-query) is configured per site.  The training path runs on folded
-matmul shapes for speed; its outputs are pinned to the contraction kernels
-by equivalence tests, and every gradient here is checked against central
-finite differences.
+multi-query) is configured per site; both run one attention forward and
+backward pass, written over g key/value heads shared by groups of h // g
+query heads (g = h multi-head, g = 1 multi-query).  The training path runs
+on folded matmul shapes for speed; its outputs are pinned to the
+contraction kernels by equivalence tests, and every gradient here is
+checked against central finite differences.
 
 Nothing in this module mutates its inputs: forward passes return new arrays
 and backward passes return gradient trees shaped like the parameters.
@@ -18,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionWeights, MaskSpec, build_mask, random_attention_weights
+from .attention import (
+    AttentionWeights,
+    MaskSpec,
+    _kv_heads,
+    build_mask,
+    random_attention_weights,
+)
 from .config import ModelConfig
 from .exceptions import InputError, NumericError
 
@@ -238,32 +246,29 @@ def attention_forward(x_q, x_kv, w: AttentionWeights, bias):
     """Batched attention on folded matmul shapes.
 
     x_q [b, n, d], x_kv [b, m, d], bias [n, m] additive (0 / -inf) or None.
+    The h query heads fold into g groups of h // g rows each, so every
+    product runs per (batch row, key/value head).
     Returns (y [b, n, d], cache).
     """
     b, n, d = x_q.shape
     m = x_kv.shape[1]
-    h, k, v = w.heads, w.key_width, w.value_width
-    w_q = _fold_heads(w.p_q)
-    q = (x_q.reshape(b * n, d) @ w_q).reshape(b, n, h, k).transpose(0, 2, 1, 3)
-    if w.kind == "multi_head":
-        key = (x_kv.reshape(b * m, d) @ _fold_heads(w.p_k)) \
-            .reshape(b, m, h, k).transpose(0, 2, 1, 3)
-        val = (x_kv.reshape(b * m, d) @ _fold_heads(w.p_v)) \
-            .reshape(b, m, h, v).transpose(0, 2, 1, 3)
-        logits = q @ key.swapaxes(-1, -2)
-    else:
-        key = x_kv @ w.p_k
-        val = x_kv @ w.p_v
-        logits = (q.reshape(b, h * n, k) @ key.swapaxes(-1, -2)) \
-            .reshape(b, h, n, m)
+    h, g, k = w.heads, w.groups, w.key_width
+    rows = h // g * n
+    q = (x_q.reshape(b * n, d) @ _fold_heads(w.p_q)) \
+        .reshape(b, n, h, k).transpose(0, 2, 1, 3).reshape(b, g, rows, k)
+
+    def kv(p):  # [b, g, m, w]
+        p = _kv_heads(p)
+        return (x_kv.reshape(b * m, d) @ _fold_heads(p)) \
+            .reshape(b, m, g, p.shape[-1]).transpose(0, 2, 1, 3)
+
+    key, val = kv(w.p_k), kv(w.p_v)
+    logits = (q @ key.swapaxes(-1, -2)).reshape(b, h, n, m)
     if bias is not None:
         logits = logits + bias
     weights = _softmax_rows(logits)
-    if w.kind == "multi_head":
-        mixed = weights @ val
-    else:
-        mixed = (weights.reshape(b, h * n, m) @ val).reshape(b, h, n, v)
-    o_fold = np.ascontiguousarray(mixed.transpose(0, 2, 1, 3)).reshape(b, n, h * v)
+    mixed = (weights.reshape(b, g, rows, m) @ val).reshape(b, h, n, -1)
+    o_fold = np.ascontiguousarray(mixed.transpose(0, 2, 1, 3)).reshape(b, n, -1)
     y = o_fold @ _fold_out(w.p_o)
     return y, (x_q, x_kv, q, key, val, weights, o_fold)
 
@@ -273,56 +278,44 @@ def attention_backward(dy, cache, w: AttentionWeights):
     x_q, x_kv, q, key, val, weights, o_fold = cache
     b, n, d = x_q.shape
     m = x_kv.shape[1]
-    h, k, v = w.heads, w.key_width, w.value_width
+    h, g, k, v = w.heads, w.groups, w.key_width, w.value_width
+    rows = h // g * n
     lead = (0, 1)
 
     w_o = _fold_out(w.p_o)
     d_w_o = np.tensordot(o_fold, dy, axes=(lead, lead))
     d_o_fold = dy @ w_o.T
-    d_mixed = d_o_fold.reshape(b, n, h, v).transpose(0, 2, 1, 3)
+    d_mixed = d_o_fold.reshape(b, n, h, v).transpose(0, 2, 1, 3).reshape(b, g, rows, v)
 
-    if w.kind == "multi_head":
-        d_weights = d_mixed @ val.swapaxes(-1, -2)
-        d_val = weights.swapaxes(-1, -2) @ d_mixed
-    else:
-        d_weights = (d_mixed.reshape(b, h * n, v) @ val.swapaxes(-1, -2)) \
-            .reshape(b, h, n, m)
-        d_val = np.ascontiguousarray(weights.transpose(0, 3, 1, 2)) \
-            .reshape(b, m, h * n) @ d_mixed.reshape(b, h * n, v)
+    d_weights = (d_mixed @ val.swapaxes(-1, -2)).reshape(b, h, n, m)
+    # The transposed left operands are copied contiguous so that BLAS runs
+    # its no-transpose kernel for every g: its transposed kernel rounds some
+    # narrow widths (v or k of 4, say) differently.
+    d_val = np.ascontiguousarray(
+        weights.reshape(b, g, rows, m).swapaxes(-1, -2)) @ d_mixed
 
     # softmax rows: dz = w * (dw - sum(dw * w))
     inner = (d_weights * weights).sum(axis=-1, keepdims=True)
-    d_logits = weights * (d_weights - inner)
+    d_logits = (weights * (d_weights - inner)).reshape(b, g, rows, m)
 
-    if w.kind == "multi_head":
-        d_q = d_logits @ key
-        d_key = d_logits.swapaxes(-1, -2) @ q
-    else:
-        d_q = (d_logits.reshape(b, h * n, m) @ key).reshape(b, h, n, k)
-        d_key = np.ascontiguousarray(d_logits.transpose(0, 3, 1, 2)) \
-            .reshape(b, m, h * n) @ q.reshape(b, h * n, k)
+    d_q = (d_logits @ key).reshape(b, h, n, k)
+    d_key = np.ascontiguousarray(d_logits.swapaxes(-1, -2)) @ q
 
     d_q_fold = np.ascontiguousarray(d_q.transpose(0, 2, 1, 3)).reshape(b, n, h * k)
     w_q = _fold_heads(w.p_q)
     d_w_q = np.tensordot(x_q, d_q_fold, axes=(lead, lead))
     dx_q = d_q_fold @ w_q.T
 
-    if w.kind == "multi_head":
-        d_key_fold = np.ascontiguousarray(d_key.transpose(0, 2, 1, 3)) \
-            .reshape(b, m, h * k)
-        d_val_fold = np.ascontiguousarray(d_val.transpose(0, 2, 1, 3)) \
-            .reshape(b, m, h * v)
-        d_w_k = np.tensordot(x_kv, d_key_fold, axes=(lead, lead))
-        d_w_v = np.tensordot(x_kv, d_val_fold, axes=(lead, lead))
-        dx_kv = d_key_fold @ _fold_heads(w.p_k).T + d_val_fold @ _fold_heads(w.p_v).T
-        d_p_k = _unfold_heads(d_w_k, h)
-        d_p_v = _unfold_heads(d_w_v, h)
-    else:
-        d_p_k = np.tensordot(x_kv, d_key, axes=(lead, lead))
-        d_p_v = np.tensordot(x_kv, d_val, axes=(lead, lead))
-        dx_kv = d_key @ w.p_k.T + d_val @ w.p_v.T
+    p_k, p_v = _kv_heads(w.p_k), _kv_heads(w.p_v)
+    d_key_fold = np.ascontiguousarray(d_key.transpose(0, 2, 1, 3)).reshape(b, m, g * k)
+    d_val_fold = np.ascontiguousarray(d_val.transpose(0, 2, 1, 3)).reshape(b, m, g * v)
+    d_w_k = np.tensordot(x_kv, d_key_fold, axes=(lead, lead))
+    d_w_v = np.tensordot(x_kv, d_val_fold, axes=(lead, lead))
+    dx_kv = d_key_fold @ _fold_heads(p_k).T + d_val_fold @ _fold_heads(p_v).T
 
-    grads = AttentionWeights(w.kind, _unfold_heads(d_w_q, h), d_p_k, d_p_v,
+    grads = AttentionWeights(w.kind, _unfold_heads(d_w_q, h),
+                             _unfold_heads(d_w_k, g).reshape(w.p_k.shape),
+                             _unfold_heads(d_w_v, g).reshape(w.p_v.shape),
                              _unfold_out(d_w_o, h))
     return dx_q, dx_kv, grads
 

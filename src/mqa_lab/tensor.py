@@ -31,20 +31,12 @@ class ContractionSpec:
     out: str
 
     @property
-    def inputs(self) -> tuple[str, str]:
-        return (self.lhs, self.rhs)
-
-    @property
     def index_set(self) -> str:
         seen = []
         for ch in self.lhs + self.rhs:
             if ch not in seen:
                 seen.append(ch)
         return "".join(seen)
-
-    @property
-    def contracted(self) -> str:
-        return "".join(ch for ch in self.index_set if ch not in self.out)
 
     def __str__(self) -> str:
         return f"{self.lhs},{self.rhs}->{self.out}"

@@ -17,14 +17,12 @@ import numpy as np
 from .attention import (
     MaskSpec,
     TrafficTally,
+    attention_batched,
     build_mask,
-    multihead_attention_batched,
     multihead_attention_single,
-    multihead_self_attention_incremental,
-    multiquery_attention_batched,
-    multiquery_self_attention_incremental,
     random_attention_weights,
     replicate_heads,
+    self_attention_incremental,
 )
 from .cache import append, cache_words, new_cache
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -93,14 +91,13 @@ def check_batched_kernels_respect_causal_mask():
     rng = _rng()
     b, n, d, h, k, v = 2, 4, 6, 2, 3, 3
     x = rng.normal(size=(b, n, d))
-    for kind, kernel in (("multi_head", multihead_attention_batched),
-                         ("multi_query", multiquery_attention_batched)):
+    for kind in ("multi_head", "multi_query"):
         w = random_attention_weights(rng, kind, d=d, h=h, k=k, v=v)
         spec = MaskSpec("causal", b, h, n, n)
-        y = kernel(x, x, w, mask=spec)
+        y = attention_batched(x, x, w, mask=spec)
         bumped = x.copy()
         bumped[:, -1] += 10.0
-        y2 = kernel(bumped, bumped, w, mask=spec)
+        y2 = attention_batched(bumped, bumped, w, mask=spec)
         assert np.max(np.abs(y[:, :-1] - y2[:, :-1])) < 1e-12, kind
 
 
@@ -108,18 +105,14 @@ def check_incremental_matches_batched():
     rng = _rng()
     b, n, d, h, k, v = 2, 5, 6, 2, 3, 3
     x = rng.normal(size=(b, n, d))
-    for kind, kernel, step in (
-            ("multi_head", multihead_attention_batched,
-             multihead_self_attention_incremental),
-            ("multi_query", multiquery_attention_batched,
-             multiquery_self_attention_incremental)):
+    for kind in ("multi_head", "multi_query"):
         w = random_attention_weights(rng, kind, d=d, h=h, k=k, v=v)
-        want = kernel(x, x, w, mask=MaskSpec("causal", b, h, n, n))
+        want = attention_batched(x, x, w, mask=MaskSpec("causal", b, h, n, n))
         heads = h if kind == "multi_head" else None
         cache = new_cache(kind, batch=b, key_width=k, value_width=v,
                           heads=heads)
         for t in range(n):
-            y, cache = step(x[:, t], cache, w)
+            y, cache = self_attention_incremental(x[:, t], cache, w)
             assert np.max(np.abs(y - want[:, t])) < 1e-10, (kind, t)
 
 
@@ -127,8 +120,7 @@ def check_cache_policies_bit_identical():
     rng = _rng()
     b, n, d, h, k, v = 2, 7, 5, 2, 2, 1
     x = rng.normal(size=(b, n, d))
-    for kind, step in (("multi_head", multihead_self_attention_incremental),
-                       ("multi_query", multiquery_self_attention_incremental)):
+    for kind in ("multi_head", "multi_query"):
         w = random_attention_weights(rng, kind, d=d, h=h, k=k, v=v)
         heads = h if kind == "multi_head" else None
         grow = new_cache(kind, batch=b, key_width=k, value_width=v,
@@ -136,8 +128,8 @@ def check_cache_policies_bit_identical():
         pad = new_cache(kind, batch=b, key_width=k, value_width=v,
                         heads=heads, policy="padded", max_len=16)
         for t in range(n):
-            yg, grow = step(x[:, t], grow, w)
-            yp, pad = step(x[:, t], pad, w)
+            yg, grow = self_attention_incremental(x[:, t], grow, w)
+            yp, pad = self_attention_incremental(x[:, t], pad, w)
             assert yg.tobytes() == yp.tobytes(), (kind, t)
 
 
@@ -148,8 +140,8 @@ def check_tied_heads_reduce_to_multi_query():
     mh = replicate_heads(mq)
     x = rng.normal(size=(b, n, d))
     mem = rng.normal(size=(b, m, d))
-    a = multiquery_attention_batched(x, mem, mq)
-    bb = multihead_attention_batched(x, mem, mh)
+    a = attention_batched(x, mem, mq)
+    bb = attention_batched(x, mem, mh)
     assert np.max(np.abs(a - bb)) < 1e-12
 
 
@@ -179,12 +171,11 @@ def check_cost_duality():
     cfg = ShapeConfig(b=2, n=3, m=4, d=6, h=2, k=3, v=2)
     x = rng.normal(size=(cfg.b, cfg.n, cfg.d))
     mem = rng.normal(size=(cfg.b, cfg.m, cfg.d))
-    for kind, kernel in (("multi_head", multihead_attention_batched),
-                         ("multi_query", multiquery_attention_batched)):
+    for kind in ("multi_head", "multi_query"):
         w = random_attention_weights(rng, kind, d=cfg.d, h=cfg.h, k=cfg.k,
                                      v=cfg.v)
         tally = TrafficTally()
-        kernel(x, mem, w, tally=tally)
+        attention_batched(x, mem, w, tally=tally)
         table = batched_costs(cfg, kind)
         assert tally.flops == table.flops, kind
         assert tally.tensor_words() == table.tensor_words, kind

@@ -20,13 +20,11 @@ from test_model import finite_difference_check, make_batch, tiny_config
 from mqa_lab.attention import (
     MaskSpec,
     TrafficTally,
+    attention_batched,
     build_mask,
-    multihead_attention_batched,
-    multihead_self_attention_incremental,
-    multiquery_attention_batched,
-    multiquery_self_attention_incremental,
     random_attention_weights,
     replicate_heads,
+    self_attention_incremental,
 )
 from mqa_lab.bench import Workload, bench_decode, bench_training_pass
 from mqa_lab.cache import new_cache
@@ -67,12 +65,12 @@ SWEEP = [(h, b, n) for h in (1, 2, 4, 8) for b in (1, 4) for n in (4, 16, 64)]
 SWEEP_WIDTHS = dict(d=8, k=4, v=4)
 
 STEP_KERNELS = {
-    "multi_head": multihead_self_attention_incremental,
-    "multi_query": multiquery_self_attention_incremental,
+    "multi_head": self_attention_incremental,
+    "multi_query": self_attention_incremental,
 }
 BATCHED_KERNELS = {
-    "multi_head": multihead_attention_batched,
-    "multi_query": multiquery_attention_batched,
+    "multi_head": attention_batched,
+    "multi_query": attention_batched,
 }
 
 
@@ -224,9 +222,8 @@ def test_05_replicated_heads_reduce_to_shared():
             x = rng.standard_normal((b, n, d))
             memory = rng.standard_normal((b, n, d))
             mask = MaskSpec("causal", b, h, n, n)
-            shared = multiquery_attention_batched(x, memory, w, mask)
-            tied = multihead_attention_batched(x, memory, replicate_heads(w),
-                                               mask)
+            shared = attention_batched(x, memory, w, mask)
+            tied = attention_batched(x, memory, replicate_heads(w), mask)
             diff = float(np.abs(shared - tied).max())
             worst = max(worst, diff)
             assert diff < 1e-12
@@ -351,9 +348,10 @@ def test_09_decoding_contracts():
                                             max_steps=6), source=source)
         assert np.array_equal(greedy.tokens, beam_one.tokens)
         assert np.array_equal(greedy.lengths, beam_one.lengths)
-        # beam runs rows one at a time, so matmul blocking differs from the
-        # batched greedy pass; scores agree to the last few ulps, tokens
-        # bit for bit
+        # greedy and beam-1 run the same batched decoder steps but total the
+        # token log-probabilities on separate routes (a running sum per row
+        # against the beam's candidate totals), so scores may differ in the
+        # last few ulps; tokens must agree bit for bit
         score_skew = float(np.abs(greedy.raw_scores - beam_one.raw_scores).max())
         assert score_skew < 1e-12
 

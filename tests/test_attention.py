@@ -4,15 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqa_lab.attention import (AttentionWeights, MaskSpec, TrafficTally,
-                               attend_cache, build_mask, dot_product_attention,
-                               multihead_attention_batched,
+                               attention_batched, build_mask,
+                               dot_product_attention,
                                multihead_attention_single,
-                               multihead_self_attention_incremental,
-                               multiquery_attention_batched,
-                               multiquery_self_attention_incremental,
                                random_attention_weights, replicate_heads,
-                               share_heads)
-from mqa_lab.cache import cache_from_memory, new_cache
+                               self_attention_incremental, share_heads)
+from mqa_lab.cache import new_cache
 from mqa_lab.exceptions import CacheError, ConfigError, ShapeError
 
 from oracles import (attend_ref, masked_single_ref, multihead_single_ref,
@@ -28,19 +25,15 @@ def run_incremental(xs, w, policy="growing", window=None, max_len=None):
     heads = w.heads if w.kind == "multi_head" else None
     cache = new_cache(w.kind, batch=b, heads=heads, key_width=w.key_width,
                       value_width=w.value_width, policy=policy, max_len=max_len)
-    step = (multihead_self_attention_incremental if w.kind == "multi_head"
-            else multiquery_self_attention_incremental)
     ys = []
     for t in range(n):
-        y, cache = step(xs[:, t], cache, w, window=window)
+        y, cache = self_attention_incremental(xs[:, t], cache, w, window=window)
         ys.append(y)
     return np.stack(ys, axis=1), cache
 
 
 def batched(xs, memory, w, mask=None, tally=None):
-    fn = (multihead_attention_batched if w.kind == "multi_head"
-          else multiquery_attention_batched)
-    return fn(xs, memory, w, mask, tally)
+    return attention_batched(xs, memory, w, mask, tally)
 
 
 class TestDotProduct:
@@ -172,8 +165,8 @@ class TestBatched:
             xs = rng.standard_normal((2, 3, 6))
             memory = rng.standard_normal((2, 4, 6))
             np.testing.assert_allclose(
-                multiquery_attention_batched(xs, memory, w_mq),
-                multihead_attention_batched(xs, memory, w_mh),
+                attention_batched(xs, memory, w_mq),
+                attention_batched(xs, memory, w_mh),
                 rtol=1e-12, atol=1e-12)
 
     def test_share_heads_round_trip(self, rng):
@@ -193,8 +186,8 @@ class TestBatched:
         xs = rng.standard_normal((2, 3, 6))
         memory = rng.standard_normal((2, 4, 6))
         np.testing.assert_allclose(
-            multihead_attention_batched(xs, memory, w_mh),
-            multiquery_attention_batched(xs, memory, w_mq),
+            attention_batched(xs, memory, w_mh),
+            attention_batched(xs, memory, w_mq),
             rtol=1e-12, atol=1e-12)
 
     def test_mask_dims_must_match(self, rng):
@@ -328,7 +321,7 @@ class TestIncremental:
         cache = new_cache("multi_head", batch=2, heads=3, key_width=4,
                           value_width=5)
         for t in range(4):
-            _, cache = multihead_self_attention_incremental(
+            _, cache = self_attention_incremental(
                 rng.standard_normal((2, 6)), cache, w)
             assert cache.valid_len == t + 1
 
@@ -336,36 +329,14 @@ class TestIncremental:
         w = weights_for(rng, "multi_head")
         cache = new_cache("multi_query", batch=2, key_width=4, value_width=5)
         with pytest.raises(CacheError):
-            multihead_self_attention_incremental(np.zeros((2, 6)), cache, w)
+            self_attention_incremental(np.zeros((2, 6)), cache, w)
 
     def test_batch_mismatch_rejected(self, rng):
         w = weights_for(rng, "multi_head")
         cache = new_cache("multi_head", batch=3, heads=3, key_width=4,
                           value_width=5)
         with pytest.raises(CacheError):
-            multihead_self_attention_incremental(np.zeros((2, 6)), cache, w)
-
-    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
-    def test_attend_cache_matches_batched_cross_attention(self, rng, kind):
-        w = weights_for(rng, kind)
-        memory = rng.standard_normal((2, 5, 6))
-        if kind == "multi_head":
-            keys = np.einsum("bmd,hdk->bhmk", memory, w.p_k)
-            values = np.einsum("bmd,hdv->bhmv", memory, w.p_v)
-        else:
-            keys = np.einsum("bmd,dk->bmk", memory, w.p_k)
-            values = np.einsum("bmd,dv->bmv", memory, w.p_v)
-        cache = cache_from_memory(kind, keys, values)
-        x = rng.standard_normal((2, 6))
-        got = attend_cache(x, cache, w)
-        want = batched(x[:, np.newaxis], memory, w)[:, 0]
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    def test_attend_empty_cache_rejected(self, rng):
-        w = weights_for(rng, "multi_query")
-        cache = new_cache("multi_query", batch=2, key_width=4, value_width=5)
-        with pytest.raises(CacheError):
-            attend_cache(np.zeros((2, 6)), cache, w)
+            self_attention_incremental(np.zeros((2, 6)), cache, w)
 
 
 class TestInstrumentation:
@@ -373,9 +344,8 @@ class TestInstrumentation:
         # b=1, h=2, n=m=2, d=4, k=v=2: 320 flops, 144 declared words
         w = random_attention_weights(rng, "multi_head", d=4, h=2, k=2, v=2)
         tally = TrafficTally()
-        multihead_attention_batched(rng.standard_normal((1, 2, 4)),
-                                    rng.standard_normal((1, 2, 4)), w,
-                                    None, tally)
+        attention_batched(rng.standard_normal((1, 2, 4)),
+                          rng.standard_normal((1, 2, 4)), w, None, tally)
         assert tally.flops == 320
         words = tally.tensor_words()
         assert sum(words.values()) == 144
@@ -385,9 +355,8 @@ class TestInstrumentation:
     def test_batched_multi_query_drops_heads_from_kv(self, rng):
         w = random_attention_weights(rng, "multi_query", d=4, h=2, k=2, v=2)
         tally = TrafficTally()
-        multiquery_attention_batched(rng.standard_normal((1, 2, 4)),
-                                     rng.standard_normal((1, 2, 4)), w,
-                                     None, tally)
+        attention_batched(rng.standard_normal((1, 2, 4)),
+                          rng.standard_normal((1, 2, 4)), w, None, tally)
         words = tally.tensor_words()
         assert words["k"] == 4 and words["v"] == 4
         assert words["p_k"] == 8 and words["p_v"] == 8
@@ -400,12 +369,11 @@ class TestInstrumentation:
         w = random_attention_weights(rng, kind, d=5, h=4, k=2, v=2)
         heads = 4 if kind == "multi_head" else None
         cache = new_cache(kind, batch=1, heads=heads, key_width=2, value_width=2)
-        step = (multihead_self_attention_incremental if kind == "multi_head"
-                else multiquery_self_attention_incremental)
         seen = 0
         for _ in range(3):
             tally = TrafficTally()
-            _, cache = step(rng.standard_normal((1, 5)), cache, w, tally=tally)
+            _, cache = self_attention_incremental(rng.standard_normal((1, 5)),
+                                                  cache, w, tally=tally)
             words = tally.tensor_words()
             seen += words["k_cache"] + words["v_cache"]
         assert seen == total
@@ -415,7 +383,7 @@ class TestInstrumentation:
         cache = new_cache("multi_query", batch=1, key_width=2, value_width=2,
                           policy="padded", max_len=6)
         tally = TrafficTally()
-        _, cache = multiquery_self_attention_incremental(
+        _, cache = self_attention_incremental(
             rng.standard_normal((1, 5)), cache, w, tally=tally)
         by_op = tally.flops_by_op()
         assert by_op["logits"] == 2 * 1 * 4 * 6 * 2

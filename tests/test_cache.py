@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from mqa_lab.cache import (KVCache, append, cache_from_memory, cache_words,
-                           new_cache, select_rows, validity_bias)
+from mqa_lab.cache import KVCache, append, cache_words, new_cache, validity_bias
 from mqa_lab.exceptions import (CacheCapacityError, CacheError, ConfigError)
 
 
@@ -137,27 +136,3 @@ class TestWordsAndBias:
                  rng, 3)
         np.testing.assert_array_equal(validity_bias(g), np.zeros(3))
 
-
-class TestViewsAndGather:
-    def test_from_memory_is_fully_valid(self, rng):
-        keys = rng.standard_normal((2, 5, 3))
-        values = rng.standard_normal((2, 5, 4))
-        c = cache_from_memory("multi_query", keys, values)
-        assert c.valid_len == 5
-        np.testing.assert_array_equal(c.keys, keys)
-
-    def test_select_rows_gathers_batch(self, rng):
-        c = grow(new_cache("multi_head", batch=3, heads=2, key_width=2,
-                           value_width=2), rng, 2)
-        picked = select_rows(c, [2, 0, 2])
-        assert picked.batch == 3
-        np.testing.assert_array_equal(picked.keys[0], c.keys[2])
-        np.testing.assert_array_equal(picked.keys[1], c.keys[0])
-        np.testing.assert_array_equal(picked.keys[2], c.keys[2])
-        assert picked.valid_len == c.valid_len
-
-    def test_select_rows_bad_index(self, rng):
-        c = grow(new_cache("multi_query", batch=2, key_width=2, value_width=2),
-                 rng, 1)
-        with pytest.raises(CacheError):
-            select_rows(c, [0, 5])

@@ -94,3 +94,14 @@ class TestFailureModes:
         path.write_text(json.dumps(manifest))
         with pytest.raises(InputError):
             load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tensor_rejected(self, tmp_path, value):
+        config = small_config()
+        save_checkpoint(tmp_path, init_params(config), config)
+        path = tmp_path / "tensors" / "embedding.txt"
+        lines = path.read_text().splitlines()
+        lines[1] = value
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match="embedding"):
+            load_checkpoint(tmp_path)

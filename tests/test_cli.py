@@ -10,7 +10,10 @@ import sys
 
 import pytest
 
+from mqa_lab.checkpoint import save_checkpoint
 from mqa_lab.cli import THREAD_ENV_VARS, configure_threads, main
+from mqa_lab.config import ModelConfig
+from mqa_lab.model import init_params
 
 
 def run_cli(capsys, *argv):
@@ -248,6 +251,19 @@ class TestTrainDecode:
         code, _, err = run_cli(capsys, "decode", "--checkpoint",
                                str(tmp_path / "nothing"))
         assert code == 2
+
+    def test_non_finite_checkpoint_is_usage_error(self, capsys, tmp_path):
+        config = ModelConfig(**TINY_MODEL)
+        save_checkpoint(tmp_path, init_params(config), config)
+        path = tmp_path / "tensors" / "embedding.txt"
+        lines = path.read_text().splitlines()
+        lines[1] = "nan"
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "decode", "--checkpoint", str(tmp_path),
+                               "--set", "batch=2", "--set", "length=4",
+                               "--set", "decode.max_steps=4")
+        assert code == 2
+        assert "embedding" in err
 
 
 class TestBenchReport:

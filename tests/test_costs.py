@@ -3,11 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mqa_lab.attention import (TrafficTally, multihead_attention_batched,
-                               multihead_self_attention_incremental,
-                               multiquery_attention_batched,
-                               multiquery_self_attention_incremental,
-                               random_attention_weights)
+from mqa_lab.attention import (TrafficTally, attention_batched,
+                               random_attention_weights,
+                               self_attention_incremental)
 from mqa_lab.cache import new_cache
 from mqa_lab.config import ModelConfig
 from mqa_lab.costs import (CostBreakdown, ShapeConfig, batched_costs,
@@ -131,11 +129,10 @@ class TestInstrumentedDuality:
         cfg = ShapeConfig(b=2, n=4, m=5, d=6, h=3, k=3, v=2)
         w = random_attention_weights(rng, kind, d=cfg.d, h=cfg.h, k=cfg.k,
                                      v=cfg.v)
-        kernel = (multihead_attention_batched if kind == "multi_head"
-                  else multiquery_attention_batched)
         tally = TrafficTally()
-        kernel(rng.standard_normal((cfg.b, cfg.n, cfg.d)),
-               rng.standard_normal((cfg.b, cfg.m, cfg.d)), w, None, tally)
+        attention_batched(rng.standard_normal((cfg.b, cfg.n, cfg.d)),
+                          rng.standard_normal((cfg.b, cfg.m, cfg.d)), w, None,
+                          tally)
         bd = batched_costs(cfg, kind)
         assert tally.flops == bd.flops
         assert tally.flops_by_op() == bd.flops_by_op
@@ -152,15 +149,13 @@ class TestInstrumentedDuality:
         # padded to exactly n slots: fixed-shape steps, the flop convention
         cache = new_cache(kind, batch=cfg.b, heads=heads, key_width=cfg.k,
                           value_width=cfg.v, policy="padded", max_len=cfg.n)
-        step = (multihead_self_attention_incremental if kind == "multi_head"
-                else multiquery_self_attention_incremental)
         flops_by_op: dict[str, int] = {}
         tensor_words: dict[str, int] = {}
         flops = traffic = 0
         for _ in range(cfg.n):
             tally = TrafficTally()
-            _, cache = step(rng.standard_normal((cfg.b, cfg.d)), cache, w,
-                            tally=tally)
+            _, cache = self_attention_incremental(
+                rng.standard_normal((cfg.b, cfg.d)), cache, w, tally=tally)
             flops += tally.flops
             traffic += tally.traffic_words()
             for op, fl in tally.flops_by_op().items():

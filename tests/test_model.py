@@ -11,9 +11,8 @@ import pytest
 
 from mqa_lab.attention import (
     MaskSpec,
+    attention_batched,
     build_mask,
-    multihead_attention_batched,
-    multiquery_attention_batched,
     random_attention_weights,
 )
 from mqa_lab.config import ModelConfig
@@ -113,9 +112,7 @@ class TestFastAttentionMatchesKernels:
         spec = MaskSpec(mask_kind, b, h, n, n, window=window)
         bias = None if mask_kind == "none" else build_mask(spec)[0, 0]
         fast, _ = attention_forward(x, x, w, bias)
-        kernel = (multihead_attention_batched if kind == "multi_head"
-                  else multiquery_attention_batched)
-        slow = kernel(x, x, w, mask=spec)
+        slow = attention_batched(x, x, w, mask=spec)
         assert np.max(np.abs(fast - slow)) < 1e-10
 
     @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
@@ -125,9 +122,7 @@ class TestFastAttentionMatchesKernels:
         x = rng.normal(size=(b, n, d))
         mem = rng.normal(size=(b, m, d))
         fast, _ = attention_forward(x, mem, w, None)
-        kernel = (multihead_attention_batched if kind == "multi_head"
-                  else multiquery_attention_batched)
-        assert np.max(np.abs(fast - kernel(x, mem, w))) < 1e-10
+        assert np.max(np.abs(fast - attention_batched(x, mem, w))) < 1e-10
 
 
 class TestInitAndTrees:
