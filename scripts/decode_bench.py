@@ -14,8 +14,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from mqa_lab.bench import VARIANTS, Workload, emit_report, run_bench
-from mqa_lab.config import ModelConfig
+from mqa_lab.cli import configure_threads
+
+configure_threads()  # MQA_THREADS must reach BLAS before numpy loads
+
+from mqa_lab.bench import VARIANTS, Workload, emit_report, run_bench  # noqa: E402
+from mqa_lab.config import ModelConfig  # noqa: E402
 
 
 def main(argv=None):

@@ -10,9 +10,13 @@ import argparse
 import sys
 from dataclasses import replace
 
-from mqa_lab.config import ModelConfig, OptimizerSettings, TaskSpec
-from mqa_lab.costs import dff_for_parity
-from mqa_lab.training import train
+from mqa_lab.cli import configure_threads
+
+configure_threads()  # MQA_THREADS must reach BLAS before numpy loads
+
+from mqa_lab.config import ModelConfig, OptimizerSettings, TaskSpec  # noqa: E402
+from mqa_lab.costs import dff_for_parity  # noqa: E402
+from mqa_lab.training import train  # noqa: E402
 
 
 def main(argv=None):

@@ -12,8 +12,8 @@ maps to are only honored before numpy first loads, so this module keeps
 all numeric imports inside the subcommand bodies and exports the thread
 settings at the top of main().
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags
-or config), 3 runtime error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags,
+config or checkpoint), 3 runtime error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import os
 import sys
 from pathlib import Path
 
-from .exceptions import ConfigError, InputError
+from .exceptions import ConfigError, InputError, ShapeError
 
 DEFAULT_SEED = 0
 
@@ -419,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _HANDLERS[args.command](args)
-    except (ConfigError, InputError) as exc:
+    except (ConfigError, InputError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -323,6 +323,17 @@ def greedy_search(params: ModelParams, config: ModelConfig,
     return DecodeResult(tokens, lengths, raw, scores)
 
 
+def _reorder_beams(state: DecoderState, rows: np.ndarray, first: int) -> None:
+    """Gather batch rows `rows` of every self-attention buffer, in place,
+    over the slots holding positions [first, state.position).  Beam search
+    passes the opener length as `first`: a row's beams share the opener's
+    keys and values, and `rows` only permutes beams within a row."""
+    fresh = np.arange(max(first, state.position - state.slots),
+                      state.position) % state.slots
+    for buf in state.keys + state.values:
+        buf[:, :, fresh] = buf[np.ix_(rows, range(buf.shape[1]), fresh)]
+
+
 def beam_decode(params: ModelParams, config: ModelConfig,
                 decode: DecodeConfig, *, source: np.ndarray | None = None,
                 prompt: np.ndarray | None = None) -> DecodeResult:
@@ -390,9 +401,7 @@ def beam_search(params: ModelParams, config: ModelConfig,
                 done[i] = True
         if done.all() or t + 1 == steps:
             break
-        valid = min(state.position, state.slots)
-        for buf in state.keys + state.values:
-            buf[..., :valid, :] = buf[rows, ..., :valid, :]
+        _reorder_beams(state, rows, opener.shape[1])
         logits, state = decoder_step(params, config, state, picks)
 
     pad = eos if eos is not None else 0

@@ -28,7 +28,7 @@ from .attention import (
     random_attention_weights,
 )
 from .config import ModelConfig
-from .exceptions import InputError, NumericError
+from .exceptions import InputError, NumericError, ShapeError
 
 LN_EPS = 1e-5
 
@@ -83,30 +83,20 @@ def tree_map(fn, *trees):
     """Structural map over parameter trees built from dataclasses, lists,
     ndarrays, and None.  Non-array leaves are taken from the first tree."""
     head = trees[0]
-    if head is None:
-        return None
     if isinstance(head, np.ndarray):
         return fn(*trees)
     if isinstance(head, list):
         return [tree_map(fn, *parts) for parts in zip(*trees)]
     if dataclasses.is_dataclass(head):
-        kwargs = {}
-        for field in dataclasses.fields(head):
-            values = [getattr(t, field.name) for t in trees]
-            if isinstance(values[0], (np.ndarray, list)) or \
-                    dataclasses.is_dataclass(values[0]) or values[0] is None:
-                kwargs[field.name] = tree_map(fn, *values)
-            else:
-                kwargs[field.name] = values[0]
-        return type(head)(**kwargs)
+        return type(head)(**{
+            f.name: tree_map(fn, *(getattr(t, f.name) for t in trees))
+            for f in dataclasses.fields(head)})
     return head
 
 
 def named_arrays(tree, prefix="") -> list[tuple[str, np.ndarray]]:
     """Flatten a parameter tree to (dotted path, array) pairs in a stable
     order."""
-    if tree is None:
-        return []
     if isinstance(tree, np.ndarray):
         return [(prefix, tree)]
     if isinstance(tree, list):
@@ -117,13 +107,32 @@ def named_arrays(tree, prefix="") -> list[tuple[str, np.ndarray]]:
     if dataclasses.is_dataclass(tree):
         out = []
         for field in dataclasses.fields(tree):
-            value = getattr(tree, field.name)
-            if isinstance(value, (np.ndarray, list)) or value is None or \
-                    dataclasses.is_dataclass(value):
-                path = f"{prefix}.{field.name}" if prefix else field.name
-                out.extend(named_arrays(value, path))
+            path = f"{prefix}.{field.name}" if prefix else field.name
+            out.extend(named_arrays(getattr(tree, field.name), path))
         return out
     return []
+
+
+def flatten(tree, out: np.ndarray | None = None) -> np.ndarray:
+    """Every leaf of a parameter tree, in named_arrays order, copied into
+    one float64 vector: `out` when given, else a new one."""
+    return np.concatenate([arr.ravel() for _, arr in named_arrays(tree)], out=out)
+
+
+def unflatten(vector: np.ndarray, layout):
+    """A tree shaped like layout whose leaves are views into vector, taken
+    in named_arrays order: the inverse of flatten."""
+    if vector.shape != (param_count(layout),):
+        raise ShapeError(f"a vector of shape {vector.shape} does not hold the "
+                         f"{param_count(layout)} values of this layout")
+    offset = 0
+
+    def view(leaf):
+        nonlocal offset
+        offset += leaf.size
+        return vector[offset - leaf.size:offset].reshape(leaf.shape)
+
+    return tree_map(view, layout)
 
 
 def zeros_like_tree(tree):
@@ -144,7 +153,25 @@ def _new_layer_norm(d: int) -> LayerNorm:
 def init_params(config: ModelConfig) -> ModelParams:
     """Scaled-uniform init, std 1/sqrt(fan_in); the query projection gets an
     extra 1/sqrt(d_k) in place of explicit logit scaling."""
-    rng = np.random.default_rng(config.init_seed)
+    return _build_params(config, np.random.default_rng(config.init_seed))
+
+
+class _NoDraws:
+    """init_params's generator for param_layout: draws nothing, and returns
+    read-only zero-stride arrays of the asked shapes."""
+
+    def uniform(self, low, high, size):
+        return np.broadcast_to(0.0, size)
+
+
+def param_layout(config: ModelConfig) -> ModelParams:
+    """The tree init_params builds, with its leaf shapes but without drawing
+    or storing the weights: what checkpoints are checked against and
+    unflattened into."""
+    return _build_params(config, _NoDraws())
+
+
+def _build_params(config: ModelConfig, rng) -> ModelParams:
     d, dff = config.d_model, config.d_ff
 
     def uniform(shape, fan):

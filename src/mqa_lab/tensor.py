@@ -1,5 +1,6 @@
 """Small tensor engine: validated two-operand einsum contractions, masked
-softmax, sequence concatenation, and a line-oriented text format.
+softmax, sequence concatenation, and a line-oriented text form of one tensor
+(checkpoints are binary; see checkpoint.py).
 
 All public operations take and return float64 C-order ndarrays.  Contractions
 are evaluated by numpy's einsum with optimization disabled, so an expression
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -235,11 +235,3 @@ def parse_tensor(text: str) -> np.ndarray:
     except ValueError as exc:
         raise ShapeError("non-numeric value line in tensor text") from exc
     return flat.reshape(shape)
-
-
-def save_tensor(path, arr) -> None:
-    Path(path).write_text(format_tensor(arr), encoding="utf-8")
-
-
-def load_tensor(path) -> np.ndarray:
-    return parse_tensor(Path(path).read_text(encoding="utf-8"))

@@ -14,7 +14,8 @@ import numpy as np
 
 from .config import ModelConfig, OptimizerSettings, TaskSpec
 from .exceptions import ConfigError, TrainingError
-from .model import Batch, ModelParams, forward, init_params, loss_and_grads, tree_map
+from .model import (Batch, ModelParams, flatten, forward, init_params, loss_and_grads,
+                    param_count, unflatten)
 
 BOS = 0
 
@@ -32,29 +33,51 @@ def learning_rate(settings: OptimizerSettings, d_model: int, step: int) -> float
 
 @dataclass
 class AdamState:
+    """Adam's step count and moment estimates: flat vectors in named_arrays
+    order, which adam_update advances in place, and parameter trees (mean,
+    var) viewing them."""
+
     step: int
+    mean_vector: np.ndarray
+    var_vector: np.ndarray
     mean: ModelParams
     var: ModelParams
 
 
 def adam_init(params: ModelParams) -> AdamState:
-    zeros = tree_map(np.zeros_like, params)
-    return AdamState(0, zeros, tree_map(np.zeros_like, params))
+    mean, var = np.zeros(param_count(params)), np.zeros(param_count(params))
+    return AdamState(0, mean, var, unflatten(mean, params), unflatten(var, params))
 
 
 def adam_update(params: ModelParams, grads: ModelParams, state: AdamState,
                 settings: OptimizerSettings, lr: float):
-    """One Adam step; returns (new params, new state)."""
+    """One Adam step on the flattened parameters; returns (new params,
+    viewing one new vector, state).  The state is advanced in place; params
+    and grads are left alone.  Every intermediate lives in two vector
+    temporaries, the first of which becomes the new parameters: fewer large
+    allocations per step keep peak memory at that of the per-tensor form.
+    Each value is rounded as in b1 * m + (1 - b1) * g,
+    b2 * v + (1 - b2) * g * g and p - lr * m_hat / (sqrt(v_hat) + eps)."""
     b1, b2, eps = settings.beta1, settings.beta2, settings.eps
-    t = state.step + 1
-    mean = tree_map(lambda m, g: b1 * m + (1.0 - b1) * g, state.mean, grads)
-    var = tree_map(lambda v, g: b2 * v + (1.0 - b2) * g * g, state.var, grads)
-    mc = 1.0 - b1 ** t
-    vc = 1.0 - b2 ** t
-    new_params = tree_map(
-        lambda p, m, v: p - lr * (m / mc) / (np.sqrt(v / vc) + eps),
-        params, mean, var)
-    return new_params, AdamState(t, mean, var)
+    state.step += 1
+    mean, var = state.mean_vector, state.var_vector
+    g = flatten(grads)
+    scratch = (1.0 - b1) * g
+    mean *= b1
+    mean += scratch
+    np.multiply(g, 1.0 - b2, out=scratch)
+    scratch *= g
+    var *= b2
+    var += scratch
+    np.divide(mean, 1.0 - b1 ** state.step, out=scratch)
+    scratch *= lr
+    np.divide(var, 1.0 - b2 ** state.step, out=g)
+    np.sqrt(g, out=g)
+    g += eps
+    scratch /= g
+    new_params = flatten(params, out=g)
+    new_params -= scratch
+    return unflatten(new_params, params), state
 
 
 # ---------------------------------------------------------------------------

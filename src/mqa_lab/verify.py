@@ -31,7 +31,7 @@ from .costs import ShapeConfig, batched_costs, dff_for_parity, incremental_costs
 from .decoding import beam_decode, greedy_decode
 from .exceptions import ConfigError
 from .model import Batch, forward, init_params, loss_and_grads, named_arrays
-from .tensor import contract, masked_softmax, parse_tensor, format_tensor
+from .tensor import contract, masked_softmax
 
 
 def _rng():
@@ -274,14 +274,6 @@ def check_checkpoint_round_trip():
             assert a.tobytes() == b.tobytes(), name
 
 
-def check_tensor_text_round_trip():
-    rng = _rng()
-    for arr in (rng.normal(size=(3, 4)), np.array(2.5 ** -40),
-                np.array([1e-300, -0.0, 7.0])):
-        again = parse_tensor(format_tensor(arr))
-        assert arr.tobytes() == again.tobytes()
-
-
 CHECKS = [
     ("contraction_matches_loops", check_contraction_matches_loops),
     ("masked_softmax_renormalizes", check_masked_softmax_renormalizes),
@@ -301,7 +293,6 @@ CHECKS = [
     ("beam_one_equals_greedy", check_beam_one_equals_greedy),
     ("gradients_spotcheck", check_gradients_spotcheck),
     ("checkpoint_round_trip", check_checkpoint_round_trip),
-    ("tensor_text_round_trip", check_tensor_text_round_trip),
 ]
 
 

@@ -8,6 +8,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mqa_lab.checkpoint import save_checkpoint
@@ -141,9 +142,9 @@ class TestUsageErrors:
 class TestVerify:
     def test_selected_check_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--only",
-                               "tensor_text_round_trip")
+                               "checkpoint_round_trip")
         assert code == 0
-        assert "PASS tensor_text_round_trip" in out
+        assert "PASS checkpoint_round_trip" in out
         assert "result: PASS" in out
 
     def test_unknown_check_is_usage_error(self, capsys):
@@ -255,10 +256,10 @@ class TestTrainDecode:
     def test_non_finite_checkpoint_is_usage_error(self, capsys, tmp_path):
         config = ModelConfig(**TINY_MODEL)
         save_checkpoint(tmp_path, init_params(config), config)
-        path = tmp_path / "tensors" / "embedding.txt"
-        lines = path.read_text().splitlines()
-        lines[1] = "nan"
-        path.write_text("\n".join(lines) + "\n")
+        path = tmp_path / "params.npy"
+        vector = np.load(path)
+        vector[0] = np.nan
+        np.save(path, vector)
         code, _, err = run_cli(capsys, "decode", "--checkpoint", str(tmp_path),
                                "--set", "batch=2", "--set", "length=4",
                                "--set", "decode.max_steps=4")

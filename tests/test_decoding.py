@@ -269,6 +269,34 @@ class TestBeam:
         if with_eos:
             assert (together.lengths < dc.max_steps).any()
 
+    @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    @pytest.mark.parametrize("window", [None, 2, 3, 5])
+    def test_reorder_after_opener_matches_full_reorder(self, rng, monkeypatch,
+                                                       mode, kind, window):
+        """Gathering only the slots written after the opener gives the same
+        beams, bit for bit, as gathering every written slot."""
+        config = tiny_config(mode=mode, dec_self_window=window) \
+            .with_attention_kind(kind)
+        params = init_params(config)
+        key = "source" if mode == "encoder_decoder" else "prompt"
+        inputs = {key: rng.integers(1, config.vocab_size, size=(3, 4))}
+        dc = DecodeConfig(strategy="beam", beam_size=3, max_steps=8,
+                          length_alpha=0.6)
+        free = beam_decode(params, config, dc, **inputs)
+        ends = DecodeConfig(strategy="beam", beam_size=3, max_steps=8,
+                            length_alpha=0.6,
+                            eos_id=int(np.bincount(free.tokens[:, 1]).argmax()))
+        fresh = [beam_decode(params, config, c, **inputs) for c in (dc, ends)]
+        reorder = decoding._reorder_beams
+        monkeypatch.setattr(decoding, "_reorder_beams",
+                            lambda state, rows, first: reorder(state, rows, 0))
+        for got, c in zip(fresh, (dc, ends)):
+            full = beam_decode(params, config, c, **inputs)
+            for field in ("tokens", "lengths", "raw_scores", "scores"):
+                assert getattr(got, field).tobytes() == \
+                    getattr(full, field).tobytes(), field
+
     def test_beam_score_matches_oracle(self, rng):
         config = tiny_config()
         params = init_params(config)

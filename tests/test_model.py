@@ -16,12 +16,13 @@ from mqa_lab.attention import (
     random_attention_weights,
 )
 from mqa_lab.config import ModelConfig
-from mqa_lab.exceptions import InputError
+from mqa_lab.exceptions import InputError, ShapeError
 from mqa_lab.model import (
     Batch,
     attention_forward,
     feed_forward,
     feed_forward_bwd,
+    flatten,
     forward,
     init_params,
     layer_norm,
@@ -29,7 +30,9 @@ from mqa_lab.model import (
     loss_and_grads,
     named_arrays,
     param_count,
+    param_layout,
     tree_map,
+    unflatten,
     zeros_like_tree,
 )
 
@@ -170,6 +173,32 @@ class TestInitAndTrees:
         doubled = tree_map(lambda a, b: a + b, params, params)
         assert np.allclose(doubled.embedding, 2 * params.embedding)
         assert doubled.decoder[0].attn.kind == params.decoder[0].attn.kind
+
+    @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    def test_layout_has_init_shapes_without_storage(self, mode, kind):
+        config = tiny_config(mode=mode).with_attention_kind(kind)
+        params, layout = init_params(config), param_layout(config)
+        assert [(name, arr.shape) for name, arr in named_arrays(params)] == \
+            [(name, arr.shape) for name, arr in named_arrays(layout)]
+        assert layout.decoder[0].attn.kind == kind
+        assert layout.embedding.strides == (0, 0)
+
+    def test_flatten_then_unflatten_gives_views(self):
+        params = init_params(tiny_config())
+        vector = flatten(params)
+        assert vector.shape == (param_count(params),)
+        back = unflatten(vector, params)
+        for (name, a), (_, b) in zip(named_arrays(params), named_arrays(back)):
+            assert a.tobytes() == b.tobytes(), name
+            assert b.base is vector, name
+        back.embedding[0, 0] += 1.0
+        assert vector[0] == params.embedding[0, 0] + 1.0
+
+    def test_unflatten_rejects_wrong_size(self):
+        params = init_params(tiny_config())
+        with pytest.raises(ShapeError):
+            unflatten(np.zeros(param_count(params) - 1), params)
 
     def test_decoder_only_has_no_encoder(self):
         params = init_params(tiny_config(mode="decoder_only"))

@@ -29,3 +29,35 @@ def test_script_runs(script, args, tmp_path):
                             timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+_SPY = """
+import os, runpy, sys
+
+class Spy:
+    seen = None
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and Spy.seen is None:
+            Spy.seen = {var: os.environ.get(var) for var in sys.argv[2:]}
+
+sys.meta_path.insert(0, Spy())
+runpy.run_path(sys.argv[1])
+print(Spy.seen)
+"""
+
+
+@pytest.mark.parametrize("script", ["decode_bench.py", "train_copy.py"])
+def test_script_caps_blas_threads_before_numpy_loads(script, tmp_path):
+    """MQA_THREADS reaches every BLAS thread variable before the script's
+    imports first load numpy (its main() is not run).  cost_sweep.py does
+    not load numpy."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_ENV_VARS}
+    env.update(PYTHONPATH=path, MQA_THREADS="1")
+    result = subprocess.run([sys.executable, "-c", _SPY, str(ROOT / "scripts" / script),
+                             *THREAD_ENV_VARS],
+                            capture_output=True, text=True, cwd=tmp_path, env=env,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == str(dict.fromkeys(THREAD_ENV_VARS, "1"))

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from mqa_lab.exceptions import (ContractionSpecError, DegenerateSoftmaxError,
                                 ShapeError)
 from mqa_lab.tensor import (concat_last_but_one, contract, contraction_flops,
-                            format_tensor, load_tensor, masked_softmax,
-                            ordered_sum_last, parse_spec, parse_tensor,
-                            save_tensor)
+                            format_tensor, masked_softmax, ordered_sum_last,
+                            parse_spec, parse_tensor)
 
 from oracles import loop_contract
 
@@ -229,11 +228,6 @@ class TestTextFormat:
         back = parse_tensor(format_tensor(np.float64(2.5)))
         assert back.shape == ()
         assert back == 2.5
-
-    def test_file_round_trip(self, tmp_path, rng):
-        arr = rng.standard_normal((4, 5))
-        save_tensor(tmp_path / "t.txt", arr)
-        assert load_tensor(tmp_path / "t.txt").tobytes() == arr.tobytes()
 
     @pytest.mark.parametrize("text", [
         "1\n2\n",

@@ -86,13 +86,41 @@ class TestAdam:
         expect = settings.beta1 * (1 - settings.beta1) + (1 - settings.beta1)
         assert np.allclose(state.mean.embedding, expect)
 
+    def test_flat_update_matches_per_tensor_reference(self, rng):
+        """Adam on the flat vector repeats the per-tensor expressions, so
+        parameters and moments agree bit for bit over several steps."""
+        config = small_config()
+        params = ref_params = init_params(config)
+        settings = OptimizerSettings()
+        state = adam_init(params)
+        b1, b2, eps = settings.beta1, settings.beta2, settings.eps
+        ref_mean = tree_map(np.zeros_like, params)
+        ref_var = tree_map(np.zeros_like, params)
+        for t in range(1, 4):
+            grads = tree_map(lambda p: rng.normal(size=p.shape), params)
+            params, state = adam_update(params, grads, state, settings, lr=0.01)
+            ref_mean = tree_map(lambda m, g: b1 * m + (1.0 - b1) * g, ref_mean, grads)
+            ref_var = tree_map(lambda v, g: b2 * v + (1.0 - b2) * g * g, ref_var,
+                               grads)
+            mc, vc = 1.0 - b1 ** t, 1.0 - b2 ** t
+            ref_params = tree_map(
+                lambda p, m, v: p - 0.01 * (m / mc) / (np.sqrt(v / vc) + eps),
+                ref_params, ref_mean, ref_var)
+            for got, want in ((params, ref_params), (state.mean, ref_mean),
+                              (state.var, ref_var)):
+                for (name, a), (_, b) in zip(named_arrays(got), named_arrays(want)):
+                    assert a.tobytes() == b.tobytes(), (t, name)
+
     def test_update_leaves_inputs_alone(self):
         config = small_config()
         params = init_params(config)
         keep = params.embedding.copy()
+        before = [arr.copy() for _, arr in named_arrays(params)]
         grads = tree_map(np.ones_like, params)
         adam_update(params, grads, adam_init(params), OptimizerSettings(), 0.5)
         assert np.array_equal(params.embedding, keep)
+        for (name, arr), old in zip(named_arrays(params), before):
+            assert arr.tobytes() == old.tobytes(), name
 
 
 class TestTaskBatches:
