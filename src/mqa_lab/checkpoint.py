@@ -104,7 +104,7 @@ def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, dict]:
     try:
         config = dataclass_from_dict(ModelConfig, manifest.get("config"))
         layout = param_layout(config)
-    except (ConfigError, TypeError) as exc:  # TypeError: a non-integer size
+    except ConfigError as exc:
         raise InputError(f"checkpoint config is invalid: {exc}") from exc
     _check_tensors(manifest.get("tensors"), layout)
     sizes = [(name, arr.size) for name, arr in named_arrays(layout)]

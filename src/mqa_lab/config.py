@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 from .exceptions import ConfigError
@@ -17,6 +19,33 @@ MODES = ("encoder_decoder", "decoder_only")
 ATTENTION_KINDS = ("multi_head", "multi_query")
 TASKS = ("copy", "reverse")
 STRATEGIES = ("greedy", "beam")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# What each field annotation used in this module accepts: JSON true/false
+# and strings never pass for numbers.
+_FIELD_TYPES = {
+    "int": ("an integer", _is_int),
+    "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "float": ("a finite real number",
+              lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+              and math.isfinite(v)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _check_types(config) -> None:
+    """Raise ConfigError for a field whose value does not have the type its
+    annotation names, before any range check compares it."""
+    for field in dataclasses.fields(config):
+        what, accepts = _FIELD_TYPES[field.type]
+        value = getattr(config, field.name)
+        if not accepts(value):
+            raise ConfigError(f"{type(config).__name__}.{field.name} must be "
+                              f"{what}, got {value!r}")
 
 
 def kv_head_count(kind: str, heads: int) -> int:
@@ -53,6 +82,7 @@ class ModelConfig:
     init_seed: int = 0
 
     def __post_init__(self):
+        _check_types(self)
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         for name in ("layers", "d_model", "d_ff", "heads", "d_k", "d_v",
@@ -103,6 +133,7 @@ class OptimizerSettings:
     eps: float = 1e-9
 
     def __post_init__(self):
+        _check_types(self)
         if self.warmup_steps < 1:
             raise ConfigError("warmup_steps must be >= 1")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -125,6 +156,7 @@ class TaskSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_types(self)
         if self.name not in TASKS:
             raise ConfigError(f"unknown task {self.name!r}")
         if self.length < 1 or self.batch_size < 1:
@@ -140,6 +172,7 @@ class DecodeConfig:
     eos_id: int | None = None
 
     def __post_init__(self):
+        _check_types(self)
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.beam_size < 1:

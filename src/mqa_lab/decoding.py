@@ -2,20 +2,32 @@
 
 This is the one runtime decoder: `mqa-lab decode`, `mqa-lab bench` and the
 library entry points all run `decoder_step`.  A decode state holds, per
-decoder layer, self-attention key/value buffers [b, g, slots, k], g being
+decoder layer, self-attention key/value rings [rows, g, slots, k], g being
 the number of key/value heads (h for multi-head, 1 for multi-query), that
 each step writes one slot of in place, plus cross-attention keys/values
 [b, g, m, k] projected once from the encoder output.  Attention runs on
 folded matmul shapes and reads only the slots written so far.  With a
-local window the buffers hold only `window` slots and become a ring:
-softmax is invariant to slot order, so the ring never rotates.  The contraction kernels and immutable caches in
-`attention.py`/`cache.py` are the reference these outputs are tested
-against, together with the teacher-forced batched forward pass.
+local window a ring holds only `window` slots: softmax is invariant to
+slot order, so the ring never rotates.  The contraction kernels and
+immutable caches in `attention.py`/`cache.py` are the reference these
+outputs are tested against, together with the teacher-forced batched
+forward pass.
 
 A decoder-only prompt is prefilled in one batched pass through the model's
-blocks.  Beam search runs every source row at once, beams riding the batch
-axis; greedy emission is its beam_size=1, length_alpha=0 special case, and
-the tests hold the two routes to exact agreement.
+blocks.  Decoding reads only the last block's keys/values and the logits
+after the last prompt token, so the last block runs its query, attention,
+output projection and feed-forward on the last position alone.
+
+Beam search runs every source row at once, its beams riding the batch axis
+(rows = b * beam).  The beams of a source row share one copy of the
+opener's keys/values (the last `window` of them) and of the encoder memory:
+a step folds the row's beams into the query rows of each key/value head,
+reads the shared part once per source row, and takes one softmax over it
+and the beam's own ring, which holds only the positions fed after the
+opener.  Reordering beams then gathers the own rings alone.  Greedy
+emission is the beam_size=1, length_alpha=0 special case; a lone beam
+shares nothing and keeps the opener in its own ring, and the tests hold
+greedy and beam-1 to exact agreement.
 
 Beam scores are sums of token log-probabilities divided by the length
 penalty ((5 + length) / 6) ** alpha, with length counting every emitted
@@ -40,6 +52,7 @@ from .model import (
     _fold_out,
     _self_bias,
     _softmax_rows,
+    attention_forward,
     feed_forward,
     forward,
     layer_norm,
@@ -88,11 +101,17 @@ def _fold_block(block):
 class DecoderState:
     """Buffers for one decode run, written in place.
 
-    keys[i] / values[i] are layer i's self-attention buffers; slot
-    position % slots holds that position.  cross[i] is layer i's projected
-    encoder memory (keys, values), or None for decoder_only models.
-    weights[i] are layer i's folded projections.  position is the next
-    position to feed; limit is how many positions the run was started for.
+    keys[i] / values[i] are layer i's own self-attention rings
+    [rows, g, slots, k], one per batch row; position p >= first sits in
+    slot (p - first) % slots.  shared[i] is None, or layer i's (keys,
+    values) [b, g, s, k] of the opener's last s positions, first - s ..
+    first - 1 in order, read by all rows // b beams of a source row;
+    then the own rings hold only the positions generated after the
+    opener.  cross[i] is layer i's projected encoder memory (keys,
+    values) [b, g, m, k], likewise read once per source row, or None for
+    decoder_only models.  weights[i] are layer i's folded projections.
+    position is the next position to feed; limit is how many positions
+    the run was started for.
     """
 
     keys: list[np.ndarray]
@@ -101,10 +120,22 @@ class DecoderState:
     weights: list[tuple]
     position: int
     limit: int
+    shared: list[tuple[np.ndarray, np.ndarray]] | None = None
+    first: int = 0
 
     @property
     def slots(self) -> int:
         return self.keys[0].shape[-2]
+
+
+def _rings(config: ModelConfig, rows: int, positions: int):
+    """Zeroed per-layer self-attention (keys, values) rings for `rows`
+    batch rows and `positions` positions: min(window, positions) slots."""
+    window = config.dec_self_window
+    slots = positions if window is None else min(window, positions)
+    lead = (rows, kv_head_count(config.dec_self_kind, config.heads), slots)
+    return ([np.zeros(lead + (config.d_k,)) for _ in range(config.layers)],
+            [np.zeros(lead + (config.d_v,)) for _ in range(config.layers)])
 
 
 def start_state(params: ModelParams, config: ModelConfig, *,
@@ -119,11 +150,7 @@ def start_state(params: ModelParams, config: ModelConfig, *,
     limit = config.max_len if max_positions is None else max_positions
     if not 1 <= limit <= config.max_len:
         raise InputError(f"max_positions {limit} outside [1, {config.max_len}]")
-    window = config.dec_self_window
-    slots = limit if window is None else min(window, limit)
-    lead = (batch_size, kv_head_count(config.dec_self_kind, config.heads), slots)
-    keys = [np.zeros(lead + (config.d_k,)) for _ in params.decoder]
-    values = [np.zeros(lead + (config.d_v,)) for _ in params.decoder]
+    keys, values = _rings(config, batch_size, limit)
     cross = None
     if config.has_encoder:
         cross = [_project_memory(memory, block.cross) for block in params.decoder]
@@ -132,19 +159,44 @@ def start_state(params: ModelParams, config: ModelConfig, *,
 
 
 def _attend(q, keys, values):
-    """q [b, h, k] against keys [b, g, t, k] and values [b, g, t, v], query
-    head j reading key/value head j // (h // g); returns the mixed values
-    folded to [b, h*v]."""
-    b, g = keys.shape[:2]
-    weights = _softmax_rows(q.reshape(b, g, -1, q.shape[-1]) @ keys.swapaxes(-1, -2))
-    return (weights @ values).reshape(b, -1)
+    """q [b, g, r, k] against keys [b, g, t, k] and values [b, g, t, v]:
+    the r query rows of group j read key/value head j.  Returns the mixed
+    values [b, g, r, v]."""
+    return _softmax_rows(q @ keys.swapaxes(-1, -2)) @ values
+
+
+def _fold_beams(x, b):
+    """[b*beam, g, r, w] -> [b, g, beam*r, w]: a source row's beams become
+    query rows of its groups, as multi-query folds heads into rows."""
+    rows, g, r, w = x.shape
+    return x.reshape(b, rows // b, g, r, w).swapaxes(1, 2).reshape(b, g, -1, w)
+
+
+def _unfold_beams(x, rows):
+    """The inverse of _fold_beams: [b, g, beam*r, w] -> [rows, g, r, w]."""
+    b, g, folded, w = x.shape
+    beam = rows // b
+    return x.reshape(b, g, beam, folded // beam, w).swapaxes(1, 2) \
+        .reshape(rows, g, folded // beam, w)
+
+
+def _attend_shared(q, keys, values, shared_keys, shared_values):
+    """_attend of q [rows, g, r, k] over a source row's shared keys/values
+    [b, g, s, .], read once for all its beams, and each row's own
+    [rows, g, t, .], under one softmax.  Returns [rows, g, r, v]."""
+    rows, b, s = len(q), len(shared_keys), shared_keys.shape[2]
+    weights = _softmax_rows(np.concatenate(
+        [_fold_beams(q, b) @ shared_keys.swapaxes(-1, -2),
+         _fold_beams(q @ keys.swapaxes(-1, -2), b)], axis=-1))
+    return (_unfold_beams(weights[..., :s] @ shared_values, rows)
+            + _unfold_beams(weights[..., s:], rows) @ values)
 
 
 def decoder_step(params: ModelParams, config: ModelConfig,
                  state: DecoderState, tokens: np.ndarray):
-    """Feed tokens [b] at position state.position.
+    """Feed tokens [rows] at position state.position.
 
-    Returns (logits [b, vocab], state).  The returned state is the same
+    Returns (logits [rows, vocab], state).  The returned state is the same
     object, advanced in place: its buffers now hold this position.
     """
     tokens = np.asarray(tokens)
@@ -157,23 +209,39 @@ def decoder_step(params: ModelParams, config: ModelConfig,
         raise InputError(
             f"position {t} is past the {state.limit} positions this decode "
             f"state was started for (max_len {config.max_len})")
-    b, h, dk = len(tokens), config.heads, config.d_k
+    rows, h, dk = len(tokens), config.heads, config.d_k
     g = state.keys[0].shape[1]
-    slot, valid = t % state.slots, min(t + 1, state.slots)
+    slot = (t - state.first) % state.slots
+    valid = min(t - state.first + 1, state.slots)
+    window = config.dec_self_window
     x = params.embedding[tokens] + params.positions[t]
     for i, block in enumerate(params.decoder):
         (fused, w_o), cross = state.weights[i]
         keys, values = state.keys[i], state.values[i]
         normed, _ = layer_norm(x, block.ln_attn)
         q, k_new, v_new = np.split(normed @ fused, [h * dk, (h + g) * dk], axis=1)
-        keys[:, :, slot] = k_new.reshape(b, g, dk)
-        values[:, :, slot] = v_new.reshape(b, g, -1)
-        x = x + _attend(q.reshape(b, h, dk), keys[..., :valid, :],
-                        values[..., :valid, :]) @ w_o
+        keys[:, :, slot] = k_new.reshape(rows, g, dk)
+        values[:, :, slot] = v_new.reshape(rows, g, -1)
+        q = q.reshape(rows, g, -1, dk)
+        own = keys[..., :valid, :], values[..., :valid, :]
+        if state.shared is None:
+            mixed = _attend(q, *own)
+        else:
+            shared_keys, shared_values = state.shared[i]
+            # the shared part holds positions first - s .. first - 1; a
+            # local window has dropped those before t - window + 1
+            drop = 0 if window is None else max(
+                0, t - window + 1 - state.first + shared_keys.shape[2])
+            mixed = _attend_shared(q, *own, shared_keys[..., drop:, :],
+                                   shared_values[..., drop:, :])
+        x = x + mixed.reshape(rows, -1) @ w_o
         if cross is not None:
+            memory_keys, memory_values = state.cross[i]
             normed, _ = layer_norm(x, block.ln_cross)
-            q = (normed @ cross[0]).reshape(b, h, dk)
-            x = x + _attend(q, *state.cross[i]) @ cross[1]
+            q = (normed @ cross[0]).reshape(rows, memory_keys.shape[1], -1, dk)
+            mixed = _unfold_beams(_attend(_fold_beams(q, len(memory_keys)),
+                                          memory_keys, memory_values), rows)
+            x = x + mixed.reshape(rows, -1) @ cross[1]
         normed, _ = layer_norm(x, block.ln_ff)
         x = x + feed_forward(normed, block.ff)[0]
     state.position = t + 1
@@ -184,35 +252,52 @@ def decoder_step(params: ModelParams, config: ModelConfig,
 def _prefill(params, config, state, opener):
     """Feed the opener [b, n] from position 0; returns the logits after its
     last token.  A decoder_only prompt runs as one batched pass whose
-    keys/values fill the buffers (ring slots at position % slots)."""
+    keys/values fill the buffers (ring slots at position % slots).  Decoding
+    reads only the last block's keys/values and its output at the last
+    position, so that block runs its query, attention, output projection
+    and feed-forward on the last position alone."""
     if config.has_encoder:
         return decoder_step(params, config, state, opener[:, 0])[0]
     n = opener.shape[1]
     kept = np.arange(max(0, n - state.slots), n)
     x = _embed(params, config, opener, "prompt")
     bias = _self_bias(config, n)
+    last = len(params.decoder) - 1
     for i, block in enumerate(params.decoder):
-        x, caches = _block_forward(x, block, None, bias)
-        key, val = caches[1][3], caches[1][4]
+        if i < last:
+            x, caches = _block_forward(x, block, None, bias)
+            key, val = caches[1][3], caches[1][4]
+        else:
+            normed, _ = layer_norm(x, block.ln_attn)
+            out, cache = attention_forward(normed[:, -1:], normed, block.attn,
+                                           bias[-1:])
+            key, val = cache[3], cache[4]
+            x = x[:, -1] + out[:, 0]
+            normed, _ = layer_norm(x, block.ln_ff)
+            x = x + feed_forward(normed, block.ff)[0]
         state.keys[i][..., kept % state.slots, :] = key[..., kept, :]
         state.values[i][..., kept % state.slots, :] = val[..., kept, :]
     state.position = n
-    final, _ = layer_norm(x[:, -1], params.dec_out_ln)
+    final, _ = layer_norm(x, params.dec_out_ln)
     return final @ params.embedding.T
 
 
 def _begin(params, config, decode: DecodeConfig, opener, memory, beam=1):
-    """Start a state sized for the run, prefill the opener and repeat every
-    row `beam` times; returns (state, logits)."""
+    """Start a state sized for the run and prefill the opener; returns
+    (state, logits [b*beam, vocab]).  With beam > 1 the prefilled buffers,
+    in position order, become the shared part, and every batch row gets an
+    own ring for the positions fed after the opener."""
+    n = opener.shape[1]
+    limit = n + decode.max_steps - 1
     state = start_state(params, config, batch_size=len(opener), memory=memory,
-                        max_positions=opener.shape[1] + decode.max_steps - 1)
+                        max_positions=limit if beam == 1 else n)
     logits = _prefill(params, config, state, opener)
     if beam > 1:
-        state.keys = [np.repeat(k, beam, axis=0) for k in state.keys]
-        state.values = [np.repeat(v, beam, axis=0) for v in state.values]
-        if state.cross is not None:
-            state.cross = [(np.repeat(k, beam, axis=0), np.repeat(v, beam, axis=0))
-                           for k, v in state.cross]
+        oldest_first = np.arange(n - state.slots, n) % state.slots
+        state.shared = [(k[:, :, oldest_first], v[:, :, oldest_first])
+                        for k, v in zip(state.keys, state.values)]
+        state.keys, state.values = _rings(config, len(opener) * beam, limit - n)
+        state.first, state.limit = n, limit
         logits = np.repeat(logits, beam, axis=0)
     return state, logits
 
@@ -323,15 +408,13 @@ def greedy_search(params: ModelParams, config: ModelConfig,
     return DecodeResult(tokens, lengths, raw, scores)
 
 
-def _reorder_beams(state: DecoderState, rows: np.ndarray, first: int) -> None:
-    """Gather batch rows `rows` of every self-attention buffer, in place,
-    over the slots holding positions [first, state.position).  Beam search
-    passes the opener length as `first`: a row's beams share the opener's
-    keys and values, and `rows` only permutes beams within a row."""
-    fresh = np.arange(max(first, state.position - state.slots),
-                      state.position) % state.slots
+def _reorder_beams(state: DecoderState, rows: np.ndarray) -> None:
+    """Gather batch rows `rows` of every own self-attention ring, in place,
+    over its written slots.  The shared part needs no gather: `rows` only
+    permutes beams within a source row."""
+    written = min(state.position - state.first, state.slots)
     for buf in state.keys + state.values:
-        buf[:, :, fresh] = buf[np.ix_(rows, range(buf.shape[1]), fresh)]
+        buf[:, :, :written] = buf[rows, :, :written]
 
 
 def beam_decode(params: ModelParams, config: ModelConfig,
@@ -401,7 +484,8 @@ def beam_search(params: ModelParams, config: ModelConfig,
                 done[i] = True
         if done.all() or t + 1 == steps:
             break
-        _reorder_beams(state, rows, opener.shape[1])
+        if beam > 1:  # a lone beam never moves
+            _reorder_beams(state, rows)
         logits, state = decoder_step(params, config, state, picks)
 
     pad = eos if eos is not None else 0

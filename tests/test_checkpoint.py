@@ -186,7 +186,8 @@ class TestFailureModes:
             load_checkpoint(tmp_path)
 
     @pytest.mark.parametrize("damage", ["shape", "missing", "order",
-                                        "not_json", "not_object", "config_type"])
+                                        "not_json", "not_object", "config_type",
+                                        "config_bool"])
     def test_bad_manifest_rejected(self, tmp_path, damage):
         config = small_config()
         path = save_checkpoint(tmp_path, init_params(config), config)
@@ -200,6 +201,8 @@ class TestFailureModes:
             manifest["tensors"] = dict(reversed(list(tensors.items())))
         elif damage == "config_type":
             manifest["config"]["layers"] = "1"
+        elif damage == "config_bool":  # JSON true once loaded as 1 layer
+            manifest["config"]["layers"] = True
         text = {"not_json": "{", "not_object": "[2]"}.get(damage,
                                                           json.dumps(manifest))
         path.write_text(text)

@@ -248,6 +248,17 @@ class TestTrainDecode:
         assert code == 2
         assert "max_len" in err or "eos_id" in err
 
+    @pytest.mark.parametrize("setting", ['model.layers="2"',
+                                         'decode.beam_size="4"',
+                                         "model.layers=true"])
+    def test_decode_setting_of_wrong_type_is_usage_error(self, capsys, setting):
+        code, _, err = run_cli(capsys, "decode",
+                               "--set", f"model={json.dumps(TINY_MODEL)}",
+                               "--set", "batch=2", "--set", "length=3",
+                               "--set", "decode.max_steps=2", "--set", setting)
+        assert code == 2
+        assert "must be an integer" in err
+
     def test_missing_checkpoint_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "decode", "--checkpoint",
                                str(tmp_path / "nothing"))

@@ -10,10 +10,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from mqa_lab import decoding
 from mqa_lab.config import DecodeConfig, ModelConfig, OptimizerSettings, TaskSpec
 from mqa_lab.decoding import (
+    _begin,
     _prefill,
     beam_decode,
     decode,
@@ -25,7 +28,14 @@ from mqa_lab.decoding import (
     start_state,
 )
 from mqa_lab.exceptions import ConfigError, InputError
-from mqa_lab.model import Batch, forward, init_params
+from mqa_lab.model import (
+    Batch,
+    _block_forward,
+    _embed,
+    _self_bias,
+    forward,
+    init_params,
+)
 from mqa_lab.training import BOS, TaskSpec, make_task_batch, train
 
 
@@ -122,6 +132,33 @@ class TestStepAgainstBatchedForward:
         batch = Batch(None, stream, stream, np.ones_like(stream, dtype=float))
         teacher = forward(params, config, batch).logits[:, n - 1:]
         assert np.max(np.abs(np.stack(stepwise, axis=1) - teacher)) < 1e-10
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    @pytest.mark.parametrize("window", [None, 2, 5, 9])
+    def test_trimmed_prefill(self, rng, layers, kind, window):
+        """The prefill runs the last block at the last position only: its
+        logits are the teacher-forced ones, and the buffers hold the
+        untrimmed batched pass's keys/values byte for byte."""
+        config = tiny_config(mode="decoder_only", layers=layers,
+                             dec_self_kind=kind, dec_self_window=window)
+        params = init_params(config)
+        b, n = 2, 7
+        prompt = rng.integers(1, config.vocab_size, size=(b, n))
+        state = start_state(params, config, batch_size=b, max_positions=n + 3)
+        logits = _prefill(params, config, state, prompt)
+        batch = Batch(None, prompt, prompt, np.ones((b, n)))
+        teacher = forward(params, config, batch).logits[:, -1]
+        assert np.max(np.abs(logits - teacher)) < 1e-10
+
+        kept = np.arange(max(0, n - state.slots), n)
+        x, bias = _embed(params, config, prompt, "prompt"), _self_bias(config, n)
+        for i, block in enumerate(params.decoder):
+            x, caches = _block_forward(x, block, None, bias)
+            for buf, full in ((state.keys[i], caches[1][3]),
+                              (state.values[i], caches[1][4])):
+                assert buf[:, :, kept % state.slots].tobytes() == \
+                    np.ascontiguousarray(full[:, :, kept]).tobytes()
 
     def test_step_input_validation(self, rng):
         config = tiny_config()
@@ -274,8 +311,8 @@ class TestBeam:
     @pytest.mark.parametrize("window", [None, 2, 3, 5])
     def test_reorder_after_opener_matches_full_reorder(self, rng, monkeypatch,
                                                        mode, kind, window):
-        """Gathering only the slots written after the opener gives the same
-        beams, bit for bit, as gathering every written slot."""
+        """Gathering only the written slots of the own rings gives the same
+        beams, bit for bit, as gathering every slot."""
         config = tiny_config(mode=mode, dec_self_window=window) \
             .with_attention_kind(kind)
         params = init_params(config)
@@ -288,14 +325,68 @@ class TestBeam:
                             length_alpha=0.6,
                             eos_id=int(np.bincount(free.tokens[:, 1]).argmax()))
         fresh = [beam_decode(params, config, c, **inputs) for c in (dc, ends)]
-        reorder = decoding._reorder_beams
-        monkeypatch.setattr(decoding, "_reorder_beams",
-                            lambda state, rows, first: reorder(state, rows, 0))
+
+        def reorder_every_slot(state, rows):
+            for buf in state.keys + state.values:
+                buf[...] = buf[rows]
+
+        monkeypatch.setattr(decoding, "_reorder_beams", reorder_every_slot)
         for got, c in zip(fresh, (dc, ends)):
             full = beam_decode(params, config, c, **inputs)
             for field in ("tokens", "lengths", "raw_scores", "scores"):
                 assert getattr(got, field).tobytes() == \
                     getattr(full, field).tobytes(), field
+
+    @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    @pytest.mark.parametrize("window", [None, 2, 3, 5])
+    @pytest.mark.parametrize("with_eos", [False, True])
+    def test_shared_opener_matches_repeated_opener(self, rng, monkeypatch, mode,
+                                                   kind, window, with_eos):
+        """Beams reading one shared copy of the opener's keys/values and of
+        the encoder memory decode as beams that each hold their own copy."""
+        config = tiny_config(mode=mode, dec_self_window=window) \
+            .with_attention_kind(kind)
+        params = init_params(config)
+        key = "source" if mode == "encoder_decoder" else "prompt"
+        b, beam = 3, 3
+        inputs = {key: rng.integers(1, config.vocab_size, size=(b, 4))}
+        dc = DecodeConfig(strategy="beam", beam_size=beam, max_steps=8,
+                          length_alpha=0.6)
+        if with_eos:
+            free = beam_decode(params, config, dc, **inputs)
+            dc = DecodeConfig(strategy="beam", beam_size=beam, max_steps=8,
+                              length_alpha=0.6,
+                              eos_id=int(np.bincount(free.tokens[:, 1]).argmax()))
+
+        opener, memory = decoding._inputs(params, config, dc, inputs.get("source"),
+                                          inputs.get("prompt"))
+        state, _ = _begin(params, config, dc, opener, memory, beam)
+        for shared_keys, shared_values in state.shared:
+            assert len(shared_keys) == len(shared_values) == b
+        assert state.cross is None or all(len(k) == b for k, _ in state.cross)
+        assert all(len(k) == b * beam for k in state.keys)
+        shared = beam_decode(params, config, dc, **inputs)
+
+        def repeated_begin(params, config, decode, opener, memory, beam=1):
+            state = start_state(params, config, batch_size=len(opener),
+                                memory=memory,
+                                max_positions=opener.shape[1] + decode.max_steps - 1)
+            logits = _prefill(params, config, state, opener)
+            state.keys = [np.repeat(k, beam, axis=0) for k in state.keys]
+            state.values = [np.repeat(v, beam, axis=0) for v in state.values]
+            if state.cross is not None:
+                state.cross = [(np.repeat(k, beam, axis=0), np.repeat(v, beam, axis=0))
+                               for k, v in state.cross]
+            return state, np.repeat(logits, beam, axis=0)
+
+        monkeypatch.setattr(decoding, "_begin", repeated_begin)
+        repeated = beam_decode(params, config, dc, **inputs)
+        assert np.array_equal(shared.tokens, repeated.tokens)
+        assert np.array_equal(shared.lengths, repeated.lengths)
+        assert np.max(np.abs(shared.raw_scores - repeated.raw_scores)) < 1e-12
+        if with_eos:
+            assert (shared.lengths < dc.max_steps).any()
 
     def test_beam_score_matches_oracle(self, rng):
         config = tiny_config()
@@ -455,3 +546,78 @@ class TestScoreSequence:
         manual = sum(logp[0, j, stream[0, j + 1]]
                      for j in range(prompt.size - 1, stream.shape[1] - 1))
         assert s == pytest.approx(float(manual), abs=1e-12)
+
+
+@st.composite
+def decode_calls(draw):
+    """A random tiny model, decode settings and input ids; half the inputs
+    are valid, the rest damaged in one way: ids outside the vocabulary,
+    an empty, float, 1-D, 3-D or over-long array, or the wrong mode's
+    input."""
+    mode = draw(st.sampled_from(["encoder_decoder", "decoder_only"]))
+    config = ModelConfig(
+        mode=mode, layers=draw(st.integers(1, 3)), d_model=8, d_ff=8, heads=2,
+        d_k=4, d_v=4, vocab_size=draw(st.integers(2, 7)), max_len=10,
+        init_seed=draw(st.integers(0, 3)),
+        dec_self_window=draw(st.one_of(st.none(), st.integers(1, 6))),
+    ).with_attention_kind(draw(st.sampled_from(["multi_head", "multi_query"])))
+    beam = draw(st.integers(1, 4))
+    strategy = "beam" if beam > 1 else draw(st.sampled_from(["greedy", "beam"]))
+    vocab = config.vocab_size
+    b, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    ids = np.array(draw(st.lists(st.integers(0, vocab - 1), min_size=b * n,
+                                 max_size=b * n))).reshape(b, n)
+    max_steps = draw(st.integers(1, 10 - (0 if config.has_encoder else n - 1)))
+    eos_id = draw(st.one_of(st.none(), st.integers(0, vocab - 1)))
+    key = "source" if config.has_encoder else "prompt"
+    damage = draw(st.one_of(st.none(), st.sampled_from(
+        ["id", "eos", "steps", "empty", "float", "uint8", "1-D", "3-D", "long",
+         "mode"])))
+    if damage == "id":
+        ids[draw(st.integers(0, b - 1)), draw(st.integers(0, n - 1))] = \
+            draw(st.sampled_from([-1, vocab]))
+    elif damage == "eos":
+        eos_id = draw(st.sampled_from([-1, vocab]))
+    elif damage == "steps":
+        max_steps = 11 if config.has_encoder else 12 - n
+    elif damage == "empty":
+        ids = ids[:0] if draw(st.booleans()) else ids[:, :0]
+    elif damage == "float":
+        ids = ids.astype(np.float64)
+    elif damage == "uint8":  # -1 wraps to 255
+        ids = ids.astype(np.uint8)
+        ids[0, 0] = np.uint8(255)
+    elif damage == "1-D":
+        ids = ids[0]
+    elif damage == "3-D":
+        ids = ids[None]
+    elif damage == "long":
+        ids = np.ones((b, config.max_len + 1), dtype=np.int64)
+    elif damage == "mode":
+        key = "prompt" if config.has_encoder else "source"
+    decode_config = DecodeConfig(strategy=strategy, beam_size=beam,
+                                 max_steps=max_steps, eos_id=eos_id,
+                                 length_alpha=draw(st.sampled_from([0.0, 0.6])))
+    event(f"damage: {damage}")
+    return config, decode_config, {key: ids}
+
+
+@settings(max_examples=300)
+@given(decode_calls())
+def test_decode_fuzz_fails_only_at_the_boundary(call):
+    """decode either raises ConfigError/InputError or returns results whose
+    raw scores the teacher-forced re-score reproduces."""
+    config, decode_config, inputs = call
+    params = init_params(config)
+    try:
+        out = decode(params, config, decode_config, **inputs)
+    except (ConfigError, InputError) as exc:
+        event(f"rejected: {type(exc).__name__}")
+        return
+    event(f"decoded: {decode_config.strategy}")
+    (key, ids), = inputs.items()
+    assert out.tokens.shape == (len(ids), decode_config.max_steps)
+    for i, row in enumerate(ids):
+        rescored = score_sequence(params, config, out.tokens[i, :out.lengths[i]],
+                                  **{key: row})
+        assert abs(rescored - out.raw_scores[i]) < 1e-8
