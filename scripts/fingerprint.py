@@ -1,0 +1,95 @@
+"""Print one SHA-256 over the package's numerical outputs at fixed seeds.
+
+Two source trees whose arithmetic agrees byte for byte print the same
+digest, so a change that claims to move only speed or memory is checked by
+running this on the tree before and after it.  For each mode
+(encoder_decoder, decoder_only), attention kind (multi_head, multi_query)
+and decoder self-attention window (none, 2) it hashes:
+
+- the training losses, final parameters and held-out accuracy of a short
+  copy-task run;
+- forward logits and loss, and loss_and_grads' loss, logits and gradients
+  on one batch;
+- greedy and beam (with and without an end marker) tokens, lengths and raw
+  scores.
+
+The sizes are fixed, so digests taken on any two trees are comparable:
+
+    python3 scripts/fingerprint.py
+"""
+
+import argparse
+import hashlib
+import sys
+
+from mqa_lab.cli import configure_threads
+
+configure_threads()  # MQA_THREADS must reach BLAS before numpy loads
+
+import numpy as np  # noqa: E402
+
+from mqa_lab.config import DecodeConfig, ModelConfig, OptimizerSettings, TaskSpec  # noqa: E402
+from mqa_lab.decoding import decode  # noqa: E402
+from mqa_lab.model import flatten, forward, loss_and_grads  # noqa: E402
+from mqa_lab.training import BOS, make_task_batch, train  # noqa: E402
+
+STEPS = 10      # training steps of each copy-task run
+D_MODEL = 32
+HEADS = 8
+LENGTH = 6      # copy-task length
+
+
+def _bytes(*values) -> bytes:
+    return b"".join(np.ascontiguousarray(np.asarray(v, dtype=np.float64)).tobytes()
+                    for v in values)
+
+
+def case_outputs(config: ModelConfig, task: TaskSpec):
+    """The bytes of every hashed output of one model configuration."""
+    settings = OptimizerSettings(lr_scale=0.1, warmup_steps=10)
+    result = train(config, task, settings, steps=STEPS)
+    params = result.params
+    yield _bytes(result.losses, flatten(params), result.heldout_accuracy)
+
+    batch = make_task_batch(task, config, np.random.default_rng(task.seed + 1))
+    out = forward(params, config, batch)
+    yield _bytes(out.logits, out.loss)
+    loss, logits, grads = loss_and_grads(params, config, batch)
+    yield _bytes(loss, logits, flatten(grads))
+
+    inputs = np.random.default_rng(task.seed + 2).integers(
+        1, config.vocab_size, size=(3, task.length))
+    where = ({"source": inputs} if config.has_encoder else
+             {"prompt": np.concatenate([inputs, np.full((3, 1), BOS)], axis=1)})
+    for decode_config in (
+            DecodeConfig(max_steps=task.length),
+            DecodeConfig(strategy="beam", beam_size=3, length_alpha=0.6,
+                         max_steps=task.length),
+            DecodeConfig(strategy="beam", beam_size=3, max_steps=task.length,
+                         eos_id=1)):
+        found = decode(params, config, decode_config, **where)
+        yield _bytes(found.tokens, found.lengths, found.raw_scores)
+
+
+def main(argv=None):
+    argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter).parse_args(argv)
+    total = hashlib.sha256()
+    for mode in ("encoder_decoder", "decoder_only"):
+        for kind in ("multi_head", "multi_query"):
+            for window in (None, 2):
+                config = ModelConfig(
+                    mode=mode, layers=2, d_model=D_MODEL, d_ff=2 * D_MODEL,
+                    heads=HEADS, d_k=D_MODEL // HEADS, d_v=D_MODEL // HEADS,
+                    vocab_size=12, max_len=3 * LENGTH + 2,
+                    dec_self_window=window, init_seed=7).with_attention_kind(kind)
+                task = TaskSpec(length=LENGTH, batch_size=4, seed=3)
+                for data in case_outputs(config, task):
+                    total.update(data)
+    print(total.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DecodeConfig, ModelConfig
+from .config import DecodeConfig, ModelConfig, _check_types
 from .costs import ShapeConfig, dff_for_parity, incremental_step_flops, kv_cache_words_step
 from .decoding import beam_search, encode_source, greedy_search
 from .exceptions import ConfigError, InputError
@@ -59,6 +59,7 @@ class Workload:
     timer_note: str = "monotonic clock, median of repetitions"
 
     def __post_init__(self):
+        _check_types(self)
         if self.repetitions < 3:
             raise ConfigError("need repetitions >= 3 for a median")
         if self.warmup_reps < 1:

@@ -83,15 +83,6 @@ def _reject_unknown(config: dict, allowed: set[str]) -> None:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
 
-def _expect_int(config: dict, key: str, minimum: int = 0) -> int:
-    value = config[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
-    return value
-
-
 def _deliver(text: str, out: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
@@ -221,9 +212,9 @@ def _cmd_train(args) -> int:
     model = dataclass_from_dict(ModelConfig, config["model"])
     task = dataclass_from_dict(TaskSpec, config["task"])
     settings = dataclass_from_dict(OptimizerSettings, config["optimizer"])
-    steps = _expect_int(config, "steps", minimum=1)
-    log_every = _expect_int(config, "log_every")
-    result = train(model, task, settings, steps=steps, log_every=log_every)
+    # train checks steps and log_every (config._check_types) before any work
+    result = train(model, task, settings, steps=config["steps"],
+                   log_every=config["log_every"])
     print(f"task {task.name}: length {task.length}, batch {task.batch_size}, "
           f"vocab {model.vocab_size}")
     print(f"final loss {result.final_loss:.6f} after {result.steps} steps")
@@ -252,7 +243,7 @@ _DECODE_DEFAULTS = {
 def _cmd_decode(args) -> int:
     import numpy as np
 
-    from .config import DecodeConfig, ModelConfig, dataclass_from_dict
+    from .config import DecodeConfig, ModelConfig, _check_types, dataclass_from_dict
     from .decoding import decode
     from .model import init_params
     from .training import BOS
@@ -261,6 +252,12 @@ def _cmd_decode(args) -> int:
     if args.seed is not None:
         config["seed"] = args.seed
         config["model"]["init_seed"] = args.seed
+    minimums = {"batch": 1, "length": 1, "seed": 0}
+    _check_types(config, dict.fromkeys(minimums, "int"))
+    for key, minimum in minimums.items():
+        if config[key] < minimum:
+            raise ConfigError(f"{key} must be >= {minimum}, got {config[key]}")
+    batch, length = config["batch"], config["length"]
     if args.checkpoint is not None:
         from .checkpoint import load_checkpoint
         params, model, _ = load_checkpoint(args.checkpoint)
@@ -268,8 +265,6 @@ def _cmd_decode(args) -> int:
         model = dataclass_from_dict(ModelConfig, config["model"])
         params = init_params(model)
     decode_config = dataclass_from_dict(DecodeConfig, config["decode"])
-    batch = _expect_int(config, "batch", minimum=1)
-    length = _expect_int(config, "length", minimum=1)
     rng = np.random.default_rng(config["seed"])
     inputs = rng.integers(1, model.vocab_size, size=(batch, length))
     if model.has_encoder:
@@ -304,25 +299,31 @@ _WORKLOAD_KEYS = {"b", "source_len", "target_len", "repetitions",
 
 def _cmd_bench(args) -> int:
     from .bench import VARIANTS, Workload, emit_report, run_bench
-    from .config import ModelConfig, dataclass_from_dict
+    from .config import ModelConfig, _check_types, dataclass_from_dict
     config = _load_config(args, _BENCH_DEFAULTS)
     _reject_unknown(config, {"model", "workload", "include_beam", "variants"})
     if args.seed is not None:
         config["model"]["init_seed"] = args.seed
+    _check_types(config, {"include_beam": "bool"})
     model = dataclass_from_dict(ModelConfig, config["model"])
+    if not isinstance(config["workload"], dict):
+        raise ConfigError("workload must be an object")
     unknown = sorted(set(config["workload"]) - _WORKLOAD_KEYS)
     if unknown:
         raise ConfigError(f"unknown workload key(s): {', '.join(unknown)}")
-    workload = Workload(model=model, **config["workload"])
+    workload = Workload(model=model, **config["workload"])  # checks the types
     variants = config["variants"]
     if variants is None:
         variants = VARIANTS
     else:
+        if not (isinstance(variants, list)
+                and all(isinstance(v, str) for v in variants)):
+            raise ConfigError(
+                f"variants must be null or a list of names, got {variants!r}")
         unknown = sorted(set(variants) - set(VARIANTS))
         if unknown:
             raise ConfigError(f"unknown variant(s): {', '.join(unknown)}")
-    report = run_bench(workload, tuple(variants),
-                       include_beam=bool(config["include_beam"]))
+    report = run_bench(workload, tuple(variants), include_beam=config["include_beam"])
     _deliver(emit_report(report, args.format), args.out)
     return 0
 

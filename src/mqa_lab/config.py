@@ -25,8 +25,8 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-# What each field annotation used in this module accepts: JSON true/false
-# and strings never pass for numbers.
+# What each field annotation used in the config classes accepts: JSON
+# true/false and strings never pass for numbers, nor numbers for true/false.
 _FIELD_TYPES = {
     "int": ("an integer", _is_int),
     "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
@@ -34,18 +34,27 @@ _FIELD_TYPES = {
               lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
               and math.isfinite(v)),
     "str": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "ModelConfig": ("a ModelConfig", lambda v: isinstance(v, ModelConfig)),
 }
 
 
-def _check_types(config) -> None:
-    """Raise ConfigError for a field whose value does not have the type its
-    annotation names, before any range check compares it."""
-    for field in dataclasses.fields(config):
-        what, accepts = _FIELD_TYPES[field.type]
-        value = getattr(config, field.name)
-        if not accepts(value):
-            raise ConfigError(f"{type(config).__name__}.{field.name} must be "
-                              f"{what}, got {value!r}")
+def _check_types(config, annotations: dict[str, str] | None = None) -> None:
+    """Raise ConfigError for a value that does not have the type its
+    annotation names, before any range check compares it.  config is a
+    config dataclass, whose fields are checked against their annotations,
+    or a dict whose entries are checked against `annotations` (key ->
+    annotation)."""
+    if annotations is None:
+        owner = f"{type(config).__name__}."
+        annotations = {field.name: field.type for field in dataclasses.fields(config)}
+        config = {name: getattr(config, name) for name in annotations}
+    else:
+        owner = ""
+    for name, annotation in annotations.items():
+        what, accepts = _FIELD_TYPES[annotation]
+        if not accepts(config[name]):
+            raise ConfigError(f"{owner}{name} must be {what}, got {config[name]!r}")
 
 
 def kv_head_count(kind: str, heads: int) -> int:

@@ -53,6 +53,7 @@ from .model import (
     _self_bias,
     _softmax_rows,
     attention_forward,
+    encode,
     feed_forward,
     forward,
     layer_norm,
@@ -62,14 +63,12 @@ from .training import BOS
 
 def encode_source(params: ModelParams, config: ModelConfig,
                   source: np.ndarray) -> np.ndarray:
-    """Run the encoder stack once; returns memory [b, m, d]."""
+    """Run the encoder stack once, with no backward tape, so each
+    sub-layer's temporaries are freed as it returns; returns memory
+    [b, m, d]."""
     if not config.has_encoder:
         raise ConfigError("decoder_only models have no encoder")
-    x = _embed(params, config, source, "source")
-    for block in params.encoder:
-        x, _ = _block_forward(x, block, None, None)
-    out, _ = layer_norm(x, params.enc_out_ln)
-    return out
+    return encode(params, config, source)
 
 
 def _project_memory(memory: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
@@ -255,7 +254,9 @@ def _prefill(params, config, state, opener):
     keys/values fill the buffers (ring slots at position % slots).  Decoding
     reads only the last block's keys/values and its output at the last
     position, so that block runs its query, attention, output projection
-    and feed-forward on the last position alone."""
+    and feed-forward on the last position alone.  The pass keeps no
+    backward tape: of each block it keeps only the keys/values it writes,
+    and every other temporary is freed when its sub-layer returns."""
     if config.has_encoder:
         return decoder_step(params, config, state, opener[:, 0])[0]
     n = opener.shape[1]
@@ -265,8 +266,7 @@ def _prefill(params, config, state, opener):
     last = len(params.decoder) - 1
     for i, block in enumerate(params.decoder):
         if i < last:
-            x, caches = _block_forward(x, block, None, bias)
-            key, val = caches[1][3], caches[1][4]
+            x, (key, val) = _block_forward(x, block, None, bias)
         else:
             normed, _ = layer_norm(x, block.ln_attn)
             out, cache = attention_forward(normed[:, -1:], normed, block.attn,

@@ -9,13 +9,22 @@ on folded matmul shapes for speed; its outputs are pinned to the
 contraction kernels by equivalence tests, and every gradient here is
 checked against central finite differences.
 
-Nothing in this module mutates its inputs: forward passes return new arrays
-and backward passes return gradient trees shaped like the parameters.
+Only loss_and_grads keeps a backward tape: its forward pass pushes each
+sub-layer's cache on one list, and the reverse pass pops them.  forward,
+encode (the decode engine's encoder pass) and the engine's prompt prefill
+run the same block forward with no tape, so each sub-layer's temporaries
+are freed when it returns.  Attention's softmax runs in place in its
+logits buffer.
+
+Apart from _softmax_rows, which works in the buffer it is handed, nothing
+in this module mutates its inputs: forward passes return new arrays and
+backward passes return gradient trees shaped like the parameters.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,10 +144,6 @@ def unflatten(vector: np.ndarray, layout):
     return tree_map(view, layout)
 
 
-def zeros_like_tree(tree):
-    return tree_map(np.zeros_like, tree)
-
-
 def param_count(tree) -> int:
     return sum(arr.size for _, arr in named_arrays(tree))
 
@@ -169,6 +174,18 @@ def param_layout(config: ModelConfig) -> ModelParams:
     or storing the weights: what checkpoints are checked against and
     unflattened into."""
     return _build_params(config, _NoDraws())
+
+
+def check_params(params, config: ModelConfig) -> None:
+    """Raise ShapeError unless params holds the tensors of
+    param_layout(config): the same names in the same order, each an array
+    of its shape."""
+    expected = [(name, arr.shape) for name, arr in named_arrays(param_layout(config))]
+    found = [(name, arr.shape) for name, arr in named_arrays(params)]
+    for want, got in itertools.zip_longest(expected, found):
+        if want != got:
+            raise ShapeError(f"params do not fit the model config: expected "
+                             f"tensor {want}, found {got}")
 
 
 def _build_params(config: ModelConfig, rng) -> ModelParams:
@@ -244,9 +261,10 @@ def feed_forward_bwd(dy, cache, ff: FeedForward):
 
 
 def _softmax_rows(z):
-    top = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - top)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis of z, computed in place; returns z."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    return np.divide(z, z.sum(axis=-1, keepdims=True), out=z)
 
 
 def _fold_heads(p):  # [h, d, w] -> [d, h*w], x @ fold yields head-major columns
@@ -290,10 +308,10 @@ def attention_forward(x_q, x_kv, w: AttentionWeights, bias):
             .reshape(b, m, g, p.shape[-1]).transpose(0, 2, 1, 3)
 
     key, val = kv(w.p_k), kv(w.p_v)
-    logits = (q @ key.swapaxes(-1, -2)).reshape(b, h, n, m)
+    weights = (q @ key.swapaxes(-1, -2)).reshape(b, h, n, m)
     if bias is not None:
-        logits = logits + bias
-    weights = _softmax_rows(logits)
+        weights += bias
+    _softmax_rows(weights)
     mixed = (weights.reshape(b, g, rows, m) @ val).reshape(b, h, n, -1)
     o_fold = np.ascontiguousarray(mixed.transpose(0, 2, 1, 3)).reshape(b, n, -1)
     y = o_fold @ _fold_out(w.p_o)
@@ -358,37 +376,51 @@ def _self_bias(config: ModelConfig, n: int):
     return build_mask(spec)[0, 0]
 
 
-def _block_forward(x, block: Block, memory, bias):
-    normed, ln_cache = layer_norm(x, block.ln_attn)
-    attn_out, attn_cache = attention_forward(normed, normed, block.attn, bias)
-    x = x + attn_out
-    cross_cache = None
+def _keep(tape, sublayer):
+    """A sub-layer's output.  Its cache goes on the tape when a backward
+    pass will read it; with no tape the cache, and every temporary only it
+    holds, is freed when this returns."""
+    out, cache = sublayer
+    if tape is not None:
+        tape.append(cache)
+    return out
+
+
+def _self_attention(x, block: Block, bias, tape):
+    """x plus its self-attention, and the keys/values [b, g, n, .] that
+    attention read."""
+    normed = _keep(tape, layer_norm(x, block.ln_attn))
+    out, cache = attention_forward(normed, normed, block.attn, bias)
+    return x + _keep(tape, (out, cache)), cache[3:5]
+
+
+def _block_forward(x, block: Block, memory, bias, tape=None):
+    """One pre-norm block; returns (output, (keys, values) of its
+    self-attention).  With a tape, each sub-layer's cache is pushed on it
+    in order, for _block_backward to pop."""
+    x, kv = _self_attention(x, block, bias, tape)
     if block.cross is not None:
-        normed_c, ln_c_cache = layer_norm(x, block.ln_cross)
-        cross_out, c_cache = attention_forward(normed_c, memory, block.cross, None)
-        x = x + cross_out
-        cross_cache = (ln_c_cache, c_cache)
-    normed_f, ln_f_cache = layer_norm(x, block.ln_ff)
-    ff_out, ff_cache = feed_forward(normed_f, block.ff)
-    x = x + ff_out
-    return x, (ln_cache, attn_cache, cross_cache, ln_f_cache, ff_cache)
+        normed = _keep(tape, layer_norm(x, block.ln_cross))
+        x = x + _keep(tape, attention_forward(normed, memory, block.cross, None))
+    normed = _keep(tape, layer_norm(x, block.ln_ff))
+    return x + _keep(tape, feed_forward(normed, block.ff)), kv
 
 
-def _block_backward(dx, caches, block: Block):
-    ln_cache, attn_cache, cross_cache, ln_f_cache, ff_cache = caches
-    d_ff_in, d_ff = feed_forward_bwd(dx, ff_cache, block.ff)
-    d_norm_f, d_ln_f = layer_norm_bwd(d_ff_in, ln_f_cache)
+def _block_backward(dx, tape: list, block: Block):
+    """Pops the block's caches off the tape; returns (d input, d memory or
+    None, Block-shaped gradients)."""
+    d_ff_in, d_ff = feed_forward_bwd(dx, tape.pop(), block.ff)
+    d_norm_f, d_ln_f = layer_norm_bwd(d_ff_in, tape.pop())
     dx = dx + d_norm_f
     d_memory = None
     d_cross = None
     d_ln_cross = None
-    if cross_cache is not None:
-        ln_c_cache, c_cache = cross_cache
-        d_q_in, d_memory, d_cross = attention_backward(dx, c_cache, block.cross)
-        d_norm_c, d_ln_cross = layer_norm_bwd(d_q_in, ln_c_cache)
+    if block.cross is not None:
+        d_q_in, d_memory, d_cross = attention_backward(dx, tape.pop(), block.cross)
+        d_norm_c, d_ln_cross = layer_norm_bwd(d_q_in, tape.pop())
         dx = dx + d_norm_c
-    d_q_in, d_kv_in, d_attn = attention_backward(dx, attn_cache, block.attn)
-    d_norm, d_ln = layer_norm_bwd(d_q_in + d_kv_in, ln_cache)
+    d_q_in, d_kv_in, d_attn = attention_backward(dx, tape.pop(), block.attn)
+    d_norm, d_ln = layer_norm_bwd(d_q_in + d_kv_in, tape.pop())
     dx = dx + d_norm
     grads = Block(d_ln, d_attn, d_ln_cross, d_cross, d_ln_f, d_ff)
     return dx, d_memory, grads
@@ -435,28 +467,29 @@ def _validate_batch(config: ModelConfig, batch: Batch) -> None:
         raise InputError("loss_mask selects no positions")
 
 
-def _run(params: ModelParams, config: ModelConfig, batch: Batch):
-    """Forward pass, returning everything backward needs."""
-    _validate_batch(config, batch)
-    tape = {"enc": [], "dec": []}
-    enc_out = None
-    if config.has_encoder:
-        x = _embed(params, config, batch.source, "source")
-        for block in params.encoder:
-            x, cache = _block_forward(x, block, None, None)
-            tape["enc"].append(cache)
-        enc_out, tape["enc_ln"] = layer_norm(x, params.enc_out_ln)
+def encode(params: ModelParams, config: ModelConfig, source, tape=None):
+    """The encoder stack on source ids [b, m]; returns memory [b, m, d]."""
+    x = _embed(params, config, source, "source")
+    for block in params.encoder:
+        x = _block_forward(x, block, None, None, tape)[0]
+    return _keep(tape, layer_norm(x, params.enc_out_ln))
 
+
+def _run(params: ModelParams, config: ModelConfig, batch: Batch, tape=None):
+    """Forward pass to the logits.  With a tape, every cache backward needs
+    is pushed on it, the last being the final normed output."""
+    _validate_batch(config, batch)
+    memory = encode(params, config, batch.source, tape) if config.has_encoder else None
     y = _embed(params, config, batch.target_in, "target")
     bias = _self_bias(config, y.shape[1])
     for block in params.decoder:
-        y, cache = _block_forward(y, block, enc_out, bias)
-        tape["dec"].append(cache)
-    final, tape["dec_ln"] = layer_norm(y, params.dec_out_ln)
+        y = _block_forward(y, block, memory, bias, tape)[0]
+    final = _keep(tape, layer_norm(y, params.dec_out_ln))
+    if tape is not None:
+        tape.append(final)
     logits = final @ params.embedding.T
     _check_finite("logits", logits)
-    tape["final"] = final
-    return logits, enc_out, tape
+    return logits
 
 
 def _loss_from_logits(logits, batch: Batch):
@@ -478,7 +511,8 @@ def _loss_from_logits(logits, batch: Batch):
 
 
 def forward(params: ModelParams, config: ModelConfig, batch: Batch) -> ForwardResult:
-    logits, _, _ = _run(params, config, batch)
+    """Logits and loss, with no backward tape."""
+    logits = _run(params, config, batch)
     loss, _ = _loss_from_logits(logits, batch)
     _check_finite("loss", np.asarray(loss))
     return ForwardResult(logits, float(loss))
@@ -489,7 +523,8 @@ def loss_and_grads(params: ModelParams, config: ModelConfig, batch: Batch):
 
     Returns (loss, logits, gradient tree shaped like params).
     """
-    logits, enc_out, tape = _run(params, config, batch)
+    tape = []
+    logits = _run(params, config, batch, tape)
     loss, d_logits = _loss_from_logits(logits, batch)
     _check_finite("loss", np.asarray(loss))
 
@@ -498,13 +533,13 @@ def loss_and_grads(params: ModelParams, config: ModelConfig, batch: Batch):
 
     # logits = final @ E^T with tied embeddings
     d_final = d_logits @ params.embedding
-    g_embedding += np.tensordot(d_logits, tape["final"], axes=((0, 1), (0, 1)))
+    g_embedding += np.tensordot(d_logits, tape.pop(), axes=((0, 1), (0, 1)))
 
-    dy, d_dec_ln = layer_norm_bwd(d_final, tape["dec_ln"])
+    dy, d_dec_ln = layer_norm_bwd(d_final, tape.pop())
     d_enc_out = None
     dec_grads = []
-    for block, cache in zip(reversed(params.decoder), reversed(tape["dec"])):
-        dy, d_memory, g_block = _block_backward(dy, cache, block)
+    for block in reversed(params.decoder):
+        dy, d_memory, g_block = _block_backward(dy, tape, block)
         dec_grads.append(g_block)
         if d_memory is not None:
             d_enc_out = d_memory if d_enc_out is None else d_enc_out + d_memory
@@ -518,9 +553,9 @@ def loss_and_grads(params: ModelParams, config: ModelConfig, batch: Batch):
     enc_grads = []
     g_enc_ln = None
     if config.has_encoder:
-        dx, g_enc_ln = layer_norm_bwd(d_enc_out, tape["enc_ln"])
-        for block, cache in zip(reversed(params.encoder), reversed(tape["enc"])):
-            dx, _, g_block = _block_backward(dx, cache, block)
+        dx, g_enc_ln = layer_norm_bwd(d_enc_out, tape.pop())
+        for block in reversed(params.encoder):
+            dx, _, g_block = _block_backward(dx, tape, block)
             enc_grads.append(g_block)
         enc_grads.reverse()
         n_src = batch.source.shape[1]

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ModelConfig, OptimizerSettings, TaskSpec
+from .config import ModelConfig, OptimizerSettings, TaskSpec, _check_types
 from .exceptions import ConfigError, TrainingError
-from .model import (Batch, ModelParams, flatten, forward, init_params, loss_and_grads,
-                    param_count, unflatten)
+from .model import (Batch, ModelParams, check_params, flatten, forward, init_params,
+                    loss_and_grads, param_count, unflatten)
 
 BOS = 0
 
@@ -143,13 +143,23 @@ def train(config: ModelConfig, task: TaskSpec,
           log_every: int = 0) -> TrainResult:
     """Run Adam on freshly sampled task batches.
 
-    Raises TrainingError on non-finite or runaway loss.  The held-out
-    accuracy at the end uses a batch sampled from a disjoint seed.
+    Checks its arguments before any work: ConfigError unless steps is an
+    integer >= 1 and log_every one >= 0, ShapeError unless given params
+    fit the config.  Raises TrainingError on non-finite or runaway loss.
+    The held-out accuracy at the end uses a batch sampled from a disjoint
+    seed.
     """
+    _check_types({"steps": steps, "log_every": log_every},
+                 {"steps": "int", "log_every": "int"})
     if steps < 1:
-        raise ConfigError("need at least one step")
+        raise ConfigError(f"steps must be >= 1, got {steps}")
+    if log_every < 0:
+        raise ConfigError(f"log_every must be >= 0, got {log_every}")
+    if params is None:
+        params = init_params(config)
+    else:
+        check_params(params, config)
     settings = settings or OptimizerSettings()
-    params = params if params is not None else init_params(config)
     state = adam_init(params)
     rng = np.random.default_rng(task.seed)
     losses = []

@@ -200,6 +200,23 @@ class TestTrainDecode:
         code, _, err = run_cli(capsys, *self.train_args("--set", "steps=true"))
         assert code == 2
 
+    @pytest.mark.parametrize("setting", ['steps="30"', "steps=2.5",
+                                         "log_every=-1", "log_every=true"])
+    def test_bad_top_level_train_setting_is_usage_error(self, capsys, setting):
+        code, _, err = run_cli(capsys, *self.train_args("--set", setting))
+        assert code == 2
+        assert setting.split("=")[0] in err
+
+    @pytest.mark.parametrize("setting", ['batch="2"', "length=true", "length=0",
+                                         'seed="x"', "seed=-1"])
+    def test_bad_top_level_decode_setting_is_usage_error(self, capsys, setting):
+        code, _, err = run_cli(capsys, "decode",
+                               "--set", f"model={json.dumps(TINY_MODEL)}",
+                               "--set", "batch=2", "--set", "length=3",
+                               "--set", "decode.max_steps=2", "--set", setting)
+        assert code == 2
+        assert setting.split("=")[0] in err
+
     def test_train_checkpoint_then_decode(self, capsys, tmp_path):
         ck = tmp_path / "ck"
         code, out, _ = run_cli(capsys, *self.train_args("--out", str(ck)))
@@ -318,6 +335,16 @@ class TestBenchReport:
             "--set", "workload.frobs=3"))
         assert code == 2
         assert "frobs" in err
+
+    @pytest.mark.parametrize("setting", ['workload.b="8"', "workload.b=true",
+                                         "workload.repetitions=3.0",
+                                         "workload.timer_note=1", "workload=3",
+                                         'include_beam="no"', "include_beam=1",
+                                         'variants="multi-head"', "variants=[1]"])
+    def test_bench_setting_of_wrong_type_is_usage_error(self, capsys, setting):
+        code, _, err = run_cli(capsys, *self.bench_args("--set", setting))
+        assert code == 2
+        assert setting.split("=")[0].split(".")[-1] in err
 
     def test_report_requires_config(self, capsys):
         code, _, err = run_cli(capsys, "report")

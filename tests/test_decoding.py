@@ -33,6 +33,7 @@ from mqa_lab.model import (
     _block_forward,
     _embed,
     _self_bias,
+    encode,
     forward,
     init_params,
 )
@@ -154,11 +155,24 @@ class TestStepAgainstBatchedForward:
         kept = np.arange(max(0, n - state.slots), n)
         x, bias = _embed(params, config, prompt, "prompt"), _self_bias(config, n)
         for i, block in enumerate(params.decoder):
-            x, caches = _block_forward(x, block, None, bias)
-            for buf, full in ((state.keys[i], caches[1][3]),
-                              (state.values[i], caches[1][4])):
+            tape = []  # the training path: the self-attention cache is tape[1]
+            x, _ = _block_forward(x, block, None, bias, tape)
+            for buf, full in ((state.keys[i], tape[1][3]),
+                              (state.values[i], tape[1][4])):
                 assert buf[:, :, kept % state.slots].tobytes() == \
                     np.ascontiguousarray(full[:, :, kept]).tobytes()
+
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    def test_encode_source_matches_training_encoder(self, rng, kind):
+        """The tape-free encoder pass gives the training path's memory byte
+        for byte."""
+        config = tiny_config(enc_self_kind=kind)
+        params = init_params(config)
+        source = rng.integers(1, config.vocab_size, size=(3, 6))
+        tape = []
+        expected = encode(params, config, source, tape)
+        assert len(tape) == 4 * config.layers + 1
+        assert encode_source(params, config, source).tobytes() == expected.tobytes()
 
     def test_step_input_validation(self, rng):
         config = tiny_config()

@@ -6,6 +6,8 @@ pinned to the contraction kernels, which were themselves checked against
 scalar loop oracles.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from mqa_lab.config import ModelConfig
 from mqa_lab.exceptions import InputError, ShapeError
 from mqa_lab.model import (
     Batch,
+    _softmax_rows,
     attention_forward,
     feed_forward,
     feed_forward_bwd,
@@ -33,7 +36,6 @@ from mqa_lab.model import (
     param_layout,
     tree_map,
     unflatten,
-    zeros_like_tree,
 )
 
 
@@ -164,7 +166,7 @@ class TestInitAndTrees:
 
     def test_zeros_like_and_map_preserve_structure(self):
         params = init_params(tiny_config())
-        zeros = zeros_like_tree(params)
+        zeros = tree_map(np.zeros_like, params)
         for (name, arr), (zname, zarr) in zip(named_arrays(params),
                                               named_arrays(zeros)):
             assert name == zname
@@ -218,7 +220,7 @@ class TestForward:
 
     def test_zero_params_give_uniform_loss(self, rng):
         config = tiny_config()
-        params = zeros_like_tree(init_params(config))
+        params = tree_map(np.zeros_like, init_params(config))
         batch = make_batch(config, rng)
         result = forward(params, config, batch)
         assert abs(result.loss - np.log(config.vocab_size)) < 1e-12
@@ -284,6 +286,53 @@ class TestForward:
         with pytest.raises(InputError):
             forward(params, config, Batch(batch.source, long_ids, long_ids,
                                           np.ones_like(long_ids, dtype=float)))
+
+
+class TestInferenceKeepsNoTape:
+    def test_in_place_softmax_matches_out_of_place_form(self, rng):
+        z = rng.normal(size=(2, 3, 5, 7)) * 5.0
+        z[..., 4:] += build_mask(MaskSpec("causal", 2, 3, 5, 7))[..., 4:]
+        top = z.max(axis=-1, keepdims=True)
+        e = np.exp(z - top)
+        expected = e / e.sum(axis=-1, keepdims=True)
+        buffer = z.copy()
+        assert _softmax_rows(buffer) is buffer
+        assert buffer.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    @pytest.mark.parametrize("window", [None, 2])
+    def test_forward_logits_equal_training_logits(self, rng, mode, kind, window):
+        config = tiny_config(mode=mode, layers=2, dec_self_window=window) \
+            .with_attention_kind(kind)
+        params = init_params(config)
+        batch = make_batch(config, rng, n_tgt=6)
+        loss, logits, _ = loss_and_grads(params, config, batch)
+        result = forward(params, config, batch)
+        assert result.logits.tobytes() == logits.tobytes()
+        assert result.loss == loss
+
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    @pytest.mark.parametrize("window", [None, 2])
+    def test_forward_holds_one_sublayer_at_a_time(self, rng, kind, window):
+        """forward's traced allocation peak stays under 3x one layer's
+        [b, h, n, n] attention logits; keeping every layer's backward cache
+        and four softmax temporaries took about 7x at this shape."""
+        config = ModelConfig(mode="decoder_only", layers=3, d_model=16, d_ff=32,
+                             heads=4, d_k=4, d_v=4, vocab_size=11, max_len=64,
+                             dec_self_kind=kind, dec_self_window=window)
+        params = init_params(config)
+        b, n = 2, 64
+        ids = rng.integers(1, config.vocab_size, size=(b, n))
+        batch = Batch(None, ids, ids, np.ones((b, n)))
+        forward(params, config, batch)
+        tracemalloc.start()
+        try:
+            forward(params, config, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * b * config.heads * n * n * 8
 
 
 def relative_error(a, b):

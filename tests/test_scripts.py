@@ -47,7 +47,8 @@ print(Spy.seen)
 """
 
 
-@pytest.mark.parametrize("script", ["decode_bench.py", "train_copy.py"])
+@pytest.mark.parametrize("script", ["decode_bench.py", "train_copy.py",
+                                    "fingerprint.py"])
 def test_script_caps_blas_threads_before_numpy_loads(script, tmp_path):
     """MQA_THREADS reaches every BLAS thread variable before the script's
     imports first load numpy (its main() is not run).  cost_sweep.py does
@@ -61,3 +62,16 @@ def test_script_caps_blas_threads_before_numpy_loads(script, tmp_path):
                             timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == str(dict.fromkeys(THREAD_ENV_VARS, "1"))
+
+
+def test_fingerprint_prints_one_stable_digest(tmp_path):
+    """The smoke run of fingerprint.py: run twice, one digest both times."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **dict.fromkeys(THREAD_ENV_VARS, "1"))
+    argv = [sys.executable, str(ROOT / "scripts" / "fingerprint.py")]
+    runs = [subprocess.run(argv, capture_output=True, text=True, cwd=tmp_path,
+                           env=env, timeout=120) for _ in range(2)]
+    assert runs[0].returncode == 0, runs[0].stderr
+    digest = runs[0].stdout.strip()
+    assert len(digest) == 64 and int(digest, 16) >= 0
+    assert runs[1].stdout.strip() == digest

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from mqa_lab import training
 from mqa_lab.config import ModelConfig, OptimizerSettings, TaskSpec
-from mqa_lab.exceptions import ConfigError, TrainingError
+from mqa_lab.exceptions import ConfigError, ShapeError, TrainingError
 from mqa_lab.model import init_params, named_arrays, tree_map
 from mqa_lab.training import (
     BOS,
@@ -218,3 +219,48 @@ class TestTraining:
         batch = make_task_batch(task, config, np.random.default_rng(9))
         acc = teacher_forced_accuracy(init_params(config), config, batch)
         assert 0.0 <= acc <= 1.0
+
+
+class TestTrainChecksItsInputsFirst:
+    """train refuses bad arguments before it samples or computes anything."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("train did work before checking its inputs")
+        monkeypatch.setattr(training, "make_task_batch", fail)
+        monkeypatch.setattr(training, "loss_and_grads", fail)
+
+    def test_params_of_another_width_rejected(self, no_work):
+        wide = init_params(small_config(d_model=64, d_ff=64))
+        with pytest.raises(ShapeError, match="embedding"):
+            train(small_config(), TaskSpec(length=4, batch_size=2), params=wide)
+
+    def test_params_of_another_mode_rejected(self, no_work):
+        other = init_params(small_config(mode="decoder_only"))
+        with pytest.raises(ShapeError):
+            train(small_config(), TaskSpec(length=4, batch_size=2), params=other)
+
+    def test_params_with_a_missing_leaf_rejected(self, no_work):
+        params = init_params(small_config())
+        params.decoder[0].ff.w_in = None
+        with pytest.raises(ShapeError, match="w_in"):
+            train(small_config(), TaskSpec(length=4, batch_size=2), params=params)
+
+    @pytest.mark.parametrize("steps", [2.5, True, "3", 0, -1])
+    def test_bad_steps_rejected(self, no_work, steps):
+        with pytest.raises(ConfigError, match="steps"):
+            train(small_config(), TaskSpec(length=4, batch_size=2), steps=steps)
+
+    @pytest.mark.parametrize("log_every", [-1, 1.0, False])
+    def test_bad_log_every_rejected(self, no_work, log_every):
+        with pytest.raises(ConfigError, match="log_every"):
+            train(small_config(), TaskSpec(length=4, batch_size=2), steps=1,
+                  log_every=log_every)
+
+    def test_params_of_the_same_layout_train(self):
+        config = small_config()
+        params = init_params(small_config(init_seed=12))
+        result = train(config, TaskSpec(length=4, batch_size=2), steps=np.int64(2),
+                       params=params)
+        assert result.steps == 2
