@@ -5,8 +5,8 @@ manifest records the format (2), the model configuration, the caller's
 `extra` dict and a `tensors` map from each parameter name to its shape, in
 named_arrays order.  params.npy is every parameter flattened in that order
 into one little-endian float64 vector, so saving is one write and loading
-one read; the loaded parameters are views into that vector, bit-identical
-to the saved ones.  A load checks the manifest against the configuration's
+one read of the payload into the vector it returns; the loaded parameters
+are views into that vector, bit-identical to the saved ones.  A load checks the manifest against the configuration's
 parameter layout and the vector's dtype, rank, size and finiteness before
 it returns, and raises InputError or ShapeError on any mismatch.
 """
@@ -81,7 +81,9 @@ def _check_tensors(entries, layout: ModelParams) -> None:
 def _read_vector(path: Path, size: int) -> np.ndarray:
     """params.npy as a new in-memory vector of `size` float64 values.  The
     file is memory-mapped first, so its header is checked against `size`
-    before anything is allocated for it."""
+    before anything is allocated for it; the map is then dropped, with
+    none of its pages touched, and the payload read once, straight into
+    the vector."""
     if not path.is_file():
         raise InputError(f"checkpoint has no {path.name}")
     try:
@@ -94,7 +96,16 @@ def _read_vector(path: Path, size: int) -> np.ndarray:
         raise InputError(f"{path} does not hold one little-endian float64 array")
     if mapped.shape != (size,):
         raise ShapeError(f"{path} holds shape {mapped.shape}, expected ({size},)")
-    return np.array(mapped)
+    offset = mapped.offset
+    del mapped
+    vector = np.empty(size, dtype=VECTOR_DTYPE)
+    with path.open("rb") as stream:
+        stream.seek(offset)
+        read = stream.readinto(memoryview(vector).cast("B"))
+    if read != vector.nbytes:
+        raise InputError(f"{path} ends after {read} of its {vector.nbytes} "
+                         "payload bytes")
+    return vector
 
 
 def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, dict]:

@@ -50,6 +50,7 @@ from .model import (
     _embed,
     _fold_heads,
     _fold_out,
+    _fold_qkv,
     _self_bias,
     _softmax_rows,
     attention_forward,
@@ -86,14 +87,10 @@ def _project_memory(memory: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
 def _fold_block(block):
     """((fused q/k/v projection, output projection) of self-attention,
     (query, output projection) of cross-attention or None)."""
-    attn = block.attn
-    fused = np.concatenate([_fold_heads(p) for p in
-                            (attn.p_q, _kv_heads(attn.p_k), _kv_heads(attn.p_v))],
-                           axis=1)
     cross = None
     if block.cross is not None:
         cross = (_fold_heads(block.cross.p_q), _fold_out(block.cross.p_o))
-    return (fused, _fold_out(attn.p_o)), cross
+    return (_fold_qkv(block.attn), _fold_out(block.attn.p_o)), cross
 
 
 @dataclass
@@ -339,24 +336,32 @@ def _ids(what: str, ids, config: ModelConfig) -> np.ndarray:
     return ids
 
 
+def _source_or_prompt(config: ModelConfig, source, prompt, call: str):
+    """The mode's rule for `call`'s inputs: encoder_decoder takes a source
+    and no prompt, decoder_only a prompt and no source (ConfigError
+    otherwise).  Returns ("source" or "prompt", the one given)."""
+    if config.has_encoder:
+        if prompt is not None:
+            raise ConfigError(f"encoder_decoder {call} derives its own prompt")
+        if source is None:
+            raise ConfigError(f"encoder_decoder {call} needs a source")
+        return "source", source
+    if source is not None:
+        raise ConfigError(f"decoder_only {call} takes no source")
+    if prompt is None:
+        raise ConfigError(f"decoder_only {call} needs a prompt")
+    return "prompt", prompt
+
+
 def _inputs(params, config: ModelConfig, decode: DecodeConfig, source, prompt):
     """Check the inputs of one decode call before any work, then encode;
     returns (the decoder stream opener, encoder memory or None).  The opener
     is BOS for encoder_decoder and the caller's prompt (usually source +
     BOS) for decoder_only."""
-    if config.has_encoder:
-        if prompt is not None:
-            raise ConfigError("encoder_decoder decode derives its own prompt")
-        if source is None:
-            raise ConfigError("encoder_decoder decode needs a source")
-        source = _ids("source", source, config)
-        opener = np.full((len(source), 1), BOS, dtype=np.int64)
-    else:
-        if source is not None:
-            raise ConfigError("decoder_only decode takes no source")
-        if prompt is None:
-            raise ConfigError("decoder_only decode needs a prompt")
-        opener = _ids("prompt", prompt, config)
+    what, ids = _source_or_prompt(config, source, prompt, "decode")
+    ids = _ids(what, ids, config)
+    source, opener = (ids, np.full((len(ids), 1), BOS, dtype=np.int64)) \
+        if config.has_encoder else (None, ids)
     if decode.eos_id is not None and not 0 <= decode.eos_id < config.vocab_size:
         raise InputError(
             f"eos_id {decode.eos_id} outside [0, {config.vocab_size})")
@@ -520,25 +525,33 @@ def score_sequence(params: ModelParams, config: ModelConfig, tokens, *,
     """Teacher-forced sum of token log-probabilities for one sequence.
 
     Independent of the incremental path: runs the batched forward pass, so
-    it serves as the re-scoring oracle for decode tests.
+    it serves as the re-scoring oracle for decode tests.  Checks its inputs
+    before any work, as decode does: ConfigError for a missing or
+    unexpected source or prompt, InputError unless tokens and the source
+    or prompt are each one non-empty row of ids that fits max_len.
     """
-    tokens = np.asarray(tokens)[None, :]
+    def row(what, ids):
+        ids = np.asarray(ids)
+        ids = _ids(what, ids[None] if ids.ndim == 1 else ids, config)
+        if len(ids) != 1:
+            raise InputError(f"{what} must be one row, got {len(ids)}")
+        return ids
+
+    what, given = _source_or_prompt(config, source, prompt, "scoring")
+    given = row(what, given)
+    tokens = row("tokens", tokens)
     if config.has_encoder:
-        opener = np.full((1, 1), BOS, dtype=np.int64)
-        stream_in = np.concatenate([opener, tokens[:, :-1]], axis=1)
-        batch = Batch(source[None, :] if source.ndim == 1 else source,
-                      stream_in, tokens, np.ones_like(tokens, dtype=float))
-        logits = forward(params, config, batch).logits
-        logp = _log_softmax(logits)
+        stream_in = np.concatenate([np.full((1, 1), BOS), tokens[:, :-1]], axis=1)
+        batch = Batch(given, stream_in, tokens, np.ones(tokens.shape))
+        logp = _log_softmax(forward(params, config, batch).logits)
         return float(logp[0, np.arange(tokens.shape[1]), tokens[0]].sum())
-    prompt = np.asarray(prompt)[None, :] if np.asarray(prompt).ndim == 1 \
-        else np.asarray(prompt)
-    stream = np.concatenate([prompt, tokens], axis=1)
+    stream = np.concatenate([given, tokens], axis=1)
+    if stream.shape[1] - 1 > config.max_len:
+        raise InputError(f"prompt and tokens feed {stream.shape[1] - 1} positions, "
+                         f"over max_len {config.max_len}")
     inputs, labels = stream[:, :-1], stream[:, 1:]
-    mask = np.zeros_like(labels, dtype=float)
-    mask[:, prompt.shape[1] - 1:] = 1.0
-    batch = Batch(None, inputs, labels, mask)
-    logits = forward(params, config, batch).logits
-    logp = _log_softmax(logits)
-    span = np.arange(prompt.shape[1] - 1, stream.shape[1] - 1)
+    mask = np.zeros(labels.shape)
+    mask[:, given.shape[1] - 1:] = 1.0
+    logp = _log_softmax(forward(params, config, Batch(None, inputs, labels, mask)).logits)
+    span = np.arange(given.shape[1] - 1, stream.shape[1] - 1)
     return float(logp[0, span, labels[0, span]].sum())

@@ -5,26 +5,30 @@ projection, bias-free feed-forward layers.  Attention kind (multi-head or
 multi-query) is configured per site; both run one attention forward and
 backward pass, written over g key/value heads shared by groups of h // g
 query heads (g = h multi-head, g = 1 multi-query).  The training path runs
-on folded matmul shapes for speed; its outputs are pinned to the
-contraction kernels by equivalence tests, and every gradient here is
-checked against central finite differences.
+on folded matmul shapes for speed: every product with a weight matrix is
+one 2-D product over all rows, and self-attention projects queries, keys
+and values in one product forward and one back.  Its outputs are pinned
+to the contraction kernels by equivalence tests, and every gradient here
+is checked against central finite differences.
 
 Only loss_and_grads keeps a backward tape: its forward pass pushes each
 sub-layer's cache on one list, and the reverse pass pops them.  forward,
 encode (the decode engine's encoder pass) and the engine's prompt prefill
 run the same block forward with no tape, so each sub-layer's temporaries
 are freed when it returns.  Attention's softmax runs in place in its
-logits buffer.
+logits buffer.  loss_and_grads writes the gradients into a given tree (in
+training, views of one gradient vector) and can take its temporaries from
+a Workspace that keeps them from one training step to the next.
 
-Apart from _softmax_rows, which works in the buffer it is handed, nothing
-in this module mutates its inputs: forward passes return new arrays and
-backward passes return gradient trees shaped like the parameters.
+Apart from _softmax_rows, which works in the buffer it is handed, and the
+gradient trees handed to the backward passes to fill, nothing in this
+module mutates its inputs.
 """
-
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,44 +224,105 @@ def _build_params(config: ModelConfig, rng) -> ModelParams:
 
 
 # ---------------------------------------------------------------------------
+# temporaries
+
+class Workspace:
+    """Arrays for loss_and_grads's temporaries, kept from one call to the
+    next.
+
+    empty(shape) returns a kept buffer of that many values and that dtype,
+    shaped as asked, that nothing references any more, or makes and keeps
+    a new one.  A training run asks for the same shapes at every step, so
+    after its first step it allocates no temporary afresh, and glibc has
+    nothing to hand back to the OS and fault in again; what it keeps is
+    about one step's peak of live temporaries.  An array it hands out is
+    valid until the last reference to it goes; then a later request may
+    reuse its buffer.
+    """
+
+    def __init__(self):
+        self._kept: dict[tuple, list[np.ndarray]] = {}
+
+    def empty(self, shape, dtype=np.float64) -> np.ndarray:
+        size = int(np.prod(shape))
+        kept = self._kept.setdefault((size, np.dtype(dtype)), [])
+        for buffer in kept:
+            # held only by the list, this loop and getrefcount's argument;
+            # every array handed out is a view holding its buffer as base
+            if sys.getrefcount(buffer) == 3:
+                return buffer.reshape(shape)
+        kept.append(np.empty(size, dtype))
+        return kept[-1].reshape(shape)
+
+
+def _copy(a, empty):
+    """A C-contiguous copy of a in an array from empty."""
+    out = empty(a.shape)
+    np.copyto(out, a)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # primitive layers (forward, backward) with explicit caches
+#
+# Every activation-sized array a pass makes comes from `empty` (np.empty,
+# or a training Workspace's).  Each backward pass writes its parameter gradients into
+# `out`, a tree of arrays shaped like its parameters (loss_and_grads passes
+# views of one gradient vector), or into new arrays when out is None.  Every
+# product with a weight matrix runs on the rows as one 2-D matrix.
 
-def layer_norm(x, ln: LayerNorm):
+def layer_norm(x, ln: LayerNorm, empty=np.empty):
     mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centered * inv
-    return ln.gain * xhat + ln.bias, (xhat, inv, ln.gain)
+    xhat = np.subtract(x, mu, out=empty(x.shape))
+    y = np.multiply(xhat, xhat, out=empty(x.shape))
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat *= inv
+    np.multiply(xhat, ln.gain, out=y)
+    y += ln.bias
+    return y, (xhat, inv, ln.gain)
 
 
-def layer_norm_bwd(dy, cache):
+def layer_norm_bwd(dy, cache, out: LayerNorm | None = None, empty=np.empty):
     xhat, inv, gain = cache
+    if out is None:
+        out = LayerNorm(np.empty_like(gain), np.empty_like(gain))
     axes = tuple(range(dy.ndim - 1))
-    d_gain = (dy * xhat).sum(axis=axes)
-    d_bias = dy.sum(axis=axes)
-    dxhat = dy * gain
-    dx = inv * (dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-    return dx, LayerNorm(d_gain, d_bias)
+    scratch = np.multiply(dy, xhat, out=empty(dy.shape))
+    np.sum(scratch, axis=axes, out=out.gain)
+    np.sum(dy, axis=axes, out=out.bias)
+    dx = np.multiply(dy, gain, out=empty(dy.shape))
+    np.multiply(dx, xhat, out=scratch)
+    inner = scratch.mean(axis=-1, keepdims=True)
+    dx -= dx.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, inner, out=scratch)
+    dx -= scratch
+    dx *= inv
+    return dx, out
 
 
-def feed_forward(x, ff: FeedForward):
-    pre = x @ ff.w_in
-    act = np.maximum(pre, 0.0)
-    return act @ ff.w_out, (x, pre, act)
+def feed_forward(x, ff: FeedForward, empty=np.empty):
+    """x [..., d] -> [..., d].  The cache keeps the input rows and the
+    activation; the activation is positive exactly where its
+    pre-activation is, so it also serves as the ReLU mask."""
+    rows = x.reshape(-1, x.shape[-1])
+    act = np.matmul(rows, ff.w_in, out=empty((len(rows), ff.w_in.shape[1])))
+    np.maximum(act, 0.0, out=act)
+    y = np.matmul(act, ff.w_out, out=empty(rows.shape))
+    return y.reshape(x.shape), (rows, act)
 
 
-def feed_forward_bwd(dy, cache, ff: FeedForward):
-    x, pre, act = cache
-    lead = tuple(range(dy.ndim - 1))
-    d_w_out = np.tensordot(act, dy, axes=(lead, lead))
-    d_act = dy @ ff.w_out.T
-    d_pre = d_act * (pre > 0.0)
-    d_w_in = np.tensordot(x, d_pre, axes=(lead, lead))
-    dx = d_pre @ ff.w_in.T
-    return dx, FeedForward(d_w_in, d_w_out)
+def feed_forward_bwd(dy, cache, ff: FeedForward, out: FeedForward | None = None,
+                     empty=np.empty):
+    rows, act = cache
+    if out is None:
+        out = FeedForward(np.empty_like(ff.w_in), np.empty_like(ff.w_out))
+    d_rows = dy.reshape(rows.shape)
+    np.matmul(act.T, d_rows, out=out.w_out)
+    d_act = np.matmul(d_rows, ff.w_out.T, out=empty(act.shape))
+    d_act *= np.greater(act, 0.0, out=empty(act.shape, bool))
+    np.matmul(rows.T, d_act, out=out.w_in)
+    dx = np.matmul(d_act, ff.w_in.T, out=empty(rows.shape))
+    return dx.reshape(dy.shape), out
 
 
 def _softmax_rows(z):
@@ -272,97 +337,131 @@ def _fold_heads(p):  # [h, d, w] -> [d, h*w], x @ fold yields head-major columns
     return np.ascontiguousarray(p.transpose(1, 0, 2)).reshape(d, h * w)
 
 
-def _unfold_heads(grad, h):  # [d, h*w] -> [h, d, w]
-    d, hw = grad.shape
-    return np.ascontiguousarray(grad.reshape(d, h, hw // h).transpose(1, 0, 2))
-
-
 def _fold_out(p):  # [h, d, v] -> [h*v, d], o_fold @ fold yields model width
     h, d, v = p.shape
     return np.ascontiguousarray(p.transpose(0, 2, 1)).reshape(h * v, d)
 
 
-def _unfold_out(grad, h):  # [h*v, d] -> [h, d, v]
-    hv, d = grad.shape
-    return np.ascontiguousarray(grad.reshape(h, hv // h, d).transpose(0, 2, 1))
+def _fold_qkv(w: AttentionWeights):
+    """The query, key and value projections side by side, [d, h*k + g*k +
+    g*v]: one product with it gives every head's queries, keys and values
+    as head-major column blocks."""
+    return np.concatenate([_fold_heads(p) for p in
+                           (w.p_q, _kv_heads(w.p_k), _kv_heads(w.p_v))], axis=1)
 
 
-def attention_forward(x_q, x_kv, w: AttentionWeights, bias):
+def _heads(cols, heads):  # [r, heads*w] columns -> [heads, r, w] view
+    return cols.reshape(len(cols), heads, -1).transpose(1, 0, 2)
+
+
+def _positions_first(cols, b, heads):  # [b*n, heads*w] -> [b, heads, n, w] view
+    return cols.reshape(b, -1, heads, cols.shape[1] // heads).transpose(0, 2, 1, 3)
+
+
+def _group_rows(a, g, empty):
+    """[b, h, n, w] -> [b, g, h // g * n, w]: the query heads of each
+    key/value head as one block of rows (a copy unless g = h)."""
+    b, h, n, w = a.shape
+    return a if g == h else _copy(a, empty).reshape(b, g, h // g * n, w)
+
+
+def attention_forward(x_q, x_kv, w: AttentionWeights, bias, empty=np.empty):
     """Batched attention on folded matmul shapes.
 
     x_q [b, n, d], x_kv [b, m, d], bias [n, m] additive (0 / -inf) or None.
-    The h query heads fold into g groups of h // g rows each, so every
-    product runs per (batch row, key/value head).
-    Returns (y [b, n, d], cache).
+    Self-attention (x_kv is x_q) projects queries, keys and values in one
+    product with _fold_qkv; otherwise the queries take one product and the
+    keys and values another.  The h query heads fold into g groups of
+    h // g rows each, so every attention product runs per (batch row,
+    key/value head).
+    Returns (y [b, n, d], cache); cache[3:5] are the keys and values
+    [b, g, m, .] attention read.
     """
     b, n, d = x_q.shape
     m = x_kv.shape[1]
     h, g, k = w.heads, w.groups, w.key_width
-    rows = h // g * n
-    q = (x_q.reshape(b * n, d) @ _fold_heads(w.p_q)) \
-        .reshape(b, n, h, k).transpose(0, 2, 1, 3).reshape(b, g, rows, k)
-
-    def kv(p):  # [b, g, m, w]
-        p = _kv_heads(p)
-        return (x_kv.reshape(b * m, d) @ _fold_heads(p)) \
-            .reshape(b, m, g, p.shape[-1]).transpose(0, 2, 1, 3)
-
-    key, val = kv(w.p_k), kv(w.p_v)
-    weights = (q @ key.swapaxes(-1, -2)).reshape(b, h, n, m)
+    hk = h * k
+    fused = _fold_qkv(w)
+    if x_kv is x_q:
+        q = np.matmul(x_q.reshape(b * n, d), fused, out=empty((b * n, fused.shape[1])))
+        kv = q[:, hk:]
+    else:
+        q = np.matmul(x_q.reshape(b * n, d), fused[:, :hk], out=empty((b * n, hk)))
+        kv = np.matmul(x_kv.reshape(b * m, d), fused[:, hk:],
+                       out=empty((b * m, fused.shape[1] - hk)))
+    q = _group_rows(_positions_first(q[:, :hk], b, h), g, empty)
+    key = _positions_first(kv[:, :g * k], b, g)
+    val = _positions_first(kv[:, g * k:], b, g)
+    rows = q.shape[2]
+    weights = np.matmul(q, key.swapaxes(-1, -2), out=empty((b, g, rows, m)))
     if bias is not None:
-        weights += bias
+        weights.reshape(b, h, n, m)[...] += bias
     _softmax_rows(weights)
-    mixed = (weights.reshape(b, g, rows, m) @ val).reshape(b, h, n, -1)
-    o_fold = np.ascontiguousarray(mixed.transpose(0, 2, 1, 3)).reshape(b, n, -1)
-    y = o_fold @ _fold_out(w.p_o)
-    return y, (x_q, x_kv, q, key, val, weights, o_fold)
+    mixed = np.matmul(weights, val, out=empty((b, g, rows, val.shape[-1])))
+    o_fold = empty((b * n, h * val.shape[-1]))
+    np.copyto(_positions_first(o_fold, b, h), mixed.reshape(b, h, n, -1))
+    y = np.matmul(o_fold, _fold_out(w.p_o), out=empty((b * n, d)))
+    return y.reshape(b, n, d), (x_q, x_kv, q, key, val, weights, o_fold, fused)
 
 
-def attention_backward(dy, cache, w: AttentionWeights):
-    """Returns (dx_q, dx_kv, AttentionWeights-shaped gradients)."""
-    x_q, x_kv, q, key, val, weights, o_fold = cache
+def attention_backward(dy, cache, w: AttentionWeights,
+                       out: AttentionWeights | None = None, empty=np.empty):
+    """Returns (dx_q, dx_kv, AttentionWeights-shaped gradients).  As in the
+    forward pass, self-attention runs one product back for q, k and v and
+    one for their weights: dx_q is then the whole input gradient and dx_kv
+    is None."""
+    x_q, x_kv, q, key, val, weights, o_fold, fused = cache
     b, n, d = x_q.shape
     m = x_kv.shape[1]
     h, g, k, v = w.heads, w.groups, w.key_width, w.value_width
-    rows = h // g * n
-    lead = (0, 1)
+    hk = h * k
+    if out is None:
+        out = AttentionWeights(w.kind, *(np.empty_like(p) for p in
+                                         (w.p_q, w.p_k, w.p_v, w.p_o)))
+    dy = dy.reshape(b * n, d)
+    np.copyto(out.p_o, (o_fold.T @ dy).reshape(h, v, d).transpose(0, 2, 1))
+    d_o_fold = np.matmul(dy, _fold_out(w.p_o).T, out=empty(o_fold.shape))
+    d_mixed = _copy(_positions_first(d_o_fold, b, h), empty).reshape(b, g, -1, v)
 
-    w_o = _fold_out(w.p_o)
-    d_w_o = np.tensordot(o_fold, dy, axes=(lead, lead))
-    d_o_fold = dy @ w_o.T
-    d_mixed = d_o_fold.reshape(b, n, h, v).transpose(0, 2, 1, 3).reshape(b, g, rows, v)
-
-    d_weights = (d_mixed @ val.swapaxes(-1, -2)).reshape(b, h, n, m)
+    d_weights = np.matmul(d_mixed, val.swapaxes(-1, -2), out=empty(weights.shape))
     # The transposed left operands are copied contiguous so that BLAS runs
     # its no-transpose kernel for every g: its transposed kernel rounds some
     # narrow widths (v or k of 4, say) differently.
-    d_val = np.ascontiguousarray(
-        weights.reshape(b, g, rows, m).swapaxes(-1, -2)) @ d_mixed
+    d_val = np.matmul(_copy(weights.swapaxes(-1, -2), empty), d_mixed,
+                      out=empty(val.shape))
 
-    # softmax rows: dz = w * (dw - sum(dw * w))
-    inner = (d_weights * weights).sum(axis=-1, keepdims=True)
-    d_logits = (weights * (d_weights - inner)).reshape(b, g, rows, m)
+    # softmax rows: dz = w * (dw - sum(dw * w)), formed in d_weights
+    inner = np.multiply(d_weights, weights, out=empty(weights.shape))
+    d_weights -= inner.sum(axis=-1, keepdims=True)
+    d_weights *= weights
+    d_q = np.matmul(d_weights, key, out=empty(q.shape))
+    d_key = np.matmul(_copy(d_weights.swapaxes(-1, -2), empty), q, out=empty(key.shape))
 
-    d_q = (d_logits @ key).reshape(b, h, n, k)
-    d_key = np.ascontiguousarray(d_logits.swapaxes(-1, -2)) @ q
+    # the gradients of the projections' outputs, in their column layout
+    if x_kv is x_q:
+        d_q_cols = empty((b * n, fused.shape[1]))
+        d_kv_cols = d_q_cols[:, hk:]
+    else:
+        d_q_cols = empty((b * n, hk))
+        d_kv_cols = empty((b * m, fused.shape[1] - hk))
+    np.copyto(_positions_first(d_q_cols[:, :hk], b, h), d_q.reshape(b, h, n, k))
+    np.copyto(_positions_first(d_kv_cols[:, :g * k], b, g), d_key)
+    np.copyto(_positions_first(d_kv_cols[:, g * k:], b, g), d_val)
 
-    d_q_fold = np.ascontiguousarray(d_q.transpose(0, 2, 1, 3)).reshape(b, n, h * k)
-    w_q = _fold_heads(w.p_q)
-    d_w_q = np.tensordot(x_q, d_q_fold, axes=(lead, lead))
-    dx_q = d_q_fold @ w_q.T
-
-    p_k, p_v = _kv_heads(w.p_k), _kv_heads(w.p_v)
-    d_key_fold = np.ascontiguousarray(d_key.transpose(0, 2, 1, 3)).reshape(b, m, g * k)
-    d_val_fold = np.ascontiguousarray(d_val.transpose(0, 2, 1, 3)).reshape(b, m, g * v)
-    d_w_k = np.tensordot(x_kv, d_key_fold, axes=(lead, lead))
-    d_w_v = np.tensordot(x_kv, d_val_fold, axes=(lead, lead))
-    dx_kv = d_key_fold @ _fold_heads(p_k).T + d_val_fold @ _fold_heads(p_v).T
-
-    grads = AttentionWeights(w.kind, _unfold_heads(d_w_q, h),
-                             _unfold_heads(d_w_k, g).reshape(w.p_k.shape),
-                             _unfold_heads(d_w_v, g).reshape(w.p_v.shape),
-                             _unfold_out(d_w_o, h))
-    return dx_q, dx_kv, grads
+    # back through the columns x_q took: all of fused, or the query columns
+    dx_q = np.matmul(d_q_cols, fused[:, :d_q_cols.shape[1]].T, out=empty((b * n, d)))
+    if x_kv is x_q:
+        d_fused = x_q.reshape(b * n, d).T @ d_q_cols
+        dx_kv = None
+    else:
+        d_fused = np.concatenate([x_q.reshape(b * n, d).T @ d_q_cols,
+                                  x_kv.reshape(b * m, d).T @ d_kv_cols], axis=1)
+        dx_kv = np.matmul(d_kv_cols, fused[:, hk:].T,
+                          out=empty((b * m, d))).reshape(b, m, d)
+    np.copyto(out.p_q, _heads(d_fused[:, :hk], h))
+    np.copyto(_kv_heads(out.p_k), _heads(d_fused[:, hk:hk + g * k], g))
+    np.copyto(_kv_heads(out.p_v), _heads(d_fused[:, hk + g * k:], g))
+    return dx_q.reshape(b, n, d), dx_kv, out
 
 
 # ---------------------------------------------------------------------------
@@ -386,47 +485,53 @@ def _keep(tape, sublayer):
     return out
 
 
-def _self_attention(x, block: Block, bias, tape):
+def _plus(x, y, empty):
+    return np.add(x, y, out=empty(x.shape))
+
+
+def _self_attention(x, block: Block, bias, tape, empty=np.empty):
     """x plus its self-attention, and the keys/values [b, g, n, .] that
     attention read."""
-    normed = _keep(tape, layer_norm(x, block.ln_attn))
-    out, cache = attention_forward(normed, normed, block.attn, bias)
-    return x + _keep(tape, (out, cache)), cache[3:5]
+    normed = _keep(tape, layer_norm(x, block.ln_attn, empty))
+    out, cache = attention_forward(normed, normed, block.attn, bias, empty)
+    return _plus(x, _keep(tape, (out, cache)), empty), cache[3:5]
 
 
-def _block_forward(x, block: Block, memory, bias, tape=None):
+def _block_forward(x, block: Block, memory, bias, tape=None, empty=np.empty):
     """One pre-norm block; returns (output, (keys, values) of its
     self-attention).  With a tape, each sub-layer's cache is pushed on it
     in order, for _block_backward to pop."""
-    x, kv = _self_attention(x, block, bias, tape)
+    x, kv = _self_attention(x, block, bias, tape, empty)
     if block.cross is not None:
-        normed = _keep(tape, layer_norm(x, block.ln_cross))
-        x = x + _keep(tape, attention_forward(normed, memory, block.cross, None))
-    normed = _keep(tape, layer_norm(x, block.ln_ff))
-    return x + _keep(tape, feed_forward(normed, block.ff)), kv
+        normed = _keep(tape, layer_norm(x, block.ln_cross, empty))
+        x = _plus(x, _keep(tape, attention_forward(normed, memory, block.cross,
+                                                   None, empty)), empty)
+    normed = _keep(tape, layer_norm(x, block.ln_ff, empty))
+    return _plus(x, _keep(tape, feed_forward(normed, block.ff, empty)), empty), kv
 
 
-def _block_backward(dx, tape: list, block: Block):
-    """Pops the block's caches off the tape; returns (d input, d memory or
-    None, Block-shaped gradients)."""
-    d_ff_in, d_ff = feed_forward_bwd(dx, tape.pop(), block.ff)
-    d_norm_f, d_ln_f = layer_norm_bwd(d_ff_in, tape.pop())
-    dx = dx + d_norm_f
+def _block_backward(dx, tape: list, block: Block, out: Block, empty):
+    """Pops the block's caches off the tape and writes its gradients into
+    out; returns (d input, d memory or None)."""
+    d_in = feed_forward_bwd(dx, tape.pop(), block.ff, out.ff, empty)[0]
+    d_norm = layer_norm_bwd(d_in, tape.pop(), out.ln_ff, empty)[0]
+    d_norm += dx
+    dx = d_norm
     d_memory = None
-    d_cross = None
-    d_ln_cross = None
     if block.cross is not None:
-        d_q_in, d_memory, d_cross = attention_backward(dx, tape.pop(), block.cross)
-        d_norm_c, d_ln_cross = layer_norm_bwd(d_q_in, tape.pop())
-        dx = dx + d_norm_c
-    d_q_in, d_kv_in, d_attn = attention_backward(dx, tape.pop(), block.attn)
-    d_norm, d_ln = layer_norm_bwd(d_q_in + d_kv_in, tape.pop())
-    dx = dx + d_norm
-    grads = Block(d_ln, d_attn, d_ln_cross, d_cross, d_ln_f, d_ff)
-    return dx, d_memory, grads
+        d_in, d_memory, _ = attention_backward(dx, tape.pop(), block.cross,
+                                               out.cross, empty)
+        d_norm = layer_norm_bwd(d_in, tape.pop(), out.ln_cross, empty)[0]
+        d_norm += dx
+        dx = d_norm
+    d_in = attention_backward(dx, tape.pop(), block.attn, out.attn, empty)[0]
+    d_norm = layer_norm_bwd(d_in, tape.pop(), out.ln_attn, empty)[0]
+    d_norm += dx
+    return d_norm, d_memory
 
 
-def _embed(params: ModelParams, config: ModelConfig, ids, what: str):
+def _embed(params: ModelParams, config: ModelConfig, ids, what: str,
+           empty=np.empty):
     if ids.ndim != 2:
         raise InputError(f"{what} ids must be [batch, positions], got {ids.shape}")
     if ids.shape[1] > config.max_len:
@@ -438,8 +543,10 @@ def _embed(params: ModelParams, config: ModelConfig, ids, what: str):
             f"{what} ids outside [0, {config.vocab_size}): "
             f"[{ids.min()}, {ids.max()}]"
         )
-    n = ids.shape[1]
-    return params.embedding[ids] + params.positions[:n]
+    x = np.take(params.embedding, ids, axis=0,
+                out=empty(ids.shape + params.embedding.shape[1:]))
+    x += params.positions[:ids.shape[1]]
+    return x
 
 
 def _check_finite(name: str, arr) -> None:
@@ -467,101 +574,119 @@ def _validate_batch(config: ModelConfig, batch: Batch) -> None:
         raise InputError("loss_mask selects no positions")
 
 
-def encode(params: ModelParams, config: ModelConfig, source, tape=None):
+def encode(params: ModelParams, config: ModelConfig, source, tape=None,
+           empty=np.empty):
     """The encoder stack on source ids [b, m]; returns memory [b, m, d]."""
-    x = _embed(params, config, source, "source")
+    x = _embed(params, config, source, "source", empty)
     for block in params.encoder:
-        x = _block_forward(x, block, None, None, tape)[0]
-    return _keep(tape, layer_norm(x, params.enc_out_ln))
+        x = _block_forward(x, block, None, None, tape, empty)[0]
+    return _keep(tape, layer_norm(x, params.enc_out_ln, empty))
 
 
-def _run(params: ModelParams, config: ModelConfig, batch: Batch, tape=None):
-    """Forward pass to the logits.  With a tape, every cache backward needs
-    is pushed on it, the last being the final normed output."""
+def _run(params: ModelParams, config: ModelConfig, batch: Batch, tape=None,
+         empty=np.empty):
+    """Forward pass to the logits, a new array.  With a tape, every cache
+    backward needs is pushed on it, the last being the final normed
+    output."""
     _validate_batch(config, batch)
-    memory = encode(params, config, batch.source, tape) if config.has_encoder else None
-    y = _embed(params, config, batch.target_in, "target")
+    memory = (encode(params, config, batch.source, tape, empty)
+              if config.has_encoder else None)
+    y = _embed(params, config, batch.target_in, "target", empty)
     bias = _self_bias(config, y.shape[1])
     for block in params.decoder:
-        y = _block_forward(y, block, memory, bias, tape)[0]
-    final = _keep(tape, layer_norm(y, params.dec_out_ln))
+        y = _block_forward(y, block, memory, bias, tape, empty)[0]
+    final = _keep(tape, layer_norm(y, params.dec_out_ln, empty))
     if tape is not None:
         tape.append(final)
-    logits = final @ params.embedding.T
+    b, n, d = final.shape
+    logits = (final.reshape(b * n, d) @ params.embedding.T).reshape(b, n, -1)
     _check_finite("logits", logits)
     return logits
 
 
-def _loss_from_logits(logits, batch: Batch):
-    """Mean per-token cross-entropy over masked positions; also returns the
-    logit gradient."""
-    top = logits.max(axis=-1, keepdims=True)
-    shifted = logits - top
-    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - logz
-    b, n, _ = logits.shape
-    rows = np.arange(b)[:, None], np.arange(n)[None, :]
-    picked = logp[rows[0], rows[1], batch.target_out]
-    total = batch.loss_mask.sum()
-    loss = -(picked * batch.loss_mask).sum() / total
-    probs = np.exp(logp)
-    d_logits = probs * (batch.loss_mask / total)[..., None]
-    d_logits[rows[0], rows[1], batch.target_out] -= batch.loss_mask / total
-    return loss, d_logits
+def _log_partition(logits, empty=np.empty):
+    """(logits less each row's maximum, the log of each row's sum of exp of
+    that): log-softmax is the first less the second."""
+    shifted = np.subtract(logits, logits.max(axis=-1, keepdims=True),
+                          out=empty(logits.shape))
+    exp = np.exp(shifted, out=empty(logits.shape))
+    return shifted, np.log(exp.sum(axis=-1, keepdims=True))
+
+
+def _masked_loss(picked, batch: Batch) -> float:
+    """Mean cross-entropy over the masked positions, from the picked
+    log-probabilities of the labels."""
+    loss = -(picked * batch.loss_mask).sum() / batch.loss_mask.sum()
+    _check_finite("loss", np.asarray(loss))
+    return float(loss)
+
+
+def _at_labels(arr, batch: Batch):  # arr[i, j, target_out[i, j]], [b, n]
+    return np.take_along_axis(arr, batch.target_out[..., None], axis=-1)[..., 0]
 
 
 def forward(params: ModelParams, config: ModelConfig, batch: Batch) -> ForwardResult:
-    """Logits and loss, with no backward tape."""
+    """Logits and loss, with no backward tape.  The loss reads the
+    log-probabilities at the labels only, with the expressions
+    loss_and_grads uses, so the two give the same loss bit for bit."""
     logits = _run(params, config, batch)
-    loss, _ = _loss_from_logits(logits, batch)
-    _check_finite("loss", np.asarray(loss))
-    return ForwardResult(logits, float(loss))
+    shifted, logz = _log_partition(logits)
+    picked = _at_labels(shifted, batch) - logz[..., 0]
+    return ForwardResult(logits, _masked_loss(picked, batch))
 
 
-def loss_and_grads(params: ModelParams, config: ModelConfig, batch: Batch):
+def loss_and_grads(params: ModelParams, config: ModelConfig, batch: Batch,
+                   out: ModelParams | None = None, work: Workspace | None = None):
     """Forward plus hand-written reverse pass.
 
-    Returns (loss, logits, gradient tree shaped like params).
+    Writes every gradient into out, a tree shaped like params; with no
+    out, into a new tree viewing one new vector.  Temporaries come from
+    work when given, else are allocated afresh.  train passes the views of
+    the one gradient vector it keeps across steps, and one Workspace.
+    Returns (loss, logits, out); logits are a new array.
     """
+    empty = np.empty if work is None else work.empty
+    if out is None:
+        out = unflatten(np.empty(param_count(params)), params)
     tape = []
-    logits = _run(params, config, batch, tape)
-    loss, d_logits = _loss_from_logits(logits, batch)
-    _check_finite("loss", np.asarray(loss))
-
-    g_embedding = np.zeros_like(params.embedding)
-    g_positions = np.zeros_like(params.positions)
+    logits = _run(params, config, batch, tape, empty)
+    logp, logz = _log_partition(logits, empty)
+    logp -= logz
+    loss = _masked_loss(_at_labels(logp, batch), batch)
+    # the logit gradient, formed in logp: softmax less the one-hot labels,
+    # each position weighted by its share of the mask
+    scale = batch.loss_mask / batch.loss_mask.sum()
+    d_logits = np.exp(logp, out=logp)
+    d_logits *= scale[..., None]
+    b, n, vocab = logits.shape
+    rows = np.arange(b)[:, None], np.arange(n)[None, :]
+    d_logits[rows[0], rows[1], batch.target_out] -= scale
 
     # logits = final @ E^T with tied embeddings
-    d_final = d_logits @ params.embedding
-    g_embedding += np.tensordot(d_logits, tape.pop(), axes=((0, 1), (0, 1)))
+    d_logits = d_logits.reshape(b * n, vocab)
+    final = tape.pop()
+    np.matmul(d_logits.T, final.reshape(b * n, -1), out=out.embedding)
+    d_final = np.matmul(d_logits, params.embedding, out=empty((b * n, final.shape[-1])))
 
-    dy, d_dec_ln = layer_norm_bwd(d_final, tape.pop())
+    dy = layer_norm_bwd(d_final.reshape(final.shape), tape.pop(), out.dec_out_ln,
+                        empty)[0]
     d_enc_out = None
-    dec_grads = []
-    for block in reversed(params.decoder):
-        dy, d_memory, g_block = _block_backward(dy, tape, block)
-        dec_grads.append(g_block)
+    for block, grads in zip(reversed(params.decoder), reversed(out.decoder)):
+        dy, d_memory = _block_backward(dy, tape, block, grads, empty)
         if d_memory is not None:
-            d_enc_out = d_memory if d_enc_out is None else d_enc_out + d_memory
-    dec_grads.reverse()
+            if d_enc_out is None:
+                d_enc_out = d_memory
+            else:
+                d_enc_out += d_memory
 
-    # decoder input embeddings
-    n_tgt = batch.target_in.shape[1]
-    np.add.at(g_embedding, batch.target_in, dy)
-    g_positions[:n_tgt] += dy.sum(axis=0)
-
-    enc_grads = []
-    g_enc_ln = None
+    # input embeddings and positions, the decoder's and then the encoder's
+    np.add.at(out.embedding, batch.target_in, dy)
+    out.positions.fill(0.0)
+    out.positions[:n] += dy.sum(axis=0)
     if config.has_encoder:
-        dx, g_enc_ln = layer_norm_bwd(d_enc_out, tape.pop())
-        for block in reversed(params.encoder):
-            dx, _, g_block = _block_backward(dx, tape, block)
-            enc_grads.append(g_block)
-        enc_grads.reverse()
-        n_src = batch.source.shape[1]
-        np.add.at(g_embedding, batch.source, dx)
-        g_positions[:n_src] += dx.sum(axis=0)
-
-    grads = ModelParams(g_embedding, g_positions, enc_grads, dec_grads,
-                        g_enc_ln, d_dec_ln)
-    return float(loss), logits, grads
+        dx = layer_norm_bwd(d_enc_out, tape.pop(), out.enc_out_ln, empty)[0]
+        for block, grads in zip(reversed(params.encoder), reversed(out.encoder)):
+            dx = _block_backward(dx, tape, block, grads, empty)[0]
+        np.add.at(out.embedding, batch.source, dx)
+        out.positions[:batch.source.shape[1]] += dx.sum(axis=0)
+    return loss, logits, out

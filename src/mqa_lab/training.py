@@ -14,8 +14,8 @@ import numpy as np
 
 from .config import ModelConfig, OptimizerSettings, TaskSpec, _check_types
 from .exceptions import ConfigError, TrainingError
-from .model import (Batch, ModelParams, check_params, flatten, forward, init_params,
-                    loss_and_grads, param_count, unflatten)
+from .model import (Batch, ModelParams, Workspace, check_params, flatten, forward,
+                    init_params, loss_and_grads, unflatten)
 
 BOS = 0
 
@@ -31,53 +31,57 @@ def learning_rate(settings: OptimizerSettings, d_model: int, step: int) -> float
         t ** -0.5, t * settings.warmup_steps ** -1.5)
 
 
+ADAM_CHUNK = 16384  # values per pass of adam_update, and the size of its scratch
+
+
 @dataclass
 class AdamState:
-    """Adam's step count and moment estimates: flat vectors in named_arrays
-    order, which adam_update advances in place, and parameter trees (mean,
-    var) viewing them."""
+    """Adam's step count and moment estimates, flat vectors the length of
+    the parameter vector that adam_update advances in place, and two
+    scratch buffers of ADAM_CHUNK values."""
 
     step: int
-    mean_vector: np.ndarray
-    var_vector: np.ndarray
-    mean: ModelParams
-    var: ModelParams
+    mean: np.ndarray
+    var: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]
 
 
-def adam_init(params: ModelParams) -> AdamState:
-    mean, var = np.zeros(param_count(params)), np.zeros(param_count(params))
-    return AdamState(0, mean, var, unflatten(mean, params), unflatten(var, params))
+def adam_init(vector: np.ndarray) -> AdamState:
+    """Zero moments for the flat parameter vector."""
+    chunk = min(ADAM_CHUNK, len(vector))
+    return AdamState(0, np.zeros_like(vector), np.zeros_like(vector),
+                     (np.empty(chunk), np.empty(chunk)))
 
 
-def adam_update(params: ModelParams, grads: ModelParams, state: AdamState,
-                settings: OptimizerSettings, lr: float):
-    """One Adam step on the flattened parameters; returns (new params,
-    viewing one new vector, state).  The state is advanced in place; params
-    and grads are left alone.  Every intermediate lives in two vector
-    temporaries, the first of which becomes the new parameters: fewer large
-    allocations per step keep peak memory at that of the per-tensor form.
-    Each value is rounded as in b1 * m + (1 - b1) * g,
-    b2 * v + (1 - b2) * g * g and p - lr * m_hat / (sqrt(v_hat) + eps)."""
+def adam_update(vector: np.ndarray, grads: np.ndarray, state: AdamState,
+                settings: OptimizerSettings, lr: float) -> None:
+    """One Adam step, in place on the flat parameter vector and the state;
+    grads, the gradient vector, is left alone.  The vectors are walked
+    ADAM_CHUNK values at a time, every intermediate living in the state's
+    scratch buffers, so a step allocates nothing.  Each value is rounded
+    as in b1 * m + (1 - b1) * g, b2 * v + (1 - b2) * g * g and
+    p - lr * m_hat / (sqrt(v_hat) + eps)."""
     b1, b2, eps = settings.beta1, settings.beta2, settings.eps
     state.step += 1
-    mean, var = state.mean_vector, state.var_vector
-    g = flatten(grads)
-    scratch = (1.0 - b1) * g
-    mean *= b1
-    mean += scratch
-    np.multiply(g, 1.0 - b2, out=scratch)
-    scratch *= g
-    var *= b2
-    var += scratch
-    np.divide(mean, 1.0 - b1 ** state.step, out=scratch)
-    scratch *= lr
-    np.divide(var, 1.0 - b2 ** state.step, out=g)
-    np.sqrt(g, out=g)
-    g += eps
-    scratch /= g
-    new_params = flatten(params, out=g)
-    new_params -= scratch
-    return unflatten(new_params, params), state
+    mean_scale, var_scale = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
+    for lo in range(0, len(vector), ADAM_CHUNK):
+        part = slice(lo, lo + ADAM_CHUNK)
+        g, mean, var = grads[part], state.mean[part], state.var[part]
+        step, root = (buffer[:len(g)] for buffer in state.scratch)
+        np.multiply(g, 1.0 - b1, out=step)
+        mean *= b1
+        mean += step
+        np.multiply(g, 1.0 - b2, out=step)
+        step *= g
+        var *= b2
+        var += step
+        np.divide(mean, mean_scale, out=step)
+        step *= lr
+        np.divide(var, var_scale, out=root)
+        np.sqrt(root, out=root)
+        root += eps
+        step /= root
+        vector[part] -= step
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +141,45 @@ class TrainResult:
     heldout_accuracy: float = float("nan")
 
 
+def train_steps(config: ModelConfig, task: TaskSpec, settings: OptimizerSettings,
+                params: ModelParams, steps: int):
+    """Run `steps` Adam steps on freshly sampled task batches, starting from
+    a copy of params (left alone); after each step yield (step, loss,
+    params), the parameters as views that the next step advances in place.
+
+    The parameters, their gradient and Adam's moments are flat vectors in
+    named_arrays order, allocated here once: loss_and_grads writes each
+    step's gradients into views of the one gradient vector and adam_update
+    works on the vectors, so after set-up a step walks no parameter tree.
+    The step's temporaries come from one Workspace, so after the first
+    step a step allocates nothing the size of an activation.
+    Raises TrainingError on non-finite or runaway loss.
+    """
+    vector = flatten(params)
+    params = unflatten(vector, params)
+    grad_vector = np.empty_like(vector)
+    grads = unflatten(grad_vector, params)
+    state = adam_init(vector)
+    work = Workspace()
+    rng = np.random.default_rng(task.seed)
+    for step in range(1, steps + 1):
+        batch = make_task_batch(task, config, rng)
+        loss = loss_and_grads(params, config, batch, grads, work)[0]
+        if not np.isfinite(loss):
+            raise TrainingError(f"non-finite loss at step {step}")
+        if loss > DIVERGENCE_CEILING:
+            raise TrainingError(f"loss {loss:.3g} over ceiling at step {step}")
+        lr = learning_rate(settings, config.d_model, step)
+        adam_update(vector, grad_vector, state, settings, lr)
+        yield step, loss, params
+
+
 def train(config: ModelConfig, task: TaskSpec,
           settings: OptimizerSettings | None = None, *,
           steps: int = 200, params: ModelParams | None = None,
           log_every: int = 0) -> TrainResult:
-    """Run Adam on freshly sampled task batches.
+    """Run train_steps; params default to init_params(config), and given
+    params are left alone.
 
     Checks its arguments before any work: ConfigError unless steps is an
     integer >= 1 and log_every one >= 0, ShapeError unless given params
@@ -160,20 +198,11 @@ def train(config: ModelConfig, task: TaskSpec,
     else:
         check_params(params, config)
     settings = settings or OptimizerSettings()
-    state = adam_init(params)
-    rng = np.random.default_rng(task.seed)
     losses = []
-    for step in range(1, steps + 1):
-        batch = make_task_batch(task, config, rng)
-        loss, _, grads = loss_and_grads(params, config, batch)
-        if not np.isfinite(loss):
-            raise TrainingError(f"non-finite loss at step {step}")
-        if loss > DIVERGENCE_CEILING:
-            raise TrainingError(f"loss {loss:.3g} over ceiling at step {step}")
+    for step, loss, params in train_steps(config, task, settings, params, steps):
         losses.append(loss)
-        lr = learning_rate(settings, config.d_model, step)
-        params, state = adam_update(params, grads, state, settings, lr)
         if log_every and step % log_every == 0:
+            lr = learning_rate(settings, config.d_model, step)
             print(f"step {step:5d}  loss {loss:.4f}  lr {lr:.2e}")
     held = make_task_batch(task, config,
                            np.random.default_rng(task.seed + HELDOUT_SEED_OFFSET))

@@ -31,14 +31,12 @@ from mqa_lab.cache import new_cache
 from mqa_lab.config import DecodeConfig, ModelConfig, OptimizerSettings, TaskSpec
 from mqa_lab.costs import ShapeConfig, batched_costs, dff_for_parity, incremental_costs
 from mqa_lab.decoding import beam_decode, greedy_decode, score_sequence
-from mqa_lab.model import Batch, forward, init_params, loss_and_grads
+from mqa_lab.model import Batch, forward, init_params
 from mqa_lab.training import (
     HELDOUT_SEED_OFFSET,
-    adam_init,
-    adam_update,
-    learning_rate,
     make_task_batch,
     teacher_forced_accuracy,
+    train_steps,
 )
 
 
@@ -254,17 +252,12 @@ QUALITY_MAX_STEPS = 3000
 
 def _train_to_accuracy(config, task, settings, eval_every=2):
     """Train until held-out accuracy crosses the target; return the step it
-    happened at, the accuracy, and the held-out loss of the final model."""
-    params = init_params(config)
-    state = adam_init(params)
-    rng = np.random.default_rng(task.seed)
+    happened at, the accuracy, and the held-out loss of the final model.
+    The steps are train's own (train_steps), checked every eval_every."""
     held = make_task_batch(
         task, config, np.random.default_rng(task.seed + HELDOUT_SEED_OFFSET))
-    for step in range(1, QUALITY_MAX_STEPS + 1):
-        batch = make_task_batch(task, config, rng)
-        _, _, grads = loss_and_grads(params, config, batch)
-        lr = learning_rate(settings, config.d_model, step)
-        params, state = adam_update(params, grads, state, settings, lr)
+    for step, _, params in train_steps(config, task, settings, init_params(config),
+                                       QUALITY_MAX_STEPS):
         if step % eval_every == 0:
             accuracy = teacher_forced_accuracy(params, config, held)
             if accuracy > QUALITY_TARGET:

@@ -185,6 +185,25 @@ class TestFailureModes:
         with pytest.raises((InputError, ShapeError)):
             load_checkpoint(tmp_path)
 
+    def test_payload_cut_short_after_its_header_is_checked(self, tmp_path,
+                                                            monkeypatch):
+        """The payload is read after the header check; a file that ends
+        early by then raises InputError."""
+        config = small_config()
+        save_checkpoint(tmp_path, init_params(config), config)
+        path = tmp_path / "params.npy"
+        real_load = np.load
+
+        def load_then_truncate(*args, **kwargs):
+            header_checked = real_load(*args, **kwargs)
+            with path.open("r+b") as stream:
+                stream.truncate(path.stat().st_size - 8)
+            return header_checked
+
+        monkeypatch.setattr(np, "load", load_then_truncate)
+        with pytest.raises(InputError, match="ends after"):
+            load_checkpoint(tmp_path)
+
     @pytest.mark.parametrize("damage", ["shape", "missing", "order",
                                         "not_json", "not_object", "config_type",
                                         "config_bool"])

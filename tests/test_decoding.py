@@ -562,6 +562,52 @@ class TestScoreSequence:
         assert s == pytest.approx(float(manual), abs=1e-12)
 
 
+class TestScoreSequenceChecksItsInputsFirst:
+    """score_sequence refuses bad inputs before the forward pass runs."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("score_sequence ran before checking its inputs")
+        monkeypatch.setattr(decoding, "forward", fail)
+
+    def test_encoder_decoder_without_source(self, no_work):
+        config = tiny_config()
+        with pytest.raises(ConfigError, match="needs a source"):
+            score_sequence(init_params(config), config, np.array([2, 3]))
+
+    def test_decoder_only_without_prompt(self, no_work):
+        config = tiny_config(mode="decoder_only")
+        with pytest.raises(ConfigError, match="needs a prompt"):
+            score_sequence(init_params(config), config, np.array([2, 3]))
+
+    def test_prompt_beside_a_source(self, no_work):
+        config = tiny_config()
+        with pytest.raises(ConfigError, match="derives its own prompt"):
+            score_sequence(init_params(config), config, np.array([2, 3]),
+                           source=np.array([1, 2]), prompt=np.array([4, BOS]))
+
+    def test_empty_prompt(self, no_work):
+        config = tiny_config(mode="decoder_only")
+        with pytest.raises(InputError, match="non-empty"):
+            score_sequence(init_params(config), config, np.array([2, 3]),
+                           prompt=np.array([], dtype=np.int64))
+
+    @pytest.mark.parametrize("tokens", [[], [[2, 3], [4, 5]], [2, 99], [2.0]])
+    def test_bad_tokens(self, no_work, tokens):
+        config = tiny_config()
+        with pytest.raises(InputError):
+            score_sequence(init_params(config), config, np.array(tokens),
+                           source=np.array([1, 2]))
+
+    def test_over_long_stream(self, no_work):
+        config = tiny_config(mode="decoder_only")
+        prompt = np.ones(config.max_len, dtype=np.int64)
+        with pytest.raises(InputError, match="max_len"):
+            score_sequence(init_params(config), config, np.array([2, 3]),
+                           prompt=prompt)
+
+
 @st.composite
 def decode_calls(draw):
     """A random tiny model, decode settings and input ids; half the inputs

@@ -35,6 +35,7 @@ from mqa_lab.model import (
     param_count,
     param_layout,
     tree_map,
+    Workspace,
     unflatten,
 )
 
@@ -207,6 +208,24 @@ class TestInitAndTrees:
         assert params.encoder == []
         assert params.enc_out_ln is None
         assert params.decoder[0].cross is None
+
+
+class TestWorkspace:
+    def test_buffer_is_reused_once_nothing_holds_it(self):
+        work = Workspace()
+        first = work.empty((3, 4))
+        kept = id(first.base)
+        view = first[1:]
+        del first
+        assert id(work.empty((12,)).base) != kept  # the view still holds it
+        del view
+        again = work.empty((2, 6))
+        assert id(again.base) == kept and again.shape == (2, 6)
+
+    def test_buffers_differ_by_dtype(self):
+        work = Workspace()
+        assert work.empty((4,), bool).dtype == bool
+        assert work.empty((4,)).dtype == np.float64
 
 
 class TestForward:
@@ -406,6 +425,34 @@ class TestGradients:
         result = forward(params, config, batch)
         assert loss == pytest.approx(result.loss, abs=0)
         assert np.array_equal(logits, result.logits)
+
+    @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
+    def test_gradients_fill_the_given_vector_views(self, rng, mode):
+        """With out, loss_and_grads writes every gradient into out's views
+        of one vector: each entry, with the values of a fresh gradient."""
+        config = tiny_config(mode=mode, layers=2)
+        params = init_params(config)
+        batch = make_batch(config, rng)
+        vector = np.full(param_count(params), np.nan)
+        views = unflatten(vector, params)
+        _, _, returned = loss_and_grads(params, config, batch, views)
+        assert returned is views
+        _, _, fresh = loss_and_grads(params, config, batch)
+        assert vector.tobytes() == flatten(fresh).tobytes()
+        for (name, view), (_, grad) in zip(named_arrays(views), named_arrays(fresh)):
+            assert view.tobytes() == grad.tobytes(), name
+
+    @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
+    def test_a_reused_workspace_changes_no_result(self, rng, mode):
+        config = tiny_config(mode=mode, layers=2)
+        params = init_params(config)
+        work = Workspace()
+        for batch in (make_batch(config, rng), make_batch(config, rng)):
+            loss, logits, grads = loss_and_grads(params, config, batch, work=work)
+            fresh_loss, fresh_logits, fresh = loss_and_grads(params, config, batch)
+            assert loss == fresh_loss
+            assert logits.tobytes() == fresh_logits.tobytes()
+            assert flatten(grads).tobytes() == flatten(fresh).tobytes()
 
     def test_unused_position_rows_get_zero_grad(self, rng):
         config = tiny_config()

@@ -3,19 +3,19 @@
 import numpy as np
 import pytest
 
-from mqa_lab import training
+from mqa_lab import model, training
 from mqa_lab.config import ModelConfig, OptimizerSettings, TaskSpec
 from mqa_lab.exceptions import ConfigError, ShapeError, TrainingError
-from mqa_lab.model import init_params, named_arrays, tree_map
+from mqa_lab.model import flatten, init_params, named_arrays, tree_map, unflatten
 from mqa_lab.training import (
     BOS,
-    AdamState,
     adam_init,
     adam_update,
     learning_rate,
     make_task_batch,
     teacher_forced_accuracy,
     train,
+    train_steps,
 )
 
 
@@ -63,43 +63,46 @@ class TestAdam:
         # hand-run one Adam step on a 1-parameter model
         config = small_config()
         params = init_params(config)
-        grads = tree_map(np.ones_like, params)
-        state = adam_init(params)
+        vector = flatten(params)
+        grads = np.ones_like(vector)
+        state = adam_init(vector)
         settings = OptimizerSettings()
-        new_params, new_state = adam_update(params, grads, state, settings,
-                                            lr=0.1)
+        adam_update(vector, grads, state, settings, lr=0.1)
         # with g==1 everywhere: m_hat = 1, v_hat = 1, update = lr/(1+eps)
         step = 0.1 / (1.0 + settings.eps)
         for (_, before), (_, after) in zip(named_arrays(params),
-                                           named_arrays(new_params)):
+                                           named_arrays(unflatten(vector, params))):
             assert np.allclose(before - after, step, atol=1e-12)
-        assert new_state.step == 1
+        assert state.step == 1
 
     def test_state_momentum_accumulates(self):
         config = small_config()
         params = init_params(config)
-        grads = tree_map(np.ones_like, params)
-        state = adam_init(params)
+        vector = flatten(params)
+        grads = np.ones_like(vector)
+        state = adam_init(vector)
         settings = OptimizerSettings()
-        _, state = adam_update(params, grads, state, settings, lr=0.0)
-        _, state = adam_update(params, grads, state, settings, lr=0.0)
+        adam_update(vector, grads, state, settings, lr=0.0)
+        adam_update(vector, grads, state, settings, lr=0.0)
         assert state.step == 2
         expect = settings.beta1 * (1 - settings.beta1) + (1 - settings.beta1)
-        assert np.allclose(state.mean.embedding, expect)
+        assert np.allclose(unflatten(state.mean, params).embedding, expect)
 
     def test_flat_update_matches_per_tensor_reference(self, rng):
         """Adam on the flat vector repeats the per-tensor expressions, so
         parameters and moments agree bit for bit over several steps."""
         config = small_config()
-        params = ref_params = init_params(config)
+        ref_params = init_params(config)
+        vector = flatten(ref_params)
+        params = unflatten(vector, ref_params)
         settings = OptimizerSettings()
-        state = adam_init(params)
+        state = adam_init(vector)
         b1, b2, eps = settings.beta1, settings.beta2, settings.eps
         ref_mean = tree_map(np.zeros_like, params)
         ref_var = tree_map(np.zeros_like, params)
         for t in range(1, 4):
             grads = tree_map(lambda p: rng.normal(size=p.shape), params)
-            params, state = adam_update(params, grads, state, settings, lr=0.01)
+            adam_update(vector, flatten(grads), state, settings, lr=0.01)
             ref_mean = tree_map(lambda m, g: b1 * m + (1.0 - b1) * g, ref_mean, grads)
             ref_var = tree_map(lambda v, g: b2 * v + (1.0 - b2) * g * g, ref_var,
                                grads)
@@ -107,21 +110,18 @@ class TestAdam:
             ref_params = tree_map(
                 lambda p, m, v: p - 0.01 * (m / mc) / (np.sqrt(v / vc) + eps),
                 ref_params, ref_mean, ref_var)
-            for got, want in ((params, ref_params), (state.mean, ref_mean),
-                              (state.var, ref_var)):
+            for got, want in ((params, ref_params),
+                              (unflatten(state.mean, params), ref_mean),
+                              (unflatten(state.var, params), ref_var)):
                 for (name, a), (_, b) in zip(named_arrays(got), named_arrays(want)):
                     assert a.tobytes() == b.tobytes(), (t, name)
 
-    def test_update_leaves_inputs_alone(self):
-        config = small_config()
-        params = init_params(config)
-        keep = params.embedding.copy()
-        before = [arr.copy() for _, arr in named_arrays(params)]
-        grads = tree_map(np.ones_like, params)
-        adam_update(params, grads, adam_init(params), OptimizerSettings(), 0.5)
-        assert np.array_equal(params.embedding, keep)
-        for (name, arr), old in zip(named_arrays(params), before):
-            assert arr.tobytes() == old.tobytes(), name
+    def test_update_leaves_grads_alone(self):
+        vector = flatten(init_params(small_config()))
+        grads = np.linspace(-1.0, 1.0, len(vector))
+        keep = grads.copy()
+        adam_update(vector, grads, adam_init(vector), OptimizerSettings(), 0.5)
+        assert grads.tobytes() == keep.tobytes()
 
 
 class TestTaskBatches:
@@ -219,6 +219,57 @@ class TestTraining:
         batch = make_task_batch(task, config, np.random.default_rng(9))
         acc = teacher_forced_accuracy(init_params(config), config, batch)
         assert 0.0 <= acc <= 1.0
+
+
+class TestFlatTrainingState:
+    """train keeps its parameters, gradients and Adam moments as flat
+    vectors made once per call."""
+
+    def test_train_leaves_callers_params_alone(self):
+        config = small_config()
+        params = init_params(config)
+        before = flatten(params)
+        result = train(config, TaskSpec(length=4, batch_size=2), steps=3,
+                       params=params)
+        assert flatten(params).tobytes() == before.tobytes()
+        assert flatten(result.params).tobytes() != before.tobytes()
+
+    def test_steps_after_the_first_walk_no_tree(self, monkeypatch):
+        walks = []
+        for module in (model, training):
+            for name in ("flatten", "unflatten", "named_arrays"):
+                if hasattr(module, name):
+                    def counted(*args, _real=getattr(module, name), _name=name,
+                                **kwargs):
+                        walks.append(_name)
+                        return _real(*args, **kwargs)
+                    monkeypatch.setattr(module, name, counted)
+        config = small_config()
+        steps = train_steps(config, TaskSpec(length=4, batch_size=2),
+                            OptimizerSettings(), init_params(config), 4)
+        next(steps)
+        assert walks
+        walks.clear()
+        assert [step for step, _, _ in steps] == [2, 3, 4]
+        assert walks == []
+
+    def test_yielded_params_are_advanced_in_place(self):
+        config = small_config()
+        steps = train_steps(config, TaskSpec(length=4, batch_size=2),
+                            OptimizerSettings(), init_params(config), 2)
+        _, _, first = next(steps)
+        snapshot = flatten(first)
+        _, _, second = next(steps)
+        assert second is first
+        assert flatten(second).tobytes() != snapshot.tobytes()
+
+    def test_train_matches_its_steps(self):
+        config = small_config()
+        task = TaskSpec(length=4, batch_size=2, seed=5)
+        result = train(config, task, steps=3)
+        losses = [loss for _, loss, _ in train_steps(
+            config, task, OptimizerSettings(), init_params(config), 3)]
+        assert result.losses == losses
 
 
 class TestTrainChecksItsInputsFirst:
