@@ -36,7 +36,8 @@ from .config import DecodeConfig, ModelConfig, _check_types
 from .costs import ShapeConfig, dff_for_parity, incremental_step_flops, kv_cache_words_step
 from .decoding import beam_search, encode_source, greedy_search
 from .exceptions import ConfigError, InputError
-from .model import Batch, init_params, loss_and_grads, param_count
+from .model import (Batch, Workspace, init_params, loss_and_grads, param_count,
+                    unflatten)
 from .training import BOS
 
 LOCAL_WINDOW = 32
@@ -266,7 +267,10 @@ def bench_decode(workload: Workload, variants=VARIANTS, *,
 
 def bench_training_pass(workload: Workload, variants=VARIANTS) -> BenchReport:
     """Time one batched forward+backward per variant, amortized per
-    (input + target) token."""
+    (input + target) token.  As in training.train_steps, every repetition
+    writes its gradients into the views of one gradient vector and takes
+    its temporaries from one Workspace, both kept across the repetitions,
+    so the figure is the step train runs."""
     report = BenchReport(workload.b, workload.source_len, workload.target_len,
                          workload.repetitions)
     _fingerprint(report, workload)
@@ -275,8 +279,10 @@ def bench_training_pass(workload: Workload, variants=VARIANTS) -> BenchReport:
         config = variant_config(workload.model, row.variant)
         params = init_params(config)
         batch = _bench_batch(workload, config)
+        grads = unflatten(np.empty(param_count(params)), params)
+        work = Workspace()
         seconds = _median_seconds(
-            lambda: loss_and_grads(params, config, batch),
+            lambda: loss_and_grads(params, config, batch, grads, work),
             workload.repetitions, workload.warmup_reps)
         row.training_us = seconds * 1e6 / tokens
         report.rows.append(row)

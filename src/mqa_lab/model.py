@@ -16,9 +16,19 @@ sub-layer's cache on one list, and the reverse pass pops them.  forward,
 encode (the decode engine's encoder pass) and the engine's prompt prefill
 run the same block forward with no tape, so each sub-layer's temporaries
 are freed when it returns.  Attention's softmax runs in place in its
-logits buffer.  loss_and_grads writes the gradients into a given tree (in
-training, views of one gradient vector) and can take its temporaries from
-a Workspace that keeps them from one training step to the next.
+logits buffer.
+
+A training step's rows are short (d of 64, logits rows of 12 at the
+benchmark's copy task), and numpy reduces a last axis with a loop per row,
+so the short-row passes avoid that loop: layer norm's means and its gain
+and bias gradients are matrix-vector products over the [rows, d] view, the
+softmax backward's row sums a product with a ones vector, and the softmax
+max of many short rows one np.maximum per column (exact, so the same bits
+as z.max).
+
+loss_and_grads writes the gradients into a given tree (in training, views
+of one gradient vector) and can take its temporaries from a Workspace that
+keeps them from one training step to the next.
 
 Apart from _softmax_rows, which works in the buffer it is handed, and the
 gradient trees handed to the backward passes to fill, nothing in this
@@ -28,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 
@@ -183,13 +194,17 @@ def param_layout(config: ModelConfig) -> ModelParams:
 def check_params(params, config: ModelConfig) -> None:
     """Raise ShapeError unless params holds the tensors of
     param_layout(config): the same names in the same order, each an array
-    of its shape."""
+    of its shape; and InputError unless each holds finite real numbers."""
     expected = [(name, arr.shape) for name, arr in named_arrays(param_layout(config))]
-    found = [(name, arr.shape) for name, arr in named_arrays(params)]
-    for want, got in itertools.zip_longest(expected, found):
+    for want, found in itertools.zip_longest(expected, named_arrays(params)):
+        got = found and (found[0], found[1].shape)
         if want != got:
             raise ShapeError(f"params do not fit the model config: expected "
                              f"tensor {want}, found {got}")
+        name, arr = found
+        if arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
+            raise InputError(f"params tensor {name} must hold finite real "
+                             f"numbers, got dtype {arr.dtype}")
 
 
 def _build_params(config: ModelConfig, rng) -> ModelParams:
@@ -244,7 +259,7 @@ class Workspace:
         self._kept: dict[tuple, list[np.ndarray]] = {}
 
     def empty(self, shape, dtype=np.float64) -> np.ndarray:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         kept = self._kept.setdefault((size, np.dtype(dtype)), [])
         for buffer in kept:
             # held only by the list, this loop and getrefcount's argument;
@@ -272,32 +287,49 @@ def _copy(a, empty):
 # product with a weight matrix runs on the rows as one 2-D matrix.
 
 def layer_norm(x, ln: LayerNorm, empty=np.empty):
-    mu = x.mean(axis=-1, keepdims=True)
-    xhat = np.subtract(x, mu, out=empty(x.shape))
-    y = np.multiply(xhat, xhat, out=empty(x.shape))
-    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + LN_EPS)
+    """x [..., d] normalised over its last axis.  The statistics run on x
+    as [rows, d]: each row's mean and variance is one product with a 1/d
+    vector, rather than a reduction looping once per short row.  The cache
+    keeps xhat [rows, d] and inv [rows, 1]."""
+    d = x.shape[-1]
+    rows = x.reshape(-1, d)
+    n = len(rows)
+    mean_of = np.full(d, 1.0 / d)
+    mu = np.matmul(rows, mean_of, out=empty((n,)))
+    xhat = np.subtract(rows, mu[:, None], out=empty((n, d)))
+    y = np.multiply(xhat, xhat, out=empty((n, d)))
+    inv = np.matmul(y, mean_of, out=mu)  # the variance, then 1 / sqrt(it + eps)
+    inv += LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    inv = inv[:, None]
     xhat *= inv
     np.multiply(xhat, ln.gain, out=y)
     y += ln.bias
-    return y, (xhat, inv, ln.gain)
+    return y.reshape(x.shape), (xhat, inv, ln.gain)
 
 
 def layer_norm_bwd(dy, cache, out: LayerNorm | None = None, empty=np.empty):
+    """The gain and bias gradients are products of a ones vector with the
+    [rows, d] rows, and the two row means products with a 1/d vector."""
     xhat, inv, gain = cache
     if out is None:
         out = LayerNorm(np.empty_like(gain), np.empty_like(gain))
-    axes = tuple(range(dy.ndim - 1))
-    scratch = np.multiply(dy, xhat, out=empty(dy.shape))
-    np.sum(scratch, axis=axes, out=out.gain)
-    np.sum(dy, axis=axes, out=out.bias)
-    dx = np.multiply(dy, gain, out=empty(dy.shape))
+    n, d = xhat.shape
+    rows = dy.reshape(n, d)
+    scratch = np.multiply(rows, xhat, out=empty((n, d)))
+    ones = np.ones(n)
+    np.matmul(ones, scratch, out=out.gain)
+    np.matmul(ones, rows, out=out.bias)
+    mean_of = np.full(d, 1.0 / d)
+    dx = np.multiply(rows, gain, out=empty((n, d)))
     np.multiply(dx, xhat, out=scratch)
-    inner = scratch.mean(axis=-1, keepdims=True)
-    dx -= dx.mean(axis=-1, keepdims=True)
-    np.multiply(xhat, inner, out=scratch)
+    inner = np.matmul(scratch, mean_of, out=empty((n,)))
+    dx -= np.matmul(dx, mean_of, out=empty((n,)))[:, None]
+    np.multiply(xhat, inner[:, None], out=scratch)
     dx -= scratch
     dx *= inv
-    return dx, out
+    return dx.reshape(dy.shape), out
 
 
 def feed_forward(x, ff: FeedForward, empty=np.empty):
@@ -325,9 +357,29 @@ def feed_forward_bwd(dy, cache, ff: FeedForward, out: FeedForward | None = None,
     return dx.reshape(dy.shape), out
 
 
+SHORT_ROW = 32  # see _row_max
+
+
+def _row_max(z):
+    """z.max(axis=-1, keepdims=True), exactly.  numpy reduces the last
+    axis with one inner loop per row, which many short rows pay for in
+    overhead, so rows of at most SHORT_ROW values that number at least
+    SHORT_ROW times their length (the training step's [b, g, rows, 12]
+    logits) take their max as one np.maximum per column instead.  A max is
+    exact in any order, so both ways give the same bits; the choice
+    follows the shape alone."""
+    n = z.shape[-1]
+    if not 1 <= n <= SHORT_ROW or z.size < SHORT_ROW * n * n:
+        return z.max(axis=-1, keepdims=True)
+    top = z[..., :1].copy()
+    for j in range(1, n):
+        np.maximum(top, z[..., j:j + 1], out=top)
+    return top
+
+
 def _softmax_rows(z):
     """Softmax over the last axis of z, computed in place; returns z."""
-    z -= z.max(axis=-1, keepdims=True)
+    z -= _row_max(z)
     np.exp(z, out=z)
     return np.divide(z, z.sum(axis=-1, keepdims=True), out=z)
 
@@ -365,6 +417,17 @@ def _group_rows(a, g, empty):
     return a if g == h else _copy(a, empty).reshape(b, g, h // g * n, w)
 
 
+def _ungrouped_product(left, right, heads, empty):
+    """left @ right, [b, g, h // g * n, w], written into heads [b, h, n, w]
+    (the inverse of _group_rows): straight into it when g = h, else
+    through a grouped array that is then copied."""
+    if left.shape[1] == heads.shape[1]:
+        np.matmul(left, right, out=heads)
+    else:
+        grouped = np.matmul(left, right, out=empty(left.shape[:-1] + right.shape[-1:]))
+        np.copyto(heads, grouped.reshape(heads.shape))
+
+
 def attention_forward(x_q, x_kv, w: AttentionWeights, bias, empty=np.empty):
     """Batched attention on folded matmul shapes.
 
@@ -397,9 +460,8 @@ def attention_forward(x_q, x_kv, w: AttentionWeights, bias, empty=np.empty):
     if bias is not None:
         weights.reshape(b, h, n, m)[...] += bias
     _softmax_rows(weights)
-    mixed = np.matmul(weights, val, out=empty((b, g, rows, val.shape[-1])))
     o_fold = empty((b * n, h * val.shape[-1]))
-    np.copyto(_positions_first(o_fold, b, h), mixed.reshape(b, h, n, -1))
+    _ungrouped_product(weights, val, _positions_first(o_fold, b, h), empty)
     y = np.matmul(o_fold, _fold_out(w.p_o), out=empty((b * n, d)))
     return y.reshape(b, n, d), (x_q, x_kv, q, key, val, weights, o_fold, fused)
 
@@ -421,32 +483,32 @@ def attention_backward(dy, cache, w: AttentionWeights,
     dy = dy.reshape(b * n, d)
     np.copyto(out.p_o, (o_fold.T @ dy).reshape(h, v, d).transpose(0, 2, 1))
     d_o_fold = np.matmul(dy, _fold_out(w.p_o).T, out=empty(o_fold.shape))
-    d_mixed = _copy(_positions_first(d_o_fold, b, h), empty).reshape(b, g, -1, v)
+    d_mixed = _group_rows(_positions_first(d_o_fold, b, h), g, empty)
 
-    d_weights = np.matmul(d_mixed, val.swapaxes(-1, -2), out=empty(weights.shape))
-    # The transposed left operands are copied contiguous so that BLAS runs
-    # its no-transpose kernel for every g: its transposed kernel rounds some
-    # narrow widths (v or k of 4, say) differently.
-    d_val = np.matmul(_copy(weights.swapaxes(-1, -2), empty), d_mixed,
-                      out=empty(val.shape))
-
-    # softmax rows: dz = w * (dw - sum(dw * w)), formed in d_weights
-    inner = np.multiply(d_weights, weights, out=empty(weights.shape))
-    d_weights -= inner.sum(axis=-1, keepdims=True)
-    d_weights *= weights
-    d_q = np.matmul(d_weights, key, out=empty(q.shape))
-    d_key = np.matmul(_copy(d_weights.swapaxes(-1, -2), empty), q, out=empty(key.shape))
-
-    # the gradients of the projections' outputs, in their column layout
+    # the gradients of the projections' outputs, in their column layout;
+    # the products below write into them directly
     if x_kv is x_q:
         d_q_cols = empty((b * n, fused.shape[1]))
         d_kv_cols = d_q_cols[:, hk:]
     else:
         d_q_cols = empty((b * n, hk))
         d_kv_cols = empty((b * m, fused.shape[1] - hk))
-    np.copyto(_positions_first(d_q_cols[:, :hk], b, h), d_q.reshape(b, h, n, k))
-    np.copyto(_positions_first(d_kv_cols[:, :g * k], b, g), d_key)
-    np.copyto(_positions_first(d_kv_cols[:, g * k:], b, g), d_val)
+    d_key = _positions_first(d_kv_cols[:, :g * k], b, g)
+    d_val = _positions_first(d_kv_cols[:, g * k:], b, g)
+
+    # Transposed operands go to BLAS as strided views, which it reads with
+    # its transposed kernel: no contiguous copy is made.
+    d_weights = np.matmul(d_mixed, val.swapaxes(-1, -2), out=empty(weights.shape))
+    np.matmul(weights.swapaxes(-1, -2), d_mixed, out=d_val)
+
+    # softmax rows: dz = w * (dw - sum(dw * w)), formed in d_weights, each
+    # row's sum one product with a ones vector
+    inner = np.multiply(d_weights, weights, out=empty(weights.shape)).reshape(-1, m)
+    row_sums = np.matmul(inner, np.ones(m), out=empty((len(inner),)))
+    d_weights -= row_sums.reshape(weights.shape[:-1] + (1,))
+    d_weights *= weights
+    np.matmul(d_weights.swapaxes(-1, -2), q, out=d_key)
+    _ungrouped_product(d_weights, key, _positions_first(d_q_cols[:, :hk], b, h), empty)
 
     # back through the columns x_q took: all of fused, or the query columns
     dx_q = np.matmul(d_q_cols, fused[:, :d_q_cols.shape[1]].T, out=empty((b * n, d)))
@@ -680,13 +742,13 @@ def loss_and_grads(params: ModelParams, config: ModelConfig, batch: Batch,
                 d_enc_out += d_memory
 
     # input embeddings and positions, the decoder's and then the encoder's
-    np.add.at(out.embedding, batch.target_in, dy)
+    np.add.at(out.embedding, batch.target_in.ravel(), dy.reshape(-1, dy.shape[-1]))
     out.positions.fill(0.0)
     out.positions[:n] += dy.sum(axis=0)
     if config.has_encoder:
         dx = layer_norm_bwd(d_enc_out, tape.pop(), out.enc_out_ln, empty)[0]
         for block, grads in zip(reversed(params.encoder), reversed(out.encoder)):
             dx = _block_backward(dx, tape, block, grads, empty)[0]
-        np.add.at(out.embedding, batch.source, dx)
+        np.add.at(out.embedding, batch.source.ravel(), dx.reshape(-1, dx.shape[-1]))
         out.positions[:batch.source.shape[1]] += dx.sum(axis=0)
     return loss, logits, out

@@ -1,7 +1,8 @@
 """Slow, obviously-correct reference implementations used as test oracles.
 
-Everything here is python loops and scalar arithmetic on purpose; none of it
-shares code with the package's vectorized paths.
+Everything here is python loops and scalar arithmetic on purpose, or, for
+layer norm, the textbook formula with numpy's reductions along an axis;
+none of it shares code with the package's vectorized paths.
 """
 
 import itertools
@@ -86,3 +87,24 @@ def masked_single_ref(x, memory, w, legal, kind):
     if kind == "multi_head":
         return multihead_single_ref(x, sub, w)
     return multiquery_single_ref(x, sub, w)
+
+
+LN_EPS = 1e-5
+
+
+def layer_norm_ref(x, gain, bias):
+    """Layer norm over the last axis in its textbook form, the statistics
+    as numpy means along that axis.  Returns (y, xhat, inv)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(((x - mu) ** 2).mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat = (x - mu) * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def layer_norm_bwd_ref(dy, xhat, inv, gain):
+    """The gradients of layer_norm_ref: (dx, d gain, d bias)."""
+    axes = tuple(range(dy.ndim - 1))
+    g = dy * gain
+    dx = inv * (g - g.mean(axis=-1, keepdims=True)
+                - xhat * (g * xhat).mean(axis=-1, keepdims=True))
+    return dx, (dy * xhat).sum(axis=axes), dy.sum(axis=axes)

@@ -30,7 +30,8 @@ from mqa_lab.config import ModelConfig
 from mqa_lab.costs import ShapeConfig, incremental_costs
 from mqa_lab.decoding import decoder_step, encode_source, start_state
 from mqa_lab.exceptions import ConfigError
-from mqa_lab.model import Batch, forward, init_params, param_count
+from mqa_lab import bench
+from mqa_lab.model import Batch, ModelParams, Workspace, forward, init_params, param_count
 from mqa_lab.training import BOS
 
 GOLDEN = Path(__file__).parent / "golden" / "bench_report.md"
@@ -179,6 +180,29 @@ class TestTimingSmoke:
         for row in report.rows:
             assert row.training_us > 0
             assert np.isnan(row.decoder_us)
+
+    def test_training_pass_times_the_step_train_runs(self, monkeypatch):
+        """Every timed call of a variant writes into the same gradient views
+        and takes its temporaries from the same Workspace, as train_steps
+        does."""
+        calls = []
+
+        def recorded(params, config, batch, out=None, work=None):
+            calls.append((config.dec_self_kind, out, work))
+            return real(params, config, batch, out, work)
+
+        real = bench.loss_and_grads
+        monkeypatch.setattr(bench, "loss_and_grads", recorded)
+        workload = tiny_workload()
+        bench_training_pass(workload, variants=("multi-head", "multi-query"))
+        reps = workload.warmup_reps + workload.repetitions
+        assert len(calls) == 2 * reps
+        for variant_calls in (calls[:reps], calls[reps:]):
+            kind, out, work = variant_calls[0]
+            assert isinstance(out, ModelParams) and isinstance(work, Workspace)
+            assert all(k == kind and o is out and w is work
+                       for k, o, w in variant_calls)
+        assert calls[0][2] is not calls[-1][2]
 
     def test_run_bench_merges_columns(self):
         report = run_bench(tiny_workload(),

@@ -39,6 +39,8 @@ from mqa_lab.model import (
     unflatten,
 )
 
+from oracles import layer_norm_bwd_ref, layer_norm_ref
+
 
 def tiny_config(**overrides):
     base = dict(mode="encoder_decoder", layers=1, d_model=8, d_ff=16,
@@ -83,6 +85,26 @@ class TestPrimitives:
             arr[idx] += eps
             fd = (up - down) / (2 * eps)
             assert abs(grad[idx] - fd) < 1e-7 * max(1.0, abs(fd))
+
+    @pytest.mark.parametrize("shape", [(384, 64), (8, 256), (388, 256), (1, 64),
+                                       (3, 5, 8)])
+    def test_layer_norm_matches_the_reduction_form(self, rng, shape):
+        """The statistics as products with a 1/d vector, the gain and bias
+        gradients as products with a ones vector: within 1e-12 of the
+        textbook form's numpy means and sums."""
+        from mqa_lab.model import LayerNorm
+        d = shape[-1]
+        x = rng.normal(size=shape) * 3.0 + 1.0
+        ln = LayerNorm(rng.normal(size=d), rng.normal(size=d))
+        dy = rng.normal(size=shape)
+        y, cache = layer_norm(x, ln)
+        dx, grads = layer_norm_bwd(dy, cache)
+        y_ref, xhat, inv = layer_norm_ref(x, ln.gain, ln.bias)
+        dx_ref, d_gain, d_bias = layer_norm_bwd_ref(dy, xhat, inv, ln.gain)
+        assert y.shape == dx.shape == shape
+        for got, want in ((y, y_ref), (dx, dx_ref), (grads.gain, d_gain),
+                          (grads.bias, d_bias)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_feed_forward_gradients(self, rng):
         from mqa_lab.model import FeedForward
@@ -318,6 +340,27 @@ class TestInferenceKeepsNoTape:
         assert _softmax_rows(buffer) is buffer
         assert buffer.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("shape", [
+        # max column by column: rows of at most SHORT_ROW, SHORT_ROW per value
+        (32, 4, 12, 12), (32, 1, 48, 12), (64, 1), (8, 8, 1, 1), (8, 8, 1, 2),
+        # max along each row: too few rows, or rows too long
+        (2, 3, 5, 7), (8, 1, 8, 193), (4, 8, 40, 40), (4, 1, 8, 33)])
+    def test_softmax_keeps_its_bits_for_short_and_long_rows(self, rng, shape):
+        """Many short rows take their max column by column, others along
+        the row; either way the result is the out-of-place formula's, byte
+        for byte, -inf entries included."""
+        z = rng.normal(size=shape) * 5.0
+        n = shape[-1]
+        if n > 1:  # mask a random strict subset of each row's entries
+            z[rng.random(shape) < 0.3] = -np.inf
+            z[..., rng.integers(n)] = rng.normal(size=shape[:-1])
+        top = z.max(axis=-1, keepdims=True)
+        e = np.exp(z - top)
+        expected = e / e.sum(axis=-1, keepdims=True)
+        buffer = z.copy()
+        assert _softmax_rows(buffer) is buffer
+        assert buffer.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
     @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
     @pytest.mark.parametrize("window", [None, 2])
@@ -453,6 +496,25 @@ class TestGradients:
             assert loss == fresh_loss
             assert logits.tobytes() == fresh_logits.tobytes()
             assert flatten(grads).tobytes() == flatten(fresh).tobytes()
+
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    def test_results_do_not_depend_on_buffer_placement(self, rng, kind):
+        """At a training shape (d 64, 32 rows of 12), where layer norm and
+        softmax backward run BLAS matrix-vector products: no Workspace, a
+        fresh one and a reused one give byte-identical results."""
+        config = ModelConfig(mode="encoder_decoder", layers=2, d_model=64,
+                             d_ff=256, heads=4, d_k=16, d_v=16, vocab_size=32,
+                             max_len=16).with_attention_kind(kind)
+        params = init_params(config)
+        batch = make_batch(config, rng, b=32, n_src=12, n_tgt=12)
+        work = Workspace()
+        runs = [loss_and_grads(params, config, batch),
+                loss_and_grads(params, config, batch, work=work),
+                loss_and_grads(params, config, batch, work=work)]
+        for loss, logits, grads in runs[1:]:
+            assert loss == runs[0][0]
+            assert logits.tobytes() == runs[0][1].tobytes()
+            assert flatten(grads).tobytes() == flatten(runs[0][2]).tobytes()
 
     def test_unused_position_rows_get_zero_grad(self, rng):
         config = tiny_config()

@@ -1,11 +1,15 @@
 """Optimizer and training-loop checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from mqa_lab import model, training
 from mqa_lab.config import ModelConfig, OptimizerSettings, TaskSpec
-from mqa_lab.exceptions import ConfigError, ShapeError, TrainingError
+from mqa_lab.exceptions import ConfigError, InputError, ShapeError, TrainingError
 from mqa_lab.model import flatten, init_params, named_arrays, tree_map, unflatten
 from mqa_lab.training import (
     BOS,
@@ -315,3 +319,81 @@ class TestTrainChecksItsInputsFirst:
         result = train(config, TaskSpec(length=4, batch_size=2), steps=np.int64(2),
                        params=params)
         assert result.steps == 2
+
+
+@st.composite
+def train_calls(draw):
+    """A random tiny model and one train call on it.  Half the calls are
+    valid; the rest damage one thing: steps, log_every, the task (unknown
+    name, empty, over max_len) or the params (another width or mode, a
+    missing or transposed leaf, complex values, a NaN or an inf)."""
+    mode = draw(st.sampled_from(["encoder_decoder", "decoder_only"]))
+    config = ModelConfig(
+        mode=mode, layers=draw(st.integers(1, 2)), d_model=8, d_ff=12, heads=2,
+        d_k=4, d_v=4, vocab_size=draw(st.integers(2, 6)), max_len=8,
+        dec_self_window=draw(st.one_of(st.none(), st.integers(1, 4))),
+    ).with_attention_kind(draw(st.sampled_from(["multi_head", "multi_query"])))
+    steps, log_every = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    longest = config.max_len if config.has_encoder else config.max_len // 2
+    task = dict(name=draw(st.sampled_from(["copy", "reverse"])),
+                length=draw(st.integers(1, longest)),
+                batch_size=draw(st.integers(1, 3)), seed=draw(st.integers(0, 3)))
+    params = draw(st.sampled_from([None, "same", "other_seed", "int"]))
+    damage = draw(st.one_of(st.none(), st.sampled_from(
+        ["steps", "log_every", "task", "params"])))
+    if damage == "steps":
+        steps = draw(st.sampled_from([0, -1, 1.0, True, "2", None]))
+    elif damage == "log_every":
+        log_every = draw(st.sampled_from([-1, 0.5, False, "1", None]))
+    elif damage == "task":
+        field, value = draw(st.sampled_from(
+            [("name", "sort"), ("length", 0), ("length", longest + 1),
+             ("batch_size", 0)]))
+        task[field] = value
+    elif damage == "params":
+        params = draw(st.sampled_from(["wider", "other_mode", "missing",
+                                       "transposed", "complex", "nan", "inf"]))
+    event(f"damage: {damage}")
+    return config, task, steps, log_every, params
+
+
+def damaged_params(config, how):
+    """The params train_calls names: None (train makes them), or a tree
+    made for config, or for another config, then damaged as named."""
+    if how is None:
+        return None
+    if how == "wider":
+        return init_params(dataclasses.replace(config, d_model=16))
+    if how == "other_mode":
+        other = "decoder_only" if config.has_encoder else "encoder_decoder"
+        return init_params(dataclasses.replace(config, mode=other))
+    params = init_params(dataclasses.replace(
+        config, init_seed=config.init_seed + (how == "other_seed")))
+    ff = params.decoder[0].ff
+    if how == "missing":
+        ff.w_in = None
+    elif how in ("int", "complex"):
+        ff.w_in = ff.w_in.astype(how)
+    elif how in ("nan", "inf"):
+        params.embedding[1, 0] = float(how)
+    elif how == "transposed":
+        ff.w_out = ff.w_out.T
+    return params
+
+
+@settings(max_examples=200)
+@given(train_calls())
+def test_train_fuzz_fails_only_at_the_boundary(call):
+    """train either raises ConfigError/InputError/ShapeError or returns a
+    result of the asked steps with finite losses."""
+    config, task, steps, log_every, how = call
+    try:
+        result = train(config, TaskSpec(**task), steps=steps, log_every=log_every,
+                       params=damaged_params(config, how))
+    except (ConfigError, InputError, ShapeError) as exc:
+        event(f"rejected: {type(exc).__name__}")
+        return
+    event("trained")
+    assert result.steps == steps and len(result.losses) == steps
+    assert np.isfinite(result.losses).all()
+    assert 0.0 <= result.heldout_accuracy <= 1.0
