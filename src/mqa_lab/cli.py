@@ -88,7 +88,10 @@ def _deliver(text: str, out: str | None) -> None:
         text += "\n"
     sys.stdout.write(text)
     if out is not None:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}")
 
 
 def _format_ids(ids) -> str:
@@ -221,12 +224,15 @@ def _cmd_train(args) -> int:
     print(f"held-out accuracy {result.heldout_accuracy:.4f}")
     if args.out is not None:
         from .checkpoint import save_checkpoint
-        manifest = save_checkpoint(
-            args.out, result.params, model,
-            extra={"final_loss": result.final_loss,
-                   "heldout_accuracy": result.heldout_accuracy,
-                   "steps": result.steps,
-                   "task": dataclass_to_dict(task)})
+        try:
+            manifest = save_checkpoint(
+                args.out, result.params, model,
+                extra={"final_loss": result.final_loss,
+                       "heldout_accuracy": result.heldout_accuracy,
+                       "steps": result.steps,
+                       "task": dataclass_to_dict(task)})
+        except OSError as exc:
+            raise InputError(f"cannot write checkpoint {args.out}: {exc}")
         print(f"checkpoint written: {manifest}")
     return 0
 

@@ -105,6 +105,8 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be one of {ATTENTION_KINDS}")
         if self.dec_self_window is not None and self.dec_self_window < 1:
             raise ConfigError("dec_self_window must be >= 1 when set")
+        if self.init_seed < 0:
+            raise ConfigError(f"init_seed must be >= 0, got {self.init_seed}")
 
     @property
     def has_encoder(self) -> bool:
@@ -170,6 +172,8 @@ class TaskSpec:
             raise ConfigError(f"unknown task {self.name!r}")
         if self.length < 1 or self.batch_size < 1:
             raise ConfigError("length and batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import ATTENTION_KINDS, ModelConfig, kv_head_count
+from .config import ATTENTION_KINDS, ModelConfig, _check_types, kv_head_count
 from .exceptions import ConfigError
 
 OP_NAMES = ("q_proj", "k_proj", "v_proj", "logits", "softmax", "mix", "out_proj")
@@ -45,6 +45,7 @@ class ShapeConfig:
     v: int
 
     def __post_init__(self):
+        _check_types(self)
         for name in ("b", "n", "m", "d", "h", "k", "v"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

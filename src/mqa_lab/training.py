@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import ModelConfig, OptimizerSettings, TaskSpec, _check_types
 from .exceptions import ConfigError, TrainingError
-from .model import (Batch, ModelParams, Workspace, check_params, flatten, forward,
+from .model import (Batch, ModelParams, Workspace, _run, check_params, flatten,
                     init_params, loss_and_grads, unflatten)
 
 BOS = 0
@@ -46,11 +46,14 @@ class AdamState:
     scratch: tuple[np.ndarray, np.ndarray]
 
 
-def adam_init(vector: np.ndarray) -> AdamState:
-    """Zero moments for the flat parameter vector."""
+def adam_init(vector: np.ndarray, empty=np.empty) -> AdamState:
+    """Zero moments for the flat parameter vector, and Adam's scratch, in
+    arrays from empty (np.empty, or a training Workspace's)."""
     chunk = min(ADAM_CHUNK, len(vector))
-    return AdamState(0, np.zeros_like(vector), np.zeros_like(vector),
-                     (np.empty(chunk), np.empty(chunk)))
+    mean, var = empty(vector.shape), empty(vector.shape)
+    mean.fill(0.0)
+    var.fill(0.0)
+    return AdamState(0, mean, var, (empty((chunk,)), empty((chunk,))))
 
 
 def adam_update(vector: np.ndarray, grads: np.ndarray, state: AdamState,
@@ -119,9 +122,10 @@ def make_task_batch(task: TaskSpec, config: ModelConfig, rng) -> Batch:
 
 
 def teacher_forced_accuracy(params: ModelParams, config: ModelConfig,
-                            batch: Batch) -> float:
-    """Fraction of masked positions whose argmax logit hits the label."""
-    logits = forward(params, config, batch).logits
+                            batch: Batch, empty=np.empty) -> float:
+    """Fraction of masked positions whose argmax logit hits the label.  The
+    forward pass's temporaries come from empty (np.empty, or a Workspace's)."""
+    logits = _run(params, config, batch, empty=empty)
     hits = (np.argmax(logits, axis=-1) == batch.target_out) * batch.loss_mask
     return float(hits.sum() / batch.loss_mask.sum())
 
@@ -151,27 +155,33 @@ def train_steps(config: ModelConfig, task: TaskSpec, settings: OptimizerSettings
     named_arrays order, allocated here once: loss_and_grads writes each
     step's gradients into views of the one gradient vector and adam_update
     works on the vectors, so after set-up a step walks no parameter tree.
-    The step's temporaries come from one Workspace, so after the first
-    step a step allocates nothing the size of an activation.
+    The gradient vector, the moments, Adam's scratch and the step's
+    temporaries come from one Workspace, entered for the whole run, so
+    after the first step a step allocates nothing the size of an
+    activation.  On the way out, at the end, on an error or when the
+    caller abandons the generator, the workspace hands its memory back as
+    the process's spare slab, and the next run carves from it rather than
+    page-faulting fresh memory; only free memory outlives the run, never
+    a value.  The parameter vector is never carved from the slab.
     Raises TrainingError on non-finite or runaway loss.
     """
     vector = flatten(params)
     params = unflatten(vector, params)
-    grad_vector = np.empty_like(vector)
-    grads = unflatten(grad_vector, params)
-    state = adam_init(vector)
-    work = Workspace()
-    rng = np.random.default_rng(task.seed)
-    for step in range(1, steps + 1):
-        batch = make_task_batch(task, config, rng)
-        loss = loss_and_grads(params, config, batch, grads, work)[0]
-        if not np.isfinite(loss):
-            raise TrainingError(f"non-finite loss at step {step}")
-        if loss > DIVERGENCE_CEILING:
-            raise TrainingError(f"loss {loss:.3g} over ceiling at step {step}")
-        lr = learning_rate(settings, config.d_model, step)
-        adam_update(vector, grad_vector, state, settings, lr)
-        yield step, loss, params
+    with Workspace() as work:
+        grad_vector = work.empty(vector.shape)
+        grads = unflatten(grad_vector, params)
+        state = adam_init(vector, work.empty)
+        rng = np.random.default_rng(task.seed)
+        for step in range(1, steps + 1):
+            batch = make_task_batch(task, config, rng)
+            loss = loss_and_grads(params, config, batch, grads, work)[0]
+            if not np.isfinite(loss):
+                raise TrainingError(f"non-finite loss at step {step}")
+            if loss > DIVERGENCE_CEILING:
+                raise TrainingError(f"loss {loss:.3g} over ceiling at step {step}")
+            lr = learning_rate(settings, config.d_model, step)
+            adam_update(vector, grad_vector, state, settings, lr)
+            yield step, loss, params
 
 
 def train(config: ModelConfig, task: TaskSpec,
@@ -185,7 +195,11 @@ def train(config: ModelConfig, task: TaskSpec,
     integer >= 1 and log_every one >= 0, ShapeError unless given params
     fit the config.  Raises TrainingError on non-finite or runaway loss.
     The held-out accuracy at the end uses a batch sampled from a disjoint
-    seed.
+    seed, its temporaries carved from the spare slab train_steps handed
+    back.  What outlives the call is that slab alone, free memory and no
+    value (about 23 MB at the train_copy shape), so a second call in the
+    process reuses the first call's working memory instead of
+    page-faulting it afresh; the returned params never lie in the slab.
     """
     _check_types({"steps": steps, "log_every": log_every},
                  {"steps": "int", "log_every": "int"})
@@ -206,6 +220,7 @@ def train(config: ModelConfig, task: TaskSpec,
             print(f"step {step:5d}  loss {loss:.4f}  lr {lr:.2e}")
     held = make_task_batch(task, config,
                            np.random.default_rng(task.seed + HELDOUT_SEED_OFFSET))
-    accuracy = teacher_forced_accuracy(params, config, held)
+    with Workspace() as work:
+        accuracy = teacher_forced_accuracy(params, config, held, work.empty)
     return TrainResult(params=params, losses=losses, final_loss=losses[-1],
                        steps=steps, heldout_accuracy=accuracy)

@@ -4,12 +4,16 @@ Everything runs through cli.main() in process; one subprocess test pins
 the lazy-import design that lets MQA_THREADS act before numpy loads.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from mqa_lab.checkpoint import save_checkpoint
 from mqa_lab.cli import THREAD_ENV_VARS, configure_threads, main
@@ -137,6 +141,25 @@ class TestUsageErrors:
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
         assert run_cli(capsys, "cost", "--config", str(path))[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("cost", "--set", "shape.b=1.5"),
+        ("train", "--seed", "-1"),
+        ("train", "--set", "task.seed=-1"),
+        ("bench", "--set", "model.init_seed=-1")])
+    def test_mistyped_or_negative_value_is_usage_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "must be" in err
+
+    @pytest.mark.parametrize("command", [
+        ("cost",), ("train", "--set", "steps=1", "--set", "task.length=2")])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run_cli(capsys, *command, "--out", str(blocker / "out"))
+        assert code == 2
+        assert "cannot write" in err
 
 
 class TestVerify:
@@ -378,3 +401,129 @@ class TestThreads:
         result = subprocess.run([sys.executable, "-c", probe],
                                 capture_output=True)
         assert result.returncode == 0, result.stderr.decode()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing main: argv drawn from the subcommands, their flags and --set keys
+
+FUZZ_MODEL = {"layers": 1, "d_model": 8, "d_ff": 8, "heads": 2, "d_k": 4,
+              "d_v": 4, "vocab_size": 6, "max_len": 8}
+
+# tiny sizes every drawn call starts from, before the drawn --set overrides
+FUZZ_BASE = {
+    "verify": [],
+    "cost": [],
+    "parity": [],
+    "train": [f"model={json.dumps(FUZZ_MODEL)}", "task.length=3",
+              "task.batch_size=2", "steps=2", "log_every=0"],
+    "decode": [f"model={json.dumps(FUZZ_MODEL)}", "batch=2", "length=3",
+               "decode.max_steps=3"],
+    "bench": [f"model={json.dumps(FUZZ_MODEL)}", 'workload={"b": 1, "source_len": 2, '
+              '"target_len": 2, "repetitions": 3, "warmup_reps": 1}',
+              "include_beam=false"],
+    "report": [],
+}
+
+MODEL_KEYS = ["model.layers", "model.d_model", "model.heads", "model.d_k",
+              "model.vocab_size", "model.max_len", "model.mode",
+              "model.dec_self_kind", "model.cross_kind", "model.dec_self_window",
+              "model.init_seed"]
+FUZZ_KEYS = {
+    "verify": [],
+    "cost": ["shape.b", "shape.n", "shape.m", "shape.d", "shape.h", "shape.k",
+             "shape.v"],
+    "parity": ["baseline.heads", "baseline.d_k", "baseline.d_ff", "baseline.mode",
+               "variant.heads", "variant.d_v", "variant.cross_kind",
+               "variant.dec_self_kind"],
+    "train": MODEL_KEYS + ["steps", "log_every", "task.name", "task.length",
+                           "task.batch_size", "task.seed", "optimizer.warmup_steps",
+                           "optimizer.beta1", "optimizer.eps"],
+    "decode": MODEL_KEYS + ["batch", "length", "seed", "decode.strategy",
+                            "decode.beam_size", "decode.max_steps", "decode.eos_id",
+                            "decode.length_alpha"],
+    "bench": ["model.heads", "model.max_len", "model.dec_self_window",
+              "workload.b", "workload.source_len", "workload.target_len",
+              "workload.repetitions", "workload.warmup_reps", "include_beam",
+              "variants"],
+    "report": [],
+}
+STRAY_KEYS = ["nope", "model.nope", "steps.deeper", "model"]
+FUZZ_VALUES = ["0", "1", "2", "3", "-1", "1.5", "1e400", "true", "null", '"2"', "x",
+               "[]", "{}", '"beam"', '"decoder_only"', '"multi_query"', '"reverse"',
+               '["multi-head"]']
+FORMATS = {"cost": ["text", "csv"], "bench": ["markdown", "csv"],
+           "report": ["markdown", "csv"]}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Paths a drawn argv may name: good and damaged configs, bench csvs
+    and checkpoints, and paths that cannot be read or written."""
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {"missing": root / "missing", "under_a_file": root / "config.json" / "x"}
+    for name, text in (("config.json", "{}"), ("list.json", "[1]"),
+                       ("not.json", "{"), ("bad.csv", "variant,us\nx,y\n"),
+                       ("empty.csv", "")):
+        (root / name).write_text(text)
+        files[name] = root / name
+    files["good.csv"] = root / "good.csv"
+    assert main(["bench", "--format", "csv", "--out", str(files["good.csv"]),
+                 *(flag for setting in FUZZ_BASE["bench"]
+                   for flag in ("--set", setting))]) == 0
+    model = ModelConfig(**FUZZ_MODEL)
+    files["checkpoint"] = root / "ck"
+    save_checkpoint(files["checkpoint"], init_params(model), model)
+    files["bad_checkpoint"] = root / "bad_ck"
+    save_checkpoint(files["bad_checkpoint"], init_params(model), model)
+    (files["bad_checkpoint"] / "manifest.json").write_text('{"format": 2}')
+    files["out"] = root / "out"
+    return {name: str(path) for name, path in files.items()}
+
+
+@st.composite
+def cli_argv(draw, files):
+    command = draw(st.sampled_from(sorted(FUZZ_BASE)))
+    argv = [command]
+    for setting in FUZZ_BASE[command]:
+        argv += ["--set", setting]
+    keys = FUZZ_KEYS[command] + STRAY_KEYS
+    for _ in range(draw(st.integers(0, 3))):
+        setting = draw(st.one_of(
+            st.builds(lambda key, value: f"{key}={value}", st.sampled_from(keys),
+                      st.one_of(st.sampled_from(["1", "2", "3"]),
+                                st.sampled_from(FUZZ_VALUES))),
+            st.sampled_from(["steps", "=1", "model..layers=1"])))
+        argv += ["--set", setting]
+    configs = ["config.json", "list.json", "not.json", "missing"]
+    if command == "report":
+        configs = ["good.csv", "bad.csv", "empty.csv", "missing"]
+    for flag, choices in (
+            ("--config", configs),
+            ("--seed", ["0", "1", "-1", "x"]),
+            ("--out", ["out", "missing_dir", "under_a_file"]),
+            ("--format", FORMATS.get(command, []) + ["xml"]),
+            ("--checkpoint", ["checkpoint", "bad_checkpoint", "missing"]
+             if command == "decode" else []),
+            ("--only", ["parity_constants", "nope"] if command == "verify" else []),
+            ("--preset", ["wmt", "lm", "wmt-one-head"]
+             if command == "parity" else [])):
+        if choices and draw(st.sampled_from([False, False, False, True])):
+            choice = draw(st.sampled_from(choices))
+            if flag in ("--config", "--out", "--checkpoint"):
+                choice = (files["out"] + "/x/y" if choice == "missing_dir"
+                          else files[choice])
+            argv += [flag, choice]
+    return argv
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_main_fuzz_fails_only_at_the_boundary(fuzz_files, data):
+    """Whatever argv it is given, main either succeeds (exit 0) or reports
+    a usage error (exit 2): no other exception escapes a subcommand."""
+    argv = data.draw(cli_argv(fuzz_files))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 2), (argv, err.getvalue())

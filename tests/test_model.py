@@ -250,6 +250,72 @@ class TestWorkspace:
         assert work.empty((4,)).dtype == np.float64
 
 
+class TestWorkspaceSlab:
+    """Entered in a with block, a Workspace carves its buffers from the
+    process's spare slab and hands a slab back on exit."""
+
+    @pytest.fixture
+    def slab(self, monkeypatch):
+        slab = np.empty(4096, np.uint8)
+        monkeypatch.setattr(Workspace, "_spare", slab)
+        return slab
+
+    def test_a_view_of_a_carved_buffer_keeps_it_from_reuse(self, slab):
+        with Workspace() as work:
+            first = work.empty((3, 4))
+            assert np.shares_memory(first, slab) and first.base is not slab
+            where = first.ctypes.data
+            view = first[1:]
+            del first
+            other = work.empty((12,))
+            assert np.shares_memory(other, slab)
+            assert not np.shares_memory(other, view)
+            del view
+            again = work.empty((2, 6))
+            assert again.ctypes.data == where and again.shape == (2, 6)
+
+    def test_carved_buffers_are_aligned_and_disjoint(self, slab):
+        with Workspace() as work:
+            buffers = [work.empty((n,), dtype) for n, dtype in
+                       ((3, np.float64), (5, bool), (7, np.float64))]
+        assert all(b.ctypes.data % Workspace.ALIGN == 0 for b in buffers)
+        for i, a in enumerate(buffers):
+            assert not any(np.shares_memory(a, b) for b in buffers[i + 1:])
+
+    def test_the_spare_is_taken_while_entered(self, slab):
+        with Workspace() as work:
+            assert Workspace._spare is None
+            with Workspace() as other:  # finds no spare: allocates afresh
+                assert not np.shares_memory(other.empty((8,)), slab)
+            assert Workspace._spare is not slab
+            assert np.shares_memory(work.empty((8,)), slab)
+        assert Workspace._spare is slab  # the larger of the two
+
+    def test_the_larger_slab_is_kept_whichever_exits_last(self, slab):
+        first, second = Workspace(), Workspace()
+        first.__enter__()
+        second.__enter__()
+        second.empty((8,))
+        first.__exit__(None, None, None)
+        second.__exit__(None, None, None)
+        assert Workspace._spare is slab
+
+    def test_a_call_past_the_slab_leaves_a_larger_one(self, slab):
+        with Workspace() as work:
+            inside = work.empty((100,))
+            past = work.empty((1000,))
+        assert np.shares_memory(inside, slab)
+        assert not np.shares_memory(past, slab)
+        larger = Workspace._spare
+        assert larger.nbytes >= 1100 * 8 + Workspace.ALIGN
+        with Workspace() as work:
+            assert np.shares_memory(work.empty((1000,)), larger)
+
+    def test_without_a_with_block_nothing_is_carved(self, slab):
+        assert not np.shares_memory(Workspace().empty((8,)), slab)
+        assert Workspace._spare is slab
+
+
 class TestForward:
     def test_logit_shape_and_loss_finite(self, rng):
         config = tiny_config()

@@ -1,6 +1,8 @@
 """Optimizer and training-loop checks."""
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 from mqa_lab import model, training
 from mqa_lab.config import ModelConfig, OptimizerSettings, TaskSpec
 from mqa_lab.exceptions import ConfigError, InputError, ShapeError, TrainingError
-from mqa_lab.model import flatten, init_params, named_arrays, tree_map, unflatten
+from mqa_lab.model import (Workspace, flatten, init_params, named_arrays, tree_map,
+                           unflatten)
 from mqa_lab.training import (
     BOS,
     adam_init,
@@ -397,3 +400,130 @@ def test_train_fuzz_fails_only_at_the_boundary(call):
     assert result.steps == steps and len(result.losses) == steps
     assert np.isfinite(result.losses).all()
     assert 0.0 <= result.heldout_accuracy <= 1.0
+
+
+def _outcome(result):
+    """The bytes of a train call's losses, final parameters and held-out
+    accuracy."""
+    return (np.asarray(result.losses).tobytes(), flatten(result.params).tobytes(),
+            result.heldout_accuracy)
+
+
+def _poison_spare():
+    slab = Workspace._spare
+    slab[:slab.nbytes // 8 * 8].view(np.float64).fill(np.nan)
+
+
+def _abandon_after(steps, last):
+    """Leave a train_steps generator from inside its loop, as criterion 07
+    does once it reaches its target."""
+    for step, _, _ in steps:
+        if step == last:
+            return
+
+
+@pytest.fixture
+def no_spare(monkeypatch):
+    """Start without a spare slab; the process's own spare is put back
+    after the test."""
+    monkeypatch.setattr(Workspace, "_spare", None)
+
+
+class TestSpareSlab:
+    """A train call's working memory outlives it as one spare slab of free
+    memory; no value in it may change a later call's results."""
+
+    @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
+    def test_a_poisoned_spare_changes_no_result(self, no_spare, mode):
+        config = small_config(mode=mode, layers=2)
+        task = TaskSpec(length=5, batch_size=4, seed=3)
+        first = train(config, task, steps=3)
+        _poison_spare()
+        assert _outcome(train(config, task, steps=3)) == _outcome(first)
+        _abandon_after(train_steps(config, task, OptimizerSettings(),
+                                   init_params(config), 10), 2)
+        _poison_spare()
+        assert _outcome(train(config, task, steps=3)) == _outcome(first)
+
+    def test_an_abandoned_run_hands_its_slab_back(self, no_spare):
+        config = small_config()
+        _abandon_after(train_steps(config, TaskSpec(length=4, batch_size=2),
+                                   OptimizerSettings(), init_params(config), 10), 2)
+        assert Workspace._spare is not None
+
+    def test_a_second_call_carves_everything_from_the_spare(self, no_spare,
+                                                            monkeypatch):
+        config = small_config()
+        task = TaskSpec(length=4, batch_size=2)
+        train(config, task, steps=2)
+        slab = Workspace._spare
+        carved = []
+        new = Workspace._new
+
+        def spy(self, size, dtype):
+            buffer = new(self, size, dtype)
+            carved.append(np.shares_memory(buffer, slab))
+            return buffer
+
+        monkeypatch.setattr(Workspace, "_new", spy)
+        train(config, task, steps=2)
+        assert carved and all(carved)
+        assert Workspace._spare is slab
+
+    def test_params_never_lie_in_the_slab(self, no_spare):
+        config = small_config()
+        task = TaskSpec(length=4, batch_size=2)
+        train(config, task, steps=1)
+        slab = Workspace._spare
+        for _, _, params in train_steps(config, task, OptimizerSettings(),
+                                        init_params(config), 2):
+            assert not any(np.shares_memory(arr, slab)
+                           for _, arr in named_arrays(params))
+        result = train(config, task, steps=2)
+        assert Workspace._spare is slab
+        assert not any(np.shares_memory(arr, slab)
+                       for _, arr in named_arrays(result.params))
+
+    def test_concurrent_calls_match_their_serial_runs(self, no_spare):
+        """More threads than cores, both kinds and modes at tiny sizes, the
+        interpreter switching threads as often as it can: each call's
+        results equal its serial run's, and one spare slab, of the largest
+        call's size, is left."""
+        calls = [(small_config(mode=mode, layers=layers).with_attention_kind(kind),
+                  TaskSpec(length=length, batch_size=3, seed=length))
+                 for mode, layers, kind, length in (
+                     ("encoder_decoder", 2, "multi_head", 5),
+                     ("encoder_decoder", 1, "multi_query", 4),
+                     ("decoder_only", 2, "multi_query", 3),
+                     ("decoder_only", 1, "multi_head", 6))]
+        serial = [_outcome(train(config, task, steps=2)) for config, task in calls]
+        largest = Workspace._spare.nbytes
+        Workspace._spare = None
+        found, errors = {}, []
+
+        def run(worker):
+            try:
+                for round_ in range(3):
+                    index = (worker + round_) % len(calls)
+                    outcome = _outcome(train(*calls[index], steps=2))
+                    found.setdefault(index, []).append(outcome)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(worker,)) for worker in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sum(map(len, found.values())) == 18
+        for index, outcomes in found.items():
+            assert all(outcome == serial[index] for outcome in outcomes)
+        assert isinstance(Workspace._spare, np.ndarray)
+        assert Workspace._spare.nbytes == largest
