@@ -5,11 +5,12 @@ share g key/value heads, query head j reading key/value head j // (h // g).
 Multi-head attention is g = h; multi-query attention is g = 1, one shared
 key/value set serving all query heads.  Each kernel is written once over
 that grouped view, with queries [b, g, h // g, n, k] and keys/values
-[b, g, m, .]; g is read from the weights.  Every tensor product is a
-contract() call whose spec string is the definition; the only reshapes split
-the heads axis h into (g, h // g) or merge it back.  The incremental kernel
-accumulates over cached positions in index order, which makes growing and
-padded cache layouts bit-identical.
+[b, g, m, .]; g is read from the weights, and the incremental kernel's
+KVCache holds keys/values in that same layout for both kinds.  Every tensor
+product is a contract() call whose spec string is the definition; the only
+reshapes split the heads axis h into (g, h // g) or merge it back.  The
+incremental kernel accumulates over cached positions in index order, which
+makes growing and padded cache layouts bit-identical.
 
 An optional TrafficTally records, per operation, the flops performed and the
 words of every tensor read and written, so closed-form cost predictions can
@@ -313,14 +314,12 @@ def attention_batched(x, memory, w: AttentionWeights,
 
 
 def _ordered_mix(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # weights [..., m] and values [..., m, v] with aligned leading axes.
+    # weights [b, g, r, m] and values [b, g, m, v] give o [b, g, r, v].
     # Accumulates over positions in index order so that zero-weighted padded
     # slots cannot perturb any bit of the result.
-    m = weights.shape[-1]
-    lead = np.broadcast_shapes(weights.shape[:-1], values.shape[:-2])
-    out = np.zeros(lead + (values.shape[-1],))
-    for i in range(m):
-        out += weights[..., i, np.newaxis] * values[..., i, :]
+    out = np.zeros(weights.shape[:-1] + values.shape[-1:])
+    for i in range(weights.shape[-1]):
+        out += weights[..., i, np.newaxis] * values[:, :, np.newaxis, i]
     return out
 
 
@@ -340,9 +339,9 @@ def _check_step_inputs(x, cache: KVCache, w: AttentionWeights):
         raise ShapeError(f"x width {x.shape[1]} != weights d {w.model_width}")
     if cache.batch != x.shape[0]:
         raise CacheError(f"cache batch {cache.batch} != x batch {x.shape[0]}")
-    if cache.keys.shape[1:-2] != w.p_k.shape[:-2]:
-        raise CacheError(f"a {cache.kind} cache cannot serve {w.kind} weights "
-                         f"with {w.heads} heads")
+    if cache.groups != w.groups:
+        raise CacheError(f"cache has {cache.groups} key/value groups, "
+                         f"{w.kind} weights have {w.groups}")
     if cache.key_width != w.key_width or cache.value_width != w.value_width:
         raise CacheError(
             f"cache widths ({cache.key_width},{cache.value_width}) do not match "
@@ -364,18 +363,16 @@ def self_attention_incremental(
     _check_step_inputs(x, cache, w)
     b, d = x.shape
     h, g, k, v = w.heads, w.groups, w.key_width, w.value_width
-    lead = cache.keys.shape[:-2]
 
     q = contract(x, w.p_q, "bd,hdk->bhk")
     k_new = contract(x, _kv_heads(w.p_k), "bd,gdk->bgk")
     v_new = contract(x, _kv_heads(w.p_v), "bd,gdv->bgv")
-    grown = append(cache, k_new.reshape(lead + (k,)), v_new.reshape(lead + (v,)))
+    grown = append(cache, k_new, v_new)
     m_valid, m_storage = grown.valid_len, grown.storage_len
     bias = _step_bias(grown, window)
-    logits = contract(q.reshape(b, g, h // g, k),
-                      grown.keys.reshape(b, g, m_storage, k), "bgrk,bgmk->bgrm")
+    logits = contract(q.reshape(b, g, h // g, k), grown.keys, "bgrk,bgmk->bgrm")
     weights = masked_softmax(logits, bias)
-    o = _ordered_mix(weights, grown.values.reshape(b, g, 1, m_storage, v))
+    o = _ordered_mix(weights, grown.values)
     y = contract(o.reshape(b, h, v), w.p_o, "bhv,hdv->bd")
 
     if tally is not None:

@@ -27,7 +27,6 @@ import io
 import os
 import platform
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +56,6 @@ class Workload:
     model: ModelConfig
     repetitions: int = 5
     warmup_reps: int = 1
-    timer_note: str = "monotonic clock, median of repetitions"
 
     def __post_init__(self):
         _check_types(self)
@@ -99,7 +97,6 @@ class BenchReport:
     cpu: str = ""
     threads: str = ""
     timer_resolution_ns: float = float("nan")
-    timer_note: str = ""
 
 
 def variant_config(base: ModelConfig, variant: str) -> ModelConfig:
@@ -144,23 +141,6 @@ def _median_seconds(fn, repetitions: int, warmup: int) -> float:
     return float(np.median(times))
 
 
-def _guard_repetitions(workload: Workload, probe_seconds: float,
-                       steps: int) -> int:
-    """Raise the repetition count when the timer cannot resolve 1% of a
-    step."""
-    reps = workload.repetitions
-    step_time = max(probe_seconds / steps, 1e-12)
-    res = timer_resolution()
-    if res > 0.01 * step_time:
-        boosted = min(8 * reps, max(reps * 2, 9))
-        warnings.warn(
-            f"timer resolution {res:.2e}s is coarser than 1% of a decode "
-            f"step ({step_time:.2e}s); raising repetitions "
-            f"{reps} -> {boosted}")
-        reps = boosted
-    return reps
-
-
 def _cpu_model() -> str:
     try:
         with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
@@ -172,11 +152,10 @@ def _cpu_model() -> str:
     return platform.processor() or platform.machine() or "unknown"
 
 
-def _fingerprint(report: BenchReport, workload: Workload) -> None:
+def _fingerprint(report: BenchReport) -> None:
     report.cpu = _cpu_model()
     report.threads = os.environ.get("MQA_THREADS", "default")
     report.timer_resolution_ns = timer_resolution() * 1e9
-    report.timer_note = workload.timer_note
 
 
 def _counted_columns(workload: Workload, config: ModelConfig) -> tuple[float, int]:
@@ -223,7 +202,7 @@ def bench_decode(workload: Workload, variants=VARIANTS, *,
     """Time the encoder pass and the incremental decode loop per variant."""
     report = BenchReport(workload.b, workload.source_len, workload.target_len,
                          workload.repetitions)
-    _fingerprint(report, workload)
+    _fingerprint(report)
     for row in _bench_rows(workload, variants):
         config = variant_config(workload.model, row.variant)
         params = init_params(config)
@@ -239,12 +218,7 @@ def bench_decode(workload: Workload, variants=VARIANTS, *,
         def run_greedy():
             greedy_search(params, config, greedy, opener, memory_holder["m"])
 
-        encode()
-        probe = time.perf_counter()
-        run_greedy()
-        probe = time.perf_counter() - probe
-        reps = _guard_repetitions(workload, probe, steps)
-
+        reps = workload.repetitions
         enc_seconds = _median_seconds(encode, reps, workload.warmup_reps)
         row.encoder_us = enc_seconds * 1e6 / (workload.b * workload.source_len)
 
@@ -273,7 +247,7 @@ def bench_training_pass(workload: Workload, variants=VARIANTS) -> BenchReport:
     so the figure is the step train runs."""
     report = BenchReport(workload.b, workload.source_len, workload.target_len,
                          workload.repetitions)
-    _fingerprint(report, workload)
+    _fingerprint(report)
     tokens = workload.b * (workload.source_len + workload.target_len)
     for row in _bench_rows(workload, variants):
         config = variant_config(workload.model, row.variant)

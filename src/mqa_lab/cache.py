@@ -6,6 +6,10 @@ cover the usual layouts: 'growing' reallocates to the exact length each step,
 prefix.  Both policies must produce bit-identical attention outputs; the
 kernels guarantee that by accumulating over positions in index order and by
 masking invalid slots with -inf before the softmax.
+
+Storage has one layout: [b, g, m, k] keys and [b, g, m, v] values over g
+key/value groups, g = h for multi-head attention and g = 1 for multi-query
+attention.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import numpy as np
 from .exceptions import CacheCapacityError, CacheError, ConfigError
 from .tensor import as_array, concat_last_but_one
 
-KINDS = ("multi_head", "multi_query")
 POLICIES = ("growing", "padded")
 
 
@@ -25,12 +28,10 @@ POLICIES = ("growing", "padded")
 class KVCache:
     """Cached keys and values for one attention site.
 
-    multi_head storage is [b, h, m, k] / [b, h, m, v]; multi_query storage
-    drops the heads axis: [b, m, k] / [b, m, v].  For the growing policy the
+    Storage is [b, g, m, k] / [b, g, m, v].  For the growing policy the
     storage length equals valid_len; for padded it equals max_len.
     """
 
-    kind: str
     keys: np.ndarray
     values: np.ndarray
     policy: str
@@ -38,14 +39,11 @@ class KVCache:
     max_len: int | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown cache kind {self.kind!r}")
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown cache policy {self.policy!r}")
-        rank = 4 if self.kind == "multi_head" else 3
-        if self.keys.ndim != rank or self.values.ndim != rank:
+        if self.keys.ndim != 4 or self.values.ndim != 4:
             raise CacheError(
-                f"{self.kind} cache needs rank-{rank} storage, got "
+                "cache needs rank-4 storage, got "
                 f"{self.keys.shape} / {self.values.shape}"
             )
         if self.keys.shape[:-1] != self.values.shape[:-1]:
@@ -77,8 +75,8 @@ class KVCache:
         return self.keys.shape[0]
 
     @property
-    def heads(self) -> int | None:
-        return self.keys.shape[1] if self.kind == "multi_head" else None
+    def groups(self) -> int:
+        return self.keys.shape[1]
 
     @property
     def key_width(self) -> int:
@@ -92,10 +90,6 @@ class KVCache:
     def storage_len(self) -> int:
         return self.keys.shape[-2]
 
-    @property
-    def length(self) -> int:
-        return self.valid_len
-
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -103,46 +97,32 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def new_cache(
-    kind: str,
     *,
     batch: int,
+    groups: int,
     key_width: int,
     value_width: int,
-    heads: int | None = None,
     policy: str = "growing",
     max_len: int | None = None,
 ) -> KVCache:
     """Create an empty cache for one attention site."""
-    if kind not in KINDS:
-        raise ConfigError(f"unknown cache kind {kind!r}")
     if policy not in POLICIES:
         raise ConfigError(f"unknown cache policy {policy!r}")
-    if min(batch, key_width, value_width) < 1:
+    if min(batch, groups, key_width, value_width) < 1:
         raise ConfigError("cache dims must be positive")
-    if kind == "multi_head":
-        if heads is None or heads < 1:
-            raise ConfigError("multi_head caches need heads >= 1")
-        lead = (batch, heads)
-    else:
-        if heads is not None:
-            raise ConfigError("multi_query caches take no heads axis")
-        lead = (batch,)
     if policy == "padded" and (max_len is None or max_len < 1):
         raise ConfigError("padded caches need max_len >= 1")
     if policy == "growing" and max_len is not None:
         raise ConfigError("growing caches take no max_len")
     storage = 0 if policy == "growing" else max_len
-    keys = _frozen(np.zeros(lead + (storage, key_width)))
-    values = _frozen(np.zeros(lead + (storage, value_width)))
-    return KVCache(kind, keys, values, policy, 0, max_len)
+    keys = _frozen(np.zeros((batch, groups, storage, key_width)))
+    values = _frozen(np.zeros((batch, groups, storage, value_width)))
+    return KVCache(keys, values, policy, 0, max_len)
 
 
 def append(cache: KVCache, k_new, v_new) -> KVCache:
-    """Append one position of keys and values; returns the grown cache.
-
-    Slices are [b, h, k] / [b, h, v] for multi_head and [b, k] / [b, v] for
-    multi_query.
-    """
+    """Append one position of [b, g, k] keys and [b, g, v] values; returns
+    the grown cache."""
     k_new = as_array(k_new)
     v_new = as_array(v_new)
     lead = cache.keys.shape[:-2]
@@ -184,8 +164,6 @@ def validity_bias(cache: KVCache) -> np.ndarray:
 
 def cache_words(cache: KVCache) -> int:
     """Float64 words of valid cached state (keys plus values)."""
-    lead = 1
-    for d in cache.keys.shape[:-2]:
-        lead *= d
-    return lead * cache.valid_len * (cache.key_width + cache.value_width)
+    return (cache.batch * cache.groups * cache.valid_len
+            * (cache.key_width + cache.value_width))
 

@@ -300,7 +300,7 @@ _BENCH_DEFAULTS = {
 }
 
 _WORKLOAD_KEYS = {"b", "source_len", "target_len", "repetitions",
-                  "warmup_reps", "timer_note"}
+                  "warmup_reps"}
 
 
 def _cmd_bench(args) -> int:

@@ -1,6 +1,5 @@
 """Small tensor engine: validated two-operand einsum contractions, masked
-softmax, sequence concatenation, and a line-oriented text form of one tensor
-(checkpoints are binary; see checkpoint.py).
+softmax and sequence concatenation.
 
 All public operations take and return float64 C-order ndarrays.  Contractions
 are evaluated by numpy's einsum with optimization disabled, so an expression
@@ -202,36 +201,3 @@ def concat_last_but_one(a, b) -> np.ndarray:
             )
     return np.concatenate([a, b], axis=-2)
 
-
-def format_tensor(arr) -> str:
-    """Render a tensor to the text format: a shape line, then one value per
-    line in row-major order, printed with 17 significant digits so float64
-    round-trips exactly."""
-    arr = as_array(arr)
-    lines = [" ".join(["shape:"] + [str(d) for d in arr.shape])]
-    lines.extend(f"{v:.17g}" for v in arr.reshape(-1))
-    return "\n".join(lines) + "\n"
-
-
-def parse_tensor(text: str) -> np.ndarray:
-    """Inverse of format_tensor."""
-    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
-    if not lines or not lines[0].startswith("shape:"):
-        raise ShapeError("tensor text must start with a 'shape:' line")
-    try:
-        shape = tuple(int(tok) for tok in lines[0][len("shape:"):].split())
-    except ValueError as exc:
-        raise ShapeError(f"bad shape line {lines[0]!r}") from exc
-    if any(d < 0 for d in shape):
-        raise ShapeError(f"negative extent in shape {shape}")
-    count = 1
-    for d in shape:
-        count *= d
-    body = lines[1:]
-    if len(body) != count:
-        raise ShapeError(f"expected {count} values for shape {shape}, got {len(body)}")
-    try:
-        flat = np.array([float(tok) for tok in body], dtype=np.float64)
-    except ValueError as exc:
-        raise ShapeError("non-numeric value line in tensor text") from exc
-    return flat.reshape(shape)

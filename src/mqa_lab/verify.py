@@ -108,9 +108,7 @@ def check_incremental_matches_batched():
     for kind in ("multi_head", "multi_query"):
         w = random_attention_weights(rng, kind, d=d, h=h, k=k, v=v)
         want = attention_batched(x, x, w, mask=MaskSpec("causal", b, h, n, n))
-        heads = h if kind == "multi_head" else None
-        cache = new_cache(kind, batch=b, key_width=k, value_width=v,
-                          heads=heads)
+        cache = new_cache(batch=b, groups=w.groups, key_width=k, value_width=v)
         for t in range(n):
             y, cache = self_attention_incremental(x[:, t], cache, w)
             assert np.max(np.abs(y - want[:, t])) < 1e-10, (kind, t)
@@ -122,11 +120,9 @@ def check_cache_policies_bit_identical():
     x = rng.normal(size=(b, n, d))
     for kind in ("multi_head", "multi_query"):
         w = random_attention_weights(rng, kind, d=d, h=h, k=k, v=v)
-        heads = h if kind == "multi_head" else None
-        grow = new_cache(kind, batch=b, key_width=k, value_width=v,
-                         heads=heads)
-        pad = new_cache(kind, batch=b, key_width=k, value_width=v,
-                        heads=heads, policy="padded", max_len=16)
+        grow = new_cache(batch=b, groups=w.groups, key_width=k, value_width=v)
+        pad = new_cache(batch=b, groups=w.groups, key_width=k, value_width=v,
+                        policy="padded", max_len=16)
         for t in range(n):
             yg, grow = self_attention_incremental(x[:, t], grow, w)
             yp, pad = self_attention_incremental(x[:, t], pad, w)
@@ -156,13 +152,12 @@ def check_local_window_covers_causal():
 
 def check_kv_cache_ratio_is_heads():
     for h in (1, 2, 4, 8):
-        mh = new_cache("multi_head", batch=2, key_width=3, value_width=5,
-                       heads=h)
-        mq = new_cache("multi_query", batch=2, key_width=3, value_width=5)
+        mh = new_cache(batch=2, groups=h, key_width=3, value_width=5)
+        mq = new_cache(batch=2, groups=1, key_width=3, value_width=5)
         rng = _rng()
         for _ in range(4):
             mh = append(mh, rng.normal(size=(2, h, 3)), rng.normal(size=(2, h, 5)))
-            mq = append(mq, rng.normal(size=(2, 3)), rng.normal(size=(2, 5)))
+            mq = append(mq, rng.normal(size=(2, 1, 3)), rng.normal(size=(2, 1, 5)))
         assert cache_words(mh) == h * cache_words(mq), h
 
 

@@ -76,7 +76,7 @@ def _decode_step_cache_words(kind, h, b, n, rng, policy="growing"):
     """Drive the incremental kernel n steps; return per-step cache reads."""
     d, k, v = SWEEP_WIDTHS["d"], SWEEP_WIDTHS["k"], SWEEP_WIDTHS["v"]
     w = random_attention_weights(rng, kind, d=d, h=h, k=k, v=v)
-    cache = new_cache(kind, batch=b, heads=h if kind == "multi_head" else None,
+    cache = new_cache(batch=b, groups=w.groups,
                       key_width=k, value_width=v, policy=policy,
                       max_len=n if policy == "padded" else None)
     step = STEP_KERNELS[kind]
@@ -141,8 +141,7 @@ def test_03_counted_costs_equal_closed_forms():
             assert tally.tensor_words() == batched.tensor_words
             assert tally.traffic_words() == batched.traffic_words
 
-            cache = new_cache(kind, batch=b,
-                              heads=h if kind == "multi_head" else None,
+            cache = new_cache(batch=b, groups=w.groups,
                               key_width=cfg.k, value_width=cfg.v,
                               policy="padded", max_len=n)
             flops = traffic = 0
@@ -188,8 +187,7 @@ def test_04_incremental_matches_batched():
             x = rng.standard_normal((b, n, d))
             batched = BATCHED_KERNELS[kind](
                 x, x, w, MaskSpec("causal", b, h, n, n))
-            cache = new_cache(kind, batch=b,
-                              heads=h if kind == "multi_head" else None,
+            cache = new_cache(batch=b, groups=w.groups,
                               key_width=k, value_width=v, policy=policy,
                               max_len=n if policy == "padded" else None)
             steps = []

@@ -22,8 +22,7 @@ def weights_for(rng, kind, d=6, h=3, k=4, v=5):
 
 def run_incremental(xs, w, policy="growing", window=None, max_len=None):
     b, n, d = xs.shape
-    heads = w.heads if w.kind == "multi_head" else None
-    cache = new_cache(w.kind, batch=b, heads=heads, key_width=w.key_width,
+    cache = new_cache(batch=b, groups=w.groups, key_width=w.key_width,
                       value_width=w.value_width, policy=policy, max_len=max_len)
     ys = []
     for t in range(n):
@@ -189,6 +188,13 @@ class TestBatched:
             attention_batched(xs, memory, w_mh),
             attention_batched(xs, memory, w_mq),
             rtol=1e-12, atol=1e-12)
+        # at h = 1 both kinds step on the same one-group cache, bit for bit
+        ys_mh, cache_mh = run_incremental(xs, w_mh)
+        ys_mq, cache_mq = run_incremental(xs, w_mq)
+        assert cache_mh.groups == cache_mq.groups == 1
+        assert ys_mh.tobytes() == ys_mq.tobytes()
+        assert cache_mh.keys.tobytes() == cache_mq.keys.tobytes()
+        assert cache_mh.values.tobytes() == cache_mq.values.tobytes()
 
     def test_mask_dims_must_match(self, rng):
         w = weights_for(rng, "multi_head")
@@ -318,8 +324,7 @@ class TestIncremental:
 
     def test_cache_grows_by_one_per_step(self, rng):
         w = weights_for(rng, "multi_head")
-        cache = new_cache("multi_head", batch=2, heads=3, key_width=4,
-                          value_width=5)
+        cache = new_cache(batch=2, groups=3, key_width=4, value_width=5)
         for t in range(4):
             _, cache = self_attention_incremental(
                 rng.standard_normal((2, 6)), cache, w)
@@ -327,14 +332,13 @@ class TestIncremental:
 
     def test_kind_mismatch_rejected(self, rng):
         w = weights_for(rng, "multi_head")
-        cache = new_cache("multi_query", batch=2, key_width=4, value_width=5)
+        cache = new_cache(batch=2, groups=1, key_width=4, value_width=5)
         with pytest.raises(CacheError):
             self_attention_incremental(np.zeros((2, 6)), cache, w)
 
     def test_batch_mismatch_rejected(self, rng):
         w = weights_for(rng, "multi_head")
-        cache = new_cache("multi_head", batch=3, heads=3, key_width=4,
-                          value_width=5)
+        cache = new_cache(batch=3, groups=3, key_width=4, value_width=5)
         with pytest.raises(CacheError):
             self_attention_incremental(np.zeros((2, 6)), cache, w)
 
@@ -367,8 +371,7 @@ class TestInstrumentation:
     def test_incremental_cache_words_across_steps(self, rng, kind, total):
         # b=1, h=4, k=v=2, three steps: sum_t b*h*t*(k+v) reads
         w = random_attention_weights(rng, kind, d=5, h=4, k=2, v=2)
-        heads = 4 if kind == "multi_head" else None
-        cache = new_cache(kind, batch=1, heads=heads, key_width=2, value_width=2)
+        cache = new_cache(batch=1, groups=w.groups, key_width=2, value_width=2)
         seen = 0
         for _ in range(3):
             tally = TrafficTally()
@@ -380,7 +383,7 @@ class TestInstrumentation:
 
     def test_padded_flops_cover_storage_not_validity(self, rng):
         w = random_attention_weights(rng, "multi_query", d=5, h=4, k=2, v=2)
-        cache = new_cache("multi_query", batch=1, key_width=2, value_width=2,
+        cache = new_cache(batch=1, groups=1, key_width=2, value_width=2,
                           policy="padded", max_len=6)
         tally = TrafficTally()
         _, cache = self_attention_incremental(

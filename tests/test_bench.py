@@ -233,8 +233,7 @@ class TestReports:
         ]
         return BenchReport(b=32, source_len=128, target_len=128,
                            repetitions=5, rows=rows, cpu="Test CPU",
-                           threads="1", timer_resolution_ns=30.0,
-                           timer_note="test")
+                           threads="1", timer_resolution_ns=30.0)
 
     def test_markdown_matches_golden(self):
         rendered = emit_report(self.canned(), "markdown")

@@ -145,9 +145,8 @@ class TestInstrumentedDuality:
         cfg = ShapeConfig(b=2, n=5, m=5, d=6, h=3, k=3, v=2)
         w = random_attention_weights(rng, kind, d=cfg.d, h=cfg.h, k=cfg.k,
                                      v=cfg.v)
-        heads = cfg.h if kind == "multi_head" else None
         # padded to exactly n slots: fixed-shape steps, the flop convention
-        cache = new_cache(kind, batch=cfg.b, heads=heads, key_width=cfg.k,
+        cache = new_cache(batch=cfg.b, groups=w.groups, key_width=cfg.k,
                           value_width=cfg.v, policy="padded", max_len=cfg.n)
         flops_by_op: dict[str, int] = {}
         tensor_words: dict[str, int] = {}

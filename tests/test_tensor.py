@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from mqa_lab.exceptions import (ContractionSpecError, DegenerateSoftmaxError,
                                 ShapeError)
 from mqa_lab.tensor import (concat_last_but_one, contract, contraction_flops,
-                            format_tensor, masked_softmax, ordered_sum_last,
-                            parse_spec, parse_tensor)
+                            masked_softmax, ordered_sum_last, parse_spec)
 
 from oracles import loop_contract
 
@@ -205,38 +204,3 @@ class TestConcat:
         with pytest.raises(ShapeError):
             concat_last_but_one(np.zeros(3), np.zeros(3))
 
-
-class TestTextFormat:
-    def test_header_and_layout(self):
-        text = format_tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        lines = text.splitlines()
-        assert lines[0] == "shape: 2 2"
-        assert lines[1:] == ["1", "2", "3", "4"]
-
-    def test_round_trip_exact_bits(self, rng):
-        arr = rng.standard_normal((3, 4, 2)) * np.exp(rng.uniform(-300, 300, (3, 4, 2)))
-        back = parse_tensor(format_tensor(arr))
-        assert back.tobytes() == arr.tobytes()
-        assert back.shape == arr.shape
-
-    def test_special_values(self):
-        arr = np.array([1 / 3, -0.0, 1e-300, -np.inf, np.pi])
-        back = parse_tensor(format_tensor(arr))
-        assert back.tobytes() == arr.tobytes()
-
-    def test_scalar(self):
-        back = parse_tensor(format_tensor(np.float64(2.5)))
-        assert back.shape == ()
-        assert back == 2.5
-
-    @pytest.mark.parametrize("text", [
-        "1\n2\n",
-        "shape: 2\n1\n",
-        "shape: 2\n1\n2\n3\n",
-        "shape: -1\n",
-        "shape: 2\n1\npotato\n",
-        "shape: x y\n1\n",
-    ])
-    def test_malformed_rejected(self, text):
-        with pytest.raises(ShapeError):
-            parse_tensor(text)
