@@ -113,7 +113,7 @@ def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, dict]:
     root = Path(directory)
     manifest = _read_manifest(root)
     try:
-        config = dataclass_from_dict(ModelConfig, manifest.get("config"))
+        config = dataclass_from_dict(ModelConfig, manifest.get("config"), "model")
         layout = param_layout(config)
     except ConfigError as exc:
         raise InputError(f"checkpoint config is invalid: {exc}") from exc

@@ -7,6 +7,10 @@ the loaded config (repeatable, applied after the file), --seed overrides
 every seed field at once, and --out writes the primary output to a file
 as well as stdout.
 
+Every config section is built and checked by config.dataclass_from_dict;
+--seed, an integer >= 0, is applied after that to the built dataclasses.
+Token ids are checked by the library (model.check_ids).
+
 MQA_THREADS caps BLAS parallelism.  The thread environment variables it
 maps to are only honored before numpy first loads, so this module keeps
 all numeric imports inside the subcommand bodies and exports the thread
@@ -19,11 +23,13 @@ config or checkpoint), 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
+from .config import apply_override, dataclass_from_dict, reject_unknown
 from .exceptions import ConfigError, InputError, ShapeError
 
 DEFAULT_SEED = 0
@@ -58,7 +64,8 @@ def _merge(base: dict, extra: dict) -> None:
 
 
 def _load_config(args, defaults: dict) -> dict:
-    """Defaults, then the --config file, then --set overrides."""
+    """Defaults, then the --config file, then --set overrides; only the
+    defaults' top-level keys are allowed."""
     config = json.loads(json.dumps(defaults))
     if args.config is not None:
         path = Path(args.config)
@@ -71,16 +78,26 @@ def _load_config(args, defaults: dict) -> dict:
         if not isinstance(loaded, dict):
             raise InputError(f"config {path} must hold a JSON object")
         _merge(config, loaded)
-    from .config import apply_override
     for assignment in args.overrides:
         apply_override(config, assignment)
+    reject_unknown(config, defaults, "config")
     return config
 
 
-def _reject_unknown(config: dict, allowed: set[str]) -> None:
-    unknown = sorted(set(config) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+def _section(args, config: dict, key: str, cls, seed_field: str | None = None, /,
+             **defaults):
+    """config[key] built into a cls by config.dataclass_from_dict, which
+    checks it, and then its seed_field set to --seed when that is given."""
+    section = dataclass_from_dict(cls, config[key], key, **defaults)
+    if seed_field is None or args.seed is None:
+        return section
+    return dataclasses.replace(section, **{seed_field: args.seed})
+
+
+def _seed_flag(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _deliver(text: str, out: str | None) -> None:
@@ -114,7 +131,7 @@ _COST_DEFAULTS = {"shape": {"b": 1, "n": 2, "m": 2, "d": 4, "h": 2, "k": 2, "v":
 
 
 def _cmd_cost(args) -> int:
-    from .config import ATTENTION_KINDS, dataclass_from_dict
+    from .config import ATTENTION_KINDS
     from .costs import (
         ShapeConfig,
         batched_costs,
@@ -123,8 +140,7 @@ def _cmd_cost(args) -> int:
         incremental_costs,
     )
     config = _load_config(args, _COST_DEFAULTS)
-    _reject_unknown(config, {"shape"})
-    shape = dataclass_from_dict(ShapeConfig, config["shape"])
+    shape = _section(args, config, "shape", ShapeConfig)
     breakdowns = [batched_costs(shape, kind) for kind in ATTENTION_KINDS]
     if shape.n == shape.m:
         breakdowns += [incremental_costs(shape, kind) for kind in ATTENTION_KINDS]
@@ -163,15 +179,14 @@ _PARITY_PRESETS = {
 
 
 def _cmd_parity(args) -> int:
-    from .config import ModelConfig, dataclass_from_dict
+    from .config import ModelConfig, dataclass_to_dict
     from .costs import dff_for_parity
     base_defaults, variant_defaults = _PARITY_PRESETS[args.preset]
     config = _load_config(
         args, {"baseline": base_defaults, "variant": variant_defaults})
-    _reject_unknown(config, {"baseline", "variant"})
-    baseline = dataclass_from_dict(ModelConfig, config["baseline"])
-    variant = dataclass_from_dict(
-        ModelConfig, {**config["baseline"], **config["variant"]})
+    baseline = _section(args, config, "baseline", ModelConfig)
+    variant = _section(args, config, "variant", ModelConfig,
+                       **dataclass_to_dict(baseline))
     adjusted = dff_for_parity(baseline, variant)
     sites = lambda cfg: ", ".join(f"{s}:{k}" for s, k in cfg.attention_sites())
     lines = [
@@ -199,22 +214,12 @@ _TRAIN_DEFAULTS = {
 
 
 def _cmd_train(args) -> int:
-    from .config import (
-        ModelConfig,
-        OptimizerSettings,
-        TaskSpec,
-        dataclass_from_dict,
-        dataclass_to_dict,
-    )
+    from .config import ModelConfig, OptimizerSettings, TaskSpec, dataclass_to_dict
     from .training import train
     config = _load_config(args, _TRAIN_DEFAULTS)
-    _reject_unknown(config, {"model", "task", "optimizer", "steps", "log_every"})
-    if args.seed is not None:
-        config["model"]["init_seed"] = args.seed
-        config["task"]["seed"] = args.seed
-    model = dataclass_from_dict(ModelConfig, config["model"])
-    task = dataclass_from_dict(TaskSpec, config["task"])
-    settings = dataclass_from_dict(OptimizerSettings, config["optimizer"])
+    model = _section(args, config, "model", ModelConfig, "init_seed")
+    task = _section(args, config, "task", TaskSpec, "seed")
+    settings = _section(args, config, "optimizer", OptimizerSettings)
     # train checks steps and log_every (config._check_types) before any work
     result = train(model, task, settings, steps=config["steps"],
                    log_every=config["log_every"])
@@ -249,29 +254,25 @@ _DECODE_DEFAULTS = {
 def _cmd_decode(args) -> int:
     import numpy as np
 
-    from .config import DecodeConfig, ModelConfig, _check_types, dataclass_from_dict
+    from .config import DecodeConfig, ModelConfig, _check_types
     from .decoding import decode
     from .model import init_params
     from .training import BOS
     config = _load_config(args, _DECODE_DEFAULTS)
-    _reject_unknown(config, {"model", "decode", "batch", "length", "seed"})
-    if args.seed is not None:
-        config["seed"] = args.seed
-        config["model"]["init_seed"] = args.seed
     minimums = {"batch": 1, "length": 1, "seed": 0}
     _check_types(config, dict.fromkeys(minimums, "int"))
     for key, minimum in minimums.items():
         if config[key] < minimum:
             raise ConfigError(f"{key} must be >= {minimum}, got {config[key]}")
     batch, length = config["batch"], config["length"]
+    decode_config = _section(args, config, "decode", DecodeConfig)
     if args.checkpoint is not None:
         from .checkpoint import load_checkpoint
         params, model, _ = load_checkpoint(args.checkpoint)
     else:
-        model = dataclass_from_dict(ModelConfig, config["model"])
+        model = _section(args, config, "model", ModelConfig, "init_seed")
         params = init_params(model)
-    decode_config = dataclass_from_dict(DecodeConfig, config["decode"])
-    rng = np.random.default_rng(config["seed"])
+    rng = np.random.default_rng(config["seed"] if args.seed is None else args.seed)
     inputs = rng.integers(1, model.vocab_size, size=(batch, length))
     if model.has_encoder:
         result = decode(params, model, decode_config, source=inputs)
@@ -299,25 +300,14 @@ _BENCH_DEFAULTS = {
     "variants": None,
 }
 
-_WORKLOAD_KEYS = {"b", "source_len", "target_len", "repetitions",
-                  "warmup_reps"}
-
 
 def _cmd_bench(args) -> int:
     from .bench import VARIANTS, Workload, emit_report, run_bench
-    from .config import ModelConfig, _check_types, dataclass_from_dict
+    from .config import ModelConfig, _check_types
     config = _load_config(args, _BENCH_DEFAULTS)
-    _reject_unknown(config, {"model", "workload", "include_beam", "variants"})
-    if args.seed is not None:
-        config["model"]["init_seed"] = args.seed
     _check_types(config, {"include_beam": "bool"})
-    model = dataclass_from_dict(ModelConfig, config["model"])
-    if not isinstance(config["workload"], dict):
-        raise ConfigError("workload must be an object")
-    unknown = sorted(set(config["workload"]) - _WORKLOAD_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown workload key(s): {', '.join(unknown)}")
-    workload = Workload(model=model, **config["workload"])  # checks the types
+    workload = _section(args, config, "workload", Workload,
+                        model=_section(args, config, "model", ModelConfig, "init_seed"))
     variants = config["variants"]
     if variants is None:
         variants = VARIANTS
@@ -379,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                               if name != "report" else "saved bench csv")
         sub.add_argument("--out", metavar="PATH", default=None,
                          help="also write the output to this file")
-        sub.add_argument("--seed", type=int, default=None, metavar="INT",
+        sub.add_argument("--seed", type=_seed_flag, default=None, metavar="INT",
                          help=f"override every seed (default {DEFAULT_SEED})")
         sub.add_argument("--set", dest="overrides", action="append",
                          default=[], metavar="KEY=VALUE",

@@ -198,15 +198,20 @@ class DecodeConfig:
             raise ConfigError("max_steps must be >= 1")
 
 
-def dataclass_from_dict(cls, data):
-    """Build a config dataclass from a plain dict, rejecting unknown keys."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{cls.__name__} config must be an object, got {type(data).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
+def reject_unknown(data: dict, names, what: str) -> None:
+    unknown = sorted(set(data) - set(names))
     if unknown:
-        raise ConfigError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
-    return cls(**data)
+        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
+
+
+def dataclass_from_dict(cls, data, name: str, /, **defaults):
+    """Build a config dataclass from a plain dict, rejecting unknown keys.
+    name is what errors call the dict; defaults are field values the
+    dict's entries override."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name} config must be an object, got {type(data).__name__}")
+    reject_unknown(data, (f.name for f in dataclasses.fields(cls)), name)
+    return cls(**{**defaults, **data})
 
 
 def dataclass_to_dict(obj) -> dict:

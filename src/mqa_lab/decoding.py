@@ -29,6 +29,9 @@ emission is the beam_size=1, length_alpha=0 special case; a lone beam
 shares nothing and keeps the opener in its own ring, and the tests hold
 greedy and beam-1 to exact agreement.
 
+decode, score_sequence and decoder_step check their ids before any work
+with model.check_ids, the one input contract for token ids.
+
 Beam scores are sums of token log-probabilities divided by the length
 penalty ((5 + length) / 6) ** alpha, with length counting every emitted
 token including the end marker.
@@ -54,6 +57,7 @@ from .model import (
     _self_bias,
     _softmax_rows,
     attention_forward,
+    check_ids,
     encode,
     feed_forward,
     forward,
@@ -143,6 +147,8 @@ def start_state(params: ModelParams, config: ModelConfig, *,
         raise ConfigError("encoder_decoder decode needs encoder memory")
     if not config.has_encoder and memory is not None:
         raise ConfigError("decoder_only decode takes no memory")
+    if batch_size < 1:
+        raise InputError(f"batch_size must be >= 1, got {batch_size}")
     limit = config.max_len if max_positions is None else max_positions
     if not 1 <= limit <= config.max_len:
         raise InputError(f"max_positions {limit} outside [1, {config.max_len}]")
@@ -195,11 +201,9 @@ def decoder_step(params: ModelParams, config: ModelConfig,
     Returns (logits [rows, vocab], state).  The returned state is the same
     object, advanced in place: its buffers now hold this position.
     """
-    tokens = np.asarray(tokens)
-    if tokens.ndim != 1:
-        raise InputError(f"step tokens must be [batch], got {tokens.shape}")
-    if tokens.min() < 0 or tokens.max() >= config.vocab_size:
-        raise InputError("step tokens outside the vocabulary")
+    tokens = check_ids("step", tokens, config, ndim=1)
+    if len(tokens) != len(state.keys[0]):
+        raise InputError(f"{len(tokens)} step tokens for {len(state.keys[0])} rows")
     t = state.position
     if t >= state.limit:
         raise InputError(
@@ -321,21 +325,6 @@ class DecodeResult:
     scores: np.ndarray
 
 
-def _ids(what: str, ids, config: ModelConfig) -> np.ndarray:
-    ids = np.asarray(ids)
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise InputError(f"{what} ids must be integers, got dtype {ids.dtype}")
-    if ids.ndim != 2 or 0 in ids.shape:
-        raise InputError(f"{what} ids must be a non-empty [batch, positions] "
-                         f"array, got shape {ids.shape}")
-    if ids.shape[1] > config.max_len:
-        raise InputError(
-            f"{what} length {ids.shape[1]} exceeds max_len {config.max_len}")
-    if ids.min() < 0 or ids.max() >= config.vocab_size:
-        raise InputError(f"{what} ids outside [0, {config.vocab_size})")
-    return ids
-
-
 def _source_or_prompt(config: ModelConfig, source, prompt, call: str):
     """The mode's rule for `call`'s inputs: encoder_decoder takes a source
     and no prompt, decoder_only a prompt and no source (ConfigError
@@ -359,7 +348,7 @@ def _inputs(params, config: ModelConfig, decode: DecodeConfig, source, prompt):
     is BOS for encoder_decoder and the caller's prompt (usually source +
     BOS) for decoder_only."""
     what, ids = _source_or_prompt(config, source, prompt, "decode")
-    ids = _ids(what, ids, config)
+    ids = check_ids(what, ids, config)
     source, opener = (ids, np.full((len(ids), 1), BOS, dtype=np.int64)) \
         if config.has_encoder else (None, ids)
     if decode.eos_id is not None and not 0 <= decode.eos_id < config.vocab_size:
@@ -532,7 +521,7 @@ def score_sequence(params: ModelParams, config: ModelConfig, tokens, *,
     """
     def row(what, ids):
         ids = np.asarray(ids)
-        ids = _ids(what, ids[None] if ids.ndim == 1 else ids, config)
+        ids = check_ids(what, ids[None] if ids.ndim == 1 else ids, config)
         if len(ids) != 1:
             raise InputError(f"{what} must be one row, got {len(ids)}")
         return ids

@@ -32,6 +32,10 @@ keeps them from one training step to the next; entered in a with block, a
 Workspace carves them from one spare slab of free memory that outlives the
 training call, so the next call page-faults none of it.
 
+check_ids is the one input contract for token ids: _embed runs it on all
+ids a pass embeds, _validate_batch on the labels, and the decoding entry
+points on their inputs before any work.
+
 Apart from _softmax_rows, which works in the buffer it is handed, and the
 gradient trees handed to the backward passes to fill, nothing in this
 module mutates its inputs.
@@ -646,19 +650,29 @@ def _block_backward(dx, tape: list, block: Block, out: Block, empty):
     return d_norm, d_memory
 
 
+def check_ids(what: str, ids, config: ModelConfig, ndim: int = 2) -> np.ndarray:
+    """ids as an array, or InputError unless they are a non-empty integer
+    [batch, positions] (ndim 2) or [batch] (ndim 1) array of at most max_len
+    positions, every id inside the vocabulary."""
+    ids = np.asarray(ids)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise InputError(f"{what} ids must be integers, got dtype {ids.dtype}")
+    if ids.ndim != ndim or 0 in ids.shape:
+        raise InputError(f"{what} ids must be a non-empty rank-{ndim} array, "
+                         f"got shape {ids.shape}")
+    if ndim == 2 and ids.shape[1] > config.max_len:
+        raise InputError(
+            f"{what} length {ids.shape[1]} exceeds max_len {config.max_len}")
+    low, high = ids.min(), ids.max()
+    if low < 0 or high >= config.vocab_size:
+        raise InputError(
+            f"{what} ids outside [0, {config.vocab_size}): [{low}, {high}]")
+    return ids
+
+
 def _embed(params: ModelParams, config: ModelConfig, ids, what: str,
            empty=np.empty):
-    if ids.ndim != 2:
-        raise InputError(f"{what} ids must be [batch, positions], got {ids.shape}")
-    if ids.shape[1] > config.max_len:
-        raise InputError(
-            f"{what} length {ids.shape[1]} exceeds max_len {config.max_len}"
-        )
-    if ids.min() < 0 or ids.max() >= config.vocab_size:
-        raise InputError(
-            f"{what} ids outside [0, {config.vocab_size}): "
-            f"[{ids.min()}, {ids.max()}]"
-        )
+    ids = check_ids(what, ids, config)
     x = np.take(params.embedding, ids, axis=0,
                 out=empty(ids.shape + params.embedding.shape[1:]))
     x += params.positions[:ids.shape[1]]
@@ -682,6 +696,7 @@ def _validate_batch(config: ModelConfig, batch: Batch) -> None:
             raise InputError("encoder_decoder models need batch.source")
     elif batch.source is not None:
         raise InputError("decoder_only models take no batch.source")
+    check_ids("target_out", batch.target_out, config)
     if batch.target_in.shape != batch.target_out.shape:
         raise InputError("target_in and target_out must share a shape")
     if batch.loss_mask.shape != batch.target_in.shape:

@@ -146,7 +146,14 @@ class TestUsageErrors:
         ("cost", "--set", "shape.b=1.5"),
         ("train", "--seed", "-1"),
         ("train", "--set", "task.seed=-1"),
-        ("bench", "--set", "model.init_seed=-1")])
+        ("bench", "--set", "model.init_seed=-1"),
+        ("train", "--set", "model=1", "--seed", "0"),
+        ("decode", "--set", "model=1", "--seed", "0"),
+        ("bench", "--set", "model=1", "--seed", "0"),
+        ("train", "--set", "task=1", "--seed", "0"),
+        ("decode", "--set", "model=[1]", "--seed", "0"),
+        ("parity", "--set", "variant=1"),
+        ("decode", "--checkpoint", "missing", "--seed", "-1")])
     def test_mistyped_or_negative_value_is_usage_error(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
@@ -361,7 +368,8 @@ class TestBenchReport:
 
     @pytest.mark.parametrize("setting", ['workload.b="8"', "workload.b=true",
                                          "workload.repetitions=3.0",
-                                         "workload.timer_note=1", "workload=3",
+                                         'workload.warmup_reps="1"',
+                                         "workload.source_len=2.5", "workload=3",
                                          'include_beam="no"', "include_beam=1",
                                          'variants="multi-head"', "variants=[1]"])
     def test_bench_setting_of_wrong_type_is_usage_error(self, capsys, setting):

@@ -174,18 +174,32 @@ class TestStepAgainstBatchedForward:
         assert len(tape) == 4 * config.layers + 1
         assert encode_source(params, config, source).tobytes() == expected.tobytes()
 
-    def test_step_input_validation(self, rng):
+    def two_row_state(self, rng):
         config = tiny_config()
         params = init_params(config)
         source = rng.integers(1, config.vocab_size, size=(2, 3))
         memory = encode_source(params, config, source)
-        state = start_state(params, config, batch_size=2, memory=memory)
+        return config, params, start_state(params, config, batch_size=2,
+                                           memory=memory)
+
+    @pytest.mark.parametrize("tokens", [
+        pytest.param(np.array([[0, 1], [1, 0]]), id="2-D"),
+        pytest.param(np.array([0, 10]), id="past-vocab"),
+        pytest.param(np.array([0.0, 1.0]), id="float"),
+        pytest.param(np.array([], dtype=np.int64), id="empty"),
+    ])
+    def test_step_input_validation(self, rng, tokens):
+        config, params, state = self.two_row_state(rng)
         with pytest.raises(InputError):
-            decoder_step(params, config, state,
-                         np.array([[0, 1], [1, 0]]))
-        with pytest.raises(InputError):
-            decoder_step(params, config, state,
-                         np.array([0, config.vocab_size]))
+            decoder_step(params, config, state, tokens)
+
+    def test_step_tokens_must_match_the_state_rows(self, rng):
+        config, params, state = self.two_row_state(rng)
+        with pytest.raises(InputError, match="rows"):
+            decoder_step(params, config, state, np.array([0, 1, 2]))
+
+    def test_step_past_the_started_positions(self, rng):
+        config, params, state = self.two_row_state(rng)
         state.position = config.max_len
         with pytest.raises(InputError):
             decoder_step(params, config, state, np.array([0, 1]))
@@ -202,6 +216,11 @@ class TestStepAgainstBatchedForward:
                         memory=np.zeros((2, 3, 16)))
         with pytest.raises(ConfigError):
             encode_source(p2, dec_only, np.zeros((2, 3), dtype=np.int64))
+
+    def test_state_needs_a_row(self):
+        config = tiny_config(mode="decoder_only")
+        with pytest.raises(InputError, match="batch_size"):
+            start_state(init_params(config), config, batch_size=0)
 
 
 class TestGreedy:

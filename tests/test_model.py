@@ -6,6 +6,7 @@ pinned to the contraction kernels, which were themselves checked against
 scalar loop oracles.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -58,6 +59,32 @@ def make_batch(config, rng, b=2, n_src=5, n_tgt=4):
     mask = np.ones((b, n_tgt))
     mask[0, -1] = 0.0
     return Batch(source, target_in, target, mask)
+
+
+def _with_id(ids, value):
+    ids = ids.copy()
+    ids[0, 0] = value
+    return ids
+
+
+def _over_long(batch, config):
+    ids = np.ones((2, config.max_len + 1), dtype=np.int64)
+    return Batch(batch.source, ids, ids, np.ones(ids.shape))
+
+
+# damaged copies of a good encoder_decoder batch, each refused with InputError
+BAD_BATCHES = {
+    "no-source": lambda b, c: dataclasses.replace(b, source=None),
+    "float-source": lambda b, c: dataclasses.replace(b, source=b.source * 1.0),
+    "empty-source": lambda b, c: dataclasses.replace(b, source=b.source[:, :0]),
+    "target-id-past-vocab": lambda b, c: dataclasses.replace(
+        b, target_in=_with_id(b.target_in, c.vocab_size)),
+    "label-past-vocab": lambda b, c: dataclasses.replace(
+        b, target_out=_with_id(b.target_out, c.vocab_size)),
+    "zero-loss-mask": lambda b, c: dataclasses.replace(
+        b, loss_mask=np.zeros_like(b.loss_mask)),
+    "target-past-max_len": _over_long,
+}
 
 
 class TestPrimitives:
@@ -372,27 +399,13 @@ class TestForward:
         assert not np.allclose(base[:, 0], moved[:, 0])
         assert np.array_equal(base[:, 1:], moved[:, 1:])
 
-    def test_bad_inputs_rejected(self, rng):
+    @pytest.mark.parametrize("entry", [forward, loss_and_grads])
+    @pytest.mark.parametrize("damage", sorted(BAD_BATCHES))
+    def test_bad_inputs_rejected(self, rng, entry, damage):
         config = tiny_config()
-        params = init_params(config)
-        batch = make_batch(config, rng)
+        batch = BAD_BATCHES[damage](make_batch(config, rng), config)
         with pytest.raises(InputError):
-            forward(params, config, Batch(None, batch.target_in,
-                                          batch.target_out, batch.loss_mask))
-        big = batch.target_in.copy()
-        big[0, 0] = config.vocab_size
-        with pytest.raises(InputError):
-            forward(params, config, Batch(batch.source, big,
-                                          batch.target_out, batch.loss_mask))
-        with pytest.raises(InputError):
-            forward(params, config, Batch(batch.source, batch.target_in,
-                                          batch.target_out,
-                                          np.zeros_like(batch.loss_mask)))
-        long_ids = rng.integers(1, config.vocab_size,
-                                size=(2, config.max_len + 1))
-        with pytest.raises(InputError):
-            forward(params, config, Batch(batch.source, long_ids, long_ids,
-                                          np.ones_like(long_ids, dtype=float)))
+            entry(init_params(config), config, batch)
 
 
 class TestInferenceKeepsNoTape:
