@@ -1,33 +1,34 @@
 """Incremental decoding on preallocated key/value buffers.
 
 This is the one runtime decoder: `mqa-lab decode`, `mqa-lab bench` and the
-library entry points all run `decoder_step`.  A decode state holds, per
-decoder layer, self-attention key/value rings [rows, g, slots, k], g being
-the number of key/value heads (h for multi-head, 1 for multi-query), that
-each step writes one slot of in place, plus cross-attention keys/values
-[b, g, m, k] projected once from the encoder output.  Attention runs on
-folded matmul shapes and reads only the slots written so far.  With a
+library entry points all run `_feed`, which feeds tokens [rows, c] at the
+next c positions.  A step (`decoder_step`) is a chunk of one, and the
+opener (a decoder_only prompt, or BOS) one chunk of all its tokens, so
+both take one route through the layers and one attention function.  A
+decode state holds, per decoder layer, self-attention key/value rings
+[rows, g, slots, k], g being the number of key/value heads (h for
+multi-head, 1 for multi-query), written in place, plus cross-attention
+keys/values [b, g, m, k] projected once from the encoder output.
+Attention runs on folded matmul shapes, reads only the slots written so
+far, and is masked (causal or local) only for a chunk of c > 1.  With a
 local window a ring holds only `window` slots: softmax is invariant to
-slot order, so the ring never rotates.  The contraction kernels and
-immutable caches in `attention.py`/`cache.py` are the reference these
-outputs are tested against, together with the teacher-forced batched
-forward pass.
+slot order, so the ring never rotates.  Decoding reads only the logits
+after the last fed token, so the last layer runs its queries, output
+projection, cross-attention and feed-forward at that position alone.  The
+contraction kernels and immutable caches in `attention.py`/`cache.py` are
+the reference these outputs are tested against, together with the
+teacher-forced batched forward pass.
 
-A decoder-only prompt is prefilled in one batched pass through the model's
-blocks.  Decoding reads only the last block's keys/values and the logits
-after the last prompt token, so the last block runs its query, attention,
-output projection and feed-forward on the last position alone.
-
-Beam search runs every source row at once, its beams riding the batch axis
-(rows = b * beam).  The beams of a source row share one copy of the
-opener's keys/values (the last `window` of them) and of the encoder memory:
-a step folds the row's beams into the query rows of each key/value head,
-reads the shared part once per source row, and takes one softmax over it
-and the beam's own ring, which holds only the positions fed after the
-opener.  Reordering beams then gathers the own rings alone.  Greedy
-emission is the beam_size=1, length_alpha=0 special case; a lone beam
-shares nothing and keeps the opener in its own ring, and the tests hold
-greedy and beam-1 to exact agreement.
+Greedy and beam search share one layout.  The opener's last
+min(window, n) keys/values become the shared part, one copy per source
+row, and each of the b * beam rows (a source row's beams ride the batch
+axis) gets own rings for the positions generated after it.  A step folds
+a row's beams into the query rows of each key/value head, reads the
+shared part and the encoder memory once per source row, and takes one
+softmax over the shared part and the beam's own ring.  Reordering beams
+then gathers the own rings alone.  Greedy emission is the beam_size=1,
+length_alpha=0 special case, and the tests hold greedy and beam-1 to
+exact agreement.
 
 decode, score_sequence and decoder_step check their ids before any work
 with model.check_ids, the one input contract for token ids.
@@ -49,14 +50,13 @@ from .exceptions import ConfigError, InputError
 from .model import (
     Batch,
     ModelParams,
-    _block_forward,
-    _embed,
     _fold_heads,
     _fold_out,
     _fold_qkv,
+    _log_partition,
+    _positions_first,
     _self_bias,
     _softmax_rows,
-    attention_forward,
     check_ids,
     encode,
     feed_forward,
@@ -103,24 +103,24 @@ class DecoderState:
 
     keys[i] / values[i] are layer i's own self-attention rings
     [rows, g, slots, k], one per batch row; position p >= first sits in
-    slot (p - first) % slots.  shared[i] is None, or layer i's (keys,
-    values) [b, g, s, k] of the opener's last s positions, first - s ..
-    first - 1 in order, read by all rows // b beams of a source row;
-    then the own rings hold only the positions generated after the
-    opener.  cross[i] is layer i's projected encoder memory (keys,
-    values) [b, g, m, k], likewise read once per source row, or None for
-    decoder_only models.  weights[i] are layer i's folded projections.
-    position is the next position to feed; limit is how many positions
-    the run was started for.
+    slot (p - first) % slots.  shared[i] is layer i's (keys, values)
+    [b, g, s, k] of the positions first - s .. first - 1, in order, read
+    once by all rows // b beams of a source row: the opener's last
+    min(window, n) positions after _begin, and empty (s = 0, first = 0)
+    from start_state.  cross[i] is layer i's projected encoder memory
+    (keys, values) [b, g, m, k], likewise read once per source row, or
+    None for decoder_only models.  weights[i] are layer i's folded
+    projections.  position is the next position to feed; limit is how
+    many positions the run was started for.
     """
 
     keys: list[np.ndarray]
     values: list[np.ndarray]
+    shared: list[tuple[np.ndarray, np.ndarray]]
     cross: list[tuple[np.ndarray, np.ndarray]] | None
     weights: list[tuple]
     position: int
     limit: int
-    shared: list[tuple[np.ndarray, np.ndarray]] | None = None
     first: int = 0
 
     @property
@@ -128,43 +128,45 @@ class DecoderState:
         return self.keys[0].shape[-2]
 
 
-def _rings(config: ModelConfig, rows: int, positions: int):
-    """Zeroed per-layer self-attention (keys, values) rings for `rows`
-    batch rows and `positions` positions: min(window, positions) slots."""
-    window = config.dec_self_window
-    slots = positions if window is None else min(window, positions)
+def _rings(config: ModelConfig, rows: int, slots: int):
+    """Zeroed per-layer self-attention (keys, values) buffers
+    [rows, g, slots, .]."""
     lead = (rows, kv_head_count(config.dec_self_kind, config.heads), slots)
     return ([np.zeros(lead + (config.d_k,)) for _ in range(config.layers)],
             [np.zeros(lead + (config.d_v,)) for _ in range(config.layers)])
 
 
+def _ring_slots(config: ModelConfig, positions: int) -> int:  # min(window, positions)
+    return min(config.dec_self_window or positions, positions)
+
+
 def start_state(params: ModelParams, config: ModelConfig, *,
                 batch_size: int, memory: np.ndarray | None = None,
                 max_positions: int | None = None) -> DecoderState:
-    """Fresh decode state for max_positions positions (default max_len).
-    memory is the encoder output for encoder_decoder configs."""
+    """Fresh decode state for max_positions positions (default max_len),
+    with an empty shared part.  memory is the encoder output
+    [batch_size, m, d_model] for encoder_decoder configs."""
     if config.has_encoder and memory is None:
         raise ConfigError("encoder_decoder decode needs encoder memory")
     if not config.has_encoder and memory is not None:
         raise ConfigError("decoder_only decode takes no memory")
     if batch_size < 1:
         raise InputError(f"batch_size must be >= 1, got {batch_size}")
+    shape = np.shape(memory)
+    if memory is not None and (len(shape) != 3 or shape[1] < 1 or
+                               shape[::2] != (batch_size, config.d_model)):
+        raise InputError(f"encoder memory must be [batch_size {batch_size}, m, "
+                         f"d_model {config.d_model}], got shape {shape}")
     limit = config.max_len if max_positions is None else max_positions
     if not 1 <= limit <= config.max_len:
         raise InputError(f"max_positions {limit} outside [1, {config.max_len}]")
-    keys, values = _rings(config, batch_size, limit)
+    keys, values = _rings(config, batch_size, _ring_slots(config, limit))
+    shared = list(zip(*_rings(config, batch_size, 0)))
     cross = None
     if config.has_encoder:
         cross = [_project_memory(memory, block.cross) for block in params.decoder]
     weights = [_fold_block(block) for block in params.decoder]
-    return DecoderState(keys, values, cross, weights, 0, limit)
-
-
-def _attend(q, keys, values):
-    """q [b, g, r, k] against keys [b, g, t, k] and values [b, g, t, v]:
-    the r query rows of group j read key/value head j.  Returns the mixed
-    values [b, g, r, v]."""
-    return _softmax_rows(q @ keys.swapaxes(-1, -2)) @ values
+    return DecoderState(keys, values, shared, cross, weights, 0, limit)
 
 
 def _fold_beams(x, b):
@@ -182,16 +184,87 @@ def _unfold_beams(x, rows):
         .reshape(rows, g, folded // beam, w)
 
 
-def _attend_shared(q, keys, values, shared_keys, shared_values):
-    """_attend of q [rows, g, r, k] over a source row's shared keys/values
-    [b, g, s, .], read once for all its beams, and each row's own
-    [rows, g, t, .], under one softmax.  Returns [rows, g, r, v]."""
+def _grouped(cols, rows, heads, g):
+    """[rows*c, heads*w] columns -> [rows, g, heads // g * c, w]: each
+    key/value head's query heads at c positions, position minor."""
+    return _positions_first(cols, rows, heads).reshape(rows, g, -1, cols.shape[1] // heads)
+
+
+def _ungrouped(x, c):  # the inverse of _grouped: -> [rows*c, heads*w]
+    return x.reshape(len(x), -1, c, x.shape[-1]).swapaxes(1, 2).reshape(len(x) * c, -1)
+
+
+def _attend(q, keys, values, shared_keys, shared_values, bias=None):
+    """q [rows, g, r, k] over a source row's shared keys/values [b, g, s, .],
+    read once for all its rows // b beams, and each row's own
+    [rows, g, t, .], under one softmax; query rows of group j read key/value
+    head j.  bias [c, s + t] masks queries at c positions (the minor index
+    of r).  An empty shared part costs no copy.  Returns [rows, g, r, v]."""
     rows, b, s = len(q), len(shared_keys), shared_keys.shape[2]
-    weights = _softmax_rows(np.concatenate(
-        [_fold_beams(q, b) @ shared_keys.swapaxes(-1, -2),
-         _fold_beams(q @ keys.swapaxes(-1, -2), b)], axis=-1))
+    logits = q @ keys.swapaxes(-1, -2)
+    if s:
+        logits = np.concatenate([_fold_beams(q, b) @ shared_keys.swapaxes(-1, -2),
+                                 _fold_beams(logits, b)], axis=-1)
+    if bias is not None:
+        logits.reshape(logits.shape[:2] + (-1,) + bias.shape)[...] += bias
+    weights = _softmax_rows(logits)
+    if not s:
+        return weights @ values
     return (_unfold_beams(weights[..., :s] @ shared_values, rows)
             + _unfold_beams(weights[..., s:], rows) @ values)
+
+
+def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
+          tokens: np.ndarray) -> np.ndarray:
+    """Feed tokens [rows, c] at positions state.position .. + c - 1;
+    returns the logits [rows, vocab] after the last.  Each layer writes the
+    chunk's keys/values into the own rings (a chunk of c > 1 must fit them
+    unwrapped), then attends its queries over the shared part and the
+    written own slots under one softmax.  The last layer's queries run at
+    the last position only."""
+    rows, c = tokens.shape
+    t, first = state.position, state.first
+    if t + c > state.limit:
+        raise InputError(
+            f"position {t + c - 1} is past the {state.limit} positions this "
+            f"decode state was started for (max_len {config.max_len})")
+    h, dk, g = config.heads, config.d_k, state.keys[0].shape[1]
+    start, valid = (t - first) % state.slots, min(t + c - first, state.slots)
+    s = state.shared[0][0].shape[2]
+    window = config.dec_self_window
+    # the shared part holds positions first - s .. first - 1; a local
+    # window has dropped those before t - window + 1
+    drop = 0 if window is None else min(s, max(0, t - window + 1 - first + s))
+    # the attended keys are positions first - s + drop .. t + c - 1 in order
+    bias = None if c == 1 else _self_bias(config, t + c)[t:, first - s + drop:]
+    x = (params.embedding[tokens] + params.positions[t:t + c]).reshape(rows * c, -1)
+    queried = c  # positions whose queries run
+    for i, block in enumerate(params.decoder):
+        (fused, w_o), cross = state.weights[i]
+        keys, values = state.keys[i], state.values[i]
+        normed, _ = layer_norm(x, block.ln_attn)
+        k_new, v_new = np.split(normed @ fused[:, h * dk:], [g * dk], axis=1)
+        keys[:, :, start:start + c] = _positions_first(k_new, rows, g)
+        values[:, :, start:start + c] = _positions_first(v_new, rows, g)
+        if i == len(params.decoder) - 1 and c > 1:
+            x, normed, queried, bias = x[c - 1::c], normed[c - 1::c], 1, bias[-1:]
+        q = _grouped(normed @ fused[:, :h * dk], rows, h, g)
+        shared_keys, shared_values = state.shared[i]
+        mixed = _attend(q, keys[..., :valid, :], values[..., :valid, :],
+                        shared_keys[..., drop:, :], shared_values[..., drop:, :], bias)
+        x = x + _ungrouped(mixed, queried) @ w_o
+        if cross is not None:
+            memory_keys, memory_values = state.cross[i]
+            normed, _ = layer_norm(x, block.ln_cross)
+            q = _grouped(normed @ cross[0], rows, h, memory_keys.shape[1])
+            mixed = _softmax_rows(_fold_beams(q, len(memory_keys))
+                                  @ memory_keys.swapaxes(-1, -2)) @ memory_values
+            x = x + _ungrouped(_unfold_beams(mixed, rows), queried) @ cross[1]
+        normed, _ = layer_norm(x, block.ln_ff)
+        x = x + feed_forward(normed, block.ff)[0]
+    state.position = t + c
+    final, _ = layer_norm(x, params.dec_out_ln)
+    return final @ params.embedding.T
 
 
 def decoder_step(params: ModelParams, config: ModelConfig,
@@ -204,108 +277,33 @@ def decoder_step(params: ModelParams, config: ModelConfig,
     tokens = check_ids("step", tokens, config, ndim=1)
     if len(tokens) != len(state.keys[0]):
         raise InputError(f"{len(tokens)} step tokens for {len(state.keys[0])} rows")
-    t = state.position
-    if t >= state.limit:
-        raise InputError(
-            f"position {t} is past the {state.limit} positions this decode "
-            f"state was started for (max_len {config.max_len})")
-    rows, h, dk = len(tokens), config.heads, config.d_k
-    g = state.keys[0].shape[1]
-    slot = (t - state.first) % state.slots
-    valid = min(t - state.first + 1, state.slots)
-    window = config.dec_self_window
-    x = params.embedding[tokens] + params.positions[t]
-    for i, block in enumerate(params.decoder):
-        (fused, w_o), cross = state.weights[i]
-        keys, values = state.keys[i], state.values[i]
-        normed, _ = layer_norm(x, block.ln_attn)
-        q, k_new, v_new = np.split(normed @ fused, [h * dk, (h + g) * dk], axis=1)
-        keys[:, :, slot] = k_new.reshape(rows, g, dk)
-        values[:, :, slot] = v_new.reshape(rows, g, -1)
-        q = q.reshape(rows, g, -1, dk)
-        own = keys[..., :valid, :], values[..., :valid, :]
-        if state.shared is None:
-            mixed = _attend(q, *own)
-        else:
-            shared_keys, shared_values = state.shared[i]
-            # the shared part holds positions first - s .. first - 1; a
-            # local window has dropped those before t - window + 1
-            drop = 0 if window is None else max(
-                0, t - window + 1 - state.first + shared_keys.shape[2])
-            mixed = _attend_shared(q, *own, shared_keys[..., drop:, :],
-                                   shared_values[..., drop:, :])
-        x = x + mixed.reshape(rows, -1) @ w_o
-        if cross is not None:
-            memory_keys, memory_values = state.cross[i]
-            normed, _ = layer_norm(x, block.ln_cross)
-            q = (normed @ cross[0]).reshape(rows, memory_keys.shape[1], -1, dk)
-            mixed = _unfold_beams(_attend(_fold_beams(q, len(memory_keys)),
-                                          memory_keys, memory_values), rows)
-            x = x + mixed.reshape(rows, -1) @ cross[1]
-        normed, _ = layer_norm(x, block.ln_ff)
-        x = x + feed_forward(normed, block.ff)[0]
-    state.position = t + 1
-    final, _ = layer_norm(x, params.dec_out_ln)
-    return final @ params.embedding.T, state
-
-
-def _prefill(params, config, state, opener):
-    """Feed the opener [b, n] from position 0; returns the logits after its
-    last token.  A decoder_only prompt runs as one batched pass whose
-    keys/values fill the buffers (ring slots at position % slots).  Decoding
-    reads only the last block's keys/values and its output at the last
-    position, so that block runs its query, attention, output projection
-    and feed-forward on the last position alone.  The pass keeps no
-    backward tape: of each block it keeps only the keys/values it writes,
-    and every other temporary is freed when its sub-layer returns."""
-    if config.has_encoder:
-        return decoder_step(params, config, state, opener[:, 0])[0]
-    n = opener.shape[1]
-    kept = np.arange(max(0, n - state.slots), n)
-    x = _embed(params, config, opener, "prompt")
-    bias = _self_bias(config, n)
-    last = len(params.decoder) - 1
-    for i, block in enumerate(params.decoder):
-        if i < last:
-            x, (key, val) = _block_forward(x, block, None, bias)
-        else:
-            normed, _ = layer_norm(x, block.ln_attn)
-            out, cache = attention_forward(normed[:, -1:], normed, block.attn,
-                                           bias[-1:])
-            key, val = cache[3], cache[4]
-            x = x[:, -1] + out[:, 0]
-            normed, _ = layer_norm(x, block.ln_ff)
-            x = x + feed_forward(normed, block.ff)[0]
-        state.keys[i][..., kept % state.slots, :] = key[..., kept, :]
-        state.values[i][..., kept % state.slots, :] = val[..., kept, :]
-    state.position = n
-    final, _ = layer_norm(x, params.dec_out_ln)
-    return final @ params.embedding.T
+    return _feed(params, config, state, tokens[:, None]), state
 
 
 def _begin(params, config, decode: DecodeConfig, opener, memory, beam=1):
-    """Start a state sized for the run and prefill the opener; returns
-    (state, logits [b*beam, vocab]).  With beam > 1 the prefilled buffers,
-    in position order, become the shared part, and every batch row gets an
-    own ring for the positions fed after the opener."""
-    n = opener.shape[1]
+    """Start a state sized for the run and feed it the opener [b, n] in one
+    call; returns (state, logits [b*beam, vocab]).  The opener's pass
+    writes buffers of all n positions; its last min(window, n) keys/values,
+    in position order, become the shared part, and every one of the
+    b*beam rows gets own rings for the positions fed after the opener."""
+    b, n = opener.shape
     limit = n + decode.max_steps - 1
-    state = start_state(params, config, batch_size=len(opener), memory=memory,
-                        max_positions=limit if beam == 1 else n)
-    logits = _prefill(params, config, state, opener)
-    if beam > 1:
-        oldest_first = np.arange(n - state.slots, n) % state.slots
-        state.shared = [(k[:, :, oldest_first], v[:, :, oldest_first])
-                        for k, v in zip(state.keys, state.values)]
-        state.keys, state.values = _rings(config, len(opener) * beam, limit - n)
-        state.first, state.limit = n, limit
-        logits = np.repeat(logits, beam, axis=0)
-    return state, logits
+    state = start_state(params, config, batch_size=b, memory=memory,
+                        max_positions=n)
+    state.keys, state.values = _rings(config, b, n)
+    logits = _feed(params, config, state, opener)
+    s = _ring_slots(config, n)
+    state.shared = [(np.ascontiguousarray(k[:, :, n - s:]),
+                     np.ascontiguousarray(v[:, :, n - s:]))
+                    for k, v in zip(state.keys, state.values)]
+    state.keys, state.values = _rings(config, b * beam, _ring_slots(config, limit - n))
+    state.first, state.limit = n, limit
+    return state, np.repeat(logits, beam, axis=0)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted, logz = _log_partition(logits)
+    return shifted - logz
 
 
 def length_penalty(length: int, alpha: float) -> float:

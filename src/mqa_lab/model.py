@@ -12,11 +12,11 @@ to the contraction kernels by equivalence tests, and every gradient here
 is checked against central finite differences.
 
 Only loss_and_grads keeps a backward tape: its forward pass pushes each
-sub-layer's cache on one list, and the reverse pass pops them.  forward,
-encode (the decode engine's encoder pass) and the engine's prompt prefill
-run the same block forward with no tape, so each sub-layer's temporaries
-are freed when it returns.  Attention's softmax runs in place in its
-logits buffer.
+sub-layer's cache on one list, and the reverse pass pops them.  forward
+and encode (the decode engine's encoder pass) run the same block forward
+with no tape, so each sub-layer's temporaries are freed when it returns.
+Attention's softmax runs in place in its logits buffer.  The decode
+engine's decoder layers use this module's layers, not its blocks.
 
 A training step's rows are short (d of 64, logits rows of 12 at the
 benchmark's copy task), and numpy reduces a last axis with a loop per row,
@@ -33,8 +33,9 @@ Workspace carves them from one spare slab of free memory that outlives the
 training call, so the next call page-faults none of it.
 
 check_ids is the one input contract for token ids: _embed runs it on all
-ids a pass embeds, _validate_batch on the labels, and the decoding entry
-points on their inputs before any work.
+ids a pass embeds, _checked_batch on the labels, and the decoding entry
+points on their inputs before any work.  A batch's fields are converted
+to arrays once, by _checked_batch where the batch enters a pass.
 
 Apart from _softmax_rows, which works in the buffer it is handed, and the
 gradient trees handed to the backward passes to fill, nothing in this
@@ -495,8 +496,7 @@ def attention_forward(x_q, x_kv, w: AttentionWeights, bias, empty=np.empty):
     keys and values another.  The h query heads fold into g groups of
     h // g rows each, so every attention product runs per (batch row,
     key/value head).
-    Returns (y [b, n, d], cache); cache[3:5] are the keys and values
-    [b, g, m, .] attention read.
+    Returns (y [b, n, d], cache).
     """
     b, n, d = x_q.shape
     m = x_kv.shape[1]
@@ -609,25 +609,18 @@ def _plus(x, y, empty):
     return np.add(x, y, out=empty(x.shape))
 
 
-def _self_attention(x, block: Block, bias, tape, empty=np.empty):
-    """x plus its self-attention, and the keys/values [b, g, n, .] that
-    attention read."""
-    normed = _keep(tape, layer_norm(x, block.ln_attn, empty))
-    out, cache = attention_forward(normed, normed, block.attn, bias, empty)
-    return _plus(x, _keep(tape, (out, cache)), empty), cache[3:5]
-
-
 def _block_forward(x, block: Block, memory, bias, tape=None, empty=np.empty):
-    """One pre-norm block; returns (output, (keys, values) of its
-    self-attention).  With a tape, each sub-layer's cache is pushed on it
-    in order, for _block_backward to pop."""
-    x, kv = _self_attention(x, block, bias, tape, empty)
+    """One pre-norm block.  With a tape, each sub-layer's cache is pushed
+    on it in order, for _block_backward to pop."""
+    normed = _keep(tape, layer_norm(x, block.ln_attn, empty))
+    x = _plus(x, _keep(tape, attention_forward(normed, normed, block.attn, bias,
+                                               empty)), empty)
     if block.cross is not None:
         normed = _keep(tape, layer_norm(x, block.ln_cross, empty))
         x = _plus(x, _keep(tape, attention_forward(normed, memory, block.cross,
                                                    None, empty)), empty)
     normed = _keep(tape, layer_norm(x, block.ln_ff, empty))
-    return _plus(x, _keep(tape, feed_forward(normed, block.ff, empty)), empty), kv
+    return _plus(x, _keep(tape, feed_forward(normed, block.ff, empty)), empty)
 
 
 def _block_backward(dx, tape: list, block: Block, out: Block, empty):
@@ -690,12 +683,16 @@ class ForwardResult:
     loss: float
 
 
-def _validate_batch(config: ModelConfig, batch: Batch) -> None:
+def _checked_batch(config: ModelConfig, batch: Batch) -> Batch:
+    """batch with every field as an array, or InputError unless it fits
+    the model; the one place a batch's fields are converted."""
     if config.has_encoder:
         if batch.source is None:
             raise InputError("encoder_decoder models need batch.source")
     elif batch.source is not None:
         raise InputError("decoder_only models take no batch.source")
+    batch = Batch(*(None if f is None else np.asarray(f) for f in
+                    (batch.source, batch.target_in, batch.target_out, batch.loss_mask)))
     check_ids("target_out", batch.target_out, config)
     if batch.target_in.shape != batch.target_out.shape:
         raise InputError("target_in and target_out must share a shape")
@@ -703,6 +700,7 @@ def _validate_batch(config: ModelConfig, batch: Batch) -> None:
         raise InputError("loss_mask must match target shape")
     if batch.loss_mask.sum() <= 0:
         raise InputError("loss_mask selects no positions")
+    return batch
 
 
 def encode(params: ModelParams, config: ModelConfig, source, tape=None,
@@ -710,29 +708,30 @@ def encode(params: ModelParams, config: ModelConfig, source, tape=None,
     """The encoder stack on source ids [b, m]; returns memory [b, m, d]."""
     x = _embed(params, config, source, "source", empty)
     for block in params.encoder:
-        x = _block_forward(x, block, None, None, tape, empty)[0]
+        x = _block_forward(x, block, None, None, tape, empty)
     return _keep(tape, layer_norm(x, params.enc_out_ln, empty))
 
 
 def _run(params: ModelParams, config: ModelConfig, batch: Batch, tape=None,
          empty=np.empty):
-    """Forward pass to the logits, a new array.  With a tape, every cache
-    backward needs is pushed on it, the last being the final normed
+    """Forward pass; returns (the logits, a new array, and the checked
+    batch, which callers read in place of theirs).  With a tape, every
+    cache backward needs is pushed on it, the last being the final normed
     output."""
-    _validate_batch(config, batch)
+    batch = _checked_batch(config, batch)
     memory = (encode(params, config, batch.source, tape, empty)
               if config.has_encoder else None)
     y = _embed(params, config, batch.target_in, "target", empty)
     bias = _self_bias(config, y.shape[1])
     for block in params.decoder:
-        y = _block_forward(y, block, memory, bias, tape, empty)[0]
+        y = _block_forward(y, block, memory, bias, tape, empty)
     final = _keep(tape, layer_norm(y, params.dec_out_ln, empty))
     if tape is not None:
         tape.append(final)
     b, n, d = final.shape
     logits = (final.reshape(b * n, d) @ params.embedding.T).reshape(b, n, -1)
     _check_finite("logits", logits)
-    return logits
+    return logits, batch
 
 
 def _log_partition(logits, empty=np.empty):
@@ -760,7 +759,7 @@ def forward(params: ModelParams, config: ModelConfig, batch: Batch) -> ForwardRe
     """Logits and loss, with no backward tape.  The loss reads the
     log-probabilities at the labels only, with the expressions
     loss_and_grads uses, so the two give the same loss bit for bit."""
-    logits = _run(params, config, batch)
+    logits, batch = _run(params, config, batch)
     shifted, logz = _log_partition(logits)
     picked = _at_labels(shifted, batch) - logz[..., 0]
     return ForwardResult(logits, _masked_loss(picked, batch))
@@ -780,7 +779,7 @@ def loss_and_grads(params: ModelParams, config: ModelConfig, batch: Batch,
     if out is None:
         out = unflatten(np.empty(param_count(params)), params)
     tape = []
-    logits = _run(params, config, batch, tape, empty)
+    logits, batch = _run(params, config, batch, tape, empty)
     logp, logz = _log_partition(logits, empty)
     logp -= logz
     loss = _masked_loss(_at_labels(logp, batch), batch)

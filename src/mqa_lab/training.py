@@ -125,7 +125,7 @@ def teacher_forced_accuracy(params: ModelParams, config: ModelConfig,
                             batch: Batch, empty=np.empty) -> float:
     """Fraction of masked positions whose argmax logit hits the label.  The
     forward pass's temporaries come from empty (np.empty, or a Workspace's)."""
-    logits = _run(params, config, batch, empty=empty)
+    logits, batch = _run(params, config, batch, empty=empty)
     hits = (np.argmax(logits, axis=-1) == batch.target_out) * batch.loss_mask
     return float(hits.sum() / batch.loss_mask.sum())
 

@@ -17,7 +17,6 @@ from mqa_lab import decoding
 from mqa_lab.config import DecodeConfig, ModelConfig, OptimizerSettings, TaskSpec
 from mqa_lab.decoding import (
     _begin,
-    _prefill,
     beam_decode,
     decode,
     decoder_step,
@@ -28,15 +27,7 @@ from mqa_lab.decoding import (
     start_state,
 )
 from mqa_lab.exceptions import ConfigError, InputError
-from mqa_lab.model import (
-    Batch,
-    _block_forward,
-    _embed,
-    _self_bias,
-    encode,
-    forward,
-    init_params,
-)
+from mqa_lab.model import Batch, encode, forward, init_params
 from mqa_lab.training import BOS, TaskSpec, make_task_batch, train
 
 
@@ -115,21 +106,23 @@ class TestStepAgainstBatchedForward:
     @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
     @pytest.mark.parametrize("window", [None, 3])
     def test_prefill_then_steps_match_teacher_forcing(self, rng, kind, window):
-        # a 6-token prompt fills the buffers in one batched pass; with
-        # window 3 it is longer than the ring, which then wraps while stepping
+        # a 6-token prompt is fed in one pass; with window 3 it is longer
+        # than the shared part it leaves, and the own rings of 3 slots
+        # wrap while stepping
         config = tiny_config(mode="decoder_only", dec_self_kind=kind,
                              dec_self_window=window)
         params = init_params(config)
         b, n, steps = 2, 6, 4
         stream = rng.integers(1, config.vocab_size, size=(b, n + steps))
-        state = start_state(params, config, batch_size=b,
-                            max_positions=n + steps)
-        stepwise = [_prefill(params, config, state, stream[:, :n])]
-        assert state.position == n
+        state, logits = _begin(params, config, DecodeConfig(max_steps=steps + 1),
+                               stream[:, :n], None)
+        stepwise = [logits]
+        assert state.position == state.first == n
+        assert state.shared[0][0].shape[2] == (n if window is None else window)
         for j in range(n, n + steps):
             logits, state = decoder_step(params, config, state, stream[:, j])
             stepwise.append(logits)
-        assert state.slots == (n + steps if window is None else window)
+        assert state.slots == (steps if window is None else window)
         batch = Batch(None, stream, stream, np.ones_like(stream, dtype=float))
         teacher = forward(params, config, batch).logits[:, n - 1:]
         assert np.max(np.abs(np.stack(stepwise, axis=1) - teacher)) < 1e-10
@@ -138,29 +131,52 @@ class TestStepAgainstBatchedForward:
     @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
     @pytest.mark.parametrize("window", [None, 2, 5, 9])
     def test_trimmed_prefill(self, rng, layers, kind, window):
-        """The prefill runs the last block at the last position only: its
-        logits are the teacher-forced ones, and the buffers hold the
-        untrimmed batched pass's keys/values byte for byte."""
+        """The opener's pass runs the last layer at the last position only:
+        its logits are the teacher-forced ones."""
         config = tiny_config(mode="decoder_only", layers=layers,
                              dec_self_kind=kind, dec_self_window=window)
         params = init_params(config)
         b, n = 2, 7
         prompt = rng.integers(1, config.vocab_size, size=(b, n))
-        state = start_state(params, config, batch_size=b, max_positions=n + 3)
-        logits = _prefill(params, config, state, prompt)
+        _, logits = _begin(params, config, DecodeConfig(max_steps=4), prompt, None)
         batch = Batch(None, prompt, prompt, np.ones((b, n)))
         teacher = forward(params, config, batch).logits[:, -1]
         assert np.max(np.abs(logits - teacher)) < 1e-10
 
-        kept = np.arange(max(0, n - state.slots), n)
-        x, bias = _embed(params, config, prompt, "prompt"), _self_bias(config, n)
-        for i, block in enumerate(params.decoder):
-            tape = []  # the training path: the self-attention cache is tape[1]
-            x, _ = _block_forward(x, block, None, bias, tape)
-            for buf, full in ((state.keys[i], tape[1][3]),
-                              (state.values[i], tape[1][4])):
-                assert buf[:, :, kept % state.slots].tobytes() == \
-                    np.ascontiguousarray(full[:, :, kept]).tobytes()
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    @pytest.mark.parametrize("window", [None, 2, 5, 9])
+    @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
+    def test_one_pass_opener_matches_stepped_opener(self, rng, mode, kind,
+                                                    window, layers):
+        """A 7-token opener fed in one pass gives the logits and shared
+        keys/values of the same opener stepped token by token; windows 2
+        and 5 are shorter than it, 9 longer."""
+        config = tiny_config(mode=mode, layers=layers, dec_self_window=window) \
+            .with_attention_kind(kind)
+        params = init_params(config)
+        b, n = 2, 7
+        opener = rng.integers(1, config.vocab_size, size=(b, n))
+        memory = None
+        if config.has_encoder:
+            memory = encode_source(params, config,
+                                   rng.integers(1, config.vocab_size, size=(b, 3)))
+        state, logits = _begin(params, config, DecodeConfig(max_steps=3), opener,
+                               memory)
+        stepped = start_state(params, config, batch_size=b, memory=memory,
+                              max_positions=n)
+        for j in range(n):
+            stepped_logits, stepped = decoder_step(params, config, stepped,
+                                                   opener[:, j])
+        assert np.max(np.abs(logits - stepped_logits)) < 1e-12
+        s = n if window is None else min(window, n)
+        oldest_first = np.arange(n - s, n) % stepped.slots
+        for i, (shared_keys, shared_values) in enumerate(state.shared):
+            assert shared_keys.shape[2] == shared_values.shape[2] == s
+            assert np.max(np.abs(shared_keys
+                                 - stepped.keys[i][:, :, oldest_first])) < 1e-12
+            assert np.max(np.abs(shared_values
+                                 - stepped.values[i][:, :, oldest_first])) < 1e-12
 
     @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
     def test_encode_source_matches_training_encoder(self, rng, kind):
@@ -216,6 +232,11 @@ class TestStepAgainstBatchedForward:
                         memory=np.zeros((2, 3, 16)))
         with pytest.raises(ConfigError):
             encode_source(p2, dec_only, np.zeros((2, 3), dtype=np.int64))
+        memory = encode_source(params, config, np.ones((2, 3), dtype=np.int64))
+        for bad in (memory, memory[:, :0], memory[..., :8], memory[0]):
+            with pytest.raises(InputError, match="memory"):
+                start_state(params, config, batch_size=3 if bad is memory else 2,
+                            memory=bad)
 
     def test_state_needs_a_row(self):
         config = tiny_config(mode="decoder_only")
@@ -402,10 +423,13 @@ class TestBeam:
         shared = beam_decode(params, config, dc, **inputs)
 
         def repeated_begin(params, config, decode, opener, memory, beam=1):
+            # the opener stepped token by token into rings that every beam
+            # then holds a copy of; the shared part stays empty
             state = start_state(params, config, batch_size=len(opener),
                                 memory=memory,
                                 max_positions=opener.shape[1] + decode.max_steps - 1)
-            logits = _prefill(params, config, state, opener)
+            for j in range(opener.shape[1]):
+                logits, state = decoder_step(params, config, state, opener[:, j])
             state.keys = [np.repeat(k, beam, axis=0) for k in state.keys]
             state.values = [np.repeat(v, beam, axis=0) for v in state.values]
             if state.cross is not None:

@@ -407,6 +407,25 @@ class TestForward:
         with pytest.raises(InputError):
             entry(init_params(config), config, batch)
 
+    @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
+    def test_list_fields_give_the_array_results(self, rng, mode):
+        """A batch whose fields are nested lists is converted where it
+        enters, and gives the array batch's results bit for bit."""
+        config = tiny_config(mode=mode)
+        params = init_params(config)
+        batch = make_batch(config, rng)
+        listed = Batch(*(None if f is None else f.tolist() for f in
+                         (batch.source, batch.target_in, batch.target_out,
+                          batch.loss_mask)))
+        want, got = forward(params, config, batch), forward(params, config, listed)
+        assert got.logits.tobytes() == want.logits.tobytes()
+        assert got.loss == want.loss
+        want = loss_and_grads(params, config, batch)
+        got = loss_and_grads(params, config, listed)
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+        assert flatten(got[2]).tobytes() == flatten(want[2]).tobytes()
+
 
 class TestInferenceKeepsNoTape:
     def test_in_place_softmax_matches_out_of_place_form(self, rng):
