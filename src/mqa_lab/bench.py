@@ -3,7 +3,7 @@
 Reports four model variants: the multi-head baseline, the multi-query
 variant widened to parameter parity, and local versions of both where only
 decoder self-attention is windowed.  Decode columns time the engine that
-`decoding.decode` runs after encoding: `greedy_search` and `beam_search`
+`decoding.decode` runs after encoding: `decoding.search`, greedy and beam,
 on encoder memory computed once by the timed `encode_source`.  Counted
 columns come from the cost model and are machine-independent:
 kv_words_per_step counts decoder self-attention cache words averaged over
@@ -33,7 +33,7 @@ import numpy as np
 
 from .config import DecodeConfig, ModelConfig, _check_types
 from .costs import ShapeConfig, dff_for_parity, incremental_step_flops, kv_cache_words_step
-from .decoding import beam_search, encode_source, greedy_search
+from .decoding import encode_source, search
 from .exceptions import ConfigError, InputError
 from .model import (Batch, Workspace, init_params, loss_and_grads, param_count,
                     unflatten)
@@ -216,7 +216,7 @@ def bench_decode(workload: Workload, variants=VARIANTS, *,
             memory_holder["m"] = encode_source(params, config, source)
 
         def run_greedy():
-            greedy_search(params, config, greedy, opener, memory_holder["m"])
+            search(params, config, greedy, opener, memory_holder["m"])
 
         reps = workload.repetitions
         enc_seconds = _median_seconds(encode, reps, workload.warmup_reps)
@@ -230,8 +230,7 @@ def bench_decode(workload: Workload, variants=VARIANTS, *,
                                 max_steps=steps)
             row.beam_encoder_us = row.encoder_us
             beam_seconds = _median_seconds(
-                lambda: beam_search(params, config, beam, opener,
-                                    memory_holder["m"]),
+                lambda: search(params, config, beam, opener, memory_holder["m"]),
                 reps, workload.warmup_reps)
             row.beam_decoder_us = beam_seconds * 1e6 / (
                 workload.b * workload.target_len)

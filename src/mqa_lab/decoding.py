@@ -1,5 +1,10 @@
 """Incremental decoding on preallocated key/value buffers.
 
+`decode` checks its inputs, encodes a source, and hands the opener and
+encoder memory to `search`, which runs the loop `DecodeConfig.strategy`
+names, greedy or beam; the strategy is chosen there and nowhere else.
+`mqa-lab bench` times `search` on memory it encoded once.
+
 This is the one runtime decoder: `mqa-lab decode`, `mqa-lab bench` and the
 library entry points all run `_feed`, which feeds tokens [rows, c] at the
 next c positions.  A step (`decoder_step`) is a chunk of one, and the
@@ -44,15 +49,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import _kv_heads
 from .config import DecodeConfig, ModelConfig, kv_head_count
 from .exceptions import ConfigError, InputError
 from .model import (
     Batch,
     ModelParams,
-    _fold_heads,
     _fold_out,
     _fold_qkv,
+    _group_rows,
     _log_partition,
     _positions_first,
     _self_bias,
@@ -76,24 +80,23 @@ def encode_source(params: ModelParams, config: ModelConfig,
     return encode(params, config, source)
 
 
-def _project_memory(memory: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-attention keys and values in buffer layout [b, g, m, .]."""
+def _project_memory(memory: np.ndarray, w, fused) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-attention keys and values in buffer layout [b, g, m, .]: one
+    product each with the key and the value columns of w's fused
+    projection (one product over both moves bits on multi-query shapes)."""
     b, m, _ = memory.shape
-
-    def heads(p):
-        p = _kv_heads(p)
-        return np.ascontiguousarray(
-            (memory @ _fold_heads(p)).reshape(b, m, len(p), -1).transpose(0, 2, 1, 3))
-
-    return heads(w.p_k), heads(w.p_v)
+    k = w.key_width
+    return tuple(np.ascontiguousarray((memory @ cols).reshape(b, m, w.groups, -1)
+                                      .transpose(0, 2, 1, 3))
+                 for cols in np.split(fused[:, w.heads * k:], [w.groups * k], axis=1))
 
 
 def _fold_block(block):
-    """((fused q/k/v projection, output projection) of self-attention,
-    (query, output projection) of cross-attention or None)."""
+    """((fused q/k/v projection, output projection) of self-attention, the
+    same of cross-attention or None)."""
     cross = None
     if block.cross is not None:
-        cross = (_fold_heads(block.cross.p_q), _fold_out(block.cross.p_o))
+        cross = (_fold_qkv(block.cross), _fold_out(block.cross.p_o))
     return (_fold_qkv(block.attn), _fold_out(block.attn.p_o)), cross
 
 
@@ -146,6 +149,13 @@ def start_state(params: ModelParams, config: ModelConfig, *,
     """Fresh decode state for max_positions positions (default max_len),
     with an empty shared part.  memory is the encoder output
     [batch_size, m, d_model] for encoder_decoder configs."""
+    limit = config.max_len if max_positions is None else max_positions
+    return _state(params, config, memory, batch_size, limit, _ring_slots(config, limit))
+
+
+def _state(params, config, memory, batch_size, limit, slots) -> DecoderState:
+    """The one state constructor of start_state and _begin: start_state's
+    checks, then a state for `limit` positions with `slots`-slot rings."""
     if config.has_encoder and memory is None:
         raise ConfigError("encoder_decoder decode needs encoder memory")
     if not config.has_encoder and memory is not None:
@@ -157,15 +167,15 @@ def start_state(params: ModelParams, config: ModelConfig, *,
                                shape[::2] != (batch_size, config.d_model)):
         raise InputError(f"encoder memory must be [batch_size {batch_size}, m, "
                          f"d_model {config.d_model}], got shape {shape}")
-    limit = config.max_len if max_positions is None else max_positions
     if not 1 <= limit <= config.max_len:
         raise InputError(f"max_positions {limit} outside [1, {config.max_len}]")
-    keys, values = _rings(config, batch_size, _ring_slots(config, limit))
+    keys, values = _rings(config, batch_size, slots)
     shared = list(zip(*_rings(config, batch_size, 0)))
+    weights = [_fold_block(block) for block in params.decoder]
     cross = None
     if config.has_encoder:
-        cross = [_project_memory(memory, block.cross) for block in params.decoder]
-    weights = [_fold_block(block) for block in params.decoder]
+        cross = [_project_memory(memory, block.cross, w[1][0])
+                 for block, w in zip(params.decoder, weights)]
     return DecoderState(keys, values, shared, cross, weights, 0, limit)
 
 
@@ -184,13 +194,7 @@ def _unfold_beams(x, rows):
         .reshape(rows, g, folded // beam, w)
 
 
-def _grouped(cols, rows, heads, g):
-    """[rows*c, heads*w] columns -> [rows, g, heads // g * c, w]: each
-    key/value head's query heads at c positions, position minor."""
-    return _positions_first(cols, rows, heads).reshape(rows, g, -1, cols.shape[1] // heads)
-
-
-def _ungrouped(x, c):  # the inverse of _grouped: -> [rows*c, heads*w]
+def _ungrouped(x, c):  # [rows, g, heads // g * c, w] -> [rows*c, heads*w]
     return x.reshape(len(x), -1, c, x.shape[-1]).swapaxes(1, 2).reshape(len(x) * c, -1)
 
 
@@ -248,7 +252,7 @@ def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
         values[:, :, start:start + c] = _positions_first(v_new, rows, g)
         if i == len(params.decoder) - 1 and c > 1:
             x, normed, queried, bias = x[c - 1::c], normed[c - 1::c], 1, bias[-1:]
-        q = _grouped(normed @ fused[:, :h * dk], rows, h, g)
+        q = _group_rows(_positions_first(normed @ fused[:, :h * dk], rows, h), g, np.empty)
         shared_keys, shared_values = state.shared[i]
         mixed = _attend(q, keys[..., :valid, :], values[..., :valid, :],
                         shared_keys[..., drop:, :], shared_values[..., drop:, :], bias)
@@ -256,7 +260,8 @@ def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
         if cross is not None:
             memory_keys, memory_values = state.cross[i]
             normed, _ = layer_norm(x, block.ln_cross)
-            q = _grouped(normed @ cross[0], rows, h, memory_keys.shape[1])
+            q = _group_rows(_positions_first(normed @ cross[0][:, :h * dk], rows, h),
+                            memory_keys.shape[1], np.empty)
             mixed = _softmax_rows(_fold_beams(q, len(memory_keys))
                                   @ memory_keys.swapaxes(-1, -2)) @ memory_values
             x = x + _ungrouped(_unfold_beams(mixed, rows), queried) @ cross[1]
@@ -288,9 +293,7 @@ def _begin(params, config, decode: DecodeConfig, opener, memory, beam=1):
     b*beam rows gets own rings for the positions fed after the opener."""
     b, n = opener.shape
     limit = n + decode.max_steps - 1
-    state = start_state(params, config, batch_size=b, memory=memory,
-                        max_positions=n)
-    state.keys, state.values = _rings(config, b, n)
+    state = _state(params, config, memory, b, n, n)
     logits = _feed(params, config, state, opener)
     s = _ring_slots(config, n)
     state.shared = [(np.ascontiguousarray(k[:, :, n - s:]),
@@ -362,19 +365,8 @@ def _inputs(params, config: ModelConfig, decode: DecodeConfig, source, prompt):
     return opener, encode_source(params, config, source)
 
 
-def greedy_decode(params: ModelParams, config: ModelConfig,
-                  decode: DecodeConfig, *, source: np.ndarray | None = None,
-                  prompt: np.ndarray | None = None) -> DecodeResult:
+def _greedy(params, config, decode: DecodeConfig, opener, memory) -> DecodeResult:
     """Argmax emission, first maximum winning ties."""
-    return greedy_search(params, config, decode,
-                         *_inputs(params, config, decode, source, prompt))
-
-
-def greedy_search(params: ModelParams, config: ModelConfig,
-                  decode: DecodeConfig, opener: np.ndarray,
-                  memory: np.ndarray | None = None) -> DecodeResult:
-    """The greedy loop of greedy_decode on an opener and encoder memory
-    that are already checked and computed."""
     state, logits = _begin(params, config, decode, opener, memory)
     batch = len(opener)
     tokens = np.zeros((batch, decode.max_steps), dtype=np.int64)
@@ -409,19 +401,8 @@ def _reorder_beams(state: DecoderState, rows: np.ndarray) -> None:
         buf[:, :, :written] = buf[rows, :, :written]
 
 
-def beam_decode(params: ModelParams, config: ModelConfig,
-                decode: DecodeConfig, *, source: np.ndarray | None = None,
-                prompt: np.ndarray | None = None) -> DecodeResult:
-    """Best hypothesis per row under the length-penalized score."""
-    return beam_search(params, config, decode,
-                        *_inputs(params, config, decode, source, prompt))
-
-
-def beam_search(params: ModelParams, config: ModelConfig,
-                decode: DecodeConfig, opener: np.ndarray,
-                memory: np.ndarray | None = None) -> DecodeResult:
-    """The beam loop of beam_decode on an opener and encoder memory that
-    are already checked and computed.
+def _beam(params, config, decode: DecodeConfig, opener, memory) -> DecodeResult:
+    """Best hypothesis per row under the length-penalized score.
 
     Every source row searches on its own: each step it scans its top
     2*beam candidates in score order (ties by flat index), sends end-marker
@@ -496,14 +477,21 @@ def beam_search(params: ModelParams, config: ModelConfig,
     return out
 
 
+def search(params: ModelParams, config: ModelConfig, decode_config: DecodeConfig,
+           opener: np.ndarray, memory: np.ndarray | None = None) -> DecodeResult:
+    """Run decode_config.strategy from an opener [b, n] and encoder memory
+    [b, m, d_model] (None for decoder_only) that are already checked and
+    computed, as decode makes them."""
+    loop = _greedy if decode_config.strategy == "greedy" else _beam
+    return loop(params, config, decode_config, opener, memory)
+
+
 def decode(params: ModelParams, config: ModelConfig, decode_config: DecodeConfig,
            *, source: np.ndarray | None = None,
            prompt: np.ndarray | None = None) -> DecodeResult:
-    if decode_config.strategy == "greedy":
-        return greedy_decode(params, config, decode_config, source=source,
-                             prompt=prompt)
-    return beam_decode(params, config, decode_config, source=source,
-                       prompt=prompt)
+    """Check the inputs, encode a source, then search as decode_config says."""
+    return search(params, config, decode_config,
+                  *_inputs(params, config, decode_config, source, prompt))
 
 
 def score_sequence(params: ModelParams, config: ModelConfig, tokens, *,

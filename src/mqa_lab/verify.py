@@ -28,7 +28,7 @@ from .cache import append, cache_words, new_cache
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import DecodeConfig, ModelConfig
 from .costs import ShapeConfig, batched_costs, dff_for_parity, incremental_costs
-from .decoding import beam_decode, greedy_decode
+from .decoding import decode
 from .exceptions import ConfigError
 from .model import Batch, forward, init_params, loss_and_grads, named_arrays
 from .tensor import contract, masked_softmax
@@ -208,9 +208,8 @@ def check_greedy_decode_matches_replay():
     config, params = _tiny_model()
     rng = _rng()
     source = rng.integers(1, config.vocab_size, size=(2, 4))
-    out = greedy_decode(params, config,
-                        DecodeConfig(strategy="greedy", max_steps=4),
-                        source=source)
+    out = decode(params, config, DecodeConfig(strategy="greedy", max_steps=4),
+                 source=source)
     opener = np.zeros((2, 1), dtype=np.int64)
     stream_in = np.concatenate([opener, out.tokens[:, :-1]], axis=1)
     batch = Batch(source, stream_in, out.tokens,
@@ -223,12 +222,10 @@ def check_beam_one_equals_greedy():
     config, params = _tiny_model()
     rng = _rng()
     source = rng.integers(1, config.vocab_size, size=(1, 4))
-    g = greedy_decode(params, config,
-                      DecodeConfig(strategy="greedy", max_steps=4),
-                      source=source)
-    b = beam_decode(params, config,
-                    DecodeConfig(strategy="beam", beam_size=1, max_steps=4),
-                    source=source)
+    g = decode(params, config, DecodeConfig(strategy="greedy", max_steps=4),
+               source=source)
+    b = decode(params, config, DecodeConfig(strategy="beam", beam_size=1, max_steps=4),
+               source=source)
     assert np.array_equal(g.tokens, b.tokens)
 
 

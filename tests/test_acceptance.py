@@ -30,7 +30,7 @@ from mqa_lab.bench import Workload, bench_decode, bench_training_pass
 from mqa_lab.cache import new_cache
 from mqa_lab.config import DecodeConfig, ModelConfig, OptimizerSettings, TaskSpec
 from mqa_lab.costs import ShapeConfig, batched_costs, dff_for_parity, incremental_costs
-from mqa_lab.decoding import beam_decode, greedy_decode, score_sequence
+from mqa_lab.decoding import decode, score_sequence
 from mqa_lab.model import Batch, forward, init_params
 from mqa_lab.training import (
     HELDOUT_SEED_OFFSET,
@@ -306,11 +306,11 @@ def test_08_decode_speedup_direction():
         workload = Workload(b=32, source_len=128, target_len=128, model=model,
                             repetitions=5, warmup_reps=1)
         variants = ("multi-head", "multi-query")
-        decode = bench_decode(workload, variants, include_beam=False)
+        decoding = bench_decode(workload, variants, include_beam=False)
         training = bench_training_pass(workload, variants)
-        mh_dec, mq_dec = (row.decoder_us for row in decode.rows)
+        mh_dec, mq_dec = (row.decoder_us for row in decoding.rows)
         mh_train, mq_train = (row.training_us for row in training.rows)
-        assert decode.rows[0].param_total == decode.rows[1].param_total
+        assert decoding.rows[0].param_total == decoding.rows[1].param_total
         assert mq_dec < mh_dec, (mq_dec, mh_dec)
         train_gap = abs(mq_train - mh_train) / mh_train
         flag = "within" if train_gap <= 0.15 else "OUTSIDE"
@@ -331,12 +331,12 @@ def test_09_decoding_contracts():
         params = init_params(config)
         source = rng.integers(1, config.vocab_size, size=(4, 5))
 
-        greedy = greedy_decode(params, config,
-                               DecodeConfig(strategy="greedy", max_steps=6),
-                               source=source)
-        beam_one = beam_decode(params, config,
-                               DecodeConfig(strategy="beam", beam_size=1,
-                                            max_steps=6), source=source)
+        greedy = decode(params, config,
+                        DecodeConfig(strategy="greedy", max_steps=6),
+                        source=source)
+        beam_one = decode(params, config,
+                          DecodeConfig(strategy="beam", beam_size=1,
+                                       max_steps=6), source=source)
         assert np.array_equal(greedy.tokens, beam_one.tokens)
         assert np.array_equal(greedy.lengths, beam_one.lengths)
         # greedy and beam-1 run the same batched decoder steps but total the
@@ -352,9 +352,9 @@ def test_09_decoding_contracts():
                             max_len=8, init_seed=22)
         small_params = init_params(small)
         small_source = np.array([[1, 0, 1]])
-        beam = beam_decode(small_params, small,
-                           DecodeConfig(strategy="beam", beam_size=4,
-                                        max_steps=3), source=small_source)
+        beam = decode(small_params, small,
+                      DecodeConfig(strategy="beam", beam_size=4,
+                                   max_steps=3), source=small_source)
         candidates = [np.array(seq) for seq in
                       itertools.product(range(2), repeat=3)]
         scored = [score_sequence(small_params, small, seq,

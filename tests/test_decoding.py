@@ -17,13 +17,12 @@ from mqa_lab import decoding
 from mqa_lab.config import DecodeConfig, ModelConfig, OptimizerSettings, TaskSpec
 from mqa_lab.decoding import (
     _begin,
-    beam_decode,
     decode,
     decoder_step,
     encode_source,
-    greedy_decode,
     length_penalty,
     score_sequence,
+    search,
     start_state,
 )
 from mqa_lab.exceptions import ConfigError, InputError
@@ -60,7 +59,7 @@ class TestStepAgainstBatchedForward:
         b, m, steps = 3, 5, 6
         source = rng.integers(1, config.vocab_size, size=(b, m))
         dc = DecodeConfig(strategy="greedy", max_steps=steps)
-        result = greedy_decode(params, config, dc, source=source)
+        result = decode(params, config, dc, source=source)
         assert result.tokens.shape == (b, steps)
         again = replay_logits(params, config, source, result.tokens)
         assert np.array_equal(np.argmax(again, axis=-1), result.tokens)
@@ -256,7 +255,7 @@ class TestGreedy:
         rng = np.random.default_rng(77)
         source = rng.integers(1, config.vocab_size, size=(8, 5))
         dc = DecodeConfig(strategy="greedy", max_steps=5)
-        out = greedy_decode(result.params, config, dc, source=source)
+        out = decode(result.params, config, dc, source=source)
         assert np.array_equal(out.tokens, source)
 
     def test_decoder_only_prompt_decode(self, rng):
@@ -266,7 +265,7 @@ class TestGreedy:
         prompt = np.concatenate([src, np.full((2, 1), BOS, dtype=np.int64)],
                                 axis=1)
         dc = DecodeConfig(strategy="greedy", max_steps=4)
-        out = greedy_decode(params, config, dc, prompt=prompt)
+        out = decode(params, config, dc, prompt=prompt)
         assert out.tokens.shape == (2, 4)
         # replay through the training-path forward
         stream = np.concatenate([prompt, out.tokens], axis=1)
@@ -280,12 +279,12 @@ class TestGreedy:
         config = tiny_config()
         params = init_params(config)
         source = rng.integers(1, config.vocab_size, size=(3, 4))
-        free = greedy_decode(params, config,
-                             DecodeConfig(strategy="greedy", max_steps=4),
-                             source=source)
+        free = decode(params, config,
+                      DecodeConfig(strategy="greedy", max_steps=4),
+                      source=source)
         eos = int(free.tokens[0, 0])
         dc = DecodeConfig(strategy="greedy", max_steps=4, eos_id=eos)
-        out = greedy_decode(params, config, dc, source=source)
+        out = decode(params, config, dc, source=source)
         assert out.lengths[0] == 1
         assert (out.tokens[0] == eos).all()
         # raw score counts only tokens up to and including eos
@@ -296,7 +295,7 @@ class TestGreedy:
         params = init_params(config)
         source = rng.integers(1, config.vocab_size, size=(2, 4))
         dc = DecodeConfig(strategy="greedy", max_steps=5)
-        out = greedy_decode(params, config, dc, source=source)
+        out = decode(params, config, dc, source=source)
         for i in range(2):
             oracle = score_sequence(params, config, out.tokens[i],
                                     source=source[i])
@@ -310,13 +309,13 @@ class TestBeam:
         source = rng.integers(1, config.vocab_size, size=(3, 4))
         for i in range(3):
             row = source[i: i + 1]
-            g = greedy_decode(params, config,
-                              DecodeConfig(strategy="greedy", max_steps=5),
-                              source=row)
-            b = beam_decode(params, config,
-                            DecodeConfig(strategy="beam", beam_size=1,
-                                         max_steps=5),
-                            source=row)
+            g = decode(params, config,
+                       DecodeConfig(strategy="greedy", max_steps=5),
+                       source=row)
+            b = decode(params, config,
+                       DecodeConfig(strategy="beam", beam_size=1,
+                                    max_steps=5),
+                       source=row)
             assert np.array_equal(g.tokens, b.tokens)
             assert b.raw_scores[0] == pytest.approx(g.raw_scores[0],
                                                     abs=1e-10)
@@ -325,12 +324,12 @@ class TestBeam:
         config = tiny_config()
         params = init_params(config)
         source = rng.integers(1, config.vocab_size, size=(4, 4))
-        g = greedy_decode(params, config,
-                          DecodeConfig(strategy="greedy", max_steps=5),
-                          source=source)
-        b = beam_decode(params, config,
-                        DecodeConfig(strategy="beam", beam_size=1, max_steps=5),
-                        source=source)
+        g = decode(params, config,
+                   DecodeConfig(strategy="greedy", max_steps=5),
+                   source=source)
+        b = decode(params, config,
+                   DecodeConfig(strategy="beam", beam_size=1, max_steps=5),
+                   source=source)
         assert np.array_equal(g.tokens, b.tokens)
         assert np.array_equal(g.lengths, b.lengths)
         assert np.array_equal(g.raw_scores, b.raw_scores)
@@ -346,13 +345,13 @@ class TestBeam:
                           length_alpha=0.6)
         if with_eos:
             # the commonest first pick ends some rows early, others not
-            free = beam_decode(params, config, dc, **{key: rows})
+            free = decode(params, config, dc, **{key: rows})
             dc = DecodeConfig(strategy="beam", beam_size=3, max_steps=6,
                               length_alpha=0.6,
                               eos_id=int(np.bincount(free.tokens[:, 1]).argmax()))
-        together = beam_decode(params, config, dc, **{key: rows})
+        together = decode(params, config, dc, **{key: rows})
         for i in range(len(rows)):
-            alone = beam_decode(params, config, dc, **{key: rows[i:i + 1]})
+            alone = decode(params, config, dc, **{key: rows[i:i + 1]})
             assert np.array_equal(together.tokens[i], alone.tokens[0])
             assert together.lengths[i] == alone.lengths[0]
             assert abs(together.raw_scores[i] - alone.raw_scores[0]) < 1e-10
@@ -374,11 +373,11 @@ class TestBeam:
         inputs = {key: rng.integers(1, config.vocab_size, size=(3, 4))}
         dc = DecodeConfig(strategy="beam", beam_size=3, max_steps=8,
                           length_alpha=0.6)
-        free = beam_decode(params, config, dc, **inputs)
+        free = decode(params, config, dc, **inputs)
         ends = DecodeConfig(strategy="beam", beam_size=3, max_steps=8,
                             length_alpha=0.6,
                             eos_id=int(np.bincount(free.tokens[:, 1]).argmax()))
-        fresh = [beam_decode(params, config, c, **inputs) for c in (dc, ends)]
+        fresh = [decode(params, config, c, **inputs) for c in (dc, ends)]
 
         def reorder_every_slot(state, rows):
             for buf in state.keys + state.values:
@@ -386,7 +385,7 @@ class TestBeam:
 
         monkeypatch.setattr(decoding, "_reorder_beams", reorder_every_slot)
         for got, c in zip(fresh, (dc, ends)):
-            full = beam_decode(params, config, c, **inputs)
+            full = decode(params, config, c, **inputs)
             for field in ("tokens", "lengths", "raw_scores", "scores"):
                 assert getattr(got, field).tobytes() == \
                     getattr(full, field).tobytes(), field
@@ -408,7 +407,7 @@ class TestBeam:
         dc = DecodeConfig(strategy="beam", beam_size=beam, max_steps=8,
                           length_alpha=0.6)
         if with_eos:
-            free = beam_decode(params, config, dc, **inputs)
+            free = decode(params, config, dc, **inputs)
             dc = DecodeConfig(strategy="beam", beam_size=beam, max_steps=8,
                               length_alpha=0.6,
                               eos_id=int(np.bincount(free.tokens[:, 1]).argmax()))
@@ -420,7 +419,7 @@ class TestBeam:
             assert len(shared_keys) == len(shared_values) == b
         assert state.cross is None or all(len(k) == b for k, _ in state.cross)
         assert all(len(k) == b * beam for k in state.keys)
-        shared = beam_decode(params, config, dc, **inputs)
+        shared = decode(params, config, dc, **inputs)
 
         def repeated_begin(params, config, decode, opener, memory, beam=1):
             # the opener stepped token by token into rings that every beam
@@ -438,7 +437,7 @@ class TestBeam:
             return state, np.repeat(logits, beam, axis=0)
 
         monkeypatch.setattr(decoding, "_begin", repeated_begin)
-        repeated = beam_decode(params, config, dc, **inputs)
+        repeated = decode(params, config, dc, **inputs)
         assert np.array_equal(shared.tokens, repeated.tokens)
         assert np.array_equal(shared.lengths, repeated.lengths)
         assert np.max(np.abs(shared.raw_scores - repeated.raw_scores)) < 1e-12
@@ -450,7 +449,7 @@ class TestBeam:
         params = init_params(config)
         source = rng.integers(1, config.vocab_size, size=(2, 4))
         dc = DecodeConfig(strategy="beam", beam_size=3, max_steps=4)
-        out = beam_decode(params, config, dc, source=source)
+        out = decode(params, config, dc, source=source)
         for i in range(2):
             oracle = score_sequence(params, config, out.tokens[i],
                                     source=source[i])
@@ -471,7 +470,7 @@ class TestBeam:
         dc = DecodeConfig(strategy="beam",
                           beam_size=config.vocab_size ** steps,
                           max_steps=steps)
-        out = beam_decode(params, config, dc, source=source)
+        out = decode(params, config, dc, source=source)
         assert np.array_equal(out.tokens[0], best_seq)
         assert out.raw_scores[0] == pytest.approx(best_score, abs=1e-8)
 
@@ -479,13 +478,13 @@ class TestBeam:
         config = tiny_config()
         params = init_params(config)
         source = rng.integers(1, config.vocab_size, size=(4, 4))
-        g = greedy_decode(params, config,
-                          DecodeConfig(strategy="greedy", max_steps=5),
-                          source=source)
-        b = beam_decode(params, config,
-                        DecodeConfig(strategy="beam", beam_size=4,
-                                     max_steps=5),
-                        source=source)
+        g = decode(params, config,
+                   DecodeConfig(strategy="greedy", max_steps=5),
+                   source=source)
+        b = decode(params, config,
+                   DecodeConfig(strategy="beam", beam_size=4,
+                                max_steps=5),
+                   source=source)
         assert (b.raw_scores >= g.raw_scores - 1e-10).all()
 
     def test_length_alpha_prefers_longer(self, rng):
@@ -498,16 +497,16 @@ class TestBeam:
         config = tiny_config()
         params = init_params(config)
         source = rng.integers(1, config.vocab_size, size=(1, 4))
-        free = beam_decode(params, config,
-                           DecodeConfig(strategy="beam", beam_size=2,
-                                        max_steps=4),
-                           source=source)
+        free = decode(params, config,
+                      DecodeConfig(strategy="beam", beam_size=2,
+                                   max_steps=4),
+                      source=source)
         eos = int(free.tokens[0, 0])
-        out = beam_decode(params, config,
-                          DecodeConfig(strategy="beam", beam_size=2,
-                                       max_steps=4, eos_id=eos,
-                                       length_alpha=0.5),
-                          source=source)
+        out = decode(params, config,
+                     DecodeConfig(strategy="beam", beam_size=2,
+                                  max_steps=4, eos_id=eos,
+                                  length_alpha=0.5),
+                     source=source)
         assert out.lengths[0] <= 4
         assert (out.tokens[0, out.lengths[0]:] == eos).all()
 
@@ -522,6 +521,34 @@ class TestBeam:
                    DecodeConfig(strategy="beam", beam_size=2, max_steps=3),
                    source=source)
         assert g.tokens.shape == b.tokens.shape
+
+    @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    def test_search_on_ready_inputs_matches_decode(self, rng, mode, strategy):
+        """search on encode_source's memory, or on the prompt as opener,
+        returns decode's result bit for bit: `mqa-lab bench` times it."""
+        config = tiny_config(mode=mode)
+        params = init_params(config)
+        rows = rng.integers(1, config.vocab_size, size=(3, 4))
+        inputs = {"source" if config.has_encoder else "prompt": rows}
+        dc = DecodeConfig(strategy=strategy, max_steps=6)
+        if strategy == "beam":
+            dc = DecodeConfig(strategy="beam", beam_size=3, max_steps=6,
+                              length_alpha=0.6)
+            free = decode(params, config, dc, **inputs)
+            dc = DecodeConfig(strategy="beam", beam_size=3, max_steps=6,
+                              length_alpha=0.6,
+                              eos_id=int(np.bincount(free.tokens[:, 1]).argmax()))
+        expected = decode(params, config, dc, **inputs)
+        if config.has_encoder:
+            opener = np.full((len(rows), 1), BOS, dtype=np.int64)
+            got = search(params, config, dc, opener, encode_source(params, config, rows))
+        else:
+            got = search(params, config, dc, rows)
+        for field in ("tokens", "lengths", "raw_scores"):
+            assert getattr(got, field).tobytes() == getattr(expected, field).tobytes()
+        if strategy == "beam":
+            assert (expected.lengths < dc.max_steps).any()
 
 
 def _int_rows(b, n, dtype=np.int64):
@@ -559,7 +586,7 @@ class TestDecodeBoundary:
         def refuse(*args, **kwargs):
             raise AssertionError("decode work started before the input checks")
         monkeypatch.setattr(decoding, "encode_source", refuse)
-        monkeypatch.setattr(decoding, "start_state", refuse)
+        monkeypatch.setattr(decoding, "_state", refuse)
 
     @pytest.mark.parametrize("strategy", ["greedy", "beam"])
     @pytest.mark.parametrize("mode,inputs,settings,error", BAD_INPUTS)
