@@ -1,61 +1,25 @@
 """Benchmark training and decode speed for all four attention variants.
 
-Runs the full table (multi-head / multi-query, global and local decoder
-self-attention) at a desk-scale workload: greedy and beam decode times per
-token plus one training-pass timing, with the counted per-step KV traffic
-and flops alongside.  Times are medians over repetitions on this machine;
-counted columns are exact.
+`mqa-lab bench` at the table's desk-scale sizes: batch 32, source and
+target length 128, d_model 256 over 8 heads, 2 layers, 5 repetitions.
+Every `mqa-lab bench` option is taken and comes after these sizes, so a
+--set overrides them (a --config file does not: --set beats the file).
+Times are medians over repetitions on this machine; counted columns are
+exact.
 
-    MQA_THREADS=1 python3 scripts/decode_bench.py --b 32 --len 128 \
+    MQA_THREADS=1 python3 scripts/decode_bench.py --set workload.b=8 \
         --format csv --out table.csv
 """
 
-import argparse
 import sys
-from pathlib import Path
 
-from mqa_lab.cli import configure_threads
+from mqa_lab.cli import main  # loads no numpy, so MQA_THREADS still acts
 
-configure_threads()  # MQA_THREADS must reach BLAS before numpy loads
-
-from mqa_lab.bench import VARIANTS, Workload, emit_report, run_bench  # noqa: E402
-from mqa_lab.config import ModelConfig  # noqa: E402
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--b", type=int, default=32)
-    parser.add_argument("--len", type=int, dest="length", default=128,
-                        help="source and target length")
-    parser.add_argument("--d", type=int, default=256)
-    parser.add_argument("--heads", type=int, default=8)
-    parser.add_argument("--layers", type=int, default=2)
-    parser.add_argument("--reps", type=int, default=5)
-    parser.add_argument("--variants", nargs="+", default=list(VARIANTS),
-                        choices=VARIANTS)
-    parser.add_argument("--no-beam", action="store_true")
-    parser.add_argument("--format", choices=("markdown", "csv"),
-                        default="markdown")
-    parser.add_argument("--out", type=Path, default=None)
-    args = parser.parse_args(argv)
-
-    model = ModelConfig(
-        mode="encoder_decoder", layers=args.layers, d_model=args.d,
-        d_ff=4 * args.d, heads=args.heads, d_k=args.d // args.heads,
-        d_v=args.d // args.heads, vocab_size=64, max_len=2 * args.length)
-    workload = Workload(b=args.b, source_len=args.length,
-                        target_len=args.length, model=model,
-                        repetitions=args.reps)
-    report = run_bench(workload, tuple(args.variants),
-                       include_beam=not args.no_beam)
-    text = emit_report(report, args.format)
-    print(text)
-    if args.out is not None:
-        args.out.write_text(text if text.endswith("\n") else text + "\n")
-        print(f"wrote {args.out}")
-    return 0
-
+TABLE_SIZES = ("model.d_model=256", "model.d_ff=1024", "model.heads=8",
+               "model.d_k=32", "model.d_v=32", "model.layers=2",
+               "workload.b=32", "workload.source_len=128",
+               "workload.target_len=128", "workload.repetitions=5")
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["bench", *(flag for size in TABLE_SIZES
+                              for flag in ("--set", size)), *sys.argv[1:]]))

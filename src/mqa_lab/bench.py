@@ -276,20 +276,25 @@ def run_bench(workload: Workload, variants=VARIANTS, *,
 # ---------------------------------------------------------------------------
 # report rendering
 
-CSV_COLUMNS = (
-    "variant", "kind", "window", "d_ff", "param_total", "training_us",
-    "encoder_us", "decoder_us", "beam_encoder_us", "beam_decoder_us",
-    "kv_words_per_step", "flops_per_step", "b", "source_len", "target_len",
-    "repetitions", "cpu", "threads", "timer_resolution_ns",
-)
+# The csv schema is the fields of BenchRow, then those of BenchReport but
+# its rows: one line per row, repeating the report's fields on each.
+_ROW_FIELDS = dataclasses.fields(BenchRow)
+_REPORT_FIELDS = tuple(f for f in dataclasses.fields(BenchReport) if f.name != "rows")
+CSV_COLUMNS = tuple(f.name for f in _ROW_FIELDS + _REPORT_FIELDS)
+
+# A cell's text -> the value of a field with this annotation.
+_CELL_PARSERS = {"str": str, "int": int, "float": float,
+                 "int | None": lambda text: int(text) if text else None}
 
 
-def _csv_value(value):
+def _csv_value(value) -> str:
+    """A cell's text: None is empty, floats keep 17 significant digits, and
+    a comma inside a string becomes a semicolon."""
     if value is None:
         return ""
     if isinstance(value, float):
         return f"{value:.17g}"
-    return str(value)
+    return str(value).replace(",", ";")
 
 
 def _us(value: float) -> str:
@@ -299,21 +304,10 @@ def _us(value: float) -> str:
 def emit_report(report: BenchReport, fmt: str) -> str:
     """Render a report as csv or markdown."""
     if fmt == "csv":
+        shared = [_csv_value(getattr(report, f.name)) for f in _REPORT_FIELDS]
         lines = [",".join(CSV_COLUMNS)]
-        for row in report.rows:
-            record = {
-                **{name: getattr(row, name) for name in CSV_COLUMNS
-                   if hasattr(row, name)},
-                "b": report.b,
-                "source_len": report.source_len,
-                "target_len": report.target_len,
-                "repetitions": report.repetitions,
-                "cpu": report.cpu.replace(",", ";"),
-                "threads": report.threads,
-                "timer_resolution_ns": report.timer_resolution_ns,
-            }
-            lines.append(",".join(_csv_value(record[name])
-                                  for name in CSV_COLUMNS))
+        lines += [",".join([_csv_value(getattr(row, f.name)) for f in _ROW_FIELDS]
+                           + shared) for row in report.rows]
         return "\n".join(lines) + "\n"
     if fmt == "markdown":
         head = (f"batch {report.b}, source length {report.source_len}, "
@@ -344,42 +338,39 @@ def emit_report(report: BenchReport, fmt: str) -> str:
     raise ConfigError(f"unknown report format {fmt!r}")
 
 
+def _cells(record: dict, fields, line: int) -> dict:
+    """record's cells for fields, each parsed as its field's annotation
+    says; InputError names the line and column of one that does not parse
+    or is missing."""
+    values = {}
+    for f in fields:
+        text = record[f.name]
+        try:
+            if text is None:
+                raise ValueError
+            values[f.name] = _CELL_PARSERS[f.type](text)
+        except ValueError:
+            raise InputError(f"csv line {line}, column {f.name}: {text!r} is not "
+                             f"{f.type}") from None
+    return values
+
+
 def parse_report_csv(text: str) -> BenchReport:
     """Rebuild a report from its csv rendering.
 
-    Inverse of emit_report(..., "csv") up to the comma substitution in the
-    cpu field.  Timings survive exactly: floats are written with 17
-    significant digits.
+    Inverse of emit_report(..., "csv") up to the comma substitution in
+    strings; the report's fields are read from the first row.  Timings
+    survive exactly: floats are written with 17 significant digits.
     """
     reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or set(CSV_COLUMNS) - set(reader.fieldnames):
-        raise InputError("csv header does not match the report schema")
-    records = list(reader)
-    if not records:
-        return BenchReport(b=0, source_len=0, target_len=0, repetitions=0)
-    first = records[0]
-    report = BenchReport(
-        b=int(first["b"]),
-        source_len=int(first["source_len"]),
-        target_len=int(first["target_len"]),
-        repetitions=int(first["repetitions"]),
-        cpu=first["cpu"],
-        threads=first["threads"],
-        timer_resolution_ns=float(first["timer_resolution_ns"]),
-    )
-    for record in records:
-        report.rows.append(BenchRow(
-            variant=record["variant"],
-            kind=record["kind"],
-            window=int(record["window"]) if record["window"] else None,
-            d_ff=int(record["d_ff"]),
-            param_total=int(record["param_total"]),
-            training_us=float(record["training_us"]),
-            encoder_us=float(record["encoder_us"]),
-            decoder_us=float(record["decoder_us"]),
-            beam_encoder_us=float(record["beam_encoder_us"]),
-            beam_decoder_us=float(record["beam_decoder_us"]),
-            kv_words_per_step=float(record["kv_words_per_step"]),
-            flops_per_step=int(record["flops_per_step"]),
-        ))
+    try:
+        if reader.fieldnames is None or set(CSV_COLUMNS) - set(reader.fieldnames):
+            raise InputError("csv header does not match the report schema")
+        report = BenchReport(b=0, source_len=0, target_len=0, repetitions=0)
+        for record in reader:
+            if not report.rows:
+                report = BenchReport(**_cells(record, _REPORT_FIELDS, reader.line_num))
+            report.rows.append(BenchRow(**_cells(record, _ROW_FIELDS, reader.line_num)))
+    except csv.Error as exc:
+        raise InputError(f"csv after line {reader.line_num}: {exc}") from None
     return report

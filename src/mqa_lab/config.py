@@ -35,6 +35,8 @@ _FIELD_TYPES = {
               and math.isfinite(v)),
     "str": ("a string", lambda v: isinstance(v, str)),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "list[str] | None": ("a list of strings or null", lambda v: v is None or (
+        isinstance(v, list) and all(isinstance(x, str) for x in v))),
     "ModelConfig": ("a ModelConfig", lambda v: isinstance(v, ModelConfig)),
 }
 

@@ -35,8 +35,8 @@ then gathers the own rings alone.  Greedy emission is the beam_size=1,
 length_alpha=0 special case, and the tests hold greedy and beam-1 to
 exact agreement.
 
-decode, score_sequence and decoder_step check their ids before any work
-with model.check_ids, the one input contract for token ids.
+decode, search, score_sequence and decoder_step check their ids before
+any work with model.check_ids, the one input contract for token ids.
 
 Beam scores are sums of token log-probabilities divided by the length
 penalty ((5 + length) / 6) ** alpha, with length counting every emitted
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DecodeConfig, ModelConfig, kv_head_count
+from .config import DecodeConfig, ModelConfig, _is_int, kv_head_count
 from .exceptions import ConfigError, InputError
 from .model import (
     Batch,
@@ -160,15 +160,16 @@ def _state(params, config, memory, batch_size, limit, slots) -> DecoderState:
         raise ConfigError("encoder_decoder decode needs encoder memory")
     if not config.has_encoder and memory is not None:
         raise ConfigError("decoder_only decode takes no memory")
-    if batch_size < 1:
-        raise InputError(f"batch_size must be >= 1, got {batch_size}")
+    if not (_is_int(batch_size) and batch_size >= 1):
+        raise InputError(f"batch_size must be an integer >= 1, got {batch_size!r}")
     shape = np.shape(memory)
     if memory is not None and (len(shape) != 3 or shape[1] < 1 or
                                shape[::2] != (batch_size, config.d_model)):
         raise InputError(f"encoder memory must be [batch_size {batch_size}, m, "
                          f"d_model {config.d_model}], got shape {shape}")
-    if not 1 <= limit <= config.max_len:
-        raise InputError(f"max_positions {limit} outside [1, {config.max_len}]")
+    if not (_is_int(limit) and 1 <= limit <= config.max_len):
+        raise InputError(f"max_positions {limit!r} is not an integer in "
+                         f"[1, {config.max_len}]")
     keys, values = _rings(config, batch_size, slots)
     shared = list(zip(*_rings(config, batch_size, 0)))
     weights = [_fold_block(block) for block in params.decoder]
@@ -240,7 +241,7 @@ def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
     # window has dropped those before t - window + 1
     drop = 0 if window is None else min(s, max(0, t - window + 1 - first + s))
     # the attended keys are positions first - s + drop .. t + c - 1 in order
-    bias = None if c == 1 else _self_bias(config, t + c)[t:, first - s + drop:]
+    bias = None if c == 1 else _self_bias(config, t, c, first - s + drop)
     x = (params.embedding[tokens] + params.positions[t:t + c]).reshape(rows * c, -1)
     queried = c  # positions whose queries run
     for i, block in enumerate(params.decoder):
@@ -343,15 +344,11 @@ def _source_or_prompt(config: ModelConfig, source, prompt, call: str):
     return "prompt", prompt
 
 
-def _inputs(params, config: ModelConfig, decode: DecodeConfig, source, prompt):
-    """Check the inputs of one decode call before any work, then encode;
-    returns (the decoder stream opener, encoder memory or None).  The opener
-    is BOS for encoder_decoder and the caller's prompt (usually source +
-    BOS) for decoder_only."""
-    what, ids = _source_or_prompt(config, source, prompt, "decode")
-    ids = check_ids(what, ids, config)
-    source, opener = (ids, np.full((len(ids), 1), BOS, dtype=np.int64)) \
-        if config.has_encoder else (None, ids)
+def _checked_opener(config: ModelConfig, decode: DecodeConfig, opener) -> np.ndarray:
+    """opener as an array, or InputError unless it is a [b, n] array of ids
+    (model.check_ids), eos_id is an id and the n + max_steps - 1 positions
+    a run feeds fit max_len."""
+    opener = check_ids("opener", opener, config)
     if decode.eos_id is not None and not 0 <= decode.eos_id < config.vocab_size:
         raise InputError(
             f"eos_id {decode.eos_id} outside [0, {config.vocab_size})")
@@ -360,9 +357,20 @@ def _inputs(params, config: ModelConfig, decode: DecodeConfig, source, prompt):
             f"an opener of {opener.shape[1]} plus max_steps {decode.max_steps} "
             f"feeds {opener.shape[1] + decode.max_steps - 1} positions, over "
             f"max_len {config.max_len}")
-    if source is None:
-        return opener, None
-    return opener, encode_source(params, config, source)
+    return opener
+
+
+def _inputs(params, config: ModelConfig, decode: DecodeConfig, source, prompt):
+    """Check the inputs of one decode call before any work, then encode;
+    returns (the decoder stream opener, encoder memory or None).  The opener
+    is BOS for encoder_decoder and the caller's prompt (usually source +
+    BOS) for decoder_only."""
+    what, ids = _source_or_prompt(config, source, prompt, "decode")
+    ids = check_ids(what, ids, config)
+    if not config.has_encoder:
+        return ids, None  # search checks it as the opener before any work
+    opener = _checked_opener(config, decode, np.full((len(ids), 1), BOS, dtype=np.int64))
+    return opener, encode_source(params, config, ids)
 
 
 def _greedy(params, config, decode: DecodeConfig, opener, memory) -> DecodeResult:
@@ -480,8 +488,10 @@ def _beam(params, config, decode: DecodeConfig, opener, memory) -> DecodeResult:
 def search(params: ModelParams, config: ModelConfig, decode_config: DecodeConfig,
            opener: np.ndarray, memory: np.ndarray | None = None) -> DecodeResult:
     """Run decode_config.strategy from an opener [b, n] and encoder memory
-    [b, m, d_model] (None for decoder_only) that are already checked and
-    computed, as decode makes them."""
+    [b, m, d_model] (None for decoder_only), as decode makes them.  The
+    opener is checked first, as decode checks it (InputError); _state
+    checks the memory."""
+    opener = _checked_opener(config, decode_config, opener)
     loop = _greedy if decode_config.strategy == "greedy" else _beam
     return loop(params, config, decode_config, opener, memory)
 

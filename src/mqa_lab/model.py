@@ -52,13 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (
-    AttentionWeights,
-    MaskSpec,
-    _kv_heads,
-    build_mask,
-    random_attention_weights,
-)
+from .attention import AttentionWeights, _kv_heads, random_attention_weights
 from .config import ModelConfig
 from .exceptions import InputError, NumericError, ShapeError
 
@@ -587,12 +581,17 @@ def attention_backward(dy, cache, w: AttentionWeights,
 # ---------------------------------------------------------------------------
 # blocks and stacks
 
-def _self_bias(config: ModelConfig, n: int):
-    if config.dec_self_window is None:
-        spec = MaskSpec("causal", 1, 1, n, n)
-    else:
-        spec = MaskSpec("local", 1, 1, n, n, window=config.dec_self_window)
-    return build_mask(spec)[0, 0]
+def _self_bias(config: ModelConfig, t: int, c: int, first: int = 0):
+    """Decoder self-attention's additive mask [c, t + c - first] for the
+    queries at positions t .. t + c - 1 over the keys at first .. t + c - 1:
+    0 where the query may see the key (causal, and inside dec_self_window
+    when set), -inf elsewhere.  attention.build_mask is its reference."""
+    query = np.arange(t, t + c)[:, None]
+    key = np.arange(first, t + c)
+    hidden = key > query
+    if config.dec_self_window is not None:
+        hidden |= key <= query - config.dec_self_window
+    return np.where(hidden, -np.inf, 0.0)
 
 
 def _keep(tape, sublayer):
@@ -722,7 +721,7 @@ def _run(params: ModelParams, config: ModelConfig, batch: Batch, tape=None,
     memory = (encode(params, config, batch.source, tape, empty)
               if config.has_encoder else None)
     y = _embed(params, config, batch.target_in, "target", empty)
-    bias = _self_bias(config, y.shape[1])
+    bias = _self_bias(config, 0, y.shape[1])
     for block in params.decoder:
         y = _block_forward(y, block, memory, bias, tape, empty)
     final = _keep(tape, layer_norm(y, params.dec_out_ln, empty))

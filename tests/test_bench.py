@@ -263,6 +263,24 @@ class TestReports:
         with pytest.raises(InputError):
             parse_report_csv("alpha,beta\n1,2\n")
 
+    @pytest.mark.parametrize("column,cell", [("flops_per_step", "1.5"),
+                                             ("param_total", ""),
+                                             ("repetitions", "three")])
+    def test_parse_names_the_line_and_column_of_a_bad_cell(self, column, cell):
+        from mqa_lab.exceptions import InputError
+        lines = emit_report(self.canned(), "csv").splitlines()
+        cells = lines[1].split(",")
+        cells[bench.CSV_COLUMNS.index(column)] = cell
+        lines[1] = ",".join(cells)
+        with pytest.raises(InputError, match=f"line 2, column {column}"):
+            parse_report_csv("\n".join(lines) + "\n")
+
+    def test_parse_rejects_an_oversized_cell(self):
+        from mqa_lab.exceptions import InputError
+        rendered = emit_report(self.canned(), "csv").replace("Test CPU", "x" * 200_000)
+        with pytest.raises(InputError, match="after line 1"):
+            parse_report_csv(rendered)
+
     def test_empty_report_is_header_only(self):
         report = BenchReport(b=1, source_len=1, target_len=1, repetitions=3)
         rendered = emit_report(report, "csv")

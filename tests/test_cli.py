@@ -30,6 +30,18 @@ def run_cli(capsys, *argv):
 TINY_MODEL = {"layers": 1, "d_model": 16, "d_ff": 32, "heads": 2,
               "d_k": 8, "d_v": 8, "vocab_size": 12, "max_len": 32}
 
+NOT_UTF8 = '{"note": "caf\xe9"}'.encode("latin-1")
+
+
+def with_cell(csv_text: str, column: str, cell: str | None) -> str:
+    """csv_text with its first row's cell in `column` replaced by `cell`,
+    or, for None, the row cut short before that column."""
+    header, first, *rest = csv_text.splitlines()
+    cells = first.split(",")
+    i = header.split(",").index(column)
+    cells[i:] = [] if cell is None else [cell] + cells[i + 1:]
+    return "\n".join([header, ",".join(cells), *rest]) + "\n"
+
 
 class TestParity:
     def test_wmt_preset_prints_5440(self, capsys):
@@ -141,6 +153,15 @@ class TestUsageErrors:
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
         assert run_cli(capsys, "cost", "--config", str(path))[0] == 2
+
+    @pytest.mark.parametrize("command", ["cost", "parity", "train", "decode",
+                                         "bench", "report"])
+    def test_config_not_utf8_is_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(NOT_UTF8)
+        code, _, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 2
+        assert "cannot read" in err
 
     @pytest.mark.parametrize("argv", [
         ("cost", "--set", "shape.b=1.5"),
@@ -377,6 +398,16 @@ class TestBenchReport:
         assert code == 2
         assert setting.split("=")[0].split(".")[-1] in err
 
+    @pytest.mark.parametrize("column,cell", [("d_ff", "abc"), ("window", "2.5"),
+                                             ("timer_resolution_ns", None)])
+    def test_report_of_a_bad_cell_is_usage_error(self, capsys, tmp_path, column, cell):
+        path = tmp_path / "bench.csv"
+        assert run_cli(capsys, *self.bench_args("--format", "csv", "--out", str(path)))[0] == 0
+        path.write_text(with_cell(path.read_text(), column, cell))
+        code, _, err = run_cli(capsys, "report", "--config", str(path))
+        assert code == 2
+        assert f"line 2, column {column}" in err
+
     def test_report_requires_config(self, capsys):
         code, _, err = run_cli(capsys, "report")
         assert code == 2
@@ -478,6 +509,10 @@ def fuzz_files(tmp_path_factory):
     assert main(["bench", "--format", "csv", "--out", str(files["good.csv"]),
                  *(flag for setting in FUZZ_BASE["bench"]
                    for flag in ("--set", setting))]) == 0
+    files["bad_cell.csv"] = root / "bad_cell.csv"
+    files["bad_cell.csv"].write_text(with_cell(files["good.csv"].read_text(), "d_ff", "abc"))
+    files["latin1.json"] = root / "latin1.json"
+    files["latin1.json"].write_bytes(NOT_UTF8)
     model = ModelConfig(**FUZZ_MODEL)
     files["checkpoint"] = root / "ck"
     save_checkpoint(files["checkpoint"], init_params(model), model)
@@ -502,9 +537,10 @@ def cli_argv(draw, files):
                                 st.sampled_from(FUZZ_VALUES))),
             st.sampled_from(["steps", "=1", "model..layers=1"])))
         argv += ["--set", setting]
-    configs = ["config.json", "list.json", "not.json", "missing"]
+    configs = ["config.json", "list.json", "not.json", "latin1.json", "missing"]
     if command == "report":
-        configs = ["good.csv", "bad.csv", "empty.csv", "missing"]
+        configs = ["good.csv", "bad.csv", "bad_cell.csv", "empty.csv", "latin1.json",
+                   "missing"]
     for flag, choices in (
             ("--config", configs),
             ("--seed", ["0", "1", "-1", "x"]),

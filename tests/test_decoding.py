@@ -242,6 +242,14 @@ class TestStepAgainstBatchedForward:
         with pytest.raises(InputError, match="batch_size"):
             start_state(init_params(config), config, batch_size=0)
 
+    @pytest.mark.parametrize("sizes", [{"batch_size": 2.0},
+                                       {"batch_size": 2, "max_positions": 3.0}])
+    def test_state_sizes_must_be_integers(self, sizes):
+        config = tiny_config(mode="decoder_only")
+        name = list(sizes)[-1]
+        with pytest.raises(InputError, match=name):
+            start_state(init_params(config), config, **sizes)
+
 
 class TestGreedy:
     def test_trained_model_copies(self):
@@ -597,6 +605,42 @@ class TestDecodeBoundary:
                           **settings)
         with pytest.raises(error):
             decode(params, config, dc, **inputs)
+
+
+class TestSearchBoundary:
+    """search checks the opener it is handed as decode checks its inputs,
+    before any buffer is allocated (decoder_only, 1 layer, vocab 10,
+    max_len 6)."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("search work started before the input checks")
+        monkeypatch.setattr(decoding, "_state", refuse)
+
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    @pytest.mark.parametrize("opener,settings", [
+        pytest.param(np.array([[-1, 2]]), {}, id="negative-id"),
+        pytest.param(np.array([[1, 10]]), {}, id="id-past-vocab"),
+        pytest.param(np.array([[1.0, 2.0]]), {}, id="float"),
+        pytest.param(np.array([1, 2]), {}, id="1-D"),
+        pytest.param(np.array([[1, 2]]), {"max_steps": 9}, id="steps-past-max_len"),
+        pytest.param(np.array([[1, 2]]), {"eos_id": 99}, id="eos-past-vocab"),
+    ])
+    def test_rejected_up_front(self, strategy, opener, settings):
+        config = tiny_config(mode="decoder_only", layers=1, max_len=6)
+        dc = DecodeConfig(strategy=strategy, beam_size=2 if strategy == "beam" else 1,
+                          **{"max_steps": 3, **settings})
+        with pytest.raises(InputError):
+            search(init_params(config), config, dc, opener)
+
+
+def test_search_takes_a_list_opener():
+    config = tiny_config(mode="decoder_only", layers=1, max_len=6)
+    params, dc = init_params(config), DecodeConfig(max_steps=3)
+    got = search(params, config, dc, [[1, 2]])
+    assert got.tokens.tobytes() == search(params, config, dc,
+                                          np.array([[1, 2]])).tokens.tobytes()
 
 
 @pytest.mark.parametrize("strategy", ["greedy", "beam"])

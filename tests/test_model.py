@@ -22,6 +22,7 @@ from mqa_lab.config import ModelConfig
 from mqa_lab.exceptions import InputError, ShapeError
 from mqa_lab.model import (
     Batch,
+    _self_bias,
     _softmax_rows,
     attention_forward,
     feed_forward,
@@ -169,6 +170,23 @@ class TestFastAttentionMatchesKernels:
         fast, _ = attention_forward(x, x, w, bias)
         slow = attention_batched(x, x, w, mask=spec)
         assert np.max(np.abs(fast - slow)) < 1e-10
+
+    @pytest.mark.parametrize("window", [None, 1, 2, 5])
+    @pytest.mark.parametrize("t", [0, 3, 7])
+    @pytest.mark.parametrize("c", [1, 2, 4])
+    def test_self_bias_is_a_slice_of_build_mask(self, window, t, c):
+        """The mask of queries t .. t+c-1 over keys first .. t+c-1 is that
+        block of build_mask's (t+c)-square causal or local mask, bit for
+        bit."""
+        n = t + c
+        spec = MaskSpec("causal", 1, 1, n, n) if window is None \
+            else MaskSpec("local", 1, 1, n, n, window=window)
+        full = build_mask(spec)[0, 0]
+        config = tiny_config(dec_self_window=window)
+        for first in range(t + 1):
+            got = _self_bias(config, t, c, first)
+            assert got.shape == (c, n - first)
+            assert got.tobytes() == full[t:, first:].tobytes()
 
     @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
     def test_cross_attention_agrees(self, rng, kind):

@@ -14,10 +14,17 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(mqa_lab.__file__).resolve().parents[1]
 
 
+# decode_bench.py takes `mqa-lab bench`'s flags
+DECODE_BENCH_SMOKE = [
+    "--set", 'model={"layers": 1, "d_model": 8, "d_ff": 32, "heads": 2, "d_k": 4, '
+    '"d_v": 4, "vocab_size": 64, "max_len": 8}',
+    "--set", 'workload={"b": 1, "source_len": 4, "target_len": 4, "repetitions": 3}',
+    "--set", "include_beam=false"]
+
+
 @pytest.mark.parametrize("script,args", [
     ("cost_sweep.py", ["--lens", "2", "4", "--batches", "1"]),
-    ("decode_bench.py", ["--b", "1", "--len", "4", "--d", "8", "--heads", "2",
-                         "--layers", "1", "--reps", "3", "--no-beam"]),
+    ("decode_bench.py", DECODE_BENCH_SMOKE),
     ("train_copy.py", ["--steps", "2", "--length", "4", "--batch", "2",
                        "--d", "8", "--heads", "2"]),
 ])
@@ -39,29 +46,39 @@ class Spy:
 
     def find_spec(self, name, path=None, target=None):
         if name == "numpy" and Spy.seen is None:
-            Spy.seen = {var: os.environ.get(var) for var in sys.argv[2:]}
+            Spy.seen = {var: os.environ.get(var) for var in %r}
 
 sys.meta_path.insert(0, Spy())
-runpy.run_path(sys.argv[1])
+script, run_name, *sys.argv[1:] = sys.argv[1:]
+try:
+    runpy.run_path(script, run_name=run_name)
+except SystemExit as exc:
+    if exc.code:
+        raise
 print(Spy.seen)
-"""
+""" % (THREAD_ENV_VARS,)
 
 
 @pytest.mark.parametrize("script", ["decode_bench.py", "train_copy.py",
                                     "fingerprint.py"])
 def test_script_caps_blas_threads_before_numpy_loads(script, tmp_path):
-    """MQA_THREADS reaches every BLAS thread variable before the script's
-    imports first load numpy (its main() is not run).  cost_sweep.py does
-    not load numpy."""
+    """MQA_THREADS reaches every BLAS thread variable before numpy first
+    loads.  train_copy.py and fingerprint.py load it on import, so their
+    main() is not run; decode_bench.py loads it only inside cli.main, so it
+    runs as __main__ at the smoke sizes.  cost_sweep.py does not load
+    numpy."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {k: v for k, v in os.environ.items() if k not in THREAD_ENV_VARS}
     env.update(PYTHONPATH=path, MQA_THREADS="1")
+    run = ["__main__", *DECODE_BENCH_SMOKE] if script == "decode_bench.py" \
+        else ["imported"]
     result = subprocess.run([sys.executable, "-c", _SPY, str(ROOT / "scripts" / script),
-                             *THREAD_ENV_VARS],
+                             *run],
                             capture_output=True, text=True, cwd=tmp_path, env=env,
                             timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == str(dict.fromkeys(THREAD_ENV_VARS, "1"))
+    assert result.stdout.strip().splitlines()[-1] == \
+        str(dict.fromkeys(THREAD_ENV_VARS, "1"))
 
 
 def test_fingerprint_prints_one_stable_digest(tmp_path):
