@@ -95,18 +95,18 @@ def _kv_heads(p: np.ndarray) -> np.ndarray:
     return p.reshape((-1,) + p.shape[-2:])
 
 
-def random_attention_weights(rng, kind, *, d, h, k, v, query_scaled=True) -> AttentionWeights:
+def random_attention_weights(rng, kind, *, d, h, k, v) -> AttentionWeights:
     """Draw projection weights with scaled-uniform entries, std 1/sqrt(fan_in).
 
-    With query_scaled, p_q gets an extra 1/sqrt(k) so query-key logits start
-    at unit scale; the usual explicit logit scaling is folded into the
-    projection instead of appearing in the kernels.
+    p_q gets an extra 1/sqrt(k) so query-key logits start at unit scale;
+    the usual explicit logit scaling is folded into the projection instead
+    of appearing in the kernels.
     """
     def draw(shape, fan):
         bound = np.sqrt(3.0 / fan)
         return rng.uniform(-bound, bound, size=shape)
 
-    p_q = draw((h, d, k), d * k if query_scaled else d)
+    p_q = draw((h, d, k), d * k)
     p_o = draw((h, d, v), h * v)
     if kind == "multi_head":
         p_k = draw((h, d, k), d)

@@ -3,13 +3,14 @@
 Reports four model variants: the multi-head baseline, the multi-query
 variant widened to parameter parity, and local versions of both where only
 decoder self-attention is windowed.  Decode columns time the engine that
-`decoding.decode` runs after encoding: `decoding.search`, greedy and beam,
-on encoder memory computed once by the timed `encode_source`.  Counted
-columns come from the cost model and are machine-independent:
-kv_words_per_step counts decoder self-attention cache words averaged over
-the run, flops_per_step counts the self-attention step ops.  Cross
-attention reads constant-size memory per step and its one-off projection
-happens when a decode run starts, inside the timed decoder region.
+`decoding.decode` runs after encoding: `decoding.search`, greedy and beam
+of width BEAM_SIZE, on encoder memory computed once by the timed
+`encode_source`.  Counted columns come from the cost model and are
+machine-independent: kv_words_per_step counts decoder self-attention
+cache words averaged over the run, flops_per_step counts the
+self-attention step ops.  Cross attention reads constant-size memory per
+step and its one-off projection happens when a decode run starts, inside
+the timed decoder region.
 
 Amortization follows the per-token convention: a phase's wall time divided
 by the tokens it processes (training: b * (source_len + target_len);
@@ -44,6 +45,9 @@ LOCAL_WINDOW = 32
 VARIANTS = ("multi-head", "multi-query", "multi-head local", "multi-query local")
 
 BENCH_SEED = 0x5EED
+
+# the beam width of the table's "Beam-4" column
+BEAM_SIZE = 4
 
 
 @dataclass
@@ -130,15 +134,17 @@ def timer_resolution() -> float:
     return best
 
 
-def _median_seconds(fn, repetitions: int, warmup: int) -> float:
-    for _ in range(warmup):
+def _timed(fn, workload: Workload, tokens: int):
+    """(median wall time of fn over the workload's repetitions, after its
+    warm-up calls, in microseconds per token; fn's last result)."""
+    for _ in range(workload.warmup_reps):
         fn()
     times = []
-    for _ in range(repetitions):
+    for _ in range(workload.repetitions):
         start = time.perf_counter()
-        fn()
+        result = fn()
         times.append(time.perf_counter() - start)
-    return float(np.median(times))
+    return float(np.median(times)) * 1e6 / tokens, result
 
 
 def _cpu_model() -> str:
@@ -163,8 +169,7 @@ def _counted_columns(workload: Workload, config: ModelConfig) -> tuple[float, in
     self-attention only, summed over layers."""
     kind = config.dec_self_kind
     n = workload.target_len
-    slots = n if config.dec_self_window is None \
-        else min(config.dec_self_window, n)
+    slots = min(config.dec_self_window or n, n)
     cfg = ShapeConfig(b=workload.b, n=slots, m=slots, d=config.d_model,
                       h=config.heads, k=config.d_k, v=config.d_v)
     words = sum(kv_cache_words_step(cfg, kind, min(t, slots))
@@ -172,19 +177,6 @@ def _counted_columns(workload: Workload, config: ModelConfig) -> tuple[float, in
     kv_per_step = config.layers * words / n
     flops = config.layers * incremental_step_flops(cfg, kind)
     return kv_per_step, flops
-
-
-def _bench_rows(workload: Workload, variants) -> list[BenchRow]:
-    rows = []
-    for variant in variants:
-        config = variant_config(workload.model, variant)
-        kv, fl = _counted_columns(workload, config)
-        rows.append(BenchRow(
-            variant=variant, kind=config.dec_self_kind,
-            window=config.dec_self_window, d_ff=config.d_ff,
-            param_total=param_count(init_params(config)),
-            kv_words_per_step=kv, flops_per_step=fl))
-    return rows
 
 
 def _bench_batch(workload: Workload, config: ModelConfig) -> Batch:
@@ -197,80 +189,47 @@ def _bench_batch(workload: Workload, config: ModelConfig) -> Batch:
     return Batch(source, target_in, target, np.ones_like(target, dtype=float))
 
 
-def bench_decode(workload: Workload, variants=VARIANTS, *,
-                 include_beam: bool = True, beam_size: int = 4) -> BenchReport:
-    """Time the encoder pass and the incremental decode loop per variant."""
-    report = BenchReport(workload.b, workload.source_len, workload.target_len,
-                         workload.repetitions)
-    _fingerprint(report)
-    for row in _bench_rows(workload, variants):
-        config = variant_config(workload.model, row.variant)
-        params = init_params(config)
-        batch = _bench_batch(workload, config)
-        source, steps = batch.source, workload.target_len
-        opener = batch.target_in[:, :1]
-        greedy = DecodeConfig(strategy="greedy", max_steps=steps)
-        memory_holder = {}
-
-        def encode():
-            memory_holder["m"] = encode_source(params, config, source)
-
-        def run_greedy():
-            search(params, config, greedy, opener, memory_holder["m"])
-
-        reps = workload.repetitions
-        enc_seconds = _median_seconds(encode, reps, workload.warmup_reps)
-        row.encoder_us = enc_seconds * 1e6 / (workload.b * workload.source_len)
-
-        dec_seconds = _median_seconds(run_greedy, reps, workload.warmup_reps)
-        row.decoder_us = dec_seconds * 1e6 / (workload.b * workload.target_len)
-
-        if include_beam:
-            beam = DecodeConfig(strategy="beam", beam_size=beam_size,
-                                max_steps=steps)
-            row.beam_encoder_us = row.encoder_us
-            beam_seconds = _median_seconds(
-                lambda: search(params, config, beam, opener, memory_holder["m"]),
-                reps, workload.warmup_reps)
-            row.beam_decoder_us = beam_seconds * 1e6 / (
-                workload.b * workload.target_len)
-        report.rows.append(row)
-    return report
-
-
-def bench_training_pass(workload: Workload, variants=VARIANTS) -> BenchReport:
-    """Time one batched forward+backward per variant, amortized per
-    (input + target) token.  As in training.train_steps, every repetition
-    writes its gradients into the views of one gradient vector and takes
-    its temporaries from one Workspace, both kept across the repetitions,
-    so the figure is the step train runs."""
-    report = BenchReport(workload.b, workload.source_len, workload.target_len,
-                         workload.repetitions)
-    _fingerprint(report)
-    tokens = workload.b * (workload.source_len + workload.target_len)
-    for row in _bench_rows(workload, variants):
-        config = variant_config(workload.model, row.variant)
-        params = init_params(config)
-        batch = _bench_batch(workload, config)
-        grads = unflatten(np.empty(param_count(params)), params)
-        work = Workspace()
-        seconds = _median_seconds(
-            lambda: loss_and_grads(params, config, batch, grads, work),
-            workload.repetitions, workload.warmup_reps)
-        row.training_us = seconds * 1e6 / tokens
-        report.rows.append(row)
-    return report
-
-
 def run_bench(workload: Workload, variants=VARIANTS, *,
               include_beam: bool = True) -> BenchReport:
-    """Full table: training plus decode columns for every variant."""
-    decode_report = bench_decode(workload, variants,
-                                 include_beam=include_beam)
-    training_report = bench_training_pass(workload, variants)
-    for row, trained in zip(decode_report.rows, training_report.rows):
-        row.training_us = trained.training_us
-    return decode_report
+    """The full table, one pass per variant: its parameters, batch and
+    counted columns are built once, then the training step (into one
+    gradient vector and Workspace kept across repetitions, as
+    training.train_steps runs it), the encoder, and greedy and (with
+    include_beam) beam search on the encoder's memory are timed in turn.
+    Every variant is checked before any is timed."""
+    report = BenchReport(workload.b, workload.source_len, workload.target_len,
+                         workload.repetitions)
+    _fingerprint(report)
+    b, steps = workload.b, workload.target_len
+    greedy = DecodeConfig(strategy="greedy", max_steps=steps)
+    beam = DecodeConfig(strategy="beam", beam_size=BEAM_SIZE, max_steps=steps)
+
+    configs = [variant_config(workload.model, variant) for variant in variants]
+    for variant, config in zip(variants, configs):
+        params = init_params(config)
+        batch = _bench_batch(workload, config)
+        kv, flops = _counted_columns(workload, config)
+        row = BenchRow(variant=variant, kind=config.dec_self_kind,
+                       window=config.dec_self_window, d_ff=config.d_ff,
+                       param_total=param_count(params),
+                       kv_words_per_step=kv, flops_per_step=flops)
+        grads = unflatten(np.empty(row.param_total), params)
+        work = Workspace()
+        row.training_us, _ = _timed(
+            lambda: loss_and_grads(params, config, batch, grads, work),
+            workload, b * (workload.source_len + steps))
+        row.encoder_us, memory = _timed(
+            lambda: encode_source(params, config, batch.source),
+            workload, b * workload.source_len)
+        opener = batch.target_in[:, :1]
+        row.decoder_us, _ = _timed(
+            lambda: search(params, config, greedy, opener, memory), workload, b * steps)
+        if include_beam:
+            row.beam_encoder_us = row.encoder_us
+            row.beam_decoder_us, _ = _timed(
+                lambda: search(params, config, beam, opener, memory), workload, b * steps)
+        report.rows.append(row)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +318,7 @@ def parse_report_csv(text: str) -> BenchReport:
     """Rebuild a report from its csv rendering.
 
     Inverse of emit_report(..., "csv") up to the comma substitution in
-    strings; the report's fields are read from the first row.  Timings
+    strings; every row must repeat the first row's report fields.  Timings
     survive exactly: floats are written with 17 significant digits.
     """
     reader = csv.DictReader(io.StringIO(text))
@@ -368,9 +327,16 @@ def parse_report_csv(text: str) -> BenchReport:
             raise InputError("csv header does not match the report schema")
         report = BenchReport(b=0, source_len=0, target_len=0, repetitions=0)
         for record in reader:
+            line = reader.line_num
+            row = BenchRow(**_cells(record, _ROW_FIELDS, line))
+            shared = _cells(record, _REPORT_FIELDS, line)
             if not report.rows:
-                report = BenchReport(**_cells(record, _REPORT_FIELDS, reader.line_num))
-            report.rows.append(BenchRow(**_cells(record, _ROW_FIELDS, reader.line_num)))
+                report, first = BenchReport(**shared), shared
+            for name, value in shared.items():
+                if _csv_value(value) != _csv_value(first[name]):
+                    raise InputError(f"csv line {line}, column {name}: {record[name]!r} "
+                                     "differs from the first row")
+            report.rows.append(row)
     except csv.Error as exc:
         raise InputError(f"csv after line {reader.line_num}: {exc}") from None
     return report

@@ -1,11 +1,11 @@
 """Command line front end.
 
 One process runs one subcommand: verify, cost, parity, train, decode,
-bench, or report.  Every subcommand shares the same four flags: --config
-points at a JSON file (report: a saved csv), --set dotted.key=value edits
-the loaded config (repeatable, applied after the file), --seed overrides
-every seed field at once, and --out writes the primary output to a file
-as well as stdout.
+bench, or report.  Each takes only the flags it reads: --out writes the
+primary output to a file as well as stdout; all but verify take --config,
+a JSON file (report: a saved csv, required), and all but verify and report
+--set dotted.key=value, which edits the loaded config (repeatable, applied
+after the file); train, decode and bench take --seed for every seed field.
 
 Every config section is built and checked by config.dataclass_from_dict;
 --seed, an integer >= 0, is applied after that to the built dataclasses.
@@ -323,10 +323,6 @@ def _cmd_bench(args) -> int:
 
 def _cmd_report(args) -> int:
     from .bench import emit_report, parse_report_csv
-    if args.config is None:
-        raise InputError("report needs --config pointing at a saved bench csv")
-    if args.overrides:
-        raise InputError("report takes no --set overrides")
     _deliver(emit_report(parse_report_csv(_read_config(args)), args.format), args.out)
     return 0
 
@@ -353,24 +349,29 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True,
                                      metavar="subcommand")
 
-    def command(name: str, help_text: str):
+    def command(name: str, help_text: str, flags=("--config", "--set")):
         sub = commands.add_parser(
             name, help=help_text,
             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        sub.add_argument("--config", metavar="PATH", default=None,
-                         help="JSON config file"
-                              if name != "report" else "saved bench csv")
+        if "--config" in flags:
+            sub.add_argument("--config", metavar="PATH", default=None,
+                             required=name == "report",
+                             help="JSON config file"
+                                  if name != "report" else "saved bench csv")
         sub.add_argument("--out", metavar="PATH", default=None,
                          help="also write the output to this file")
-        sub.add_argument("--seed", type=_seed_flag, default=None, metavar="INT",
-                         help=f"override every seed (default {DEFAULT_SEED})")
-        sub.add_argument("--set", dest="overrides", action="append",
-                         default=[], metavar="KEY=VALUE",
-                         help="override one config entry; dotted keys reach "
-                              "into sections; repeatable")
+        if "--seed" in flags:
+            sub.add_argument("--seed", type=_seed_flag, default=None, metavar="INT",
+                             help=f"override every seed (default {DEFAULT_SEED})")
+        if "--set" in flags:
+            sub.add_argument("--set", dest="overrides", action="append",
+                             default=[], metavar="KEY=VALUE",
+                             help="override one config entry; dotted keys reach "
+                                  "into sections; repeatable")
         return sub
 
-    verify = command("verify", "run the built-in self checks")
+    seeded = ("--config", "--set", "--seed")
+    verify = command("verify", "run the built-in self checks", ())
     verify.add_argument("--only", action="append", default=[], metavar="NAME",
                         help="run just the named check; repeatable")
 
@@ -382,19 +383,21 @@ def build_parser() -> argparse.ArgumentParser:
     parity.add_argument("--preset", choices=sorted(_PARITY_PRESETS),
                         default="wmt", help="baseline/variant pair")
 
-    command("train", "train a toy model on a synthetic task")
+    command("train", "train a toy model on a synthetic task", seeded)
 
-    decode = command("decode", "decode from a fresh or checkpointed model")
+    decode = command("decode", "decode from a fresh or checkpointed model",
+                     seeded)
     decode.add_argument("--checkpoint", metavar="DIR", default=None,
                         help="load params and model config from this "
                              "checkpoint (the model config section is "
                              "ignored)")
 
-    bench = command("bench", "time the attention variants, render a table")
+    bench = command("bench", "time the attention variants, render a table",
+                    seeded)
     bench.add_argument("--format", choices=("markdown", "csv"),
                        default="markdown")
 
-    report = command("report", "re-render a saved bench csv")
+    report = command("report", "re-render a saved bench csv", ("--config",))
     report.add_argument("--format", choices=("markdown", "csv"),
                         default="markdown")
     return parser

@@ -28,7 +28,7 @@ from mqa_lab.attention import (
     replicate_heads,
     self_attention_incremental,
 )
-from mqa_lab.bench import Workload, bench_decode, bench_training_pass
+from mqa_lab.bench import Workload, run_bench
 from mqa_lab.cache import new_cache
 from mqa_lab.cli import THREAD_ENV_VARS
 from mqa_lab.config import DecodeConfig, ModelConfig, OptimizerSettings, TaskSpec
@@ -318,11 +318,10 @@ def test_08_decode_speedup_direction():
         workload = Workload(b=32, source_len=128, target_len=128, model=model,
                             repetitions=5, warmup_reps=1)
         variants = ("multi-head", "multi-query")
-        decoding = bench_decode(workload, variants, include_beam=False)
-        training = bench_training_pass(workload, variants)
-        mh_dec, mq_dec = (row.decoder_us for row in decoding.rows)
-        mh_train, mq_train = (row.training_us for row in training.rows)
-        assert decoding.rows[0].param_total == decoding.rows[1].param_total
+        mh, mq = run_bench(workload, variants, include_beam=False).rows
+        mh_dec, mq_dec = mh.decoder_us, mq.decoder_us
+        mh_train, mq_train = mh.training_us, mq.training_us
+        assert mh.param_total == mq.param_total
         assert mq_dec < mh_dec, (mq_dec, mh_dec)
         train_gap = abs(mq_train - mh_train) / mh_train
         flag = "within" if train_gap <= 0.15 else "OUTSIDE"

@@ -18,8 +18,6 @@ from mqa_lab.bench import (
     BenchReport,
     BenchRow,
     Workload,
-    bench_decode,
-    bench_training_pass,
     emit_report,
     parse_report_csv,
     run_bench,
@@ -120,18 +118,18 @@ class TestEngineMatchesTeacherForcing:
 
 class TestCountedColumns:
     def test_kv_ratio_is_heads_exactly(self):
-        report = bench_decode(tiny_workload(),
-                              variants=("multi-head", "multi-query"),
-                              include_beam=False)
+        report = run_bench(tiny_workload(),
+                           variants=("multi-head", "multi-query"),
+                           include_beam=False)
         mh, mq = report.rows
         assert mh.kv_words_per_step / mq.kv_words_per_step == \
             tiny_workload().model.heads
 
     def test_flops_match_cost_model(self):
         workload = tiny_workload()
-        report = bench_decode(workload,
-                              variants=("multi-head", "multi-query"),
-                              include_beam=False)
+        report = run_bench(workload,
+                           variants=("multi-head", "multi-query"),
+                           include_beam=False)
         for row in report.rows:
             cfg = ShapeConfig(b=workload.b, n=workload.target_len,
                               m=workload.target_len,
@@ -144,7 +142,7 @@ class TestCountedColumns:
 
     def test_local_counts_fewer_words_and_flops(self):
         workload = tiny_workload()
-        report = bench_decode(workload, include_beam=False)
+        report = run_bench(workload, include_beam=False)
         by_name = {r.variant: r for r in report.rows}
         # window 32 exceeds target_len 6, so local == full at this scale
         assert by_name["multi-head local"].kv_words_per_step == \
@@ -161,25 +159,42 @@ class TestCountedColumns:
 
 
 class TestTimingSmoke:
-    def test_decode_report_populates(self):
-        report = bench_decode(tiny_workload(), include_beam=True, beam_size=2)
+    def test_run_bench_populates_every_column(self):
+        report = run_bench(tiny_workload(), include_beam=True)
         assert [r.variant for r in report.rows] == list(
             ("multi-head", "multi-query", "multi-head local",
              "multi-query local"))
         for row in report.rows:
+            assert row.training_us > 0
             assert row.encoder_us > 0
             assert row.decoder_us > 0
+            assert row.beam_encoder_us == row.encoder_us
             assert row.beam_decoder_us > 0
-            assert np.isnan(row.training_us)
         assert report.cpu
         assert report.timer_resolution_ns > 0
 
-    def test_training_report_populates(self):
-        report = bench_training_pass(tiny_workload(),
-                                     variants=("multi-head", "multi-query"))
-        for row in report.rows:
-            assert row.training_us > 0
-            assert np.isnan(row.decoder_us)
+    def test_one_pass_builds_each_variant_once(self, monkeypatch):
+        """One run builds each variant's parameters and counts its columns
+        once, and fingerprints the machine once."""
+        calls = {"init_params": [], "_counted_columns": [], "_fingerprint": []}
+        for name in calls:
+            def recorded(*args, name=name, real=getattr(bench, name)):
+                calls[name].append(args[-1])  # the config, or the report
+                return real(*args)
+            monkeypatch.setattr(bench, name, recorded)
+        workload = tiny_workload()
+        report = run_bench(workload, include_beam=True)
+        configs = [variant_config(workload.model, v) for v in bench.VARIANTS]
+        assert calls["init_params"] == configs
+        assert calls["_counted_columns"] == configs
+        assert calls["_fingerprint"] == [report]
+
+    def test_every_variant_is_checked_before_any_is_timed(self, monkeypatch):
+        timed = []
+        monkeypatch.setattr(bench, "_timed", lambda *args: timed.append(args))
+        with pytest.raises(ConfigError, match="nine-head"):
+            run_bench(tiny_workload(), variants=("multi-head", "nine-head"))
+        assert timed == []
 
     def test_training_pass_times_the_step_train_runs(self, monkeypatch):
         """Every timed call of a variant writes into the same gradient views
@@ -194,7 +209,8 @@ class TestTimingSmoke:
         real = bench.loss_and_grads
         monkeypatch.setattr(bench, "loss_and_grads", recorded)
         workload = tiny_workload()
-        bench_training_pass(workload, variants=("multi-head", "multi-query"))
+        run_bench(workload, variants=("multi-head", "multi-query"),
+                  include_beam=False)
         reps = workload.warmup_reps + workload.repetitions
         assert len(calls) == 2 * reps
         for variant_calls in (calls[:reps], calls[reps:]):
@@ -211,6 +227,8 @@ class TestTimingSmoke:
         for row in report.rows:
             assert row.training_us > 0
             assert row.decoder_us > 0
+            assert np.isnan(row.beam_encoder_us)
+            assert np.isnan(row.beam_decoder_us)
 
     def test_timer_resolution_positive(self):
         res = timer_resolution()
@@ -273,6 +291,18 @@ class TestReports:
         cells[bench.CSV_COLUMNS.index(column)] = cell
         lines[1] = ",".join(cells)
         with pytest.raises(InputError, match=f"line 2, column {column}"):
+            parse_report_csv("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("column,cell", [("repetitions", "not-a-number"),
+                                             ("b", "77"), ("cpu", "Other CPU"),
+                                             ("timer_resolution_ns", "31.0")])
+    def test_parse_checks_the_report_fields_of_every_row(self, column, cell):
+        from mqa_lab.exceptions import InputError
+        lines = emit_report(self.canned(), "csv").splitlines()
+        cells = lines[2].split(",")
+        cells[bench.CSV_COLUMNS.index(column)] = cell
+        lines[2] = ",".join(cells)
+        with pytest.raises(InputError, match=f"line 3, column {column}"):
             parse_report_csv("\n".join(lines) + "\n")
 
     def test_parse_rejects_an_oversized_cell(self):

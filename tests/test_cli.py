@@ -4,6 +4,7 @@ Everything runs through cli.main() in process; one subprocess test pins
 the lazy-import design that lets MQA_THREADS act before numpy loads.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from mqa_lab.bench import CSV_COLUMNS
 from mqa_lab.checkpoint import save_checkpoint
-from mqa_lab.cli import THREAD_ENV_VARS, configure_threads, main
+from mqa_lab.cli import THREAD_ENV_VARS, build_parser, configure_threads, main
 from mqa_lab.config import ModelConfig
 from mqa_lab.model import init_params
 
@@ -162,6 +164,30 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, command, "--config", str(path))
         assert code == 2
         assert "cannot read" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--only", "parity_constants", "--config", "/nonexistent"),
+        ("verify", "--only", "parity_constants", "--set", "nope=1"),
+        ("verify", "--only", "parity_constants", "--seed", "3"),
+        ("cost", "--seed", "3"),
+        ("parity", "--seed", "3"),
+        ("report", "--config", "{csv}", "--seed", "9")],
+        ids=["verify-config", "verify-set", "verify-seed", "cost-seed", "parity-seed",
+             "report-seed"])
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, capsys, tmp_path,
+                                                              argv):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n")
+        code, _, err = run_cli(capsys, *(arg.format(csv=path) for arg in argv))
+        assert code == 2
+        assert "unrecognized arguments" in err
+
+    def test_each_subcommand_defines_the_flags_the_fuzz_draws(self):
+        subcommands = next(action for action in build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        for name, sub in subcommands.choices.items():
+            flags = {flag for action in sub._actions for flag in action.option_strings}
+            assert flags - {"-h", "--help"} == set(FUZZ_FLAGS[name]), name
 
     @pytest.mark.parametrize("argv", [
         ("cost", "--set", "shape.b=1.5"),
@@ -420,6 +446,17 @@ class TestBenchReport:
                                "--set", "a=1")
         assert code == 2
 
+    def test_report_of_rows_from_two_runs_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "bench.csv"
+        assert run_cli(capsys, *self.bench_args("--format", "csv", "--out", str(path)))[0] == 0
+        header, first, second = path.read_text().splitlines()
+        cells = second.split(",")
+        cells[header.split(",").index("b")] = "77"
+        path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
+        code, _, err = run_cli(capsys, "report", "--config", str(path))
+        assert code == 2
+        assert "line 3, column b" in err
+
 
 class TestThreads:
     def test_env_cap_exported(self):
@@ -492,6 +529,16 @@ FUZZ_VALUES = ["0", "1", "2", "3", "-1", "1.5", "1e400", "true", "null", '"2"', 
                '["multi-head"]']
 FORMATS = {"cost": ["text", "csv"], "bench": ["markdown", "csv"],
            "report": ["markdown", "csv"]}
+# the flags each subcommand takes, all of which the fuzz may draw
+FUZZ_FLAGS = {
+    "verify": ("--out", "--only"),
+    "cost": ("--config", "--set", "--out", "--format"),
+    "parity": ("--config", "--set", "--out", "--preset"),
+    "train": ("--config", "--set", "--seed", "--out"),
+    "decode": ("--config", "--set", "--seed", "--out", "--checkpoint"),
+    "bench": ("--config", "--set", "--seed", "--out", "--format"),
+    "report": ("--config", "--out", "--format"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -511,6 +558,9 @@ def fuzz_files(tmp_path_factory):
                    for flag in ("--set", setting))]) == 0
     files["bad_cell.csv"] = root / "bad_cell.csv"
     files["bad_cell.csv"].write_text(with_cell(files["good.csv"].read_text(), "d_ff", "abc"))
+    files["two_runs.csv"] = root / "two_runs.csv"
+    good = files["good.csv"].read_text()
+    files["two_runs.csv"].write_text(good + with_cell(good, "b", "77").splitlines()[1] + "\n")
     files["latin1.json"] = root / "latin1.json"
     files["latin1.json"].write_bytes(NOT_UTF8)
     model = ModelConfig(**FUZZ_MODEL)
@@ -530,7 +580,7 @@ def cli_argv(draw, files):
     for setting in FUZZ_BASE[command]:
         argv += ["--set", setting]
     keys = FUZZ_KEYS[command] + STRAY_KEYS
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, 3)) if "--set" in FUZZ_FLAGS[command] else 0):
         setting = draw(st.one_of(
             st.builds(lambda key, value: f"{key}={value}", st.sampled_from(keys),
                       st.one_of(st.sampled_from(["1", "2", "3"]),
@@ -539,20 +589,18 @@ def cli_argv(draw, files):
         argv += ["--set", setting]
     configs = ["config.json", "list.json", "not.json", "latin1.json", "missing"]
     if command == "report":
-        configs = ["good.csv", "bad.csv", "bad_cell.csv", "empty.csv", "latin1.json",
-                   "missing"]
-    for flag, choices in (
-            ("--config", configs),
-            ("--seed", ["0", "1", "-1", "x"]),
-            ("--out", ["out", "missing_dir", "under_a_file"]),
-            ("--format", FORMATS.get(command, []) + ["xml"]),
-            ("--checkpoint", ["checkpoint", "bad_checkpoint", "missing"]
-             if command == "decode" else []),
-            ("--only", ["parity_constants", "nope"] if command == "verify" else []),
-            ("--preset", ["wmt", "lm", "wmt-one-head"]
-             if command == "parity" else [])):
-        if choices and draw(st.sampled_from([False, False, False, True])):
-            choice = draw(st.sampled_from(choices))
+        configs = ["good.csv", "bad.csv", "bad_cell.csv", "two_runs.csv", "empty.csv",
+                   "latin1.json", "missing"]
+    choices = {"--config": configs,
+               "--seed": ["0", "1", "-1", "x"],
+               "--out": ["out", "missing_dir", "under_a_file"],
+               "--format": FORMATS.get(command, []) + ["xml"],
+               "--checkpoint": ["checkpoint", "bad_checkpoint", "missing"],
+               "--only": ["parity_constants", "nope"],
+               "--preset": ["wmt", "lm", "wmt-one-head"]}
+    for flag in FUZZ_FLAGS[command]:
+        if flag != "--set" and draw(st.sampled_from([False, False, False, True])):
+            choice = draw(st.sampled_from(choices[flag]))
             if flag in ("--config", "--out", "--checkpoint"):
                 choice = (files["out"] + "/x/y" if choice == "missing_dir"
                           else files[choice])
