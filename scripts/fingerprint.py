@@ -31,7 +31,7 @@ import numpy as np  # noqa: E402
 from mqa_lab.config import DecodeConfig, ModelConfig, OptimizerSettings, TaskSpec  # noqa: E402
 from mqa_lab.decoding import decode  # noqa: E402
 from mqa_lab.model import flatten, forward, loss_and_grads  # noqa: E402
-from mqa_lab.training import BOS, make_task_batch, train  # noqa: E402
+from mqa_lab.training import decoder_opener, make_task_batch, train  # noqa: E402
 
 STEPS = 10      # training steps of each copy-task run
 D_MODEL = 32
@@ -60,7 +60,7 @@ def case_outputs(config: ModelConfig, task: TaskSpec):
     inputs = np.random.default_rng(task.seed + 2).integers(
         1, config.vocab_size, size=(3, task.length))
     where = ({"source": inputs} if config.has_encoder else
-             {"prompt": np.concatenate([inputs, np.full((3, 1), BOS)], axis=1)})
+             {"prompt": decoder_opener(config, inputs)})
     for decode_config in (
             DecodeConfig(max_steps=task.length),
             DecodeConfig(strategy="beam", beam_size=3, length_alpha=0.6,

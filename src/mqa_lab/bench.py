@@ -38,7 +38,7 @@ from .decoding import encode_source, search
 from .exceptions import ConfigError, InputError
 from .model import (Batch, Workspace, init_params, loss_and_grads, param_count,
                     unflatten)
-from .training import BOS
+from .training import decoder_opener, stream_batch
 
 LOCAL_WINDOW = 32
 
@@ -184,9 +184,7 @@ def _bench_batch(workload: Workload, config: ModelConfig) -> Batch:
     b = workload.b
     source = rng.integers(1, config.vocab_size, size=(b, workload.source_len))
     target = rng.integers(1, config.vocab_size, size=(b, workload.target_len))
-    opener = np.full((b, 1), BOS, dtype=np.int64)
-    target_in = np.concatenate([opener, target[:, :-1]], axis=1)
-    return Batch(source, target_in, target, np.ones_like(target, dtype=float))
+    return stream_batch(decoder_opener(config, source), target, source)
 
 
 def run_bench(workload: Workload, variants=VARIANTS, *,
@@ -221,7 +219,7 @@ def run_bench(workload: Workload, variants=VARIANTS, *,
         row.encoder_us, memory = _timed(
             lambda: encode_source(params, config, batch.source),
             workload, b * workload.source_len)
-        opener = batch.target_in[:, :1]
+        opener = decoder_opener(config, batch.source)
         row.decoder_us, _ = _timed(
             lambda: search(params, config, greedy, opener, memory), workload, b * steps)
         if include_beam:

@@ -263,7 +263,7 @@ def _cmd_decode(args) -> int:
     from .config import DecodeConfig, ModelConfig, _check_types
     from .decoding import decode
     from .model import init_params
-    from .training import BOS
+    from .training import decoder_opener
     config = _load_config(args, _DECODE_DEFAULTS)
     minimums = {"batch": 1, "length": 1, "seed": 0}
     _check_types(config, dict.fromkeys(minimums, "int"))
@@ -283,9 +283,8 @@ def _cmd_decode(args) -> int:
     if model.has_encoder:
         result = decode(params, model, decode_config, source=inputs)
     else:
-        bos = np.full((batch, 1), BOS, dtype=inputs.dtype)
         result = decode(params, model, decode_config,
-                        prompt=np.concatenate([inputs, bos], axis=1))
+                        prompt=decoder_opener(model, inputs))
     lines = [f"strategy {decode_config.strategy}, "
              f"beam {decode_config.beam_size}, "
              f"max_steps {decode_config.max_steps}"]

@@ -52,7 +52,6 @@ import numpy as np
 from .config import DecodeConfig, ModelConfig, _is_int, kv_head_count
 from .exceptions import ConfigError, InputError
 from .model import (
-    Batch,
     ModelParams,
     _fold_out,
     _fold_qkv,
@@ -67,7 +66,7 @@ from .model import (
     forward,
     layer_norm,
 )
-from .training import BOS
+from .training import decoder_opener, stream_batch
 
 
 def encode_source(params: ModelParams, config: ModelConfig,
@@ -327,21 +326,24 @@ class DecodeResult:
     scores: np.ndarray
 
 
-def _source_or_prompt(config: ModelConfig, source, prompt, call: str):
+def _source_or_prompt(config: ModelConfig, source, prompt, call: str, check):
     """The mode's rule for `call`'s inputs: encoder_decoder takes a source
     and no prompt, decoder_only a prompt and no source (ConfigError
-    otherwise).  Returns ("source" or "prompt", the one given)."""
+    otherwise).  Returns (the decoder's opener, the encoder's source or
+    None) after check(what, ids) checks the one given: a source's opener
+    is decoder_opener's, and a prompt (usually source + BOS) is the opener."""
     if config.has_encoder:
         if prompt is not None:
             raise ConfigError(f"encoder_decoder {call} derives its own prompt")
         if source is None:
             raise ConfigError(f"encoder_decoder {call} needs a source")
-        return "source", source
+        source = check("source", source)
+        return decoder_opener(config, source), source
     if source is not None:
         raise ConfigError(f"decoder_only {call} takes no source")
     if prompt is None:
         raise ConfigError(f"decoder_only {call} needs a prompt")
-    return "prompt", prompt
+    return check("prompt", prompt), None
 
 
 def _checked_opener(config: ModelConfig, decode: DecodeConfig, opener) -> np.ndarray:
@@ -362,15 +364,11 @@ def _checked_opener(config: ModelConfig, decode: DecodeConfig, opener) -> np.nda
 
 def _inputs(params, config: ModelConfig, decode: DecodeConfig, source, prompt):
     """Check the inputs of one decode call before any work, then encode;
-    returns (the decoder stream opener, encoder memory or None).  The opener
-    is BOS for encoder_decoder and the caller's prompt (usually source +
-    BOS) for decoder_only."""
-    what, ids = _source_or_prompt(config, source, prompt, "decode")
-    ids = check_ids(what, ids, config)
-    if not config.has_encoder:
-        return ids, None  # search checks it as the opener before any work
-    opener = _checked_opener(config, decode, np.full((len(ids), 1), BOS, dtype=np.int64))
-    return opener, encode_source(params, config, ids)
+    returns (the decoder stream opener, encoder memory or None)."""
+    opener, source = _source_or_prompt(config, source, prompt, "decode",
+                                       lambda what, ids: check_ids(what, ids, config))
+    opener = _checked_opener(config, decode, opener)
+    return opener, None if source is None else encode_source(params, config, source)
 
 
 def _greedy(params, config, decode: DecodeConfig, opener, memory) -> DecodeResult:
@@ -522,21 +520,12 @@ def score_sequence(params: ModelParams, config: ModelConfig, tokens, *,
             raise InputError(f"{what} must be one row, got {len(ids)}")
         return ids
 
-    what, given = _source_or_prompt(config, source, prompt, "scoring")
-    given = row(what, given)
-    tokens = row("tokens", tokens)
-    if config.has_encoder:
-        stream_in = np.concatenate([np.full((1, 1), BOS), tokens[:, :-1]], axis=1)
-        batch = Batch(given, stream_in, tokens, np.ones(tokens.shape))
-        logp = _log_softmax(forward(params, config, batch).logits)
-        return float(logp[0, np.arange(tokens.shape[1]), tokens[0]].sum())
-    stream = np.concatenate([given, tokens], axis=1)
-    if stream.shape[1] - 1 > config.max_len:
-        raise InputError(f"prompt and tokens feed {stream.shape[1] - 1} positions, "
+    opener, source = _source_or_prompt(config, source, prompt, "scoring", row)
+    batch = stream_batch(opener, row("tokens", tokens), source)
+    n = batch.target_in.shape[1]
+    if n > config.max_len:
+        raise InputError(f"prompt and tokens feed {n} positions, "
                          f"over max_len {config.max_len}")
-    inputs, labels = stream[:, :-1], stream[:, 1:]
-    mask = np.zeros(labels.shape)
-    mask[:, given.shape[1] - 1:] = 1.0
-    logp = _log_softmax(forward(params, config, Batch(None, inputs, labels, mask)).logits)
-    span = np.arange(given.shape[1] - 1, stream.shape[1] - 1)
-    return float(logp[0, span, labels[0, span]].sum())
+    logp = _log_softmax(forward(params, config, batch).logits)
+    span = np.arange(opener.shape[1] - 1, n)
+    return float(logp[0, span, batch.target_out[0, span]].sum())

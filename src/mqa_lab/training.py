@@ -96,29 +96,36 @@ def _task_tokens(task: TaskSpec, config: ModelConfig, rng) -> tuple[np.ndarray, 
     return src, tgt
 
 
-def make_task_batch(task: TaskSpec, config: ModelConfig, rng) -> Batch:
-    """Sample one batch for the configured task and model mode.
+def decoder_opener(config: ModelConfig, source: np.ndarray) -> np.ndarray:
+    """The ids [b, n] the decoder reads before the target: a BOS column for
+    encoder_decoder, whose source feeds the encoder, and the source [b, m]
+    followed by BOS for decoder_only."""
+    bos = np.full((len(source), 1), BOS, dtype=np.int64)
+    return bos if config.has_encoder else np.concatenate([source, bos], axis=1)
 
-    Encoder-decoder: the source feeds the encoder and the decoder predicts
-    the target from a BOS-shifted copy.  Decoder-only: one stream
-    [source, BOS, target], scored on the target half only.
-    """
+
+def stream_batch(opener: np.ndarray, target: np.ndarray, source=None) -> Batch:
+    """The teacher-forced batch of the decoder stream opener + target: the
+    decoder reads the stream up to its last token and is scored from the
+    opener's last token on, so the labels scored are the target's.  source
+    feeds the encoder (None for decoder_only)."""
+    stream = np.concatenate([opener, target], axis=1)
+    mask = np.zeros((len(stream), stream.shape[1] - 1))
+    mask[:, opener.shape[1] - 1:] = 1.0
+    return Batch(source, stream[:, :-1], stream[:, 1:], mask)
+
+
+def make_task_batch(task: TaskSpec, config: ModelConfig, rng) -> Batch:
+    """Sample one batch for the configured task and model mode: the stream
+    decoder_opener + target, whose source feeds the encoder for
+    encoder_decoder models."""
     src, tgt = _task_tokens(task, config, rng)
-    b, n = src.shape
-    if config.has_encoder:
-        if n > config.max_len:
-            raise ConfigError(f"task length {n} over max_len {config.max_len}")
-        bos = np.full((b, 1), BOS, dtype=src.dtype)
-        target_in = np.concatenate([bos, tgt[:, :-1]], axis=1)
-        return Batch(src, target_in, tgt, np.ones((b, n)))
-    stream = np.concatenate([src, np.full((b, 1), BOS, dtype=src.dtype), tgt],
-                            axis=1)
-    if stream.shape[1] - 1 > config.max_len:
-        raise ConfigError(
-            f"stream length {stream.shape[1] - 1} over max_len {config.max_len}")
-    mask = np.zeros((b, stream.shape[1] - 1))
-    mask[:, n:] = 1.0
-    return Batch(None, stream[:, :-1], stream[:, 1:], mask)
+    batch = stream_batch(decoder_opener(config, src), tgt,
+                         src if config.has_encoder else None)
+    if batch.target_in.shape[1] > config.max_len:
+        raise ConfigError(f"task stream length {batch.target_in.shape[1]} over "
+                          f"max_len {config.max_len}")
+    return batch
 
 
 def teacher_forced_accuracy(params: ModelParams, config: ModelConfig,

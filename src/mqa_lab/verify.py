@@ -30,8 +30,9 @@ from .config import DecodeConfig, ModelConfig
 from .costs import ShapeConfig, batched_costs, dff_for_parity, incremental_costs
 from .decoding import decode
 from .exceptions import ConfigError
-from .model import Batch, forward, init_params, loss_and_grads, named_arrays
+from .model import forward, init_params, loss_and_grads, named_arrays
 from .tensor import contract, masked_softmax
+from .training import decoder_opener, stream_batch
 
 
 def _rng():
@@ -210,10 +211,7 @@ def check_greedy_decode_matches_replay():
     source = rng.integers(1, config.vocab_size, size=(2, 4))
     out = decode(params, config, DecodeConfig(strategy="greedy", max_steps=4),
                  source=source)
-    opener = np.zeros((2, 1), dtype=np.int64)
-    stream_in = np.concatenate([opener, out.tokens[:, :-1]], axis=1)
-    batch = Batch(source, stream_in, out.tokens,
-                  np.ones_like(out.tokens, dtype=float))
+    batch = stream_batch(decoder_opener(config, source), out.tokens, source)
     logits = forward(params, config, batch).logits
     assert np.array_equal(np.argmax(logits, axis=-1), out.tokens)
 
@@ -234,9 +232,7 @@ def check_gradients_spotcheck():
     rng = _rng()
     source = rng.integers(1, config.vocab_size, size=(2, 3))
     target = rng.integers(1, config.vocab_size, size=(2, 3))
-    opener = np.zeros((2, 1), dtype=np.int64)
-    batch = Batch(source, np.concatenate([opener, target[:, :-1]], axis=1),
-                  target, np.ones((2, 3)))
+    batch = stream_batch(decoder_opener(config, source), target, source)
     loss, _, grads = loss_and_grads(params, config, batch)
     got = dict(named_arrays(grads))
     eps = 1e-5
