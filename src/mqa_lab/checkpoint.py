@@ -20,7 +20,8 @@ import numpy as np
 
 from .config import ModelConfig, dataclass_from_dict, dataclass_to_dict
 from .exceptions import ConfigError, InputError, ShapeError
-from .model import ModelParams, flatten, named_arrays, param_layout, unflatten
+from .model import (ModelParams, check_params, flatten, named_arrays, param_count,
+                    param_layout, unflatten)
 
 FORMAT_VERSION = 2
 VECTOR_DTYPE = np.dtype("<f8")
@@ -28,7 +29,8 @@ VECTOR_DTYPE = np.dtype("<f8")
 
 def save_checkpoint(directory, params: ModelParams, config: ModelConfig,
                     extra: dict | None = None) -> Path:
-    """Write params.npy plus manifest.json; returns the manifest path."""
+    """check_params, then write params.npy plus manifest.json; returns the latter."""
+    check_params(params, config)
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
     np.save(root / "params.npy", flatten(params).astype(VECTOR_DTYPE, copy=False),
@@ -118,11 +120,6 @@ def load_checkpoint(directory) -> tuple[ModelParams, ModelConfig, dict]:
     except ConfigError as exc:
         raise InputError(f"checkpoint config is invalid: {exc}") from exc
     _check_tensors(manifest.get("tensors"), layout)
-    sizes = [(name, arr.size) for name, arr in named_arrays(layout)]
-    vector = _read_vector(root / "params.npy", sum(size for _, size in sizes))
-    finite = np.isfinite(vector)
-    if not finite.all():
-        ends = np.cumsum([size for _, size in sizes])
-        name = sizes[int(np.searchsorted(ends, finite.argmin(), side="right"))][0]
-        raise InputError(f"checkpoint tensor {name!r} has non-finite values")
-    return unflatten(vector, layout), config, manifest.get("extra", {})
+    params = unflatten(_read_vector(root / "params.npy", param_count(layout)), layout)
+    check_params(params, config)
+    return params, config, manifest.get("extra", {})

@@ -38,6 +38,10 @@ _FIELD_TYPES = {
     "list[str] | None": ("a list of strings or null", lambda v: v is None or (
         isinstance(v, list) and all(isinstance(x, str) for x in v))),
     "ModelConfig": ("a ModelConfig", lambda v: isinstance(v, ModelConfig)),
+    "TaskSpec": ("a TaskSpec", lambda v: isinstance(v, TaskSpec)),
+    "OptimizerSettings": ("an OptimizerSettings",
+                          lambda v: isinstance(v, OptimizerSettings)),
+    "DecodeConfig": ("a DecodeConfig", lambda v: isinstance(v, DecodeConfig)),
 }
 
 

@@ -1,8 +1,8 @@
 """Incremental decoding on preallocated key/value buffers.
 
-`decode` checks its inputs, encodes a source, and hands the opener and
-encoder memory to `search`, which runs the loop `DecodeConfig.strategy`
-names, greedy or beam; the strategy is chosen there and nowhere else.
+`decode` checks its inputs and encodes a source; `search` checks an opener
+and memory it is handed.  Both run the loop `_LOOPS` maps
+`DecodeConfig.strategy` to, greedy or beam, and nothing else chooses.
 `mqa-lab bench` times `search` on memory it encoded once.
 
 This is the one runtime decoder: `mqa-lab decode`, `mqa-lab bench` and the
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DecodeConfig, ModelConfig, _is_int, kv_head_count
+from .config import DecodeConfig, ModelConfig, _check_types, _is_int, kv_head_count
 from .exceptions import ConfigError, InputError
 from .model import (
     ModelParams,
@@ -61,6 +61,7 @@ from .model import (
     _self_bias,
     _softmax_rows,
     check_ids,
+    check_layout,
     encode,
     feed_forward,
     forward,
@@ -148,6 +149,7 @@ def start_state(params: ModelParams, config: ModelConfig, *,
     """Fresh decode state for max_positions positions (default max_len),
     with an empty shared part.  memory is the encoder output
     [batch_size, m, d_model] for encoder_decoder configs."""
+    check_layout(params, config)
     limit = config.max_len if max_positions is None else max_positions
     return _state(params, config, memory, batch_size, limit, _ring_slots(config, limit))
 
@@ -161,11 +163,12 @@ def _state(params, config, memory, batch_size, limit, slots) -> DecoderState:
         raise ConfigError("decoder_only decode takes no memory")
     if not (_is_int(batch_size) and batch_size >= 1):
         raise InputError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+    memory = None if memory is None else np.asarray(memory)
     shape = np.shape(memory)
-    if memory is not None and (len(shape) != 3 or shape[1] < 1 or
-                               shape[::2] != (batch_size, config.d_model)):
-        raise InputError(f"encoder memory must be [batch_size {batch_size}, m, "
-                         f"d_model {config.d_model}], got shape {shape}")
+    if memory is not None and (len(shape) != 3 or shape[1] < 1 or memory.dtype.kind != "f"
+                               or shape[::2] != (batch_size, config.d_model)):
+        raise InputError(f"encoder memory must be a float [batch_size {batch_size}, m, "
+                         f"d_model {config.d_model}] array, got shape {shape}")
     if not (_is_int(limit) and 1 <= limit <= config.max_len):
         raise InputError(f"max_positions {limit!r} is not an integer in "
                          f"[1, {config.max_len}]")
@@ -346,10 +349,13 @@ def _source_or_prompt(config: ModelConfig, source, prompt, call: str, check):
     return check("prompt", prompt), None
 
 
-def _checked_opener(config: ModelConfig, decode: DecodeConfig, opener) -> np.ndarray:
-    """opener as an array, or InputError unless it is a [b, n] array of ids
-    (model.check_ids), eos_id is an id and the n + max_steps - 1 positions
-    a run feeds fit max_len."""
+def _checked_opener(params, config, decode: DecodeConfig, opener) -> np.ndarray:
+    """opener as an array after decode's and search's checks, once a call:
+    ConfigError unless decode is a DecodeConfig, ShapeError unless params fit
+    config (model.check_layout), InputError unless opener is [b, n] ids, eos_id
+    is an id and the n + max_steps - 1 positions a run feeds fit max_len."""
+    _check_types({"decode_config": decode}, {"decode_config": "DecodeConfig"})
+    check_layout(params, config)
     opener = check_ids("opener", opener, config)
     if decode.eos_id is not None and not 0 <= decode.eos_id < config.vocab_size:
         raise InputError(
@@ -367,7 +373,7 @@ def _inputs(params, config: ModelConfig, decode: DecodeConfig, source, prompt):
     returns (the decoder stream opener, encoder memory or None)."""
     opener, source = _source_or_prompt(config, source, prompt, "decode",
                                        lambda what, ids: check_ids(what, ids, config))
-    opener = _checked_opener(config, decode, opener)
+    opener = _checked_opener(params, config, decode, opener)
     return opener, None if source is None else encode_source(params, config, source)
 
 
@@ -483,23 +489,25 @@ def _beam(params, config, decode: DecodeConfig, opener, memory) -> DecodeResult:
     return out
 
 
+_LOOPS = {"greedy": _greedy, "beam": _beam}
+
+
 def search(params: ModelParams, config: ModelConfig, decode_config: DecodeConfig,
            opener: np.ndarray, memory: np.ndarray | None = None) -> DecodeResult:
     """Run decode_config.strategy from an opener [b, n] and encoder memory
     [b, m, d_model] (None for decoder_only), as decode makes them.  The
-    opener is checked first, as decode checks it (InputError); _state
-    checks the memory."""
-    opener = _checked_opener(config, decode_config, opener)
-    loop = _greedy if decode_config.strategy == "greedy" else _beam
-    return loop(params, config, decode_config, opener, memory)
+    configs, params and opener are checked first, as decode checks them;
+    _state checks the memory."""
+    opener = _checked_opener(params, config, decode_config, opener)
+    return _LOOPS[decode_config.strategy](params, config, decode_config, opener, memory)
 
 
 def decode(params: ModelParams, config: ModelConfig, decode_config: DecodeConfig,
            *, source: np.ndarray | None = None,
            prompt: np.ndarray | None = None) -> DecodeResult:
     """Check the inputs, encode a source, then search as decode_config says."""
-    return search(params, config, decode_config,
-                  *_inputs(params, config, decode_config, source, prompt))
+    opener, memory = _inputs(params, config, decode_config, source, prompt)
+    return _LOOPS[decode_config.strategy](params, config, decode_config, opener, memory)
 
 
 def score_sequence(params: ModelParams, config: ModelConfig, tokens, *,

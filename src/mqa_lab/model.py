@@ -44,6 +44,7 @@ module mutates its inputs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import sys
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionWeights, _kv_heads, random_attention_weights
-from .config import ModelConfig
+from .config import ModelConfig, _check_types
 from .exceptions import InputError, NumericError, ShapeError
 
 LN_EPS = 1e-5
@@ -193,17 +194,26 @@ def param_layout(config: ModelConfig) -> ModelParams:
     return _build_params(config, _NoDraws())
 
 
-def check_params(params, config: ModelConfig) -> None:
-    """Raise ShapeError unless params holds the tensors of
-    param_layout(config): the same names in the same order, each an array
-    of its shape; and InputError unless each holds finite real numbers."""
-    expected = [(name, arr.shape) for name, arr in named_arrays(param_layout(config))]
-    for want, found in itertools.zip_longest(expected, named_arrays(params)):
+@functools.lru_cache(maxsize=64)
+def _layout_shapes(config: ModelConfig) -> tuple:  # configs are frozen: never stale
+    return tuple((name, arr.shape) for name, arr in named_arrays(param_layout(config)))
+
+
+def check_layout(params, config: ModelConfig) -> None:
+    """Raise ConfigError unless config is a ModelConfig, and ShapeError unless
+    params holds param_layout(config)'s names in order, each of its shape."""
+    _check_types({"config": config}, {"config": "ModelConfig"})
+    for want, found in itertools.zip_longest(_layout_shapes(config), named_arrays(params)):
         got = found and (found[0], found[1].shape)
         if want != got:
             raise ShapeError(f"params do not fit the model config: expected "
                              f"tensor {want}, found {got}")
-        name, arr = found
+
+
+def check_params(params, config: ModelConfig) -> None:
+    """check_layout, then InputError unless every tensor is finite and real."""
+    check_layout(params, config)
+    for name, arr in named_arrays(params):
         if arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
             raise InputError(f"params tensor {name} must hold finite real "
                              f"numbers, got dtype {arr.dtype}")
@@ -646,7 +656,10 @@ def check_ids(what: str, ids, config: ModelConfig, ndim: int = 2) -> np.ndarray:
     """ids as an array, or InputError unless they are a non-empty integer
     [batch, positions] (ndim 2) or [batch] (ndim 1) array of at most max_len
     positions, every id inside the vocabulary."""
-    ids = np.asarray(ids)
+    try:
+        ids = np.asarray(ids)
+    except ValueError as exc:  # a ragged nested list, say
+        raise InputError(f"{what} ids are not an array: {exc}") from exc
     if not np.issubdtype(ids.dtype, np.integer):
         raise InputError(f"{what} ids must be integers, got dtype {ids.dtype}")
     if ids.ndim != ndim or 0 in ids.shape:
@@ -686,17 +699,18 @@ def _checked_batch(config: ModelConfig, batch: Batch) -> Batch:
     """batch with every field as an array, or InputError unless it fits
     the model; the one place a batch's fields are converted."""
     if config.has_encoder:
-        if batch.source is None:
-            raise InputError("encoder_decoder models need batch.source")
+        if np.shape(batch.source)[:1] != np.shape(batch.target_in)[:1]:
+            raise InputError("encoder_decoder models need a batch.source with the "
+                             "target's rows")
     elif batch.source is not None:
         raise InputError("decoder_only models take no batch.source")
     batch = Batch(*(None if f is None else np.asarray(f) for f in
                     (batch.source, batch.target_in, batch.target_out, batch.loss_mask)))
     check_ids("target_out", batch.target_out, config)
-    if batch.target_in.shape != batch.target_out.shape:
-        raise InputError("target_in and target_out must share a shape")
-    if batch.loss_mask.shape != batch.target_in.shape:
-        raise InputError("loss_mask must match target shape")
+    if not batch.target_in.shape == batch.target_out.shape == batch.loss_mask.shape:
+        raise InputError("target_in, target_out and loss_mask must share a shape")
+    if batch.loss_mask.dtype.kind not in "biuf":
+        raise InputError(f"loss_mask must hold real numbers, got {batch.loss_mask.dtype}")
     if batch.loss_mask.sum() <= 0:
         raise InputError("loss_mask selects no positions")
     return batch

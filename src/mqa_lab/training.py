@@ -198,9 +198,9 @@ def train(config: ModelConfig, task: TaskSpec,
     """Run train_steps; params default to init_params(config), and given
     params are left alone.
 
-    Checks its arguments before any work: ConfigError unless steps is an
-    integer >= 1 and log_every one >= 0, ShapeError unless given params
-    fit the config.  Raises TrainingError on non-finite or runaway loss.
+    Checks its arguments before any work: ConfigError unless each has its
+    annotated type, steps >= 1 and log_every >= 0, ShapeError unless given
+    params fit the config.  Raises TrainingError on non-finite or runaway loss.
     The held-out accuracy at the end uses a batch sampled from a disjoint
     seed, its temporaries carved from the spare slab train_steps handed
     back.  What outlives the call is that slab alone, free memory and no
@@ -208,8 +208,11 @@ def train(config: ModelConfig, task: TaskSpec,
     process reuses the first call's working memory instead of
     page-faulting it afresh; the returned params never lie in the slab.
     """
-    _check_types({"steps": steps, "log_every": log_every},
-                 {"steps": "int", "log_every": "int"})
+    settings = OptimizerSettings() if settings is None else settings
+    _check_types({"config": config, "task": task, "settings": settings, "steps": steps,
+                  "log_every": log_every},
+                 {"config": "ModelConfig", "task": "TaskSpec",
+                  "settings": "OptimizerSettings", "steps": "int", "log_every": "int"})
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     if log_every < 0:
@@ -218,7 +221,6 @@ def train(config: ModelConfig, task: TaskSpec,
         params = init_params(config)
     else:
         check_params(params, config)
-    settings = settings or OptimizerSettings()
     losses = []
     for step, loss, params in train_steps(config, task, settings, params, steps):
         losses.append(loss)

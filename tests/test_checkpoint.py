@@ -136,6 +136,20 @@ class TestFailureModes:
         with pytest.raises(InputError):
             load_checkpoint(tmp_path)
 
+    @pytest.mark.parametrize("damage,error", [("other-kind", ShapeError),
+                                              ("nan", InputError)])
+    def test_save_refuses_params_that_do_not_load(self, tmp_path, damage, error):
+        """save_checkpoint writes nothing for params that load_checkpoint
+        would refuse: another attention kind's, or a non-finite value."""
+        config = small_config()
+        params = init_params(config.with_attention_kind("multi_query")
+                             if damage == "other-kind" else config)
+        if damage == "nan":
+            params.decoder[0].ff.w_in[0, 0] = np.nan
+        with pytest.raises(error):
+            save_checkpoint(tmp_path / "ckpt", params, config)
+        assert not (tmp_path / "ckpt").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_tensor_rejected(self, tmp_path, value):
         config = small_config()

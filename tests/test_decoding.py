@@ -25,7 +25,7 @@ from mqa_lab.decoding import (
     search,
     start_state,
 )
-from mqa_lab.exceptions import ConfigError, InputError
+from mqa_lab.exceptions import ConfigError, InputError, ShapeError
 from mqa_lab.model import Batch, encode, forward, init_params
 from mqa_lab.training import BOS, TaskSpec, make_task_batch, train
 
@@ -643,6 +643,74 @@ def test_search_takes_a_list_opener():
                                           np.array([[1, 2]])).tokens.tobytes()
 
 
+MISFIT_CONFIG = tiny_config(layers=1, d_model=8, d_ff=16, d_k=4, d_v=4)
+MISFIT_MQ = MISFIT_CONFIG.with_attention_kind("multi_query")
+MISFIT_SOURCE = np.ones((2, 3), dtype=np.int64)
+MISFIT_MEMORY = np.ones((2, 3, 8))
+GREEDY = DecodeConfig(max_steps=2)
+MISFITS = [
+    # (call on the 1-layer multi-head model, or its multi-query twin, error)
+    pytest.param(lambda: decode(init_params(MISFIT_MQ), MISFIT_CONFIG, GREEDY,
+                                source=MISFIT_SOURCE),
+                 ShapeError, id="decode-multi-query-params"),
+    pytest.param(lambda: decode(init_params(MISFIT_CONFIG), MISFIT_MQ, GREEDY,
+                                source=MISFIT_SOURCE),
+                 ShapeError, id="decode-multi-head-params-under-multi-query"),
+    pytest.param(lambda: decode(None, MISFIT_CONFIG, GREEDY, source=MISFIT_SOURCE),
+                 ShapeError, id="decode-no-params"),
+    pytest.param(lambda: search(init_params(MISFIT_MQ), MISFIT_CONFIG, GREEDY,
+                                MISFIT_SOURCE[:, :1], MISFIT_MEMORY),
+                 ShapeError, id="search-multi-query-params"),
+    pytest.param(lambda: start_state(init_params(MISFIT_MQ), MISFIT_CONFIG,
+                                     batch_size=2, memory=MISFIT_MEMORY),
+                 ShapeError, id="start_state-multi-query-params"),
+    pytest.param(lambda: decode(init_params(MISFIT_CONFIG), MISFIT_CONFIG, GREEDY,
+                                source=[[1, 2], [3]]),
+                 InputError, id="decode-ragged-source"),
+    pytest.param(lambda: start_state(init_params(MISFIT_CONFIG), MISFIT_CONFIG,
+                                     batch_size=2, memory=np.ones((2, 3, 8), int).tolist()),
+                 InputError, id="start_state-integer-list-memory"),
+    pytest.param(lambda: search(init_params(MISFIT_CONFIG), MISFIT_CONFIG, GREEDY,
+                                MISFIT_SOURCE[:, :1], np.ones((2, 3, 8), int).tolist()),
+                 InputError, id="search-integer-list-memory"),
+    pytest.param(lambda: decode(init_params(MISFIT_CONFIG), MISFIT_CONFIG,
+                                {"max_steps": 2}, source=MISFIT_SOURCE),
+                 ConfigError, id="decode-dict-decode-config"),
+    pytest.param(lambda: search(init_params(MISFIT_CONFIG), MISFIT_CONFIG,
+                                {"max_steps": 2}, MISFIT_SOURCE[:, :1], MISFIT_MEMORY),
+                 ConfigError, id="search-dict-decode-config"),
+]
+
+
+@pytest.mark.parametrize("call,error", MISFITS)
+def test_misfits_fail_before_any_work(monkeypatch, call, error):
+    """Params that do not fit the config, a ragged source, memory that is
+    not a float array and a dict for the decode config are refused before
+    the encoder runs or any buffer is allocated."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("decode work started before the checks")
+    monkeypatch.setattr(decoding, "encode_source", refuse)
+    monkeypatch.setattr(decoding, "_rings", refuse)
+    with pytest.raises(error):
+        call()
+
+
+def test_search_and_start_state_take_list_memory():
+    """A nested-list memory is converted once and gives the array's results."""
+    config = MISFIT_CONFIG
+    params = init_params(config)
+    memory = encode_source(params, config, MISFIT_SOURCE)
+    opener = MISFIT_SOURCE[:, :1] * 0
+    want = search(params, config, GREEDY, opener, memory)
+    got = search(params, config, GREEDY, opener, memory.tolist())
+    assert got.tokens.tobytes() == want.tokens.tobytes()
+    assert got.raw_scores.tobytes() == want.raw_scores.tobytes()
+    listed = start_state(params, config, batch_size=2, memory=memory.tolist())
+    state = start_state(params, config, batch_size=2, memory=memory)
+    for (k, v), (k2, v2) in zip(listed.cross, state.cross):
+        assert k.tobytes() == k2.tobytes() and v.tobytes() == v2.tobytes()
+
+
 @pytest.mark.parametrize("strategy", ["greedy", "beam"])
 def test_positions_that_fit_max_len_exactly_decode(strategy):
     # the opener plus max_steps - 1 fed tokens fill all 24 positions
@@ -674,6 +742,22 @@ class TestScoreSequence:
         manual = sum(logp[0, j, stream[0, j + 1]]
                      for j in range(prompt.size - 1, stream.shape[1] - 1))
         assert s == pytest.approx(float(manual), abs=1e-12)
+
+
+    @pytest.mark.parametrize("mode,given,kind,want", [
+        ("encoder_decoder", [3, 1, 4, 1, 5], "multi_head", "-0x1.8d0264cc6d09cp+3"),
+        ("encoder_decoder", [3, 1, 4, 1, 5], "multi_query", "-0x1.25944d9896d26p+3"),
+        ("decoder_only", [3, 1, 4, BOS], "multi_head", "-0x1.432c0a5f4fb7dp+3"),
+        ("decoder_only", [3, 1, 4, BOS], "multi_query", "-0x1.a0d8058175b32p+3"),
+    ])
+    def test_scores_pinned(self, mode, given, kind, want):
+        """The stream opener + tokens scores bit for bit what the per-mode
+        streams built by hand scored (values taken from that code)."""
+        config = tiny_config(mode=mode).with_attention_kind(kind)
+        key = "source" if mode == "encoder_decoder" else "prompt"
+        got = score_sequence(init_params(config), config, np.array([2, 7, 1, 8]),
+                             **{key: np.array(given)})
+        assert got == float.fromhex(want)
 
 
 class TestScoreSequenceChecksItsInputsFirst:

@@ -85,6 +85,10 @@ BAD_BATCHES = {
     "zero-loss-mask": lambda b, c: dataclasses.replace(
         b, loss_mask=np.zeros_like(b.loss_mask)),
     "target-past-max_len": _over_long,
+    "source-rows-past-target": lambda b, c: Batch(
+        b.source, b.target_in[:1], b.target_out[:1], b.loss_mask[:1]),
+    "string-loss-mask": lambda b, c: dataclasses.replace(
+        b, loss_mask=b.loss_mask.astype(str)),
 }
 
 

@@ -18,8 +18,10 @@ from mqa_lab.training import (
     BOS,
     adam_init,
     adam_update,
+    decoder_opener,
     learning_rate,
     make_task_batch,
+    stream_batch,
     teacher_forced_accuracy,
     train,
     train_steps,
@@ -161,6 +163,32 @@ class TestTaskBatches:
         assert np.array_equal(batch.target_out[:, 4:], batch.target_in[:, :4])
         assert not batch.loss_mask[:, :4].any()
         assert batch.loss_mask[:, 4:].all()
+
+    @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
+    @pytest.mark.parametrize("name", ["copy", "reverse"])
+    def test_stream_matches_the_hand_built_batches(self, mode, name):
+        """stream_batch(decoder_opener(...)) gives, byte for byte, the batch
+        each mode once built by hand: a BOS-shifted target beside the
+        source, or [source, BOS, target] scored on the target."""
+        config = small_config(mode=mode)
+        task = TaskSpec(name=name, length=5, batch_size=3, seed=4)
+        src, tgt = training._task_tokens(task, config, np.random.default_rng(4))
+        b, n = src.shape
+        bos = np.full((b, 1), BOS, dtype=src.dtype)
+        if config.has_encoder:
+            want = (src, np.concatenate([bos, tgt[:, :-1]], axis=1), tgt, np.ones((b, n)))
+        else:
+            stream = np.concatenate([src, bos, tgt], axis=1)
+            mask = np.zeros((b, 2 * n))
+            mask[:, n:] = 1.0
+            want = (None, stream[:, :-1], stream[:, 1:], mask)
+        source = src if config.has_encoder else None
+        for got in (stream_batch(decoder_opener(config, src), tgt, source),
+                    make_task_batch(task, config, np.random.default_rng(4))):
+            got = (got.source, got.target_in, got.target_out, got.loss_mask)
+            for w, g in zip(want, got):
+                assert w is None and g is None or (
+                    (w.dtype, w.shape, w.tobytes()) == (g.dtype, g.shape, g.tobytes()))
 
     def test_task_too_long_rejected(self):
         config = small_config(max_len=8)
@@ -304,6 +332,17 @@ class TestTrainChecksItsInputsFirst:
         params.decoder[0].ff.w_in = None
         with pytest.raises(ShapeError, match="w_in"):
             train(small_config(), TaskSpec(length=4, batch_size=2), params=params)
+
+    @pytest.mark.parametrize("args,expected", [
+        pytest.param(({"length": 4}, TaskSpec(length=4, batch_size=2)), "ModelConfig",
+                     id="dict-config"),
+        pytest.param((small_config(), {"length": 3}), "TaskSpec", id="dict-task"),
+        pytest.param((small_config(), TaskSpec(length=4, batch_size=2), {"lr_scale": 1}),
+                     "OptimizerSettings", id="dict-settings"),
+    ])
+    def test_dict_for_a_config_dataclass_rejected(self, no_work, args, expected):
+        with pytest.raises(ConfigError, match=expected):
+            train(*args, steps=1)
 
     @pytest.mark.parametrize("steps", [2.5, True, "3", 0, -1])
     def test_bad_steps_rejected(self, no_work, steps):
