@@ -700,7 +700,7 @@ def test_search_and_start_state_take_list_memory():
     config = MISFIT_CONFIG
     params = init_params(config)
     memory = encode_source(params, config, MISFIT_SOURCE)
-    opener = MISFIT_SOURCE[:, :1] * 0
+    opener = np.full((2, 1), BOS, dtype=np.int64)
     want = search(params, config, GREEDY, opener, memory)
     got = search(params, config, GREEDY, opener, memory.tolist())
     assert got.tokens.tobytes() == want.tokens.tobytes()
@@ -744,20 +744,21 @@ class TestScoreSequence:
         assert s == pytest.approx(float(manual), abs=1e-12)
 
 
-    @pytest.mark.parametrize("mode,given,kind,want", [
-        ("encoder_decoder", [3, 1, 4, 1, 5], "multi_head", "-0x1.8d0264cc6d09cp+3"),
-        ("encoder_decoder", [3, 1, 4, 1, 5], "multi_query", "-0x1.25944d9896d26p+3"),
-        ("decoder_only", [3, 1, 4, BOS], "multi_head", "-0x1.432c0a5f4fb7dp+3"),
-        ("decoder_only", [3, 1, 4, BOS], "multi_query", "-0x1.a0d8058175b32p+3"),
-    ])
-    def test_scores_pinned(self, mode, given, kind, want):
+    PINNED = {("encoder_decoder", "multi_head"): "-0x1.8d0264cc6d09cp+3",
+              ("encoder_decoder", "multi_query"): "-0x1.25944d9896d26p+3",
+              ("decoder_only", "multi_head"): "-0x1.432c0a5f4fb7dp+3",
+              ("decoder_only", "multi_query"): "-0x1.a0d8058175b32p+3"}
+
+    @pytest.mark.parametrize("mode,kind", sorted(PINNED))
+    def test_scores_pinned(self, mode, kind):
         """The stream opener + tokens scores bit for bit what the per-mode
         streams built by hand scored (values taken from that code)."""
         config = tiny_config(mode=mode).with_attention_kind(kind)
-        key = "source" if mode == "encoder_decoder" else "prompt"
+        given = ({"source": np.array([3, 1, 4, 1, 5])} if mode == "encoder_decoder"
+                 else {"prompt": np.array([3, 1, 4, BOS])})
         got = score_sequence(init_params(config), config, np.array([2, 7, 1, 8]),
-                             **{key: np.array(given)})
-        assert got == float.fromhex(want)
+                             **given)
+        assert got == float.fromhex(self.PINNED[mode, kind])
 
 
 class TestScoreSequenceChecksItsInputsFirst:
