@@ -7,22 +7,23 @@ and memory it is handed.  Both run the loop `_LOOPS` maps
 
 This is the one runtime decoder: `mqa-lab decode`, `mqa-lab bench` and the
 library entry points all run `_feed`, which feeds tokens [rows, c] at the
-next c positions.  A step (`decoder_step`) is a chunk of one, and the
-opener (a decoder_only prompt, or BOS) one chunk of all its tokens, so
-both take one route through the layers and one attention function.  A
-decode state holds, per decoder layer, self-attention key/value rings
-[rows, g, slots, k], g being the number of key/value heads (h for
-multi-head, 1 for multi-query), written in place, plus cross-attention
-keys/values [b, g, m, k] projected once from the encoder output.
-Attention runs on folded matmul shapes, reads only the slots written so
-far, and is masked (causal or local) only for a chunk of c > 1.  With a
-local window a ring holds only `window` slots: softmax is invariant to
-slot order, so the ring never rotates.  Decoding reads only the logits
-after the last fed token, so the last layer runs its queries, output
-projection, cross-attention and feed-forward at that position alone.  The
-contraction kernels and immutable caches in `attention.py`/`cache.py` are
-the reference these outputs are tested against, together with the
-teacher-forced batched forward pass.
+next c positions.  A step (`decoder_step`) is a chunk of one, the opener
+(a decoder_only prompt, or BOS) one chunk of all its tokens, and a greedy
+verify pass a chunk of a token and its drafts, so all take one route
+through the layers and one attention function.  A decode state holds, per
+decoder layer, self-attention key/value rings [rows, g, slots, k], g being
+the number of key/value heads (h for multi-head, 1 for multi-query),
+written in place, plus cross-attention keys/values [b, g, m, k] projected
+once from the encoder output.  Attention runs on folded matmul shapes,
+reads only the slots written so far, and is masked (causal or local) only
+for a chunk of c > 1.  With a local window a ring holds only `window`
+slots: softmax is invariant to slot order, so the ring never rotates.
+Decoding reads only the logits after the opener's last token, so the
+opener's last layer runs its queries, output projection, cross-attention
+and feed-forward at that position alone.  The contraction kernels and
+immutable caches in `attention.py`/`cache.py` are the reference these
+outputs are tested against, together with the teacher-forced batched
+forward pass.
 
 Greedy and beam search share one layout.  The opener's last
 min(window, n) keys/values become the shared part, one copy per source
@@ -35,6 +36,11 @@ then gathers the own rings alone.  Greedy emission is the beam_size=1,
 length_alpha=0 special case, and the tests hold greedy and beam-1 to
 exact agreement.
 
+Greedy verifies its own repeats: when every live row's last r >= 2 tokens
+are one token, it feeds min(r, 3) more copies (`_draft`) with that token
+in one verify pass, keeps those every live row's argmax confirms and
+rewinds the state past the rest, where that is exact (`_rows_keep_bits`).
+
 decode, search, score_sequence and decoder_step check their ids before
 any work with model.check_ids, the one input contract for token ids.
 
@@ -45,6 +51,7 @@ token including the end marker.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +67,7 @@ from .model import (
     _positions_first,
     _self_bias,
     _softmax_rows,
+    as_array,
     check_ids,
     check_layout,
     encode,
@@ -114,7 +122,9 @@ class DecoderState:
     (keys, values) [b, g, m, k], likewise read once per source row, or
     None for decoder_only models.  weights[i] are layer i's folded
     projections.  position is the next position to feed; limit is how
-    many positions the run was started for.
+    many positions the run was started for.  Rewind: position may be set
+    back past fed positions, which are written again before any read, but
+    not under a local window, whose ring the chunk overwrote.
     """
 
     keys: list[np.ndarray]
@@ -163,7 +173,7 @@ def _state(params, config, memory, batch_size, limit, slots) -> DecoderState:
         raise ConfigError("decoder_only decode takes no memory")
     if not (_is_int(batch_size) and batch_size >= 1):
         raise InputError(f"batch_size must be an integer >= 1, got {batch_size!r}")
-    memory = None if memory is None else np.asarray(memory)
+    memory = None if memory is None else as_array("encoder memory", memory)
     shape = np.shape(memory)
     if memory is not None and (len(shape) != 3 or shape[1] < 1 or memory.dtype.kind != "f"
                                or shape[::2] != (batch_size, config.d_model)):
@@ -197,6 +207,10 @@ def _unfold_beams(x, rows):
         .reshape(rows, g, folded // beam, w)
 
 
+def _queries(cols, rows, heads, keys):  # [rows*c, heads*k] -> [rows, g, heads // g * c, k]
+    return _group_rows(_positions_first(cols, rows, heads), keys.shape[1], np.empty)
+
+
 def _ungrouped(x, c):  # [rows, g, heads // g * c, w] -> [rows*c, heads*w]
     return x.reshape(len(x), -1, c, x.shape[-1]).swapaxes(1, 2).reshape(len(x) * c, -1)
 
@@ -221,14 +235,20 @@ def _attend(q, keys, values, shared_keys, shared_values, bias=None):
             + _unfold_beams(weights[..., s:], rows) @ values)
 
 
+def _apart(cols, rows, every):  # [rows*c, w] whole, or (every) [rows, w] per position
+    blocks = cols.reshape(rows, -1, cols.shape[1]).swapaxes(0, 1) if every else [cols]
+    return [np.ascontiguousarray(block) for block in blocks]
+
+
 def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
-          tokens: np.ndarray) -> np.ndarray:
-    """Feed tokens [rows, c] at positions state.position .. + c - 1;
-    returns the logits [rows, vocab] after the last.  Each layer writes the
-    chunk's keys/values into the own rings (a chunk of c > 1 must fit them
-    unwrapped), then attends its queries over the shared part and the
-    written own slots under one softmax.  The last layer's queries run at
-    the last position only."""
+          tokens: np.ndarray, every: bool = False) -> list[np.ndarray]:
+    """Feed tokens [rows, c] at positions state.position .. + c - 1; returns
+    the logits [rows, vocab] after the last in a list, or (every) after each.
+    Each layer writes the chunk's keys/values into the own rings (a chunk
+    of c > 1 must fit them unwrapped).  The opener's queries attend under
+    one masked softmax, the last layer's at the last position only; a
+    verify pass (every) runs each weight product once over rows * c, and
+    attention and the vocabulary head per position as a step (bit for bit)."""
     rows, c = tokens.shape
     t, first = state.position, state.first
     if t + c > state.limit:
@@ -244,8 +264,9 @@ def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
     drop = 0 if window is None else min(s, max(0, t - window + 1 - first + s))
     # the attended keys are positions first - s + drop .. t + c - 1 in order
     bias = None if c == 1 else _self_bias(config, t, c, first - s + drop)
+    calls = ([(1, min(t + j + 1 - first, state.slots), None) for j in range(c)]
+             if every else [(c, valid, bias)])
     x = (params.embedding[tokens] + params.positions[t:t + c]).reshape(rows * c, -1)
-    queried = c  # positions whose queries run
     for i, block in enumerate(params.decoder):
         (fused, w_o), cross = state.weights[i]
         keys, values = state.keys[i], state.values[i]
@@ -253,26 +274,29 @@ def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
         k_new, v_new = np.split(normed @ fused[:, h * dk:], [g * dk], axis=1)
         keys[:, :, start:start + c] = _positions_first(k_new, rows, g)
         values[:, :, start:start + c] = _positions_first(v_new, rows, g)
-        if i == len(params.decoder) - 1 and c > 1:
-            x, normed, queried, bias = x[c - 1::c], normed[c - 1::c], 1, bias[-1:]
-        q = _group_rows(_positions_first(normed @ fused[:, :h * dk], rows, h), g, np.empty)
+        if i == len(params.decoder) - 1 and c > 1 and not every:
+            x, normed, calls = x[c - 1::c], normed[c - 1::c], [(1, valid, bias[-1:])]
         shared_keys, shared_values = state.shared[i]
-        mixed = _attend(q, keys[..., :valid, :], values[..., :valid, :],
-                        shared_keys[..., drop:, :], shared_values[..., drop:, :], bias)
-        x = x + _ungrouped(mixed, queried) @ w_o
+        queries = _apart(normed @ fused[:, :h * dk], rows, every)
+        mixed = [_ungrouped(_attend(_queries(q, rows, h, keys), keys[..., :seen, :],
+                                    values[..., :seen, :], shared_keys[..., drop:, :],
+                                    shared_values[..., drop:, :], mask), queried)
+                 for q, (queried, seen, mask) in zip(queries, calls)]
+        x = x + np.concatenate(mixed, axis=1).reshape(len(x), -1) @ w_o  # position minor
         if cross is not None:
             memory_keys, memory_values = state.cross[i]
             normed, _ = layer_norm(x, block.ln_cross)
-            q = _group_rows(_positions_first(normed @ cross[0][:, :h * dk], rows, h),
-                            memory_keys.shape[1], np.empty)
-            mixed = _softmax_rows(_fold_beams(q, len(memory_keys))
-                                  @ memory_keys.swapaxes(-1, -2)) @ memory_values
-            x = x + _ungrouped(_unfold_beams(mixed, rows), queried) @ cross[1]
+            queries = _apart(normed @ cross[0][:, :h * dk], rows, every)
+            logits = [_fold_beams(_queries(q, rows, h, memory_keys), len(memory_keys))
+                      @ memory_keys.swapaxes(-1, -2) for q in queries]
+            mixed = [_ungrouped(_unfold_beams(_softmax_rows(a) @ memory_values, rows),
+                                queried) for a, (queried, _, _) in zip(logits, calls)]
+            x = x + np.concatenate(mixed, axis=1).reshape(len(x), -1) @ cross[1]
         normed, _ = layer_norm(x, block.ln_ff)
         x = x + feed_forward(normed, block.ff)[0]
     state.position = t + c
     final, _ = layer_norm(x, params.dec_out_ln)
-    return final @ params.embedding.T
+    return [part @ params.embedding.T for part in _apart(final, rows, every)]
 
 
 def decoder_step(params: ModelParams, config: ModelConfig,
@@ -285,7 +309,7 @@ def decoder_step(params: ModelParams, config: ModelConfig,
     tokens = check_ids("step", tokens, config, ndim=1)
     if len(tokens) != len(state.keys[0]):
         raise InputError(f"{len(tokens)} step tokens for {len(state.keys[0])} rows")
-    return _feed(params, config, state, tokens[:, None]), state
+    return _feed(params, config, state, tokens[:, None])[-1], state
 
 
 def _begin(params, config, decode: DecodeConfig, opener, memory, beam=1):
@@ -297,7 +321,7 @@ def _begin(params, config, decode: DecodeConfig, opener, memory, beam=1):
     b, n = opener.shape
     limit = n + decode.max_steps - 1
     state = _state(params, config, memory, b, n, n)
-    logits = _feed(params, config, state, opener)
+    logits = _feed(params, config, state, opener)[-1]
     s = _ring_slots(config, n)
     state.shared = [(np.ascontiguousarray(k[:, :, n - s:]),
                      np.ascontiguousarray(v[:, :, n - s:]))
@@ -335,6 +359,7 @@ def _source_or_prompt(config: ModelConfig, source, prompt, call: str, check):
     otherwise).  Returns (the decoder's opener, the encoder's source or
     None) after check(what, ids) checks the one given: a source's opener
     is decoder_opener's, and a prompt (usually source + BOS) is the opener."""
+    _check_types({"config": config}, {"config": "ModelConfig"})
     if config.has_encoder:
         if prompt is not None:
             raise ConfigError(f"encoder_decoder {call} derives its own prompt")
@@ -377,15 +402,44 @@ def _inputs(params, config: ModelConfig, decode: DecodeConfig, source, prompt):
     return opener, None if source is None else encode_source(params, config, source)
 
 
+@functools.lru_cache(maxsize=None)
+def _rows_keep_bits(config: ModelConfig, rows: int) -> bool:
+    """Whether numpy gives each row of a product of `rows` rows with each
+    weight [k, n] of a verify pass (n = 0: layer norm's vector) the bits it
+    gets among rows * c, c = 2..4.  BLAS picks kernels by shape alone: 1-3
+    rows, or a small-matrix kernel at `rows` alone, fail."""
+    h, dk, dv, d, ff = config.heads, config.d_k, config.d_v, config.d_model, config.d_ff
+    kv = kv_head_count(config.dec_self_kind, h) * (dk + dv)
+    rng = np.random.default_rng(0)
+    for k, n in ((d, 0), (d, h * dk), (d, kv), (h * dv, d), (d, ff), (ff, d)):
+        w, x = rng.random((k, n) if n else k), rng.random((4 * rows, k))
+        if any((x[j:rows * c:c].copy() @ w).tobytes() != (x[:rows * c] @ w)[j::c].tobytes()
+               for c in (2, 3, 4) for j in range(c)):
+            return False
+    return True
+
+
+def _draft(emitted: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Drafts [rows, d] after emitted [rows, t]: when every live row's last
+    r >= 2 tokens are one token, min(r, 3) more copies of it, else none."""
+    run, last = 1, emitted[:, -1]
+    while run < min(3, emitted.shape[1]) and (emitted[:, -1 - run] == last)[live].all():
+        run += 1
+    return np.repeat(emitted[:, -1:], run, axis=1) if run > 1 else emitted[:, :0]
+
+
 def _greedy(params, config, decode: DecodeConfig, opener, memory) -> DecodeResult:
-    """Argmax emission, first maximum winning ties."""
+    """Argmax emission, first maximum winning ties, verifying _draft's guesses."""
     state, logits = _begin(params, config, decode, opener, memory)
     batch = len(opener)
     tokens = np.zeros((batch, decode.max_steps), dtype=np.int64)
     raw = np.zeros(batch)
     lengths = np.zeros(batch, dtype=np.int64)
     live = np.ones(batch, dtype=bool)
+    drafting = config.dec_self_window is None and _rows_keep_bits(config, batch)
+    ahead = [logits]  # the logits of the next tokens to emit, in order
     for t in range(decode.max_steps):
+        logits = ahead.pop(0)
         logp = _log_softmax(logits)
         pick = np.argmax(logits, axis=-1)
         if decode.eos_id is not None:
@@ -397,8 +451,15 @@ def _greedy(params, config, decode: DecodeConfig, opener, memory) -> DecodeResul
             live &= pick != decode.eos_id
             if not live.any():
                 break
-        if t + 1 < decode.max_steps:
-            logits, state = decoder_step(params, config, state, pick)
+        if t + 1 < decode.max_steps and not ahead:
+            drafts = (_draft(tokens[:, :t + 1], live) if drafting
+                      else tokens[:, :0])[:, :decode.max_steps - t - 2]
+            fed = np.concatenate([pick[:, None], drafts], axis=1)
+            ahead = _feed(params, config, state, fed, fed.shape[1] > 1)
+            hits = [(a.argmax(axis=-1) == d)[live].all() for a, d in zip(ahead, drafts.T)]
+            kept = (hits + [False]).index(False)
+            del ahead[kept + 1:]
+            state.position -= drafts.shape[1] - kept
     scores = raw / np.array([length_penalty(int(n), decode.length_alpha)
                              for n in lengths])
     return DecodeResult(tokens, lengths, raw, scores)

@@ -652,14 +652,20 @@ def _block_backward(dx, tape: list, block: Block, out: Block, empty):
     return d_norm, d_memory
 
 
+def as_array(what: str, value) -> np.ndarray:
+    """np.asarray(value), or InputError naming `what` when it is not one
+    (a ragged nested list, say)."""
+    try:
+        return np.asarray(value)
+    except ValueError as exc:
+        raise InputError(f"{what} is not an array: {exc}") from exc
+
+
 def check_ids(what: str, ids, config: ModelConfig, ndim: int = 2) -> np.ndarray:
     """ids as an array, or InputError unless they are a non-empty integer
     [batch, positions] (ndim 2) or [batch] (ndim 1) array of at most max_len
     positions, every id inside the vocabulary."""
-    try:
-        ids = np.asarray(ids)
-    except ValueError as exc:  # a ragged nested list, say
-        raise InputError(f"{what} ids are not an array: {exc}") from exc
+    ids = as_array(f"{what} ids", ids)
     if not np.issubdtype(ids.dtype, np.integer):
         raise InputError(f"{what} ids must be integers, got dtype {ids.dtype}")
     if ids.ndim != ndim or 0 in ids.shape:
@@ -698,14 +704,14 @@ class ForwardResult:
 def _checked_batch(config: ModelConfig, batch: Batch) -> Batch:
     """batch with every field as an array, or InputError unless it fits
     the model; the one place a batch's fields are converted."""
+    batch = Batch(*(None if f is None else as_array(name, f) for name, f in
+                    vars(batch).items()))
     if config.has_encoder:
         if np.shape(batch.source)[:1] != np.shape(batch.target_in)[:1]:
             raise InputError("encoder_decoder models need a batch.source with the "
                              "target's rows")
     elif batch.source is not None:
         raise InputError("decoder_only models take no batch.source")
-    batch = Batch(*(None if f is None else np.asarray(f) for f in
-                    (batch.source, batch.target_in, batch.target_out, batch.loss_mask)))
     check_ids("target_out", batch.target_out, config)
     if not batch.target_in.shape == batch.target_out.shape == batch.loss_mask.shape:
         raise InputError("target_in, target_out and loss_mask must share a shape")

@@ -217,14 +217,16 @@ def check_greedy_decode_matches_replay():
 
 
 def check_beam_one_equals_greedy():
+    # 4 rows x 8 steps, so greedy verifies drafts of its repeats as it goes
     config, params = _tiny_model()
     rng = _rng()
-    source = rng.integers(1, config.vocab_size, size=(1, 4))
-    g = decode(params, config, DecodeConfig(strategy="greedy", max_steps=4),
+    source = rng.integers(1, config.vocab_size, size=(4, 4))
+    g = decode(params, config, DecodeConfig(strategy="greedy", max_steps=8),
                source=source)
-    b = decode(params, config, DecodeConfig(strategy="beam", beam_size=1, max_steps=4),
+    b = decode(params, config, DecodeConfig(strategy="beam", beam_size=1, max_steps=8),
                source=source)
-    assert np.array_equal(g.tokens, b.tokens)
+    for field in ("tokens", "lengths", "raw_scores"):
+        assert getattr(g, field).tobytes() == getattr(b, field).tobytes(), field
 
 
 def check_gradients_spotcheck():

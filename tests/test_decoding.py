@@ -310,6 +310,154 @@ class TestGreedy:
             assert out.raw_scores[i] == pytest.approx(oracle, abs=1e-10)
 
 
+def _spy_feeds(monkeypatch):
+    """Record (position, c) of every _feed call."""
+    feeds, feed = [], decoding._feed
+
+    def spy(params, config, state, tokens, every=False):
+        feeds.append((state.position, tokens.shape[1]))
+        return feed(params, config, state, tokens, every)
+
+    monkeypatch.setattr(decoding, "_feed", spy)
+    return feeds
+
+
+def _always_three(emitted, live):
+    return np.repeat(emitted[:, -1:], 3, axis=1)
+
+
+WIDE = dict(d_model=128, d_ff=256, d_k=64, d_v=64, vocab_size=64)
+
+
+class TestGreedyVerifiesRepeats:
+    @pytest.mark.parametrize("rows", [4, 8])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
+    @pytest.mark.parametrize("width", [{}, WIDE])
+    def test_verify_pass_equals_steps(self, rng, width, mode, kind, layers, rows):
+        """A verify pass of c = 2..4 tokens gives the logits and own rings of
+        c decoder_step calls byte for byte; decoder_only reads a shared
+        prompt part, encoder_decoder the encoder memory.  At the wide shape
+        one vocabulary-head product over all rows * c would move bits."""
+        config = tiny_config(mode=mode, layers=layers, **width).with_attention_kind(kind)
+        params = init_params(config)
+        memory, opener = None, rng.integers(1, config.vocab_size, size=(rows, 3))
+        if config.has_encoder:
+            memory = encode_source(params, config, opener)
+            opener = np.full((rows, 1), BOS, dtype=np.int64)
+        stream = rng.integers(0, config.vocab_size, size=(rows, 5))
+        for c in (2, 3, 4):
+            verified, stepped = (_begin(params, config, DecodeConfig(max_steps=8), opener,
+                                        memory)[0] for _ in range(2))
+            for state in (verified, stepped):  # the pass starts past the first step
+                decoder_step(params, config, state, stream[:, 0])
+            got = decoding._feed(params, config, verified, stream[:, 1:1 + c], True)
+            want = [decoder_step(params, config, stepped, stream[:, j])[0]
+                    for j in range(1, 1 + c)]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            assert verified.position == stepped.position
+            for a, b in zip(verified.keys + verified.values, stepped.keys + stepped.values):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("rows", [4, 8])
+    @pytest.mark.parametrize("with_eos", [False, True])
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
+    def test_any_draft_gives_the_stepped_output(self, rng, monkeypatch, mode, kind,
+                                                with_eos, rows):
+        """Perfect, random and every-third-token-corrupted drafts give the
+        tokens, lengths and scores of a run that never drafts, byte for
+        byte; the verify passes both keep and reject drafts."""
+        config = tiny_config(mode=mode).with_attention_kind(kind)
+        params = init_params(config)
+        key = "source" if config.has_encoder else "prompt"
+        inputs = {key: rng.integers(1, config.vocab_size, size=(rows, 4))}
+        dc = DecodeConfig(max_steps=12)
+        monkeypatch.setattr(decoding, "_draft", lambda emitted, live: emitted[:, :0])
+        if with_eos:
+            free = decode(params, config, dc, **inputs)
+            dc = DecodeConfig(max_steps=12,
+                              eos_id=int(np.bincount(free.tokens[:, 2]).argmax()))
+        stepped = decode(params, config, dc, **inputs)
+        if with_eos:
+            assert (stepped.lengths < dc.max_steps).any()
+
+        def perfect(emitted, live):
+            return stepped.tokens[:, emitted.shape[1]:emitted.shape[1] + 3].copy()
+
+        def random(emitted, live):
+            return rng.integers(0, config.vocab_size, size=(len(emitted), 3))
+
+        def corrupted(emitted, live):
+            drafts = perfect(emitted, live)
+            spoiled = np.arange(emitted.shape[1], emitted.shape[1] + drafts.shape[1]) % 3 == 0
+            drafts[:, spoiled] = (drafts[:, spoiled] + 1) % config.vocab_size
+            return drafts
+
+        feeds = _spy_feeds(monkeypatch)
+        kept = rejected = 0
+        for draft in (perfect, random, corrupted):
+            monkeypatch.setattr(decoding, "_draft", draft)
+            feeds.clear()
+            got = decode(params, config, dc, **inputs)
+            for field in ("tokens", "lengths", "raw_scores", "scores"):
+                assert getattr(got, field).tobytes() == getattr(stepped, field).tobytes(), \
+                    (draft.__name__, field)
+            # after the opener, each feed starts past the drafts the last one kept
+            for (start, c), (after, _) in zip(feeds[1:], feeds[2:]):
+                kept += after - start - 1
+                rejected += start + c - after
+        assert kept > 0 and rejected > 0
+
+    @pytest.mark.parametrize("rows,window,drafts", [
+        (4, None, True), (8, None, True), (1, None, False), (2, None, False),
+        (3, None, False), (4, 2, False), (8, 5, False)])
+    def test_drafts_only_where_exact(self, rng, monkeypatch, rows, window, drafts):
+        """No verify pass under a local window, or on 1-3 rows, whose
+        products numpy runs on other kernels than those of more rows, even
+        with a draft at every token."""
+        config = tiny_config(dec_self_window=window)
+        monkeypatch.setattr(decoding, "_draft", _always_three)
+        feeds = _spy_feeds(monkeypatch)
+        decode(init_params(config), config, DecodeConfig(max_steps=8),
+               source=rng.integers(1, config.vocab_size, size=(rows, 4)))
+        assert any(c > 1 for _, c in feeds[1:]) == drafts
+
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    @pytest.mark.parametrize("rows", [4, 5, 8])
+    def test_drafting_keeps_the_bits_where_products_would_move_them(self, rng,
+                                                                   monkeypatch,
+                                                                   kind, rows):
+        """At d_model 256 and d_ff 512, 4 rows of the feed-forward's second
+        product run on another kernel than 8 or more, and 5 rows' layer norm
+        on another than 10 or more: greedy drafting at every token still
+        gives the output of a run that never drafts."""
+        config = tiny_config(mode="decoder_only", d_model=256, d_ff=512, heads=8,
+                             d_k=32, d_v=32, vocab_size=12).with_attention_kind(kind)
+        params = init_params(config)
+        prompt = rng.integers(1, config.vocab_size, size=(rows, 6))
+        monkeypatch.setattr(decoding, "_draft", lambda emitted, live: emitted[:, :0])
+        stepped = decode(params, config, DecodeConfig(max_steps=10), prompt=prompt)
+        monkeypatch.setattr(decoding, "_draft", _always_three)
+        got = decode(params, config, DecodeConfig(max_steps=10), prompt=prompt)
+        for field in ("tokens", "lengths", "raw_scores", "scores"):
+            assert getattr(got, field).tobytes() == getattr(stepped, field).tobytes()
+
+    @pytest.mark.parametrize("emitted,live,want", [
+        pytest.param([[1, 2, 2], [5, 5, 5]], [True, True], [[2, 2], [5, 5]], id="run-2"),
+        pytest.param([[2, 2, 2, 2], [5, 5, 5, 5]], [True, True], [[2] * 3, [5] * 3],
+                     id="run-4-drafts-3"),
+        pytest.param([[1, 2, 2], [5, 4, 5]], [True, True], [[], []], id="one-row-breaks"),
+        pytest.param([[1, 2, 2], [5, 4, 3]], [True, False], [[2, 2], [3, 3]],
+                     id="dead-row-ignored"),
+        pytest.param([[2], [2]], [True, True], [[], []], id="one-token"),
+    ])
+    def test_draft_copies_a_shared_run(self, emitted, live, want):
+        got = decoding._draft(np.array(emitted), np.array(live))
+        assert got.tolist() == want
+
+
 class TestBeam:
     def test_beam_one_equals_greedy(self, rng):
         config = tiny_config()
@@ -648,6 +796,7 @@ MISFIT_MQ = MISFIT_CONFIG.with_attention_kind("multi_query")
 MISFIT_SOURCE = np.ones((2, 3), dtype=np.int64)
 MISFIT_MEMORY = np.ones((2, 3, 8))
 GREEDY = DecodeConfig(max_steps=2)
+RAGGED_MEMORY = [[[0.0] * 8], [[0.0] * 8, [0.0] * 8]]
 MISFITS = [
     # (call on the 1-layer multi-head model, or its multi-query twin, error)
     pytest.param(lambda: decode(init_params(MISFIT_MQ), MISFIT_CONFIG, GREEDY,
@@ -679,18 +828,31 @@ MISFITS = [
     pytest.param(lambda: search(init_params(MISFIT_CONFIG), MISFIT_CONFIG,
                                 {"max_steps": 2}, MISFIT_SOURCE[:, :1], MISFIT_MEMORY),
                  ConfigError, id="search-dict-decode-config"),
+    pytest.param(lambda: decode(init_params(MISFIT_CONFIG), {"mode": "encoder_decoder"},
+                                GREEDY, source=MISFIT_SOURCE),
+                 ConfigError, id="decode-dict-model-config"),
+    pytest.param(lambda: score_sequence(init_params(MISFIT_CONFIG), {"mode": "encoder_decoder"},
+                                        [1, 2], source=[1, 2]),
+                 ConfigError, id="score_sequence-dict-model-config"),
+    pytest.param(lambda: start_state(init_params(MISFIT_CONFIG), MISFIT_CONFIG, batch_size=2,
+                                     memory=RAGGED_MEMORY),
+                 InputError, id="start_state-ragged-memory"),
+    pytest.param(lambda: search(init_params(MISFIT_CONFIG), MISFIT_CONFIG, GREEDY,
+                                MISFIT_SOURCE[:, :1], RAGGED_MEMORY),
+                 InputError, id="search-ragged-memory"),
 ]
 
 
 @pytest.mark.parametrize("call,error", MISFITS)
 def test_misfits_fail_before_any_work(monkeypatch, call, error):
     """Params that do not fit the config, a ragged source, memory that is
-    not a float array and a dict for the decode config are refused before
-    the encoder runs or any buffer is allocated."""
+    not a float array and a dict for either config are refused before the
+    encoder, the forward pass or any buffer allocation runs."""
     def refuse(*args, **kwargs):
         raise AssertionError("decode work started before the checks")
     monkeypatch.setattr(decoding, "encode_source", refuse)
     monkeypatch.setattr(decoding, "_rings", refuse)
+    monkeypatch.setattr(decoding, "forward", refuse)
     with pytest.raises(error):
         call()
 

@@ -73,6 +73,11 @@ def _over_long(batch, config):
     return Batch(batch.source, ids, ids, np.ones(ids.shape))
 
 
+def _ragged(field):  # a nested list whose last row is one entry short
+    rows = field.tolist()
+    return rows[:-1] + [rows[-1][:-1]]
+
+
 # damaged copies of a good encoder_decoder batch, each refused with InputError
 BAD_BATCHES = {
     "no-source": lambda b, c: dataclasses.replace(b, source=None),
@@ -89,6 +94,10 @@ BAD_BATCHES = {
         b.source, b.target_in[:1], b.target_out[:1], b.loss_mask[:1]),
     "string-loss-mask": lambda b, c: dataclasses.replace(
         b, loss_mask=b.loss_mask.astype(str)),
+    "ragged-target-in": lambda b, c: dataclasses.replace(
+        b, target_in=_ragged(b.target_in)),
+    "ragged-loss-mask": lambda b, c: dataclasses.replace(
+        b, loss_mask=_ragged(b.loss_mask)),
 }
 
 
