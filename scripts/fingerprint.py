@@ -11,7 +11,8 @@ and decoder self-attention window (none, 2) it hashes:
 - forward logits and loss, and loss_and_grads' loss, logits and gradients
   on one batch;
 - greedy and beam (with and without an end marker) tokens, lengths and raw
-  scores.
+  scores on 3 rows, and greedy's on 8 rows, where greedy verifies drafted
+  repeats in one pass and both keeps and rejects drafts.
 
 The sizes are fixed, so digests taken on any two trees are comparable:
 
@@ -37,6 +38,8 @@ STEPS = 10      # training steps of each copy-task run
 D_MODEL = 32
 HEADS = 8
 LENGTH = 6      # copy-task length
+DRAFT_ROWS = 8  # greedy drafts only from 4 rows up (decoding._rows_keep_bits)
+DRAFT_STEPS = 12
 
 
 def _bytes(*values) -> bytes:
@@ -57,25 +60,24 @@ def case_outputs(config: ModelConfig, task: TaskSpec):
     loss, logits, grads = loss_and_grads(params, config, batch)
     yield _bytes(loss, logits, flatten(grads))
 
-    inputs = np.random.default_rng(task.seed + 2).integers(
-        1, config.vocab_size, size=(3, task.length))
-    where = ({"source": inputs} if config.has_encoder else
-             {"prompt": decoder_opener(config, inputs)})
-    for decode_config in (
-            DecodeConfig(max_steps=task.length),
-            DecodeConfig(strategy="beam", beam_size=3, length_alpha=0.6,
-                         max_steps=task.length),
-            DecodeConfig(strategy="beam", beam_size=3, max_steps=task.length,
-                         eos_id=1)):
-        found = decode(params, config, decode_config, **where)
-        yield _bytes(found.tokens, found.lengths, found.raw_scores)
+    for rows, offset, decode_configs in (
+            (3, 2, (DecodeConfig(max_steps=task.length),
+                    DecodeConfig(strategy="beam", beam_size=3, length_alpha=0.6,
+                                 max_steps=task.length),
+                    DecodeConfig(strategy="beam", beam_size=3, max_steps=task.length,
+                                 eos_id=1))),
+            (DRAFT_ROWS, 3, (DecodeConfig(max_steps=DRAFT_STEPS),))):
+        inputs = np.random.default_rng(task.seed + offset).integers(
+            1, config.vocab_size, size=(rows, task.length))
+        where = ({"source": inputs} if config.has_encoder else
+                 {"prompt": decoder_opener(config, inputs)})
+        for decode_config in decode_configs:
+            found = decode(params, config, decode_config, **where)
+            yield _bytes(found.tokens, found.lengths, found.raw_scores)
 
 
-def main(argv=None):
-    argparse.ArgumentParser(
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter).parse_args(argv)
-    total = hashlib.sha256()
+def cases():
+    """(config, task) of every hashed configuration, in hashing order."""
     for mode in ("encoder_decoder", "decoder_only"):
         for kind in ("multi_head", "multi_query"):
             for window in (None, 2):
@@ -84,9 +86,17 @@ def main(argv=None):
                     heads=HEADS, d_k=D_MODEL // HEADS, d_v=D_MODEL // HEADS,
                     vocab_size=12, max_len=3 * LENGTH + 2,
                     dec_self_window=window, init_seed=7).with_attention_kind(kind)
-                task = TaskSpec(length=LENGTH, batch_size=4, seed=3)
-                for data in case_outputs(config, task):
-                    total.update(data)
+                yield config, TaskSpec(length=LENGTH, batch_size=4, seed=3)
+
+
+def main(argv=None):
+    argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter).parse_args(argv)
+    total = hashlib.sha256()
+    for config, task in cases():
+        for data in case_outputs(config, task):
+            total.update(data)
     print(total.hexdigest())
     return 0
 

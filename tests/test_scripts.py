@@ -1,5 +1,6 @@
 """Smoke tests: every script under scripts/ runs to exit 0 at a tiny size."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import mqa_lab
+from mqa_lab import decoding
 from mqa_lab.cli import THREAD_ENV_VARS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,3 +94,37 @@ def test_fingerprint_prints_one_stable_digest(tmp_path):
     digest = runs[0].stdout.strip()
     assert len(digest) == 64 and int(digest, 16) >= 0
     assert runs[1].stdout.strip() == digest
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fingerprint_covers_greedy_verify_passes(monkeypatch):
+    """The fingerprint's 8-row greedy decode makes verify passes in every
+    configuration without a local window, and none under one; its passes
+    both keep and reject drafts, so the digest covers the rewind."""
+    fingerprint = _load_script("fingerprint")
+    feed, feeds = decoding._feed, []
+
+    def spy(params, config, state, tokens, every=False):
+        if len(tokens) == fingerprint.DRAFT_ROWS:
+            feeds.append((state.position, tokens.shape[1]))
+        return feed(params, config, state, tokens, every)
+
+    monkeypatch.setattr(decoding, "_feed", spy)
+    kept = rejected = 0
+    for config, task in fingerprint.cases():
+        feeds.clear()
+        for _ in fingerprint.case_outputs(config, task):
+            pass
+        passes = sum(c > 1 for _, c in feeds[1:])
+        assert (passes > 0) == (config.dec_self_window is None), config
+        # after the opener, each feed starts past the drafts the last one kept
+        for (start, c), (after, _) in zip(feeds[1:], feeds[2:]):
+            kept += after - start - 1
+            rejected += start + c - after
+    assert kept > 0 and rejected > 0
