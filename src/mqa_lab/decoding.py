@@ -10,14 +10,15 @@ library entry points all run `_feed`, which feeds tokens [rows, c] at the
 next c positions.  A step (`decoder_step`) is a chunk of one, the opener
 (a decoder_only prompt, or BOS) one chunk of all its tokens, and a greedy
 verify pass a chunk of a token and its drafts, so all take one route
-through the layers and one attention function.  A decode state holds, per
-decoder layer, self-attention key/value rings [rows, g, slots, k], g being
-the number of key/value heads (h for multi-head, 1 for multi-query),
-written in place, plus cross-attention keys/values [b, g, m, k] projected
-once from the encoder output.  Attention runs on folded matmul shapes,
-reads only the slots written so far, and is masked (causal or local) only
-for a chunk of c > 1.  With a local window a ring holds only `window`
-slots: softmax is invariant to slot order, so the ring never rotates.
+through the layers, whose self- and cross-attention run `model._attend`
+(as the batched pass does) through `_attention`.  A decode state holds,
+per decoder layer, self-attention key/value rings [rows, g, slots, k], g
+being the number of key/value heads (h for multi-head, 1 for
+multi-query), written in place, plus cross-attention keys/values
+[b, g, m, k] projected once from the encoder output.  Attention reads
+only the slots written so far, and is masked (causal or local) only for
+a chunk of c > 1.  With a local window a ring holds only `window` slots:
+softmax is invariant to slot order, so the ring never rotates.
 Decoding reads only the logits after the opener's last token, so the
 opener's last layer runs its queries, output projection, cross-attention
 and feed-forward at that position alone.  The contraction kernels and
@@ -60,13 +61,12 @@ from .config import DecodeConfig, ModelConfig, _check_types, _is_int, kv_head_co
 from .exceptions import ConfigError, InputError
 from .model import (
     ModelParams,
+    _attend,
     _fold_out,
     _fold_qkv,
-    _group_rows,
     _log_partition,
     _positions_first,
     _self_bias,
-    _softmax_rows,
     as_array,
     check_ids,
     check_layout,
@@ -102,10 +102,8 @@ def _project_memory(memory: np.ndarray, w, fused) -> tuple[np.ndarray, np.ndarra
 def _fold_block(block):
     """((fused q/k/v projection, output projection) of self-attention, the
     same of cross-attention or None)."""
-    cross = None
-    if block.cross is not None:
-        cross = (_fold_qkv(block.cross), _fold_out(block.cross.p_o))
-    return (_fold_qkv(block.attn), _fold_out(block.attn.p_o)), cross
+    return tuple(None if w is None else (_fold_qkv(w), _fold_out(w.p_o))
+                 for w in (block.attn, block.cross))
 
 
 @dataclass
@@ -142,11 +140,11 @@ class DecoderState:
 
 
 def _rings(config: ModelConfig, rows: int, slots: int):
-    """Zeroed per-layer self-attention (keys, values) buffers
-    [rows, g, slots, .]."""
+    """Per-layer self-attention (keys, values) buffers [rows, g, slots, .],
+    unfilled: a slot is written before any read (DecoderState)."""
     lead = (rows, kv_head_count(config.dec_self_kind, config.heads), slots)
-    return ([np.zeros(lead + (config.d_k,)) for _ in range(config.layers)],
-            [np.zeros(lead + (config.d_v,)) for _ in range(config.layers)])
+    return ([np.empty(lead + (config.d_k,)) for _ in range(config.layers)],
+            [np.empty(lead + (config.d_v,)) for _ in range(config.layers)])
 
 
 def _ring_slots(config: ModelConfig, positions: int) -> int:  # min(window, positions)
@@ -192,52 +190,16 @@ def _state(params, config, memory, batch_size, limit, slots) -> DecoderState:
     return DecoderState(keys, values, shared, cross, weights, 0, limit)
 
 
-def _fold_beams(x, b):
-    """[b*beam, g, r, w] -> [b, g, beam*r, w]: a source row's beams become
-    query rows of its groups, as multi-query folds heads into rows."""
-    rows, g, r, w = x.shape
-    return x.reshape(b, rows // b, g, r, w).swapaxes(1, 2).reshape(b, g, -1, w)
-
-
-def _unfold_beams(x, rows):
-    """The inverse of _fold_beams: [b, g, beam*r, w] -> [rows, g, r, w]."""
-    b, g, folded, w = x.shape
-    beam = rows // b
-    return x.reshape(b, g, beam, folded // beam, w).swapaxes(1, 2) \
-        .reshape(rows, g, folded // beam, w)
-
-
-def _queries(cols, rows, heads, keys):  # [rows*c, heads*k] -> [rows, g, heads // g * c, k]
-    return _group_rows(_positions_first(cols, rows, heads), keys.shape[1], np.empty)
-
-
-def _ungrouped(x, c):  # [rows, g, heads // g * c, w] -> [rows*c, heads*w]
-    return x.reshape(len(x), -1, c, x.shape[-1]).swapaxes(1, 2).reshape(len(x) * c, -1)
-
-
-def _attend(q, keys, values, shared_keys, shared_values, bias=None):
-    """q [rows, g, r, k] over a source row's shared keys/values [b, g, s, .],
-    read once for all its rows // b beams, and each row's own
-    [rows, g, t, .], under one softmax; query rows of group j read key/value
-    head j.  bias [c, s + t] masks queries at c positions (the minor index
-    of r).  An empty shared part costs no copy.  Returns [rows, g, r, v]."""
-    rows, b, s = len(q), len(shared_keys), shared_keys.shape[2]
-    logits = q @ keys.swapaxes(-1, -2)
-    if s:
-        logits = np.concatenate([_fold_beams(q, b) @ shared_keys.swapaxes(-1, -2),
-                                 _fold_beams(logits, b)], axis=-1)
-    if bias is not None:
-        logits.reshape(logits.shape[:2] + (-1,) + bias.shape)[...] += bias
-    weights = _softmax_rows(logits)
-    if not s:
-        return weights @ values
-    return (_unfold_beams(weights[..., :s] @ shared_values, rows)
-            + _unfold_beams(weights[..., s:], rows) @ values)
-
-
-def _apart(cols, rows, every):  # [rows*c, w] whole, or (every) [rows, w] per position
-    blocks = cols.reshape(rows, -1, cols.shape[1]).swapaxes(0, 1) if every else [cols]
-    return [np.ascontiguousarray(block) for block in blocks]
+def _attention(q, rows, calls, config):
+    """model._attend for queries q [rows * n, heads * d_k], position minor:
+    call j of `calls`, (key/value parts, bias), serves positions j,
+    j + len(calls), ...  Returns the mix [rows * n, heads * d_v]."""
+    h, step = config.heads, len(calls)
+    o = np.empty((len(q), h * config.d_v))
+    for j, (parts, bias) in enumerate(calls):
+        _attend(_positions_first(q[j::step], rows, h), parts,
+                _positions_first(o[j::step], rows, h), bias)
+    return o
 
 
 def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
@@ -264,8 +226,8 @@ def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
     drop = 0 if window is None else min(s, max(0, t - window + 1 - first + s))
     # the attended keys are positions first - s + drop .. t + c - 1 in order
     bias = None if c == 1 else _self_bias(config, t, c, first - s + drop)
-    calls = ([(1, min(t + j + 1 - first, state.slots), None) for j in range(c)]
-             if every else [(c, valid, bias)])
+    calls = ([(min(t + j + 1 - first, state.slots), None) for j in range(c)]
+             if every else [(valid, bias)])
     x = (params.embedding[tokens] + params.positions[t:t + c]).reshape(rows * c, -1)
     for i, block in enumerate(params.decoder):
         (fused, w_o), cross = state.weights[i]
@@ -275,28 +237,20 @@ def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
         keys[:, :, start:start + c] = _positions_first(k_new, rows, g)
         values[:, :, start:start + c] = _positions_first(v_new, rows, g)
         if i == len(params.decoder) - 1 and c > 1 and not every:
-            x, normed, calls = x[c - 1::c], normed[c - 1::c], [(1, valid, bias[-1:])]
-        shared_keys, shared_values = state.shared[i]
-        queries = _apart(normed @ fused[:, :h * dk], rows, every)
-        mixed = [_ungrouped(_attend(_queries(q, rows, h, keys), keys[..., :seen, :],
-                                    values[..., :seen, :], shared_keys[..., drop:, :],
-                                    shared_values[..., drop:, :], mask), queried)
-                 for q, (queried, seen, mask) in zip(queries, calls)]
-        x = x + np.concatenate(mixed, axis=1).reshape(len(x), -1) @ w_o  # position minor
+            x, normed, calls = x[c - 1::c], normed[c - 1::c], [(valid, bias[-1:])]
+        shared = tuple(part[..., drop:, :] for part in state.shared[i])
+        own = [([shared, (keys[..., :seen, :], values[..., :seen, :])], mask)
+               for seen, mask in calls]
+        x = x + _attention(normed @ fused[:, :h * dk], rows, own, config) @ w_o
         if cross is not None:
-            memory_keys, memory_values = state.cross[i]
             normed, _ = layer_norm(x, block.ln_cross)
-            queries = _apart(normed @ cross[0][:, :h * dk], rows, every)
-            logits = [_fold_beams(_queries(q, rows, h, memory_keys), len(memory_keys))
-                      @ memory_keys.swapaxes(-1, -2) for q in queries]
-            mixed = [_ungrouped(_unfold_beams(_softmax_rows(a) @ memory_values, rows),
-                                queried) for a, (queried, _, _) in zip(logits, calls)]
-            x = x + np.concatenate(mixed, axis=1).reshape(len(x), -1) @ cross[1]
+            memory = [([state.cross[i]], None)] * len(calls)
+            x = x + _attention(normed @ cross[0][:, :h * dk], rows, memory, config) @ cross[1]
         normed, _ = layer_norm(x, block.ln_ff)
         x = x + feed_forward(normed, block.ff)[0]
     state.position = t + c
     final, _ = layer_norm(x, params.dec_out_ln)
-    return [part @ params.embedding.T for part in _apart(final, rows, every)]
+    return [final[j::len(calls)] @ params.embedding.T for j in range(len(calls))]
 
 
 def decoder_step(params: ModelParams, config: ModelConfig,
@@ -323,9 +277,8 @@ def _begin(params, config, decode: DecodeConfig, opener, memory, beam=1):
     state = _state(params, config, memory, b, n, n)
     logits = _feed(params, config, state, opener)[-1]
     s = _ring_slots(config, n)
-    state.shared = [(np.ascontiguousarray(k[:, :, n - s:]),
-                     np.ascontiguousarray(v[:, :, n - s:]))
-                    for k, v in zip(state.keys, state.values)]
+    state.shared = [tuple(np.ascontiguousarray(a[:, :, n - s:]) for a in part)
+                    for part in zip(state.keys, state.values)]
     state.keys, state.values = _rings(config, b * beam, _ring_slots(config, limit - n))
     state.first, state.limit = n, limit
     return state, np.repeat(logits, beam, axis=0)

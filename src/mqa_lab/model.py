@@ -4,7 +4,11 @@ Pre-norm residual blocks, learned positions, embeddings tied with the output
 projection, bias-free feed-forward layers.  Attention kind (multi-head or
 multi-query) is configured per site; both run one attention forward and
 backward pass, written over g key/value heads shared by groups of h // g
-query heads (g = h multi-head, g = 1 multi-query).  The training path runs
+query heads (g = h multi-head, g = 1 multi-query).  _attend is the one
+attention routine at run time: attention_forward and every attention of
+the decode engine take their logits, softmax and mix from it, over
+key/value parts of one set per row, or one per source row that its beams
+read once.  The training path runs
 on folded matmul shapes for speed: every product with a weight matrix is
 one 2-D product over all rows, and self-attention projects queries, keys
 and values in one product forward and one back.  Its outputs are pinned
@@ -16,7 +20,8 @@ sub-layer's cache on one list, and the reverse pass pops them.  forward
 and encode (the decode engine's encoder pass) run the same block forward
 with no tape, so each sub-layer's temporaries are freed when it returns.
 Attention's softmax runs in place in its logits buffer.  The decode
-engine's decoder layers use this module's layers, not its blocks.
+engine's decoder layers use this module's layers and _attend, not its
+blocks.
 
 A training step's rows are short (d of 64, logits rows of 12 at the
 benchmark's copy task), and numpy reduces a last axis with a loop per row,
@@ -333,13 +338,6 @@ class Workspace:
         return np.frombuffer(memoryview(self._slab)[start:start + nbytes], dtype)
 
 
-def _copy(a, empty):
-    """A C-contiguous copy of a in an array from empty."""
-    out = empty(a.shape)
-    np.copyto(out, a)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # primitive layers (forward, backward) with explicit caches
 #
@@ -473,22 +471,75 @@ def _positions_first(cols, b, heads):  # [b*n, heads*w] -> [b, heads, n, w] view
     return cols.reshape(b, -1, heads, cols.shape[1] // heads).transpose(0, 2, 1, 3)
 
 
+def _fold_beams(x, b):
+    """[b*beam, g, r, w] -> [b, g, beam*r, w]: a source row's beams become
+    query rows of its groups, as multi-query folds heads into rows."""
+    rows, g, r, w = x.shape
+    if rows == b:
+        return x
+    return x.reshape(b, rows // b, g, r, w).swapaxes(1, 2).reshape(b, g, -1, w)
+
+
+def _unfold_beams(x, rows):
+    """The inverse of _fold_beams: [b, g, beam*r, w] -> [rows, g, r, w]."""
+    b, g, _, w = x.shape
+    if rows == b:
+        return x
+    return x.reshape(b, g, rows // b, -1, w).swapaxes(1, 2).reshape(rows, g, -1, w)
+
+
 def _group_rows(a, g, empty):
     """[b, h, n, w] -> [b, g, h // g * n, w]: the query heads of each
     key/value head as one block of rows (a copy unless g = h)."""
     b, h, n, w = a.shape
-    return a if g == h else _copy(a, empty).reshape(b, g, h // g * n, w)
+    if g == h:
+        return a
+    grouped = empty(a.shape)
+    np.copyto(grouped, a)
+    return grouped.reshape(b, g, h // g * n, w)
 
 
 def _ungrouped_product(left, right, heads, empty):
-    """left @ right, [b, g, h // g * n, w], written into heads [b, h, n, w]
-    (the inverse of _group_rows): straight into it when g = h, else
-    through a grouped array that is then copied."""
-    if left.shape[1] == heads.shape[1]:
+    """left @ right, [p, g, rows // p * h // g * n, w], written into heads
+    [rows, h, n, w] (the inverse of _fold_beams and _group_rows): straight
+    into it when p = rows and g = h, else through a grouped array that is
+    then copied."""
+    if left.shape[:2] == heads.shape[:2]:
         np.matmul(left, right, out=heads)
     else:
         grouped = np.matmul(left, right, out=empty(left.shape[:-1] + right.shape[-1:]))
-        np.copyto(heads, grouped.reshape(heads.shape))
+        np.copyto(heads, _unfold_beams(grouped, len(heads)).reshape(heads.shape))
+
+
+def _attend(q, parts, heads, bias=None, empty=np.empty):
+    """The one attention routine: queries q [rows, h, n, k] over key/value
+    parts under one softmax, mixed into heads [rows, h, n, v].  A part is
+    (keys [p, g, t, k], values [p, g, t, v]) of one set per row (p = rows)
+    or per source row (p = b, read once for its rows // b beams); empty
+    parts are left out.  Group j of h // g query heads reads key/value head
+    j.  bias [n, all t] spans the parts' keys in order.  Temporaries come
+    from empty.  Returns the grouped queries and the softmax weights."""
+    parts = [part for part in parts if part[0].shape[2]]
+    rows, b = len(q), min(len(keys) for keys, _ in parts)
+    q = _group_rows(q, parts[0][0].shape[1], empty)
+    logits = []
+    for keys, _ in parts:
+        folded = _fold_beams(q, len(keys))
+        logits.append(_fold_beams(np.matmul(folded, keys.swapaxes(-1, -2), out=empty(
+            folded.shape[:-1] + keys.shape[2:3])), b))
+    weights = logits[0] if len(parts) == 1 else np.concatenate(logits, axis=-1)
+    if bias is not None:
+        weights.reshape(weights.shape[:2] + (-1,) + bias.shape)[...] += bias
+    _softmax_rows(weights)
+    start = 0
+    for i, (keys, values) in enumerate(parts):
+        part = _unfold_beams(weights[..., start:start + keys.shape[2]], len(keys))
+        start += keys.shape[2]
+        if i == 0:
+            _ungrouped_product(part, values, heads, empty)
+        else:
+            heads += _unfold_beams(part @ values, rows).reshape(heads.shape)
+    return q, weights
 
 
 def attention_forward(x_q, x_kv, w: AttentionWeights, bias, empty=np.empty):
@@ -514,16 +565,11 @@ def attention_forward(x_q, x_kv, w: AttentionWeights, bias, empty=np.empty):
         q = np.matmul(x_q.reshape(b * n, d), fused[:, :hk], out=empty((b * n, hk)))
         kv = np.matmul(x_kv.reshape(b * m, d), fused[:, hk:],
                        out=empty((b * m, fused.shape[1] - hk)))
-    q = _group_rows(_positions_first(q[:, :hk], b, h), g, empty)
     key = _positions_first(kv[:, :g * k], b, g)
     val = _positions_first(kv[:, g * k:], b, g)
-    rows = q.shape[2]
-    weights = np.matmul(q, key.swapaxes(-1, -2), out=empty((b, g, rows, m)))
-    if bias is not None:
-        weights.reshape(b, h, n, m)[...] += bias
-    _softmax_rows(weights)
     o_fold = empty((b * n, h * val.shape[-1]))
-    _ungrouped_product(weights, val, _positions_first(o_fold, b, h), empty)
+    q, weights = _attend(_positions_first(q[:, :hk], b, h), [(key, val)],
+                         _positions_first(o_fold, b, h), bias, empty)
     y = np.matmul(o_fold, _fold_out(w.p_o), out=empty((b * n, d)))
     return y.reshape(b, n, d), (x_q, x_kv, q, key, val, weights, o_fold, fused)
 

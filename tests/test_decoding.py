@@ -336,8 +336,8 @@ class TestGreedyVerifiesRepeats:
     @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
     @pytest.mark.parametrize("width", [{}, WIDE])
     def test_verify_pass_equals_steps(self, rng, width, mode, kind, layers, rows):
-        """A verify pass of c = 2..4 tokens gives the logits and own rings of
-        c decoder_step calls byte for byte; decoder_only reads a shared
+        """A verify pass of c = 2..4 tokens gives the logits and written own
+        ring slots of c decoder_step calls byte for byte; decoder_only reads a shared
         prompt part, encoder_decoder the encoder memory.  At the wide shape
         one vocabulary-head product over all rows * c would move bits."""
         config = tiny_config(mode=mode, layers=layers, **width).with_attention_kind(kind)
@@ -357,8 +357,9 @@ class TestGreedyVerifiesRepeats:
                     for j in range(1, 1 + c)]
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
             assert verified.position == stepped.position
+            written = verified.position - verified.first  # the rest is unfilled
             for a, b in zip(verified.keys + verified.values, stepped.keys + stepped.values):
-                assert a.tobytes() == b.tobytes()
+                assert a[:, :, :written].tobytes() == b[:, :, :written].tobytes()
 
     @pytest.mark.parametrize("rows", [4, 8])
     @pytest.mark.parametrize("with_eos", [False, True])
@@ -456,6 +457,57 @@ class TestGreedyVerifiesRepeats:
     def test_draft_copies_a_shared_run(self, emitted, live, want):
         got = decoding._draft(np.array(emitted), np.array(live))
         assert got.tolist() == want
+
+
+@pytest.mark.parametrize("window", [None, 2])
+@pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+@pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
+def test_unfilled_rings_change_no_bits(rng, monkeypatch, mode, kind, window):
+    """Own rings that start full of NaN give the bytes of an unpatched run:
+    greedy keeping and rejecting drafts (so the state rewinds) and beam
+    search reordering its beams read only slots written before."""
+    config = tiny_config(mode=mode, dec_self_window=window).with_attention_kind(kind)
+    params = init_params(config)
+    key = "source" if config.has_encoder else "prompt"
+    inputs = {key: rng.integers(1, config.vocab_size, size=(8, 4))}
+    runs = (DecodeConfig(max_steps=12),
+            DecodeConfig(strategy="beam", beam_size=3, max_steps=12, length_alpha=0.6))
+    want = [decode(params, config, dc, **inputs) for dc in runs]
+    rings, reorder = decoding._rings, decoding._reorder_beams
+
+    def nan_rings(config, rows, slots):
+        keys, values = rings(config, rows, slots)
+        for buf in keys + values:
+            buf.fill(np.nan)
+        return keys, values
+
+    def corrupted(emitted, live):  # the next 3 tokens, every third spoiled
+        t = emitted.shape[1]
+        drafts = want[0].tokens[:, t:t + 3].copy()
+        spoiled = np.arange(t, t + drafts.shape[1]) % 3 == 0
+        drafts[:, spoiled] = (drafts[:, spoiled] + 1) % config.vocab_size
+        return drafts
+
+    moves = []
+
+    def spy_reorder(state, rows):
+        moves.append((rows != np.arange(len(rows))).any())
+        reorder(state, rows)
+
+    monkeypatch.setattr(decoding, "_rings", nan_rings)
+    monkeypatch.setattr(decoding, "_draft", corrupted)
+    monkeypatch.setattr(decoding, "_reorder_beams", spy_reorder)
+    feeds = _spy_feeds(monkeypatch)
+    got = [decode(params, config, dc, **inputs) for dc in runs]
+    for a, b in zip(got, want):
+        for field in ("tokens", "lengths", "raw_scores", "scores"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+    greedy = feeds[:next(i for i, (at, _) in enumerate(feeds[1:], 1) if at == 0)]
+    kept = sum(after - start - 1 for (start, _), (after, _) in zip(greedy[1:], greedy[2:]))
+    rejected = sum(start + c - after
+                   for (start, c), (after, _) in zip(greedy[1:], greedy[2:]))
+    assert (kept > 0 and rejected > 0) == (window is None)
+    assert any(moves)
 
 
 class TestBeam:

@@ -14,6 +14,7 @@ import pytest
 
 from mqa_lab.attention import (
     MaskSpec,
+    _kv_heads,
     attention_batched,
     build_mask,
     random_attention_weights,
@@ -22,6 +23,7 @@ from mqa_lab.config import ModelConfig
 from mqa_lab.exceptions import InputError, ShapeError
 from mqa_lab.model import (
     Batch,
+    _attend,
     _self_bias,
     _softmax_rows,
     attention_forward,
@@ -209,6 +211,61 @@ class TestFastAttentionMatchesKernels:
         mem = rng.normal(size=(b, m, d))
         fast, _ = attention_forward(x, mem, w, None)
         assert np.max(np.abs(fast - attention_batched(x, mem, w))) < 1e-10
+
+
+class TestOneAttentionRoutine:
+    """_attend over per-row and per-source-row key/value parts against the
+    contraction kernel on each row's whole memory (its source row's part,
+    then its own)."""
+
+    B, S, T, D, H, K, V = 2, 4, 3, 8, 4, 3, 5
+
+    def _inputs(self, rng, kind, beam, c):
+        w = random_attention_weights(rng, kind, d=self.D, h=self.H, k=self.K, v=self.V)
+        rows = self.B * beam
+        x = rng.normal(size=(rows, c, self.D))
+        shared = rng.normal(size=(self.B, self.S, self.D))
+        own = rng.normal(size=(rows, self.T, self.D))
+        return w, x, shared, own
+
+    @staticmethod
+    def _part(memory, w):  # (keys [p, g, m, k], values [p, g, m, v])
+        return tuple(np.einsum("pmd,gdk->pgmk", memory, _kv_heads(p))
+                     for p in (w.p_k, w.p_v))
+
+    def _attend(self, w, x, parts, bias):
+        heads = np.empty((len(x), self.H, x.shape[1], self.V))
+        _attend(np.einsum("rnd,hdk->rhnk", x, w.p_q), parts, heads, bias)
+        return np.einsum("rhnv,hdv->rnd", heads, w.p_o)
+
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("beam", [1, 3])
+    @pytest.mark.parametrize("which", ["per_row", "per_source_row", "both"])
+    def test_agrees_with_the_kernel(self, rng, which, beam, c, masked, kind):
+        w, x, shared, own = self._inputs(rng, kind, beam, c)
+        memories = {"per_row": [own], "per_source_row": [np.repeat(shared, beam, axis=0)],
+                    "both": [np.repeat(shared, beam, axis=0), own]}[which]
+        memory = np.concatenate(memories, axis=1)
+        rows, m = memory.shape[:2]
+        spec = MaskSpec("local", rows, self.H, c, m, window=3) if masked else None
+        parts = {"per_row": [own], "per_source_row": [shared], "both": [shared, own]}[which]
+        got = self._attend(w, x, [self._part(p, w) for p in parts],
+                           None if spec is None else build_mask(spec)[0, 0])
+        want = attention_batched(x, memory, w, mask=spec)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    @pytest.mark.parametrize("beam", [1, 3])
+    def test_an_empty_part_changes_no_bits(self, rng, kind, beam):
+        w, x, shared, own = self._inputs(rng, kind, beam, 1)
+        parts = [self._part(shared, w), self._part(own, w)]
+        empty_shared, empty_own = (self._part(p[:, :0], w) for p in (shared, own))
+        want = self._attend(w, x, parts, None)
+        for padded in ([empty_shared] + parts, parts + [empty_own],
+                       [parts[0], empty_own, parts[1]]):
+            assert self._attend(w, x, padded, None).tobytes() == want.tobytes()
 
 
 class TestInitAndTrees:
