@@ -238,7 +238,7 @@ def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
         values[:, :, start:start + c] = _positions_first(v_new, rows, g)
         if i == len(params.decoder) - 1 and c > 1 and not every:
             x, normed, calls = x[c - 1::c], normed[c - 1::c], [(valid, bias[-1:])]
-        shared = tuple(part[..., drop:, :] for part in state.shared[i])
+        shared = [part[..., drop:, :] for part in state.shared[i]]
         own = [([shared, (keys[..., :seen, :], values[..., :seen, :])], mask)
                for seen, mask in calls]
         x = x + _attention(normed @ fused[:, :h * dk], rows, own, config) @ w_o

@@ -514,13 +514,13 @@ def _ungrouped_product(left, right, heads, empty):
 def _attend(q, parts, heads, bias=None, empty=np.empty):
     """The one attention routine: queries q [rows, h, n, k] over key/value
     parts under one softmax, mixed into heads [rows, h, n, v].  A part is
-    (keys [p, g, t, k], values [p, g, t, v]) of one set per row (p = rows)
-    or per source row (p = b, read once for its rows // b beams); empty
-    parts are left out.  Group j of h // g query heads reads key/value head
-    j.  bias [n, all t] spans the parts' keys in order.  Temporaries come
-    from empty.  Returns the grouped queries and the softmax weights."""
+    (keys [p, g, t, k], values [p, g, t, v]), one set per row (p = rows) or,
+    listed first, per source row (p = b, read once by its rows // b beams);
+    empty parts are left out.  Group j of h // g query heads reads key/value
+    head j.  bias [n, all t] spans the parts' keys in order.  Temporaries
+    come from empty.  Returns the grouped queries and the softmax weights."""
     parts = [part for part in parts if part[0].shape[2]]
-    rows, b = len(q), min(len(keys) for keys, _ in parts)
+    rows, b = len(q), len(parts[0][0])
     q = _group_rows(q, parts[0][0].shape[1], empty)
     logits = []
     for keys, _ in parts:
