@@ -233,7 +233,7 @@ class TestOneAttentionRoutine:
         return tuple(np.einsum("pmd,gdk->pgmk", memory, _kv_heads(p))
                      for p in (w.p_k, w.p_v))
 
-    def _attend(self, w, x, parts, bias):
+    def _output(self, w, x, parts, bias):
         heads = np.empty((len(x), self.H, x.shape[1], self.V))
         _attend(np.einsum("rnd,hdk->rhnk", x, w.p_q), parts, heads, bias)
         return np.einsum("rhnv,hdv->rnd", heads, w.p_o)
@@ -251,7 +251,7 @@ class TestOneAttentionRoutine:
         rows, m = memory.shape[:2]
         spec = MaskSpec("local", rows, self.H, c, m, window=3) if masked else None
         parts = {"per_row": [own], "per_source_row": [shared], "both": [shared, own]}[which]
-        got = self._attend(w, x, [self._part(p, w) for p in parts],
+        got = self._output(w, x, [self._part(p, w) for p in parts],
                            None if spec is None else build_mask(spec)[0, 0])
         want = attention_batched(x, memory, w, mask=spec)
         assert np.max(np.abs(got - want)) < 1e-12
@@ -262,10 +262,10 @@ class TestOneAttentionRoutine:
         w, x, shared, own = self._inputs(rng, kind, beam, 1)
         parts = [self._part(shared, w), self._part(own, w)]
         empty_shared, empty_own = (self._part(p[:, :0], w) for p in (shared, own))
-        want = self._attend(w, x, parts, None)
+        want = self._output(w, x, parts, None)
         for padded in ([empty_shared] + parts, parts + [empty_own],
                        [parts[0], empty_own, parts[1]]):
-            assert self._attend(w, x, padded, None).tobytes() == want.tobytes()
+            assert self._output(w, x, padded, None).tobytes() == want.tobytes()
 
 
 class TestInitAndTrees:
