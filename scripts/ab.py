@@ -132,9 +132,6 @@ def main(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("a", help="directory holding tree a's mqa_lab package")
     parser.add_argument("b", help="directory holding tree b's mqa_lab package")
-    parser.add_argument("--workloads", nargs="+",
-                        default=["greedy_long", "prompt_beam", "train_copy"],
-                        choices=["greedy_long", "prompt_beam", "train_copy"])
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
     parser.add_argument("--rounds", type=int, default=4,
                         help="calls of each tree per seed, kind and call")
@@ -144,7 +141,7 @@ def main(argv=None):
     trees = [load_tree(path, name) for path, name in zip((args.a, args.b), NAMES)]
     defined = workloads()
     same = [compare(name, defined[name], trees, args.seeds, args.rounds)
-            for name in args.workloads]
+            for name in ("greedy_long", "prompt_beam", "train_copy")]
     return 0 if all(same) else 1
 
 

@@ -102,8 +102,10 @@ def _project_memory(memory: np.ndarray, w, fused) -> tuple[np.ndarray, np.ndarra
 def _fold_block(block):
     """((fused q/k/v projection, output projection) of self-attention, the
     same of cross-attention or None)."""
-    return tuple(None if w is None else (_fold_qkv(w), _fold_out(w.p_o))
-                 for w in (block.attn, block.cross))
+    cross = None
+    if block.cross is not None:
+        cross = (_fold_qkv(block.cross), _fold_out(block.cross.p_o))
+    return (_fold_qkv(block.attn), _fold_out(block.attn.p_o)), cross
 
 
 @dataclass
@@ -277,8 +279,9 @@ def _begin(params, config, decode: DecodeConfig, opener, memory, beam=1):
     state = _state(params, config, memory, b, n, n)
     logits = _feed(params, config, state, opener)[-1]
     s = _ring_slots(config, n)
-    state.shared = [tuple(np.ascontiguousarray(a[:, :, n - s:]) for a in part)
-                    for part in zip(state.keys, state.values)]
+    state.shared = [(np.ascontiguousarray(k[:, :, n - s:]),
+                     np.ascontiguousarray(v[:, :, n - s:]))
+                    for k, v in zip(state.keys, state.values)]
     state.keys, state.values = _rings(config, b * beam, _ring_slots(config, limit - n))
     state.first, state.limit = n, limit
     return state, np.repeat(logits, beam, axis=0)
@@ -344,15 +347,6 @@ def _checked_opener(params, config, decode: DecodeConfig, opener) -> np.ndarray:
             f"feeds {opener.shape[1] + decode.max_steps - 1} positions, over "
             f"max_len {config.max_len}")
     return opener
-
-
-def _inputs(params, config: ModelConfig, decode: DecodeConfig, source, prompt):
-    """Check the inputs of one decode call before any work, then encode;
-    returns (the decoder stream opener, encoder memory or None)."""
-    opener, source = _source_or_prompt(config, source, prompt, "decode",
-                                       lambda what, ids: check_ids(what, ids, config))
-    opener = _checked_opener(params, config, decode, opener)
-    return opener, None if source is None else encode_source(params, config, source)
 
 
 @functools.lru_cache(maxsize=None)
@@ -519,8 +513,12 @@ def search(params: ModelParams, config: ModelConfig, decode_config: DecodeConfig
 def decode(params: ModelParams, config: ModelConfig, decode_config: DecodeConfig,
            *, source: np.ndarray | None = None,
            prompt: np.ndarray | None = None) -> DecodeResult:
-    """Check the inputs, encode a source, then search as decode_config says."""
-    opener, memory = _inputs(params, config, decode_config, source, prompt)
+    """Check the inputs before any work, encode a source, then search as
+    decode_config says."""
+    opener, source = _source_or_prompt(config, source, prompt, "decode",
+                                       lambda what, ids: check_ids(what, ids, config))
+    opener = _checked_opener(params, config, decode_config, opener)
+    memory = None if source is None else encode_source(params, config, source)
     return _LOOPS[decode_config.strategy](params, config, decode_config, opener, memory)
 
 

@@ -27,7 +27,7 @@ from mqa_lab.decoding import (
 )
 from mqa_lab.exceptions import ConfigError, InputError, ShapeError
 from mqa_lab.model import Batch, encode, forward, init_params
-from mqa_lab.training import BOS, TaskSpec, make_task_batch, train
+from mqa_lab.training import BOS, TaskSpec, decoder_opener, make_task_batch, train
 
 
 def tiny_config(**overrides):
@@ -620,8 +620,10 @@ class TestBeam:
                               length_alpha=0.6,
                               eos_id=int(np.bincount(free.tokens[:, 1]).argmax()))
 
-        opener, memory = decoding._inputs(params, config, dc, inputs.get("source"),
-                                          inputs.get("prompt"))
+        opener, memory = inputs[key], None
+        if config.has_encoder:
+            opener = decoder_opener(config, inputs[key])
+            memory = encode_source(params, config, inputs[key])
         state, _ = _begin(params, config, dc, opener, memory, beam)
         for shared_keys, shared_values in state.shared:
             assert len(shared_keys) == len(shared_values) == b

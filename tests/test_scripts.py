@@ -131,15 +131,14 @@ def test_fingerprint_covers_greedy_verify_passes(monkeypatch):
 
 
 def test_ab_finds_a_tree_equal_to_itself(tmp_path):
-    """The smoke run of ab.py: one tree against itself, one round of a decode
-    and a training workload; every output is byte-equal, so it exits 0."""
+    """The smoke run of ab.py: one tree against itself, one round of each
+    workload; every output is byte-equal, so it exits 0."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, **dict.fromkeys(THREAD_ENV_VARS, "1"))
     result = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab.py"), str(SRC),
-                             str(SRC), "--workloads", "prompt_beam", "train_copy",
-                             "--rounds", "1"],
+                             str(SRC), "--rounds", "1"],
                             capture_output=True, text=True, cwd=tmp_path, env=env,
                             timeout=120)
     assert result.returncode == 0, result.stderr
     lines = result.stdout.strip().splitlines()
-    assert len(lines) == 8 and all("outputs equal" in line for line in lines)
+    assert len(lines) == 12 and all("outputs equal" in line for line in lines)
