@@ -11,7 +11,9 @@ are byte-equal over every seed, and each tree's median seconds per call:
 - decode: `full` is the workload's decode call, `first` the same with
   max_steps=1; the outputs are tokens, lengths, raw scores and scores;
 - train: `full` is the workload's train(steps), `first` train(steps=1);
-  the outputs are the losses, the held-out accuracy and the parameters.
+  the outputs are the losses, the held-out accuracy and the parameters,
+  in fingerprint.head_major's order, so trees that store the weights in
+  different layouts compare by value.
 
 Timing two trees in one process, interleaved, resolves differences of a
 few percent that separate perfbench processes do not.  Exit status 1 if
@@ -38,6 +40,7 @@ configure_threads()  # MQA_THREADS must reach BLAS before numpy loads
 
 import numpy as np  # noqa: E402
 
+from fingerprint import head_major  # noqa: E402
 from perfbench.workloads import KINDS, TrainWorkload, parity_configs, workloads  # noqa: E402
 
 NAMES = ("tree_a", "tree_b")
@@ -96,7 +99,7 @@ def train_calls(workload, seed, tree):
                 result = tree.training.train(config, task, settings, steps=steps,
                                              params=params)
                 return _bytes(result.losses, result.heldout_accuracy,
-                              tree.model.flatten(result.params))
+                              *head_major(result.params))
             calls[kind, call] = run
     return calls
 

@@ -14,12 +14,16 @@ and decoder self-attention window (none, 2) it hashes:
   scores on 3 rows, and greedy's on 8 rows, where greedy verifies drafted
   repeats in one pass and both keeps and rejects drafts.
 
+Parameters and gradients are hashed in head_major's order, so the digest
+does not depend on how the attention weights are stored.
+
 The sizes are fixed, so digests taken on any two trees are comparable:
 
     python3 scripts/fingerprint.py
 """
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 
@@ -31,7 +35,7 @@ import numpy as np  # noqa: E402
 
 from mqa_lab.config import DecodeConfig, ModelConfig, OptimizerSettings, TaskSpec  # noqa: E402
 from mqa_lab.decoding import decode  # noqa: E402
-from mqa_lab.model import flatten, forward, loss_and_grads  # noqa: E402
+from mqa_lab.model import forward, loss_and_grads  # noqa: E402
 from mqa_lab.training import decoder_opener, make_task_batch, train  # noqa: E402
 
 STEPS = 10      # training steps of each copy-task run
@@ -40,6 +44,21 @@ HEADS = 8
 LENGTH = 6      # copy-task length
 DRAFT_ROWS = 8  # greedy drafts only from 4 rows up (decoding._rows_keep_bits)
 DRAFT_STEPS = 12
+
+
+def head_major(tree) -> list:
+    """Every parameter of a tree in named_arrays order, each attention site
+    as its p_q, p_k, p_v and p_o, each made contiguous: the same bytes
+    however the weights are stored."""
+    if hasattr(tree, "p_q"):
+        return [np.ascontiguousarray(getattr(tree, name))
+                for name in ("p_q", "p_k", "p_v", "p_o")]
+    if isinstance(tree, list):
+        return [arr for item in tree for arr in head_major(item)]
+    if dataclasses.is_dataclass(tree):
+        return [arr for field in dataclasses.fields(tree)
+                for arr in head_major(getattr(tree, field.name))]
+    return [tree] if isinstance(tree, np.ndarray) else []
 
 
 def _bytes(*values) -> bytes:
@@ -52,13 +71,13 @@ def case_outputs(config: ModelConfig, task: TaskSpec):
     settings = OptimizerSettings(lr_scale=0.1, warmup_steps=10)
     result = train(config, task, settings, steps=STEPS)
     params = result.params
-    yield _bytes(result.losses, flatten(params), result.heldout_accuracy)
+    yield _bytes(result.losses, *head_major(params), result.heldout_accuracy)
 
     batch = make_task_batch(task, config, np.random.default_rng(task.seed + 1))
     out = forward(params, config, batch)
     yield _bytes(out.logits, out.loss)
     loss, logits, grads = loss_and_grads(params, config, batch)
-    yield _bytes(loss, logits, flatten(grads))
+    yield _bytes(loss, logits, *head_major(grads))
 
     for rows, offset, decode_configs in (
             (3, 2, (DecodeConfig(max_steps=task.length),
