@@ -12,6 +12,10 @@ reshapes split the heads axis h into (g, h // g) or merge it back.  The
 incremental kernel accumulates over cached positions in index order, which
 makes growing and padded cache layouts bit-identical.
 
+AttentionWeights stores a site's projections in the layout the model's
+products read; the kernels here read the paper's per-head tensors p_q, p_k,
+p_v and p_o, views of that storage.
+
 An optional TrafficTally records, per operation, the flops performed and the
 words of every tensor read and written, so closed-form cost predictions can
 be checked against executed kernels.
@@ -32,61 +36,83 @@ MASK_KINDS = ("none", "causal", "local")
 
 @dataclass(frozen=True)
 class AttentionWeights:
-    """Projection weights for one attention site.
+    """Projection weights for one attention site, stored as the products
+    read them.
 
-    p_q and p_o always carry a heads axis: [h, d, k] and [h, d, v].  For
-    multi_head, p_k / p_v are per head ([h, d, k] / [h, d, v]); for
-    multi_query a single shared pair is used ([d, k] / [d, v]).  The
-    kernels read p_k / p_v as g key/value heads, [g, d, k] / [g, d, v].
+    qkv [d, h*k + g*k + g*v] holds the query, key and value projections as
+    head-major column blocks: x @ qkv gives every query head's queries, then
+    every key/value head's keys, then its values.  out [h, v, d] is the
+    output projection: the mix [rows, h*v] @ out.reshape(h*v, d).  g is h
+    for multi_head and 1 for multi_query; h, v and d are read from out's
+    shape, k from qkv's column count.  p_q [h, d, k], p_k / p_v ([h, d, .]
+    multi-head, one shared [d, .] multi-query) and p_o [h, d, v], the
+    paper's per-head tensors, are views of these two arrays.
     """
 
     kind: str
-    p_q: np.ndarray
-    p_k: np.ndarray
-    p_v: np.ndarray
-    p_o: np.ndarray
+    qkv: np.ndarray
+    out: np.ndarray
 
     def __post_init__(self):
         if self.kind not in ("multi_head", "multi_query"):
             raise ConfigError(f"unknown attention kind {self.kind!r}")
-        if self.p_q.ndim != 3:
-            raise ShapeError(f"p_q must be [h, d, k], got {self.p_q.shape}")
-        h, d, k = self.p_q.shape
-        if self.p_o.ndim != 3 or self.p_o.shape[:2] != (h, d):
+        if self.qkv.ndim != 2:
+            raise ShapeError(f"qkv must be [d, columns], got {self.qkv.shape}")
+        d = self.qkv.shape[0]
+        if self.out.ndim != 3 or self.out.shape[0] < 1 or self.out.shape[2] != d:
+            raise ShapeError(f"out must be [h, v, d={d}], got {self.out.shape}")
+        h, g, v = self.heads, self.groups, self.value_width
+        k, rest = divmod(self.qkv.shape[1] - g * v, h + g)
+        if rest or k < 1:
             raise ShapeError(
-                f"p_o must be [h={h}, d={d}, v], got {self.p_o.shape}"
-            )
-        v = self.p_o.shape[2]
-        kv_lead = (h, d) if self.kind == "multi_head" else (d,)
-        if self.p_k.shape != kv_lead + (k,):
-            raise ShapeError(
-                f"{self.kind} p_k must have shape {kv_lead + (k,)}, got {self.p_k.shape}"
-            )
-        if self.p_v.shape != kv_lead + (v,):
-            raise ShapeError(
-                f"{self.kind} p_v must have shape {kv_lead + (v,)}, got {self.p_v.shape}"
-            )
+                f"{self.kind} qkv must have h*k + g*k + g*v columns for h={h}, "
+                f"g={g}, v={v} and an integer k >= 1, got {self.qkv.shape[1]}")
 
     @property
     def heads(self) -> int:
-        return self.p_q.shape[0]
+        return self.out.shape[0]
 
     @property
     def groups(self) -> int:
         """Key/value heads g: h for multi_head, 1 for multi_query."""
-        return _kv_heads(self.p_k).shape[0]
+        return self.heads if self.kind == "multi_head" else 1
 
     @property
     def model_width(self) -> int:
-        return self.p_q.shape[1]
+        return self.qkv.shape[0]
 
     @property
     def key_width(self) -> int:
-        return self.p_q.shape[2]
+        return (self.qkv.shape[1] - self.groups * self.value_width) // (
+            self.heads + self.groups)
 
     @property
     def value_width(self) -> int:
-        return self.p_o.shape[2]
+        return self.out.shape[1]
+
+    def _columns(self, start, heads, width):  # a column block as [heads, d, width]
+        block = self.qkv[:, start:start + heads * width]
+        return block.reshape(len(block), heads, width).transpose(1, 0, 2)
+
+    def _kv(self, start, width):  # [h, d, width] multi-head, [d, width] multi-query
+        heads = self._columns(start, self.groups, width)
+        return heads if self.kind == "multi_head" else heads[0]
+
+    @property
+    def p_q(self) -> np.ndarray:
+        return self._columns(0, self.heads, self.key_width)
+
+    @property
+    def p_k(self) -> np.ndarray:
+        return self._kv(self.heads * self.key_width, self.key_width)
+
+    @property
+    def p_v(self) -> np.ndarray:
+        return self._kv((self.heads + self.groups) * self.key_width, self.value_width)
+
+    @property
+    def p_o(self) -> np.ndarray:
+        return self.out.transpose(0, 2, 1)
 
 
 def _kv_heads(p: np.ndarray) -> np.ndarray:
@@ -95,26 +121,40 @@ def _kv_heads(p: np.ndarray) -> np.ndarray:
     return p.reshape((-1,) + p.shape[-2:])
 
 
+def _from_heads(kind, p_q, p_k, p_v, p_o) -> AttentionWeights:
+    """Weights storing copies of the per-head tensors p_q, p_k, p_v, p_o."""
+    d = p_q.shape[1]
+    qkv = np.concatenate([p.transpose(1, 0, 2).reshape(d, -1)
+                          for p in (p_q, _kv_heads(p_k), _kv_heads(p_v))], axis=1)
+    return AttentionWeights(kind, qkv, np.ascontiguousarray(p_o.transpose(0, 2, 1)))
+
+
+def scaled_uniform(rng, shape, fan) -> np.ndarray:
+    """Uniform entries of std 1/sqrt(fan), drawn from rng: every weight's
+    initial values."""
+    bound = np.sqrt(3.0 / fan)
+    return rng.uniform(-bound, bound, size=shape)
+
+
 def random_attention_weights(rng, kind, *, d, h, k, v) -> AttentionWeights:
     """Draw projection weights with scaled-uniform entries, std 1/sqrt(fan_in).
 
     p_q gets an extra 1/sqrt(k) so query-key logits start at unit scale;
     the usual explicit logit scaling is folded into the projection instead
-    of appearing in the kernels.
+    of appearing in the kernels.  The draws are p_q, p_o, p_k, p_v in that
+    order, each in its own C order.  With rng None nothing is drawn or
+    stored: qkv and out are read-only zero-stride arrays of their shapes.
     """
-    def draw(shape, fan):
-        bound = np.sqrt(3.0 / fan)
-        return rng.uniform(-bound, bound, size=shape)
-
-    p_q = draw((h, d, k), d * k)
-    p_o = draw((h, d, v), h * v)
-    if kind == "multi_head":
-        p_k = draw((h, d, k), d)
-        p_v = draw((h, d, v), d)
-    else:
-        p_k = draw((d, k), d)
-        p_v = draw((d, v), d)
-    return AttentionWeights(kind, p_q, p_k, p_v, p_o)
+    if rng is None:
+        g = h if kind == "multi_head" else 1
+        return AttentionWeights(kind, np.broadcast_to(0.0, (d, (h + g) * k + g * v)),
+                                np.broadcast_to(0.0, (h, v, d)))
+    lead = (h, d) if kind == "multi_head" else (d,)
+    p_q = scaled_uniform(rng, (h, d, k), d * k)
+    p_o = scaled_uniform(rng, (h, d, v), h * v)
+    p_k = scaled_uniform(rng, lead + (k,), d)
+    p_v = scaled_uniform(rng, lead + (v,), d)
+    return _from_heads(kind, p_q, p_k, p_v, p_o)
 
 
 def share_heads(w: AttentionWeights) -> AttentionWeights:
@@ -126,8 +166,7 @@ def share_heads(w: AttentionWeights) -> AttentionWeights:
         for head in range(1, w.heads):
             if not np.array_equal(t[head], t[0]):
                 raise ShapeError(f"{name} differs between heads 0 and {head}")
-    return AttentionWeights("multi_query", w.p_q, w.p_k[0].copy(),
-                            w.p_v[0].copy(), w.p_o)
+    return _from_heads("multi_query", w.p_q, w.p_k[0], w.p_v[0], w.p_o)
 
 
 def replicate_heads(w: AttentionWeights) -> AttentionWeights:
@@ -136,9 +175,8 @@ def replicate_heads(w: AttentionWeights) -> AttentionWeights:
     if w.kind != "multi_query":
         raise ConfigError("replicate_heads expects multi_query weights")
     h = w.heads
-    p_k = np.ascontiguousarray(np.broadcast_to(w.p_k, (h,) + w.p_k.shape))
-    p_v = np.ascontiguousarray(np.broadcast_to(w.p_v, (h,) + w.p_v.shape))
-    return AttentionWeights("multi_head", w.p_q, p_k, p_v, w.p_o)
+    return _from_heads("multi_head", w.p_q, np.broadcast_to(w.p_k, (h,) + w.p_k.shape),
+                       np.broadcast_to(w.p_v, (h,) + w.p_v.shape), w.p_o)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Binary checkpoints.
 
 A checkpoint is a directory holding manifest.json and params.npy.  The
-manifest records the format (2), the model configuration, the caller's
+manifest records the format (3), the model configuration, the caller's
 `extra` dict and a `tensors` map from each parameter name to its shape, in
-named_arrays order.  params.npy is every parameter flattened in that order
-into one little-endian float64 vector, so saving is one write and loading
+named_arrays order; each attention site is two tensors, `….qkv` and
+`….out`, in attention.AttentionWeights's layout.  params.npy is every
+parameter flattened in that order into one little-endian float64 vector,
+so saving is one write and loading
 one read of the payload into the vector it returns; the loaded parameters
 are views into that vector, bit-identical to the saved ones.  A load checks the manifest against the configuration's
 parameter layout and the vector's dtype, rank, size and finiteness before
@@ -23,7 +25,7 @@ from .exceptions import ConfigError, InputError, ShapeError
 from .model import (ModelParams, check_params, flatten, named_arrays, param_count,
                     param_layout, unflatten)
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 VECTOR_DTYPE = np.dtype("<f8")
 
 
@@ -55,10 +57,10 @@ def _read_manifest(root: Path) -> dict:
     except ValueError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     found = manifest.get("format") if isinstance(manifest, dict) else None
-    if found == 1:
-        raise InputError(f"{root} is a format-1 checkpoint (one text file per "
-                         "tensor), which is no longer read; load and re-save it "
-                         "with a release that reads it")
+    if found in (1, 2):
+        raise InputError(f"{root} is a format-{found} checkpoint, which is no "
+                         "longer read; load and re-save it with a release that "
+                         "reads it")
     if found != FORMAT_VERSION:
         raise InputError(f"unsupported checkpoint format {found!r}")
     return manifest

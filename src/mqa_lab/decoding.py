@@ -11,13 +11,14 @@ next c positions.  A step (`decoder_step`) is a chunk of one, the opener
 (a decoder_only prompt, or BOS) one chunk of all its tokens, and a greedy
 verify pass a chunk of a token and its drafts, so all take one route
 through the layers, whose self- and cross-attention run `model._attend`
-(as the batched pass does) through `_attention`.  A decode state holds,
-per decoder layer, self-attention key/value rings [rows, g, slots, k], g
-being the number of key/value heads (h for multi-head, 1 for
-multi-query), written in place, plus cross-attention keys/values
-[b, g, m, k] projected once from the encoder output.  Attention reads
-only the slots written so far, and is masked (causal or local) only for
-a chunk of c > 1.  With a local window a ring holds only `window` slots:
+(as the batched pass does) through `_attention`, and whose weight
+products read each layer's stored `qkv` and `out` in place.  A decode
+state holds, per decoder layer, self-attention key/value rings
+[rows, g, slots, k], g being the number of key/value heads (h for
+multi-head, 1 for multi-query), written in place, plus cross-attention
+keys/values [b, g, m, k] projected once from the encoder output.
+Attention reads only the slots written so far, and is masked (causal or
+local) only for a chunk of c > 1.  With a local window a ring holds only `window` slots:
 softmax is invariant to slot order, so the ring never rotates.
 Decoding reads only the logits after the opener's last token, so the
 opener's last layer runs its queries, output projection, cross-attention
@@ -62,8 +63,6 @@ from .exceptions import ConfigError, InputError
 from .model import (
     ModelParams,
     _attend,
-    _fold_out,
-    _fold_qkv,
     _log_partition,
     _positions_first,
     _self_bias,
@@ -88,24 +87,15 @@ def encode_source(params: ModelParams, config: ModelConfig,
     return encode(params, config, source)
 
 
-def _project_memory(memory: np.ndarray, w, fused) -> tuple[np.ndarray, np.ndarray]:
+def _project_memory(memory: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
     """Cross-attention keys and values in buffer layout [b, g, m, .]: one
-    product each with the key and the value columns of w's fused
-    projection (one product over both moves bits on multi-query shapes)."""
+    product each with the key and the value columns of w.qkv (one product
+    over both moves bits on multi-query shapes)."""
     b, m, _ = memory.shape
     k = w.key_width
     return tuple(np.ascontiguousarray((memory @ cols).reshape(b, m, w.groups, -1)
                                       .transpose(0, 2, 1, 3))
-                 for cols in np.split(fused[:, w.heads * k:], [w.groups * k], axis=1))
-
-
-def _fold_block(block):
-    """((fused q/k/v projection, output projection) of self-attention, the
-    same of cross-attention or None)."""
-    cross = None
-    if block.cross is not None:
-        cross = (_fold_qkv(block.cross), _fold_out(block.cross.p_o))
-    return (_fold_qkv(block.attn), _fold_out(block.attn.p_o)), cross
+                 for cols in np.split(w.qkv[:, w.heads * k:], [w.groups * k], axis=1))
 
 
 @dataclass
@@ -120,18 +110,16 @@ class DecoderState:
     min(window, n) positions after _begin, and empty (s = 0, first = 0)
     from start_state.  cross[i] is layer i's projected encoder memory
     (keys, values) [b, g, m, k], likewise read once per source row, or
-    None for decoder_only models.  weights[i] are layer i's folded
-    projections.  position is the next position to feed; limit is how
-    many positions the run was started for.  Rewind: position may be set
-    back past fed positions, which are written again before any read, but
-    not under a local window, whose ring the chunk overwrote.
+    None for decoder_only models.  position is the next position to feed;
+    limit is how many positions the run was started for.  Rewind: position
+    may be set back past fed positions, which are written again before any
+    read, but not under a local window, whose ring the chunk overwrote.
     """
 
     keys: list[np.ndarray]
     values: list[np.ndarray]
     shared: list[tuple[np.ndarray, np.ndarray]]
     cross: list[tuple[np.ndarray, np.ndarray]] | None
-    weights: list[tuple]
     position: int
     limit: int
     first: int = 0
@@ -184,12 +172,10 @@ def _state(params, config, memory, batch_size, limit, slots) -> DecoderState:
                          f"[1, {config.max_len}]")
     keys, values = _rings(config, batch_size, slots)
     shared = list(zip(*_rings(config, batch_size, 0)))
-    weights = [_fold_block(block) for block in params.decoder]
     cross = None
     if config.has_encoder:
-        cross = [_project_memory(memory, block.cross, w[1][0])
-                 for block, w in zip(params.decoder, weights)]
-    return DecoderState(keys, values, shared, cross, weights, 0, limit)
+        cross = [_project_memory(memory, block.cross) for block in params.decoder]
+    return DecoderState(keys, values, shared, cross, 0, limit)
 
 
 def _attention(q, rows, calls, config):
@@ -219,7 +205,7 @@ def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
         raise InputError(
             f"position {t + c - 1} is past the {state.limit} positions this "
             f"decode state was started for (max_len {config.max_len})")
-    h, dk, g = config.heads, config.d_k, state.keys[0].shape[1]
+    h, dk, d, g = config.heads, config.d_k, config.d_model, state.keys[0].shape[1]
     start, valid = (t - first) % state.slots, min(t + c - first, state.slots)
     s = state.shared[0][0].shape[2]
     window = config.dec_self_window
@@ -232,10 +218,9 @@ def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
              if every else [(valid, bias)])
     x = (params.embedding[tokens] + params.positions[t:t + c]).reshape(rows * c, -1)
     for i, block in enumerate(params.decoder):
-        (fused, w_o), cross = state.weights[i]
         keys, values = state.keys[i], state.values[i]
         normed, _ = layer_norm(x, block.ln_attn)
-        k_new, v_new = np.split(normed @ fused[:, h * dk:], [g * dk], axis=1)
+        k_new, v_new = np.split(normed @ block.attn.qkv[:, h * dk:], [g * dk], axis=1)
         keys[:, :, start:start + c] = _positions_first(k_new, rows, g)
         values[:, :, start:start + c] = _positions_first(v_new, rows, g)
         if i == len(params.decoder) - 1 and c > 1 and not every:
@@ -243,11 +228,13 @@ def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
         shared = [part[..., drop:, :] for part in state.shared[i]]
         own = [([shared, (keys[..., :seen, :], values[..., :seen, :])], mask)
                for seen, mask in calls]
-        x = x + _attention(normed @ fused[:, :h * dk], rows, own, config) @ w_o
-        if cross is not None:
+        x = x + (_attention(normed @ block.attn.qkv[:, :h * dk], rows, own, config)
+                 @ block.attn.out.reshape(-1, d))
+        if block.cross is not None:
             normed, _ = layer_norm(x, block.ln_cross)
             memory = [([state.cross[i]], None)] * len(calls)
-            x = x + _attention(normed @ cross[0][:, :h * dk], rows, memory, config) @ cross[1]
+            x = x + (_attention(normed @ block.cross.qkv[:, :h * dk], rows, memory, config)
+                     @ block.cross.out.reshape(-1, d))
         normed, _ = layer_norm(x, block.ln_ff)
         x = x + feed_forward(normed, block.ff)[0]
     state.position = t + c

@@ -11,7 +11,10 @@ key/value parts of one set per row, or one per source row that its beams
 read once.  The training path runs
 on folded matmul shapes for speed: every product with a weight matrix is
 one 2-D product over all rows, and self-attention projects queries, keys
-and values in one product forward and one back.  Its outputs are pinned
+and values in one product forward and one back.  The weights are stored
+in those products' layout (attention.AttentionWeights: qkv and out), so
+every pass reads them in place, and the backward pass writes each weight
+gradient straight into its place in the gradient tree.  Its outputs are pinned
 to the contraction kernels by equivalence tests, and every gradient here
 is checked against central finite differences.
 
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionWeights, _kv_heads, random_attention_weights
+from .attention import AttentionWeights, random_attention_weights, scaled_uniform
 from .config import ModelConfig, _check_types
 from .exceptions import InputError, NumericError, ShapeError
 
@@ -174,29 +177,17 @@ def param_count(tree) -> int:
 # ---------------------------------------------------------------------------
 # initialization
 
-def _new_layer_norm(d: int) -> LayerNorm:
-    return LayerNorm(np.ones(d), np.zeros(d))
-
-
 def init_params(config: ModelConfig) -> ModelParams:
     """Scaled-uniform init, std 1/sqrt(fan_in); the query projection gets an
     extra 1/sqrt(d_k) in place of explicit logit scaling."""
     return _build_params(config, np.random.default_rng(config.init_seed))
 
 
-class _NoDraws:
-    """init_params's generator for param_layout: draws nothing, and returns
-    read-only zero-stride arrays of the asked shapes."""
-
-    def uniform(self, low, high, size):
-        return np.broadcast_to(0.0, size)
-
-
 def param_layout(config: ModelConfig) -> ModelParams:
     """The tree init_params builds, with its leaf shapes but without drawing
-    or storing the weights: what checkpoints are checked against and
-    unflattened into."""
-    return _build_params(config, _NoDraws())
+    or storing the weights (every leaf a read-only zero-stride array): what
+    checkpoints are checked against and unflattened into."""
+    return _build_params(config, None)
 
 
 @functools.lru_cache(maxsize=64)
@@ -225,11 +216,15 @@ def check_params(params, config: ModelConfig) -> None:
 
 
 def _build_params(config: ModelConfig, rng) -> ModelParams:
+    """init_params's tree drawn from rng, or with rng None param_layout's."""
     d, dff = config.d_model, config.d_ff
 
     def uniform(shape, fan):
-        bound = np.sqrt(3.0 / fan)
-        return rng.uniform(-bound, bound, size=shape)
+        return np.broadcast_to(0.0, shape) if rng is None else scaled_uniform(rng, shape, fan)
+
+    def norm():  # gain 1, bias 0
+        return LayerNorm(*(np.broadcast_to(value, d) if rng is None else np.full(d, value)
+                           for value in (1.0, 0.0)))
 
     def attn(kind):
         return random_attention_weights(rng, kind, d=d, h=config.heads,
@@ -242,17 +237,17 @@ def _build_params(config: ModelConfig, rng) -> ModelParams:
     positions = uniform((config.max_len, d), d)
     encoder = []
     if config.has_encoder:
-        encoder = [Block(_new_layer_norm(d), attn(config.enc_self_kind),
-                         None, None, _new_layer_norm(d), ff())
+        encoder = [Block(norm(), attn(config.enc_self_kind),
+                         None, None, norm(), ff())
                    for _ in range(config.layers)]
-    decoder = [Block(_new_layer_norm(d), attn(config.dec_self_kind),
-                     _new_layer_norm(d) if config.has_encoder else None,
+    decoder = [Block(norm(), attn(config.dec_self_kind),
+                     norm() if config.has_encoder else None,
                      attn(config.cross_kind) if config.has_encoder else None,
-                     _new_layer_norm(d), ff())
+                     norm(), ff())
                for _ in range(config.layers)]
-    enc_out_ln = _new_layer_norm(d) if config.has_encoder else None
+    enc_out_ln = norm() if config.has_encoder else None
     return ModelParams(embedding, positions, encoder, decoder, enc_out_ln,
-                       _new_layer_norm(d))
+                       norm())
 
 
 # ---------------------------------------------------------------------------
@@ -445,28 +440,6 @@ def _softmax_rows(z):
     return np.divide(z, z.sum(axis=-1, keepdims=True), out=z)
 
 
-def _fold_heads(p):  # [h, d, w] -> [d, h*w], x @ fold yields head-major columns
-    h, d, w = p.shape
-    return np.ascontiguousarray(p.transpose(1, 0, 2)).reshape(d, h * w)
-
-
-def _fold_out(p):  # [h, d, v] -> [h*v, d], o_fold @ fold yields model width
-    h, d, v = p.shape
-    return np.ascontiguousarray(p.transpose(0, 2, 1)).reshape(h * v, d)
-
-
-def _fold_qkv(w: AttentionWeights):
-    """The query, key and value projections side by side, [d, h*k + g*k +
-    g*v]: one product with it gives every head's queries, keys and values
-    as head-major column blocks."""
-    return np.concatenate([_fold_heads(p) for p in
-                           (w.p_q, _kv_heads(w.p_k), _kv_heads(w.p_v))], axis=1)
-
-
-def _heads(cols, heads):  # [r, heads*w] columns -> [heads, r, w] view
-    return cols.reshape(len(cols), heads, -1).transpose(1, 0, 2)
-
-
 def _positions_first(cols, b, heads):  # [b*n, heads*w] -> [b, heads, n, w] view
     return cols.reshape(b, -1, heads, cols.shape[1] // heads).transpose(0, 2, 1, 3)
 
@@ -547,31 +520,29 @@ def attention_forward(x_q, x_kv, w: AttentionWeights, bias, empty=np.empty):
 
     x_q [b, n, d], x_kv [b, m, d], bias [n, m] additive (0 / -inf) or None.
     Self-attention (x_kv is x_q) projects queries, keys and values in one
-    product with _fold_qkv; otherwise the queries take one product and the
-    keys and values another.  The h query heads fold into g groups of
-    h // g rows each, so every attention product runs per (batch row,
-    key/value head).
+    product with w.qkv; otherwise the queries take one product with its
+    query columns and the keys and values another with the rest.  The h
+    query heads fold into g groups of h // g rows each, so every attention
+    product runs per (batch row, key/value head).
     Returns (y [b, n, d], cache).
     """
     b, n, d = x_q.shape
     m = x_kv.shape[1]
     h, g, k = w.heads, w.groups, w.key_width
-    hk = h * k
-    fused = _fold_qkv(w)
+    hk, cols = h * k, w.qkv.shape[1]
     if x_kv is x_q:
-        q = np.matmul(x_q.reshape(b * n, d), fused, out=empty((b * n, fused.shape[1])))
+        q = np.matmul(x_q.reshape(b * n, d), w.qkv, out=empty((b * n, cols)))
         kv = q[:, hk:]
     else:
-        q = np.matmul(x_q.reshape(b * n, d), fused[:, :hk], out=empty((b * n, hk)))
-        kv = np.matmul(x_kv.reshape(b * m, d), fused[:, hk:],
-                       out=empty((b * m, fused.shape[1] - hk)))
+        q = np.matmul(x_q.reshape(b * n, d), w.qkv[:, :hk], out=empty((b * n, hk)))
+        kv = np.matmul(x_kv.reshape(b * m, d), w.qkv[:, hk:], out=empty((b * m, cols - hk)))
     key = _positions_first(kv[:, :g * k], b, g)
     val = _positions_first(kv[:, g * k:], b, g)
     o_fold = empty((b * n, h * val.shape[-1]))
     q, weights = _attend(_positions_first(q[:, :hk], b, h), [(key, val)],
                          _positions_first(o_fold, b, h), bias, empty)
-    y = np.matmul(o_fold, _fold_out(w.p_o), out=empty((b * n, d)))
-    return y.reshape(b, n, d), (x_q, x_kv, q, key, val, weights, o_fold, fused)
+    y = np.matmul(o_fold, w.out.reshape(-1, d), out=empty((b * n, d)))
+    return y.reshape(b, n, d), (x_q, x_kv, q, key, val, weights, o_fold)
 
 
 def attention_backward(dy, cache, w: AttentionWeights,
@@ -579,28 +550,28 @@ def attention_backward(dy, cache, w: AttentionWeights,
     """Returns (dx_q, dx_kv, AttentionWeights-shaped gradients).  As in the
     forward pass, self-attention runs one product back for q, k and v and
     one for their weights: dx_q is then the whole input gradient and dx_kv
-    is None."""
-    x_q, x_kv, q, key, val, weights, o_fold, fused = cache
+    is None.  The weight gradients are written straight into out's arrays,
+    which must be C-contiguous (as new arrays and views of one vector are)."""
+    x_q, x_kv, q, key, val, weights, o_fold = cache
     b, n, d = x_q.shape
     m = x_kv.shape[1]
-    h, g, k, v = w.heads, w.groups, w.key_width, w.value_width
-    hk = h * k
+    h, g, k = w.heads, w.groups, w.key_width
+    hk, cols = h * k, w.qkv.shape[1]
     if out is None:
-        out = AttentionWeights(w.kind, *(np.empty_like(p) for p in
-                                         (w.p_q, w.p_k, w.p_v, w.p_o)))
+        out = AttentionWeights(w.kind, np.empty_like(w.qkv), np.empty_like(w.out))
     dy = dy.reshape(b * n, d)
-    np.copyto(out.p_o, (o_fold.T @ dy).reshape(h, v, d).transpose(0, 2, 1))
-    d_o_fold = np.matmul(dy, _fold_out(w.p_o).T, out=empty(o_fold.shape))
+    np.matmul(o_fold.T, dy, out=out.out.reshape(-1, d))
+    d_o_fold = np.matmul(dy, w.out.reshape(-1, d).T, out=empty(o_fold.shape))
     d_mixed = _group_rows(_positions_first(d_o_fold, b, h), g, empty)
 
     # the gradients of the projections' outputs, in their column layout;
     # the products below write into them directly
     if x_kv is x_q:
-        d_q_cols = empty((b * n, fused.shape[1]))
+        d_q_cols = empty((b * n, cols))
         d_kv_cols = d_q_cols[:, hk:]
     else:
         d_q_cols = empty((b * n, hk))
-        d_kv_cols = empty((b * m, fused.shape[1] - hk))
+        d_kv_cols = empty((b * m, cols - hk))
     d_key = _positions_first(d_kv_cols[:, :g * k], b, g)
     d_val = _positions_first(d_kv_cols[:, g * k:], b, g)
 
@@ -618,19 +589,16 @@ def attention_backward(dy, cache, w: AttentionWeights,
     np.matmul(d_weights.swapaxes(-1, -2), q, out=d_key)
     _ungrouped_product(d_weights, key, _positions_first(d_q_cols[:, :hk], b, h), empty)
 
-    # back through the columns x_q took: all of fused, or the query columns
-    dx_q = np.matmul(d_q_cols, fused[:, :d_q_cols.shape[1]].T, out=empty((b * n, d)))
-    if x_kv is x_q:
-        d_fused = x_q.reshape(b * n, d).T @ d_q_cols
-        dx_kv = None
-    else:
-        d_fused = np.concatenate([x_q.reshape(b * n, d).T @ d_q_cols,
-                                  x_kv.reshape(b * m, d).T @ d_kv_cols], axis=1)
-        dx_kv = np.matmul(d_kv_cols, fused[:, hk:].T,
+    # back through the columns x_q took: all of qkv, or the query columns,
+    # each weight gradient written into its columns of out.qkv
+    taken = d_q_cols.shape[1]
+    dx_q = np.matmul(d_q_cols, w.qkv[:, :taken].T, out=empty((b * n, d)))
+    np.matmul(x_q.reshape(b * n, d).T, d_q_cols, out=out.qkv[:, :taken])
+    dx_kv = None
+    if x_kv is not x_q:
+        np.matmul(x_kv.reshape(b * m, d).T, d_kv_cols, out=out.qkv[:, hk:])
+        dx_kv = np.matmul(d_kv_cols, w.qkv[:, hk:].T,
                           out=empty((b * m, d))).reshape(b, m, d)
-    np.copyto(out.p_q, _heads(d_fused[:, :hk], h))
-    np.copyto(_kv_heads(out.p_k), _heads(d_fused[:, hk:hk + g * k], g))
-    np.copyto(_kv_heads(out.p_v), _heads(d_fused[:, hk + g * k:], g))
     return dx_q.reshape(b, n, d), dx_kv, out
 
 

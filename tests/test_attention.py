@@ -92,8 +92,8 @@ class TestSingleQuery:
 
     def test_identity_projections_reduce_to_dot_product(self, rng):
         d = 5
-        eye = np.eye(d)[np.newaxis]
-        w = AttentionWeights("multi_head", eye, eye, eye, eye)
+        eye = np.eye(d)
+        w = AttentionWeights("multi_head", np.hstack([eye, eye, eye]), eye[np.newaxis])
         x = rng.standard_normal(d)
         memory = rng.standard_normal((6, d))
         np.testing.assert_allclose(
@@ -409,17 +409,41 @@ class TestWeights:
         assert np.abs(w.p_q).max() < np.sqrt(3.0 / (64 * 16)) + 1e-12
         assert np.abs(w.p_k).max() < np.sqrt(3.0 / 64) + 1e-12
 
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    def test_head_views_share_the_stored_arrays(self, kind):
+        d, h, k, v = 6, 3, 4, 5
+        w = random_attention_weights(np.random.default_rng(11), kind, d=d, h=h, k=k, v=v)
+        for name in ("p_q", "p_k", "p_v"):
+            assert np.shares_memory(getattr(w, name), w.qkv), name
+        assert np.shares_memory(w.p_o, w.out)
+        # the draws, in the order and shapes of the per-head tensors
+        rng = np.random.default_rng(11)
+        lead = (h, d) if kind == "multi_head" else (d,)
+        for name, shape, fan in (("p_q", (h, d, k), d * k), ("p_o", (h, d, v), h * v),
+                                 ("p_k", lead + (k,), d), ("p_v", lead + (v,), d)):
+            bound = np.sqrt(3.0 / fan)
+            drawn = rng.uniform(-bound, bound, size=shape)
+            assert np.ascontiguousarray(getattr(w, name)).tobytes() == drawn.tobytes(), name
+
+    def test_stored_shapes(self, rng):
+        w = random_attention_weights(rng, "multi_head", d=8, h=2, k=3, v=4)
+        assert w.qkv.shape == (8, 2 * 3 + 2 * 3 + 2 * 4) and w.out.shape == (2, 4, 8)
+        w = random_attention_weights(rng, "multi_query", d=8, h=2, k=3, v=4)
+        assert w.qkv.shape == (8, 2 * 3 + 3 + 4) and w.out.shape == (2, 4, 8)
+        assert (w.heads, w.groups, w.key_width, w.value_width) == (2, 1, 3, 4)
+
     @pytest.mark.parametrize("mutation", [
-        dict(p_k=np.zeros((3, 4))),
-        dict(p_v=np.zeros((2, 6, 9))),
-        dict(p_o=np.zeros((2, 5, 5))),
+        dict(qkv=np.zeros((6, 26, 1))),   # qkv not 2-D
+        dict(out=np.zeros((2, 5, 7))),    # out's d is not qkv's
+        dict(out=np.zeros((10, 6))),      # out not rank 3
+        dict(qkv=np.zeros((6, 27))),      # h*k + g*(k+v) for no integer k
+        dict(qkv=np.zeros((6, 10))),      # k = 0
     ])
-    def test_inconsistent_shapes_rejected(self, rng, mutation):
-        base = dict(kind="multi_head",
-                    p_q=rng.standard_normal((2, 6, 4)),
-                    p_k=rng.standard_normal((2, 6, 4)),
-                    p_v=rng.standard_normal((2, 6, 5)),
-                    p_o=rng.standard_normal((2, 6, 5)))
+    def test_inconsistent_shapes_rejected(self, mutation):
+        # multi-head, d 6, h 2, k 4, v 5
+        base = dict(kind="multi_head", qkv=np.zeros((6, 2 * 4 + 2 * 4 + 2 * 5)),
+                    out=np.zeros((2, 5, 6)))
+        AttentionWeights(**base)
         base.update(mutation)
         with pytest.raises(ShapeError):
             AttentionWeights(**base)

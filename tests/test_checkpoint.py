@@ -90,8 +90,10 @@ class TestRoundTrip:
         second = save_checkpoint(tmp_path / "b", params, config).read_text()
         assert first == second
         manifest = json.loads(first)
-        assert manifest["format"] == 2
-        assert "decoder.0.attn.p_q" in manifest["tensors"]
+        assert manifest["format"] == 3
+        assert "decoder.0.attn.qkv" in manifest["tensors"]
+        assert "decoder.0.attn.out" in manifest["tensors"]
+        assert "decoder.0.attn.p_q" not in manifest["tensors"]
 
 
 class TestFailureModes:
@@ -161,13 +163,14 @@ class TestFailureModes:
         with pytest.raises(InputError, match="embedding"):
             load_checkpoint(tmp_path)
 
-    def test_format_one_asks_for_a_re_save(self, tmp_path):
+    @pytest.mark.parametrize("old", [1, 2])
+    def test_old_format_asks_for_a_re_save(self, tmp_path, old):
         config = small_config()
         path = save_checkpoint(tmp_path, init_params(config), config)
         manifest = json.loads(path.read_text())
-        manifest["format"] = 1
+        manifest["format"] = old
         path.write_text(json.dumps(manifest))
-        with pytest.raises(InputError, match="re-save"):
+        with pytest.raises(InputError, match=f"format-{old} checkpoint.*re-save"):
             load_checkpoint(tmp_path)
 
     @pytest.mark.parametrize("damage", ["truncated", "header_only", "text",

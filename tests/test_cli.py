@@ -568,7 +568,7 @@ def fuzz_files(tmp_path_factory):
     save_checkpoint(files["checkpoint"], init_params(model), model)
     files["bad_checkpoint"] = root / "bad_ck"
     save_checkpoint(files["bad_checkpoint"], init_params(model), model)
-    (files["bad_checkpoint"] / "manifest.json").write_text('{"format": 2}')
+    (files["bad_checkpoint"] / "manifest.json").write_text('{"format": 3}')
     files["out"] = root / "out"
     return {name: str(path) for name, path in files.items()}
 

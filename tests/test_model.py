@@ -299,7 +299,7 @@ class TestInitAndTrees:
         names = [name for name, _ in named_arrays(params)]
         assert len(names) == len(set(names))
         assert "embedding" in names
-        assert "decoder.0.attn.p_q" in names
+        assert "decoder.0.attn.qkv" in names and "decoder.0.attn.out" in names
         assert "enc_out_ln.gain" in names
 
     def test_zeros_like_and_map_preserve_structure(self):
@@ -323,6 +323,22 @@ class TestInitAndTrees:
             [(name, arr.shape) for name, arr in named_arrays(layout)]
         assert layout.decoder[0].attn.kind == kind
         assert layout.embedding.strides == (0, 0)
+
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    def test_layout_at_parity_size_stores_no_weights(self, kind):
+        config = ModelConfig(mode="encoder_decoder", layers=6, d_model=1024,
+                             d_ff=4096, heads=8, d_k=128, d_v=128, vocab_size=32000,
+                             max_len=256).with_attention_kind(kind)
+        tracemalloc.start()
+        try:
+            layout = param_layout(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for name, arr in named_arrays(layout):
+            assert not any(arr.strides), name
+        assert param_count(layout) > 10 ** 8
+        assert peak < 10 ** 6
 
     def test_flatten_then_unflatten_gives_views(self):
         params = init_params(tiny_config())
