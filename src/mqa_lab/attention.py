@@ -142,19 +142,18 @@ def random_attention_weights(rng, kind, *, d, h, k, v) -> AttentionWeights:
     p_q gets an extra 1/sqrt(k) so query-key logits start at unit scale;
     the usual explicit logit scaling is folded into the projection instead
     of appearing in the kernels.  The draws are p_q, p_o, p_k, p_v in that
-    order, each in its own C order.  With rng None nothing is drawn or
-    stored: qkv and out are read-only zero-stride arrays of their shapes.
+    order, each in its own C order, written through those views into qkv
+    and out.  With rng None nothing is drawn or stored: qkv and out are
+    read-only zero-stride arrays of their shapes.
     """
+    g = h if kind == "multi_head" else 1
+    shapes = (d, (h + g) * k + g * v), (h, v, d)
     if rng is None:
-        g = h if kind == "multi_head" else 1
-        return AttentionWeights(kind, np.broadcast_to(0.0, (d, (h + g) * k + g * v)),
-                                np.broadcast_to(0.0, (h, v, d)))
-    lead = (h, d) if kind == "multi_head" else (d,)
-    p_q = scaled_uniform(rng, (h, d, k), d * k)
-    p_o = scaled_uniform(rng, (h, d, v), h * v)
-    p_k = scaled_uniform(rng, lead + (k,), d)
-    p_v = scaled_uniform(rng, lead + (v,), d)
-    return _from_heads(kind, p_q, p_k, p_v, p_o)
+        return AttentionWeights(kind, *(np.broadcast_to(0.0, shape) for shape in shapes))
+    w = AttentionWeights(kind, *map(np.empty, shapes))
+    for part, fan in ((w.p_q, d * k), (w.p_o, h * v), (w.p_k, d), (w.p_v, d)):
+        part[...] = scaled_uniform(rng, part.shape, fan)
+    return w
 
 
 def share_heads(w: AttentionWeights) -> AttentionWeights:

@@ -14,9 +14,9 @@ one 2-D product over all rows, and self-attention projects queries, keys
 and values in one product forward and one back.  The weights are stored
 in those products' layout (attention.AttentionWeights: qkv and out), so
 every pass reads them in place, and the backward pass writes each weight
-gradient straight into its place in the gradient tree.  Its outputs are pinned
-to the contraction kernels by equivalence tests, and every gradient here
-is checked against central finite differences.
+gradient straight into its place in the gradient tree.  Its outputs are
+pinned to the contraction kernels by equivalence tests, and every
+gradient here is checked against central finite differences.
 
 Only loss_and_grads keeps a backward tape: its forward pass pushes each
 sub-layer's cache on one list, and the reverse pass pops them.  forward
@@ -550,8 +550,9 @@ def attention_backward(dy, cache, w: AttentionWeights,
     """Returns (dx_q, dx_kv, AttentionWeights-shaped gradients).  As in the
     forward pass, self-attention runs one product back for q, k and v and
     one for their weights: dx_q is then the whole input gradient and dx_kv
-    is None.  The weight gradients are written straight into out's arrays,
-    which must be C-contiguous (as new arrays and views of one vector are)."""
+    is None.  The weight gradients are written straight into out's arrays;
+    out.out must be C-contiguous (as new arrays and views of one vector
+    are), so that its [h*v, d] reshape is a view."""
     x_q, x_kv, q, key, val, weights, o_fold = cache
     b, n, d = x_q.shape
     m = x_kv.shape[1]
@@ -559,6 +560,8 @@ def attention_backward(dy, cache, w: AttentionWeights,
     hk, cols = h * k, w.qkv.shape[1]
     if out is None:
         out = AttentionWeights(w.kind, np.empty_like(w.qkv), np.empty_like(w.out))
+    if not out.out.flags.c_contiguous:
+        raise ShapeError("attention_backward writes into a C-contiguous out.out")
     dy = dy.reshape(b * n, d)
     np.matmul(o_fold.T, dy, out=out.out.reshape(-1, d))
     d_o_fold = np.matmul(dy, w.out.reshape(-1, d).T, out=empty(o_fold.shape))
@@ -802,8 +805,9 @@ def loss_and_grads(params: ModelParams, config: ModelConfig, batch: Batch,
                    out: ModelParams | None = None, work: Workspace | None = None):
     """Forward plus hand-written reverse pass.
 
-    Writes every gradient into out, a tree shaped like params; with no
-    out, into a new tree viewing one new vector.  Temporaries come from
+    Writes every gradient into out, a tree shaped like params whose
+    attention out arrays are C-contiguous; with no out, into a new tree
+    viewing one new vector.  Temporaries come from
     work when given, else are allocated afresh.  train passes the views of
     the one gradient vector it keeps across steps, and one Workspace.
     Returns (loss, logits, out); logits are a new array.

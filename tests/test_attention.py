@@ -400,9 +400,12 @@ class TestWeights:
         assert w.p_k.shape == (2, 8, 3)
         assert w.p_v.shape == (2, 8, 4)
         assert w.p_o.shape == (2, 8, 4)
+        assert w.qkv.shape == (8, 2 * 3 + 2 * 3 + 2 * 4) and w.out.shape == (2, 4, 8)
         w = random_attention_weights(rng, "multi_query", d=8, h=2, k=3, v=4)
         assert w.p_k.shape == (8, 3)
         assert w.p_v.shape == (8, 4)
+        assert w.qkv.shape == (8, 2 * 3 + 3 + 4) and w.out.shape == (2, 4, 8)
+        assert (w.heads, w.groups, w.key_width, w.value_width) == (2, 1, 3, 4)
 
     def test_query_scaling_shrinks_p_q(self, rng):
         w = random_attention_weights(rng, "multi_head", d=64, h=2, k=16, v=16)
@@ -424,13 +427,6 @@ class TestWeights:
             bound = np.sqrt(3.0 / fan)
             drawn = rng.uniform(-bound, bound, size=shape)
             assert np.ascontiguousarray(getattr(w, name)).tobytes() == drawn.tobytes(), name
-
-    def test_stored_shapes(self, rng):
-        w = random_attention_weights(rng, "multi_head", d=8, h=2, k=3, v=4)
-        assert w.qkv.shape == (8, 2 * 3 + 2 * 3 + 2 * 4) and w.out.shape == (2, 4, 8)
-        w = random_attention_weights(rng, "multi_query", d=8, h=2, k=3, v=4)
-        assert w.qkv.shape == (8, 2 * 3 + 3 + 4) and w.out.shape == (2, 4, 8)
-        assert (w.heads, w.groups, w.key_width, w.value_width) == (2, 1, 3, 4)
 
     @pytest.mark.parametrize("mutation", [
         dict(qkv=np.zeros((6, 26, 1))),   # qkv not 2-D

@@ -687,6 +687,17 @@ class TestGradients:
         for (name, view), (_, grad) in zip(named_arrays(views), named_arrays(fresh)):
             assert view.tobytes() == grad.tobytes(), name
 
+    def test_a_strided_attention_out_gradient_is_refused(self, rng):
+        """attention_backward writes p_o's gradient through a [h*v, d]
+        reshape of out.out, which would be a copy of a strided array."""
+        config = tiny_config()
+        params = init_params(config)
+        out = tree_map(np.zeros_like, params)
+        attn = out.decoder[0].attn
+        out.decoder[0].attn = dataclasses.replace(attn, out=np.asfortranarray(attn.out))
+        with pytest.raises(ShapeError, match="C-contiguous"):
+            loss_and_grads(params, config, make_batch(config, rng), out)
+
     @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
     def test_a_reused_workspace_changes_no_result(self, rng, mode):
         config = tiny_config(mode=mode, layers=2)
