@@ -7,10 +7,14 @@ multi_head ratio approaches its memory-bound regime as n grows while the
 multi_query one stays near the batched level.
 
     python3 scripts/cost_sweep.py --d 1024 --heads 8 --k 128 --v 128 \
-        --lens 64 256 1024 4096 --batches 1 128 --out sweep.csv
+        --lens 64 256 1024 4096 --batches 1 128 --out sweep.json
+
+--out also writes the points as a JSON list of objects with the keys b,
+n, mh_words_per_flop, mq_words_per_flop and cache_ratio.
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -28,13 +32,13 @@ def main(argv=None):
                         default=[64, 256, 1024, 4096])
     parser.add_argument("--batches", type=int, nargs="+", default=[1, 128])
     parser.add_argument("--out", type=Path, default=None,
-                        help="also write the rows as csv")
+                        help="also write the points as JSON")
     args = parser.parse_args(argv)
 
     header = (f"{'b':>6} {'n':>6} {'mh words/flop':>14} {'mq words/flop':>14} "
               f"{'cache words mh/mq':>18}")
     print(header)
-    rows = ["b,n,mh_words_per_flop,mq_words_per_flop,cache_ratio"]
+    points = []
     for b in args.batches:
         for n in args.lens:
             cfg = ShapeConfig(b=b, n=n, m=n, d=args.d, h=args.heads,
@@ -45,10 +49,11 @@ def main(argv=None):
                            / kv_cache_words_total(cfg, "multi_query"))
             print(f"{b:>6} {n:>6} {float(mh.ratio):>14.3e} "
                   f"{float(mq.ratio):>14.3e} {cache_ratio:>18.1f}")
-            rows.append(f"{b},{n},{float(mh.ratio):.17g},"
-                        f"{float(mq.ratio):.17g},{cache_ratio:.17g}")
+            points.append({"b": b, "n": n, "mh_words_per_flop": float(mh.ratio),
+                           "mq_words_per_flop": float(mq.ratio),
+                           "cache_ratio": cache_ratio})
     if args.out is not None:
-        args.out.write_text("\n".join(rows) + "\n")
+        args.out.write_text(json.dumps(points, indent=2) + "\n")
         print(f"wrote {args.out}")
     return 0
 

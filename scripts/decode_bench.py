@@ -4,11 +4,14 @@
 target length 128, d_model 256 over 8 heads, 2 layers, 5 repetitions.
 Every `mqa-lab bench` option is taken and comes after these sizes, so a
 --set overrides them (a --config file does not: --set beats the file).
-Times are medians over repetitions on this machine; counted columns are
-exact.
+Times are medians over repetitions on this machine.  The counted columns
+are exact counts of the padded reference decode step, whose logits and
+mix span every slot of the window: over a full-attention decode that is
+about twice the logits and mix flops the engine runs (see bench.py).
+--format json writes the run's record, which `mqa-lab report` renders.
 
     MQA_THREADS=1 python3 scripts/decode_bench.py --set workload.b=8 \
-        --format csv --out table.csv
+        --format json --out table.json && mqa-lab report --config table.json
 """
 
 import sys

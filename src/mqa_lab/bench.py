@@ -6,11 +6,15 @@ decoder self-attention is windowed.  Decode columns time the engine that
 `decoding.decode` runs after encoding: `decoding.search`, greedy and beam
 of width BEAM_SIZE, on encoder memory computed once by the timed
 `encode_source`.  Counted columns come from the cost model and are
-machine-independent: kv_words_per_step counts decoder self-attention
-cache words averaged over the run, flops_per_step counts the
-self-attention step ops.  Cross attention reads constant-size memory per
-step and its one-off projection happens when a decode run starts, inside
-the timed decoder region.
+machine-independent.  They count decoder self-attention summed over
+layers as the padded reference step (costs._incremental_step_ops) runs
+it, not as the engine does: kv_words_per_step is the cached key/value
+words of the valid prefix averaged over the run, and flops_per_step is one
+step's ops with logits and mix over every slot of the window, filled or
+not, so over a full-attention decode they count about twice the logits
+and mix flops the engine runs.  Cross attention reads constant-size
+memory per step and its one-off projection happens when a decode run
+starts, inside the timed decoder region.
 
 Amortization follows the per-token convention: a phase's wall time divided
 by the tokens it processes (training: b * (source_len + target_len);
@@ -18,13 +22,17 @@ encoder: b * source_len; decoder: median run time / (b * target_len)).
 Beam search runs the same encoder, so its encoder column repeats the
 greedy one.  Wall-clock numbers are reported, never asserted here;
 directional claims live in the acceptance tests.
+
+A run is kept as a JSON record, dataclasses.asdict of its BenchReport with
+the rows nested and an unmeasured timing as null; load_report reads one
+back through config.dataclass_from_dict, the loader every config goes
+through.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
+import json
 import os
 import platform
 import time
@@ -32,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DecodeConfig, ModelConfig, _check_types
+from .config import DecodeConfig, ModelConfig, _check_types, dataclass_from_dict
 from .costs import ShapeConfig, dff_for_parity, incremental_step_flops, kv_cache_words_step
 from .decoding import encode_source, search
 from .exceptions import ConfigError, InputError
@@ -52,21 +60,19 @@ BEAM_SIZE = 4
 
 @dataclass
 class Workload:
-    """Shapes and repetition policy for one benchmark run."""
+    """Shapes and repetition policy for one benchmark run: each timing is
+    the median of `repetitions` calls after one warm-up call."""
 
     b: int
     source_len: int
     target_len: int
     model: ModelConfig
     repetitions: int = 5
-    warmup_reps: int = 1
 
     def __post_init__(self):
         _check_types(self)
         if self.repetitions < 3:
             raise ConfigError("need repetitions >= 3 for a median")
-        if self.warmup_reps < 1:
-            raise ConfigError("need warmup_reps >= 1")
         if min(self.b, self.source_len, self.target_len) < 1:
             raise ConfigError("workload dims must be positive")
         if self.model.mode != "encoder_decoder":
@@ -77,18 +83,23 @@ class Workload:
 
 @dataclass
 class BenchRow:
+    """One variant's line of the table; a timing not measured is None."""
+
     variant: str
     kind: str
     window: int | None
     d_ff: int
     param_total: int
-    training_us: float = float("nan")
-    encoder_us: float = float("nan")
-    decoder_us: float = float("nan")
-    beam_encoder_us: float = float("nan")
-    beam_decoder_us: float = float("nan")
-    kv_words_per_step: float = float("nan")
-    flops_per_step: int = 0
+    kv_words_per_step: float
+    flops_per_step: int
+    training_us: float | None = None
+    encoder_us: float | None = None
+    decoder_us: float | None = None
+    beam_encoder_us: float | None = None
+    beam_decoder_us: float | None = None
+
+    def __post_init__(self):
+        _check_types(self)
 
 
 @dataclass
@@ -97,10 +108,14 @@ class BenchReport:
     source_len: int
     target_len: int
     repetitions: int
-    rows: list[BenchRow] = field(default_factory=list)
     cpu: str = ""
     threads: str = ""
-    timer_resolution_ns: float = float("nan")
+    timer_resolution_ns: float | None = None
+    rows: list[BenchRow] = field(default_factory=list)
+
+    def __post_init__(self):  # rows are checked as each BenchRow is built
+        _check_types(vars(self), {f.name: f.type for f in dataclasses.fields(self)
+                                  if f.name != "rows"})
 
 
 def variant_config(base: ModelConfig, variant: str) -> ModelConfig:
@@ -135,10 +150,9 @@ def timer_resolution() -> float:
 
 
 def _timed(fn, workload: Workload, tokens: int):
-    """(median wall time of fn over the workload's repetitions, after its
-    warm-up calls, in microseconds per token; fn's last result)."""
-    for _ in range(workload.warmup_reps):
-        fn()
+    """(median wall time of fn over the workload's repetitions, after one
+    warm-up call, in microseconds per token; fn's last result)."""
+    fn()
     times = []
     for _ in range(workload.repetitions):
         start = time.perf_counter()
@@ -233,45 +247,20 @@ def run_bench(workload: Workload, variants=VARIANTS, *,
 # ---------------------------------------------------------------------------
 # report rendering
 
-# The csv schema is the fields of BenchRow, then those of BenchReport but
-# its rows: one line per row, repeating the report's fields on each.
-_ROW_FIELDS = dataclasses.fields(BenchRow)
-_REPORT_FIELDS = tuple(f for f in dataclasses.fields(BenchReport) if f.name != "rows")
-CSV_COLUMNS = tuple(f.name for f in _ROW_FIELDS + _REPORT_FIELDS)
-
-# A cell's text -> the value of a field with this annotation.
-_CELL_PARSERS = {"str": str, "int": int, "float": float,
-                 "int | None": lambda text: int(text) if text else None}
-
-
-def _csv_value(value) -> str:
-    """A cell's text: None is empty, floats keep 17 significant digits, and
-    a comma inside a string becomes a semicolon."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value).replace(",", ";")
-
-
-def _us(value: float) -> str:
-    return "-" if value != value else f"{value:.2f}"
+def _fixed(value: float | None, digits: int = 2) -> str:
+    return "-" if value is None else f"{value:.{digits}f}"
 
 
 def emit_report(report: BenchReport, fmt: str) -> str:
-    """Render a report as csv or markdown."""
-    if fmt == "csv":
-        shared = [_csv_value(getattr(report, f.name)) for f in _REPORT_FIELDS]
-        lines = [",".join(CSV_COLUMNS)]
-        lines += [",".join([_csv_value(getattr(row, f.name)) for f in _ROW_FIELDS]
-                           + shared) for row in report.rows]
-        return "\n".join(lines) + "\n"
+    """Render a report as markdown or as its JSON record."""
+    if fmt == "json":
+        return json.dumps(dataclasses.asdict(report), indent=2) + "\n"
     if fmt == "markdown":
         head = (f"batch {report.b}, source length {report.source_len}, "
                 f"target length {report.target_len}, "
                 f"median of {report.repetitions} repetitions")
         env = (f"environment: {report.cpu}; threads {report.threads}; "
-               f"timer resolution {report.timer_resolution_ns:.0f} ns")
+               f"timer resolution {_fixed(report.timer_resolution_ns, 0)} ns")
         lines = [
             "# Per-token cost by attention type",
             "",
@@ -285,9 +274,9 @@ def emit_report(report: BenchReport, fmt: str) -> str:
         ]
         for row in report.rows:
             lines.append(
-                f"| {row.variant} | {_us(row.training_us)} "
-                f"| {_us(row.encoder_us)} + {_us(row.decoder_us)} "
-                f"| {_us(row.beam_encoder_us)} + {_us(row.beam_decoder_us)} "
+                f"| {row.variant} | {_fixed(row.training_us)} "
+                f"| {_fixed(row.encoder_us)} + {_fixed(row.decoder_us)} "
+                f"| {_fixed(row.beam_encoder_us)} + {_fixed(row.beam_decoder_us)} "
                 f"| {row.kv_words_per_step:.1f} | {row.flops_per_step} |")
         lines.append("")
         lines.append("All times are microseconds per token.")
@@ -295,46 +284,23 @@ def emit_report(report: BenchReport, fmt: str) -> str:
     raise ConfigError(f"unknown report format {fmt!r}")
 
 
-def _cells(record: dict, fields, line: int) -> dict:
-    """record's cells for fields, each parsed as its field's annotation
-    says; InputError names the line and column of one that does not parse
-    or is missing."""
-    values = {}
-    for f in fields:
-        text = record[f.name]
-        try:
-            if text is None:
-                raise ValueError
-            values[f.name] = _CELL_PARSERS[f.type](text)
-        except ValueError:
-            raise InputError(f"csv line {line}, column {f.name}: {text!r} is not "
-                             f"{f.type}") from None
-    return values
-
-
-def parse_report_csv(text: str) -> BenchReport:
-    """Rebuild a report from its csv rendering.
-
-    Inverse of emit_report(..., "csv") up to the comma substitution in
-    strings; every row must repeat the first row's report fields.  Timings
-    survive exactly: floats are written with 17 significant digits.
-    """
-    reader = csv.DictReader(io.StringIO(text))
+def load_report(text: str) -> BenchReport:
+    """Rebuild a report from its JSON record, emit_report(..., "json"):
+    every field is checked as a config's are, and InputError names the
+    first that is missing, unknown or of the wrong type."""
     try:
-        if reader.fieldnames is None or set(CSV_COLUMNS) - set(reader.fieldnames):
-            raise InputError("csv header does not match the report schema")
-        report = BenchReport(b=0, source_len=0, target_len=0, repetitions=0)
-        for record in reader:
-            line = reader.line_num
-            row = BenchRow(**_cells(record, _ROW_FIELDS, line))
-            shared = _cells(record, _REPORT_FIELDS, line)
-            if not report.rows:
-                report, first = BenchReport(**shared), shared
-            for name, value in shared.items():
-                if _csv_value(value) != _csv_value(first[name]):
-                    raise InputError(f"csv line {line}, column {name}: {record[name]!r} "
-                                     "differs from the first row")
-            report.rows.append(row)
-    except csv.Error as exc:
-        raise InputError(f"csv after line {reader.line_num}: {exc}") from None
-    return report
+        record = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"bench record is not valid JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise InputError("bench record must be a JSON object, "
+                         f"got {type(record).__name__}")
+    rows = record.get("rows", [])
+    if not isinstance(rows, list):
+        raise InputError(f"bench record rows must be a list, got {type(rows).__name__}")
+    try:
+        rows = [dataclass_from_dict(BenchRow, row, f"rows[{i}]")
+                for i, row in enumerate(rows)]
+        return dataclass_from_dict(BenchReport, {**record, "rows": rows}, "report")
+    except ConfigError as exc:
+        raise InputError(f"bench record: {exc}") from None

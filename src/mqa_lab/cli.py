@@ -3,9 +3,11 @@
 One process runs one subcommand: verify, cost, parity, train, decode,
 bench, or report.  Each takes only the flags it reads: --out writes the
 primary output to a file as well as stdout; all but verify take --config,
-a JSON file (report: a saved csv, required), and all but verify and report
---set dotted.key=value, which edits the loaded config (repeatable, applied
-after the file); train, decode and bench take --seed for every seed field.
+a JSON file (report: a bench record that `bench --format json` wrote,
+required), and all but verify and report --set dotted.key=value, which
+edits the loaded config (repeatable, applied after the file); train,
+decode and bench take --seed for every seed field.  cost and bench write
+JSON with --format json.
 
 Every config section is built and checked by config.dataclass_from_dict;
 --seed, an integer >= 0, is applied after that to the built dataclasses.
@@ -138,20 +140,15 @@ _COST_DEFAULTS = {"shape": {"b": 1, "n": 2, "m": 2, "d": 4, "h": 2, "k": 2, "v":
 
 def _cmd_cost(args) -> int:
     from .config import ATTENTION_KINDS
-    from .costs import (
-        ShapeConfig,
-        batched_costs,
-        breakdown_csv,
-        format_breakdown,
-        incremental_costs,
-    )
+    from .costs import ShapeConfig, batched_costs, format_breakdown, incremental_costs
     config = _load_config(args, _COST_DEFAULTS)
     shape = _section(args, config, "shape", ShapeConfig)
     breakdowns = [batched_costs(shape, kind) for kind in ATTENTION_KINDS]
     if shape.n == shape.m:
         breakdowns += [incremental_costs(shape, kind) for kind in ATTENTION_KINDS]
-    if args.format == "csv":
-        text = breakdown_csv(breakdowns)
+    if args.format == "json":  # ratio as its exact "p/q" text
+        text = json.dumps([dict(dataclasses.asdict(bd), ratio=str(bd.ratio))
+                           for bd in breakdowns], indent=2)
     else:
         text = "\n".join(format_breakdown(bd) for bd in breakdowns)
     _deliver(text, args.out)
@@ -299,8 +296,7 @@ def _cmd_decode(args) -> int:
 _BENCH_DEFAULTS = {
     "model": {"layers": 2, "d_model": 128, "d_ff": 512, "heads": 8,
               "d_k": 16, "d_v": 16, "vocab_size": 64, "max_len": 256},
-    "workload": {"b": 8, "source_len": 64, "target_len": 64,
-                 "repetitions": 3, "warmup_reps": 1},
+    "workload": {"b": 8, "source_len": 64, "target_len": 64, "repetitions": 3},
     "include_beam": True,
     "variants": None,
 }
@@ -321,8 +317,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .bench import emit_report, parse_report_csv
-    _deliver(emit_report(parse_report_csv(_read_config(args)), args.format), args.out)
+    from .bench import emit_report, load_report
+    _deliver(emit_report(load_report(_read_config(args)), "markdown"), args.out)
     return 0
 
 
@@ -356,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--config", metavar="PATH", default=None,
                              required=name == "report",
                              help="JSON config file"
-                                  if name != "report" else "saved bench csv")
+                                  if name != "report" else "saved bench record")
         sub.add_argument("--out", metavar="PATH", default=None,
                          help="also write the output to this file")
         if "--seed" in flags:
@@ -375,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run just the named check; repeatable")
 
     cost = command("cost", "print cost-model breakdowns for one shape")
-    cost.add_argument("--format", choices=("text", "csv"), default="text")
+    cost.add_argument("--format", choices=("text", "json"), default="text")
 
     parity = command("parity",
                      "feed-forward width restoring parameter parity")
@@ -393,12 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = command("bench", "time the attention variants, render a table",
                     seeded)
-    bench.add_argument("--format", choices=("markdown", "csv"),
+    bench.add_argument("--format", choices=("markdown", "json"),
                        default="markdown")
 
-    report = command("report", "re-render a saved bench csv", ("--config",))
-    report.add_argument("--format", choices=("markdown", "csv"),
-                        default="markdown")
+    command("report", "render a saved bench record as markdown", ("--config",))
     return parser
 
 

@@ -25,14 +25,19 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_finite_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 # What each field annotation used in the config classes accepts: JSON
 # true/false and strings never pass for numbers, nor numbers for true/false.
 _FIELD_TYPES = {
     "int": ("an integer", _is_int),
     "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
-    "float": ("a finite real number",
-              lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
-              and math.isfinite(v)),
+    "float": ("a finite real number", _is_finite_real),
+    "float | None": ("a finite real number or null",
+                     lambda v: v is None or _is_finite_real(v)),
     "str": ("a string", lambda v: isinstance(v, str)),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "list[str] | None": ("a list of strings or null", lambda v: v is None or (
@@ -211,13 +216,20 @@ def reject_unknown(data: dict, names, what: str) -> None:
 
 
 def dataclass_from_dict(cls, data, name: str, /, **defaults):
-    """Build a config dataclass from a plain dict, rejecting unknown keys.
-    name is what errors call the dict; defaults are field values the
-    dict's entries override."""
+    """Build a config dataclass from a plain dict, rejecting unknown and
+    missing keys.  name is what errors call the dict; defaults are field
+    values the dict's entries override."""
     if not isinstance(data, dict):
-        raise ConfigError(f"{name} config must be an object, got {type(data).__name__}")
-    reject_unknown(data, (f.name for f in dataclasses.fields(cls)), name)
-    return cls(**{**defaults, **data})
+        raise ConfigError(f"{name} must be an object, got {type(data).__name__}")
+    fields = dataclasses.fields(cls)
+    reject_unknown(data, (f.name for f in fields), name)
+    values = {**defaults, **data}
+    missing = [f.name for f in fields if f.name not in values
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"{name} is missing key(s): {', '.join(missing)}")
+    return cls(**values)
 
 
 def dataclass_to_dict(obj) -> dict:

@@ -296,18 +296,3 @@ def format_breakdown(bd: CostBreakdown) -> str:
         lines.append(f"    {name:<10} {words}")
     return "\n".join(lines) + "\n"
 
-
-def breakdown_csv(breakdowns: list[CostBreakdown]) -> str:
-    """Flat CSV across several breakdowns: one row per (breakdown, entry)."""
-    lines = ["kind,setting,section,name,value"]
-    for bd in breakdowns:
-        head = f"{bd.kind},{bd.setting}"
-        lines.append(f"{head},total,flops,{bd.flops}")
-        lines.append(f"{head},total,memory_words,{bd.memory_words}")
-        lines.append(f"{head},total,traffic_words,{bd.traffic_words}")
-        lines.append(f"{head},total,ratio,{bd.ratio}")
-        for op, fl in bd.flops_by_op.items():
-            lines.append(f"{head},op_flops,{op},{fl}")
-        for name, words in bd.tensor_words.items():
-            lines.append(f"{head},tensor_words,{name},{words}")
-    return "\n".join(lines) + "\n"

@@ -93,8 +93,8 @@ def _project_memory(memory: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
     over both moves bits on multi-query shapes)."""
     b, m, _ = memory.shape
     k = w.key_width
-    return tuple(np.ascontiguousarray((memory @ cols).reshape(b, m, w.groups, -1)
-                                      .transpose(0, 2, 1, 3))
+    return tuple(np.ascontiguousarray(_positions_first((memory @ cols).reshape(b * m, -1),
+                                                       b, w.groups))
                  for cols in np.split(w.qkv[:, w.heads * k:], [w.groups * k], axis=1))
 
 

@@ -316,7 +316,7 @@ def test_08_decode_speedup_direction():
                             d_ff=1024, heads=8, d_k=32, d_v=32,
                             vocab_size=64, max_len=256, init_seed=0)
         workload = Workload(b=32, source_len=128, target_len=128, model=model,
-                            repetitions=5, warmup_reps=1)
+                            repetitions=5)
         variants = ("multi-head", "multi-query")
         mh, mq = run_bench(workload, variants, include_beam=False).rows
         mh_dec, mq_dec = mh.decoder_us, mq.decoder_us

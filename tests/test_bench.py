@@ -6,9 +6,8 @@ batched forward pass, counted columns against the cost model, and report
 rendering against a golden fixture.
 """
 
-import csv
 import dataclasses
-import io
+import json
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ from mqa_lab.bench import (
     BenchRow,
     Workload,
     emit_report,
-    parse_report_csv,
+    load_report,
     run_bench,
     timer_resolution,
     variant_config,
@@ -27,12 +26,13 @@ from mqa_lab.bench import (
 from mqa_lab.config import ModelConfig
 from mqa_lab.costs import ShapeConfig, incremental_costs
 from mqa_lab.decoding import decoder_step, encode_source, start_state
-from mqa_lab.exceptions import ConfigError
+from mqa_lab.exceptions import ConfigError, InputError
 from mqa_lab import bench
 from mqa_lab.model import Batch, ModelParams, Workspace, forward, init_params, param_count
 from mqa_lab.training import BOS
 
 GOLDEN = Path(__file__).parent / "golden" / "bench_report.md"
+GOLDEN_JSON = GOLDEN.with_suffix(".json")
 
 
 def base_config(**overrides):
@@ -44,7 +44,7 @@ def base_config(**overrides):
 
 def tiny_workload(**overrides):
     base = dict(b=2, source_len=4, target_len=6, model=base_config(),
-                repetitions=3, warmup_reps=1)
+                repetitions=3)
     base.update(overrides)
     return Workload(**base)
 
@@ -78,8 +78,6 @@ class TestVariants:
     def test_workload_validation(self):
         with pytest.raises(ConfigError):
             tiny_workload(repetitions=2)
-        with pytest.raises(ConfigError):
-            tiny_workload(warmup_reps=0)
         with pytest.raises(ConfigError):
             tiny_workload(target_len=999)
         with pytest.raises(ConfigError):
@@ -211,7 +209,7 @@ class TestTimingSmoke:
         workload = tiny_workload()
         run_bench(workload, variants=("multi-head", "multi-query"),
                   include_beam=False)
-        reps = workload.warmup_reps + workload.repetitions
+        reps = 1 + workload.repetitions  # one warm-up call
         assert len(calls) == 2 * reps
         for variant_calls in (calls[:reps], calls[reps:]):
             kind, out, work = variant_calls[0]
@@ -227,8 +225,8 @@ class TestTimingSmoke:
         for row in report.rows:
             assert row.training_us > 0
             assert row.decoder_us > 0
-            assert np.isnan(row.beam_encoder_us)
-            assert np.isnan(row.beam_decoder_us)
+            assert row.beam_encoder_us is None
+            assert row.beam_decoder_us is None
 
     def test_timer_resolution_positive(self):
         res = timer_resolution()
@@ -257,66 +255,45 @@ class TestReports:
         rendered = emit_report(self.canned(), "markdown")
         assert rendered == GOLDEN.read_text()
 
-    def test_csv_round_trip(self):
-        rendered = emit_report(self.canned(), "csv")
-        rows = list(csv.DictReader(io.StringIO(rendered)))
-        assert len(rows) == 2
-        assert rows[0]["variant"] == "multi-head"
-        assert float(rows[0]["decoder_us"]) == 46.0
-        assert int(rows[1]["flops_per_step"]) == 10913792
-        assert rows[0]["window"] == ""
-        assert rows[0]["cpu"] == "Test CPU"
-        assert rows[0]["b"] == "32"
-        assert rows[1]["source_len"] == "128"
+    def test_json_matches_golden(self):
+        """The record's field names, order and nesting."""
+        assert emit_report(self.canned(), "json") == GOLDEN_JSON.read_text()
 
-    def test_parse_inverts_emit(self):
-        original = self.canned()
-        parsed = parse_report_csv(emit_report(original, "csv"))
-        assert emit_report(parsed, "markdown") == emit_report(
-            original, "markdown")
-        assert emit_report(parsed, "csv") == emit_report(original, "csv")
+    @pytest.mark.parametrize("make", [
+        lambda self: self.canned(),
+        lambda self: run_bench(tiny_workload(), variants=("multi-head",),
+                               include_beam=False),
+        lambda self: dataclasses.replace(self.canned(), cpu="Vendor, Model 9, 2 GHz"),
+        lambda self: BenchReport(b=3, source_len=5, target_len=7, repetitions=4,
+                                 cpu="Test CPU", threads="1",
+                                 timer_resolution_ns=30.0)],
+        ids=["canned", "run_bench", "comma_in_cpu", "no_rows"])
+    def test_load_inverts_emit(self, make):
+        original = make(self)
+        rendered = emit_report(original, "json")
+        loaded = load_report(rendered)
+        assert loaded == original
+        assert emit_report(loaded, "json") == rendered
+        assert emit_report(loaded, "markdown") == emit_report(original, "markdown")
 
-    def test_parse_rejects_foreign_header(self):
-        from mqa_lab.exceptions import InputError
-        with pytest.raises(InputError):
-            parse_report_csv("alpha,beta\n1,2\n")
-
-    @pytest.mark.parametrize("column,cell", [("flops_per_step", "1.5"),
-                                             ("param_total", ""),
-                                             ("repetitions", "three")])
-    def test_parse_names_the_line_and_column_of_a_bad_cell(self, column, cell):
-        from mqa_lab.exceptions import InputError
-        lines = emit_report(self.canned(), "csv").splitlines()
-        cells = lines[1].split(",")
-        cells[bench.CSV_COLUMNS.index(column)] = cell
-        lines[1] = ",".join(cells)
-        with pytest.raises(InputError, match=f"line 2, column {column}"):
-            parse_report_csv("\n".join(lines) + "\n")
-
-    @pytest.mark.parametrize("column,cell", [("repetitions", "not-a-number"),
-                                             ("b", "77"), ("cpu", "Other CPU"),
-                                             ("timer_resolution_ns", "31.0")])
-    def test_parse_checks_the_report_fields_of_every_row(self, column, cell):
-        from mqa_lab.exceptions import InputError
-        lines = emit_report(self.canned(), "csv").splitlines()
-        cells = lines[2].split(",")
-        cells[bench.CSV_COLUMNS.index(column)] = cell
-        lines[2] = ",".join(cells)
-        with pytest.raises(InputError, match=f"line 3, column {column}"):
-            parse_report_csv("\n".join(lines) + "\n")
-
-    def test_parse_rejects_an_oversized_cell(self):
-        from mqa_lab.exceptions import InputError
-        rendered = emit_report(self.canned(), "csv").replace("Test CPU", "x" * 200_000)
-        with pytest.raises(InputError, match="after line 1"):
-            parse_report_csv(rendered)
-
-    def test_empty_report_is_header_only(self):
-        report = BenchReport(b=1, source_len=1, target_len=1, repetitions=3)
-        rendered = emit_report(report, "csv")
-        assert rendered.count("\n") == 1
-        assert rendered.startswith("variant,kind,window")
-        assert parse_report_csv(rendered).rows == []
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda record: {**record, "rows": [1]}, "rows[0] must be an object"),
+        (lambda record: {**record, "rows": [{**record["rows"][0], "us": 1.0}]},
+         "unknown rows[0] key(s): us"),
+        (lambda record: {**record, "repetitions": "5"}, "repetitions must be an integer"),
+        (lambda record: {**record, "rows": [{**record["rows"][0], "decoder_us": float("nan")}]},
+         "decoder_us must be a finite real number or null"),
+        (lambda record: {**record, "rows": [{"variant": "multi-head"}]},
+         "rows[0] is missing key(s): kind, window, d_ff")],
+        ids=["row_not_an_object", "unknown_row_key", "wrong_report_type", "non_finite",
+             "missing_row_fields"])
+    def test_load_names_the_problem(self, edit, problem):
+        """Beside the malformed records of
+        tests/test_cli.py::TestBenchReport::test_malformed_record_is_usage_error."""
+        record = json.loads(emit_report(self.canned(), "json"))
+        with pytest.raises(InputError) as error:
+            load_report(json.dumps(edit(record)))
+        assert problem in str(error.value)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError):

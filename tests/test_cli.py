@@ -6,20 +6,23 @@ the lazy-import design that lets MQA_THREADS act before numpy loads.
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from mqa_lab.bench import CSV_COLUMNS
+from mqa_lab import bench
 from mqa_lab.checkpoint import save_checkpoint
 from mqa_lab.cli import THREAD_ENV_VARS, build_parser, configure_threads, main
 from mqa_lab.config import ModelConfig
+from mqa_lab.costs import ShapeConfig, batched_costs, incremental_costs
 from mqa_lab.model import init_params
 
 
@@ -35,14 +38,11 @@ TINY_MODEL = {"layers": 1, "d_model": 16, "d_ff": 32, "heads": 2,
 NOT_UTF8 = '{"note": "caf\xe9"}'.encode("latin-1")
 
 
-def with_cell(csv_text: str, column: str, cell: str | None) -> str:
-    """csv_text with its first row's cell in `column` replaced by `cell`,
-    or, for None, the row cut short before that column."""
-    header, first, *rest = csv_text.splitlines()
-    cells = first.split(",")
-    i = header.split(",").index(column)
-    cells[i:] = [] if cell is None else [cell] + cells[i + 1:]
-    return "\n".join([header, ",".join(cells), *rest]) + "\n"
+def with_row_field(record_text: str, name: str, value) -> str:
+    """A bench record with its first row's field `name` set to value."""
+    record = json.loads(record_text)
+    record["rows"][0][name] = value
+    return json.dumps(record)
 
 
 class TestParity:
@@ -82,10 +82,17 @@ class TestCost:
         assert "multi_head / batched" in out
         assert "multi_query / incremental" in out
 
-    def test_csv_format(self, capsys):
-        code, out, _ = run_cli(capsys, "cost", "--format", "csv")
+    def test_json_round_trips_values_and_ratio(self, capsys):
+        code, out, _ = run_cli(capsys, "cost", "--format", "json")
         assert code == 0
-        assert "multi_head,batched,total,flops,320" in out
+        shape = ShapeConfig(b=1, n=2, m=2, d=4, h=2, k=2, v=2)
+        expected = [costs(shape, kind) for costs in (batched_costs, incremental_costs)
+                    for kind in ("multi_head", "multi_query")]
+        records = json.loads(out)
+        assert records[0]["flops"] == 320 and records[0]["ratio"] == "9/20"
+        for record, bd in zip(records, expected, strict=True):
+            assert Fraction(record["ratio"]) == bd.ratio
+            assert record == dict(dataclasses.asdict(bd), ratio=str(bd.ratio))
 
     def test_incremental_rows_skipped_when_n_differs_from_m(self, capsys):
         code, out, _ = run_cli(capsys, "cost", "--set", "shape.m=4")
@@ -171,14 +178,16 @@ class TestUsageErrors:
         ("verify", "--only", "parity_constants", "--seed", "3"),
         ("cost", "--seed", "3"),
         ("parity", "--seed", "3"),
-        ("report", "--config", "{csv}", "--seed", "9")],
+        ("report", "--config", "{record}", "--seed", "9"),
+        ("report", "--config", "{record}", "--format", "markdown")],
         ids=["verify-config", "verify-set", "verify-seed", "cost-seed", "parity-seed",
-             "report-seed"])
+             "report-seed", "report-format"])
     def test_flag_the_subcommand_does_not_read_is_usage_error(self, capsys, tmp_path,
                                                               argv):
-        path = tmp_path / "empty.csv"
-        path.write_text(",".join(CSV_COLUMNS) + "\n")
-        code, _, err = run_cli(capsys, *(arg.format(csv=path) for arg in argv))
+        path = tmp_path / "empty.json"
+        path.write_text(bench.emit_report(
+            bench.BenchReport(b=1, source_len=1, target_len=1, repetitions=3), "json"))
+        code, _, err = run_cli(capsys, *(arg.format(record=path) for arg in argv))
         assert code == 2
         assert "unrecognized arguments" in err
 
@@ -374,8 +383,7 @@ class TestTrainDecode:
 
 class TestBenchReport:
     def bench_args(self, *extra):
-        workload = {"b": 2, "source_len": 3, "target_len": 4,
-                    "repetitions": 3, "warmup_reps": 1}
+        workload = {"b": 2, "source_len": 3, "target_len": 4, "repetitions": 3}
         return ("bench", "--set", f"model={json.dumps(TINY_MODEL)}",
                 "--set", f"workload={json.dumps(workload)}",
                 "--set", 'variants=["multi-head", "multi-query"]',
@@ -388,18 +396,38 @@ class TestBenchReport:
         assert "| multi-query |" in out
         assert "microseconds per token" in out
 
-    def test_bench_csv_feeds_report(self, capsys, tmp_path):
-        path = tmp_path / "bench.csv"
+    def test_bench_json_feeds_report(self, capsys, tmp_path):
+        path = tmp_path / "bench.json"
         code, out, _ = run_cli(capsys, *self.bench_args(
-            "--format", "csv", "--out", str(path)))
-        assert code == 0
-        code, out, _ = run_cli(capsys, "report", "--config", str(path))
-        assert code == 0
-        assert "| multi-head |" in out
-        code, out, _ = run_cli(capsys, "report", "--config", str(path),
-                               "--format", "csv")
+            "--format", "json", "--out", str(path)))
         assert code == 0
         assert out == path.read_text()
+        record = json.loads(out)
+        assert [row["variant"] for row in record["rows"]] == ["multi-head", "multi-query"]
+        assert record["rows"][0]["beam_decoder_us"] is None
+        code, out, _ = run_cli(capsys, "report", "--config", str(path))
+        assert code == 0
+        assert out == bench.emit_report(bench.load_report(path.read_text()), "markdown")
+        assert "| multi-head |" in out and "| - + - |" in out
+
+    def test_report_prints_the_markdown_bench_prints(self, capsys, tmp_path, monkeypatch):
+        """One report, two ways to the table: bench's markdown, and report
+        of bench's JSON record."""
+        report = bench.BenchReport(
+            b=2, source_len=3, target_len=4, repetitions=3, cpu="Vendor, Model 9",
+            threads="1", timer_resolution_ns=30.0,
+            rows=[bench.BenchRow("multi-head", "multi_head", None, 32, 6048, 160.0,
+                                 4608, 27.9, 7.86, 52.5)])
+        monkeypatch.setattr(bench, "run_bench", lambda *args, **kwargs: report)
+        path = tmp_path / "bench.json"
+        code, table, _ = run_cli(capsys, *self.bench_args())
+        assert code == 0
+        assert run_cli(capsys, *self.bench_args("--format", "json",
+                                                "--out", str(path)))[0] == 0
+        code, out, _ = run_cli(capsys, "report", "--config", str(path))
+        assert code == 0
+        assert out == table == bench.emit_report(report, "markdown")
+        assert "environment: Vendor, Model 9;" in out
 
     def test_unknown_variant_rejected(self, capsys):
         code, _, err = run_cli(capsys, *self.bench_args(
@@ -415,7 +443,6 @@ class TestBenchReport:
 
     @pytest.mark.parametrize("setting", ['workload.b="8"', "workload.b=true",
                                          "workload.repetitions=3.0",
-                                         'workload.warmup_reps="1"',
                                          "workload.source_len=2.5", "workload=3",
                                          'include_beam="no"', "include_beam=1",
                                          'variants="multi-head"', "variants=[1]"])
@@ -424,15 +451,30 @@ class TestBenchReport:
         assert code == 2
         assert setting.split("=")[0].split(".")[-1] in err
 
-    @pytest.mark.parametrize("column,cell", [("d_ff", "abc"), ("window", "2.5"),
-                                             ("timer_resolution_ns", None)])
-    def test_report_of_a_bad_cell_is_usage_error(self, capsys, tmp_path, column, cell):
-        path = tmp_path / "bench.csv"
-        assert run_cli(capsys, *self.bench_args("--format", "csv", "--out", str(path)))[0] == 0
-        path.write_text(with_cell(path.read_text(), column, cell))
+    def test_warmup_reps_is_an_unknown_key(self, capsys):
+        code, _, err = run_cli(capsys, *self.bench_args("--set", "workload.warmup_reps=1"))
+        assert code == 2
+        assert "unknown workload key(s): warmup_reps" in err
+
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda text: text[:-3], "not valid JSON"),
+        (lambda text: "variant,kind,window\nmulti-head,multi_head,\n", "not valid JSON"),
+        (lambda text: "[]", "must be a JSON object"),
+        (lambda text: json.dumps({**json.loads(text), "rows": 1}), "rows must be a list"),
+        (lambda text: json.dumps({**json.loads(text), "note": 1}), "unknown report key"),
+        (lambda text: with_row_field(text, "d_ff", "abc"), "d_ff must be an integer"),
+        (lambda text: with_row_field(text, "window", 2.5), "window must be an integer"),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                  if k != "repetitions"}), "missing key(s): repetitions")],
+        ids=["truncated", "old_csv", "not_an_object", "rows_not_a_list", "unknown_key",
+             "wrong_type", "wrong_optional_type", "missing_field"])
+    def test_malformed_record_is_usage_error(self, capsys, tmp_path, edit, problem):
+        path = tmp_path / "bench.json"
+        assert run_cli(capsys, *self.bench_args("--format", "json", "--out", str(path)))[0] == 0
+        path.write_text(edit(path.read_text()))
         code, _, err = run_cli(capsys, "report", "--config", str(path))
         assert code == 2
-        assert f"line 2, column {column}" in err
+        assert problem in err
 
     def test_report_requires_config(self, capsys):
         code, _, err = run_cli(capsys, "report")
@@ -440,22 +482,11 @@ class TestBenchReport:
         assert "--config" in err
 
     def test_report_rejects_overrides(self, capsys, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("variant\n")
+        path = tmp_path / "x.json"
+        path.write_text("{}\n")
         code, _, err = run_cli(capsys, "report", "--config", str(path),
                                "--set", "a=1")
         assert code == 2
-
-    def test_report_of_rows_from_two_runs_is_usage_error(self, capsys, tmp_path):
-        path = tmp_path / "bench.csv"
-        assert run_cli(capsys, *self.bench_args("--format", "csv", "--out", str(path)))[0] == 0
-        header, first, second = path.read_text().splitlines()
-        cells = second.split(",")
-        cells[header.split(",").index("b")] = "77"
-        path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
-        code, _, err = run_cli(capsys, "report", "--config", str(path))
-        assert code == 2
-        assert "line 3, column b" in err
 
 
 class TestThreads:
@@ -495,8 +526,7 @@ FUZZ_BASE = {
     "decode": [f"model={json.dumps(FUZZ_MODEL)}", "batch=2", "length=3",
                "decode.max_steps=3"],
     "bench": [f"model={json.dumps(FUZZ_MODEL)}", 'workload={"b": 1, "source_len": 2, '
-              '"target_len": 2, "repetitions": 3, "warmup_reps": 1}',
-              "include_beam=false"],
+              '"target_len": 2, "repetitions": 3}', "include_beam=false"],
     "report": [],
 }
 
@@ -519,16 +549,14 @@ FUZZ_KEYS = {
                             "decode.length_alpha"],
     "bench": ["model.heads", "model.max_len", "model.dec_self_window",
               "workload.b", "workload.source_len", "workload.target_len",
-              "workload.repetitions", "workload.warmup_reps", "include_beam",
-              "variants"],
+              "workload.repetitions", "include_beam", "variants"],
     "report": [],
 }
 STRAY_KEYS = ["nope", "model.nope", "steps.deeper", "model"]
 FUZZ_VALUES = ["0", "1", "2", "3", "-1", "1.5", "1e400", "true", "null", '"2"', "x",
                "[]", "{}", '"beam"', '"decoder_only"', '"multi_query"', '"reverse"',
                '["multi-head"]']
-FORMATS = {"cost": ["text", "csv"], "bench": ["markdown", "csv"],
-           "report": ["markdown", "csv"]}
+FORMATS = {"cost": ["text", "json"], "bench": ["markdown", "json"]}
 # the flags each subcommand takes, all of which the fuzz may draw
 FUZZ_FLAGS = {
     "verify": ("--out", "--only"),
@@ -537,30 +565,30 @@ FUZZ_FLAGS = {
     "train": ("--config", "--set", "--seed", "--out"),
     "decode": ("--config", "--set", "--seed", "--out", "--checkpoint"),
     "bench": ("--config", "--set", "--seed", "--out", "--format"),
-    "report": ("--config", "--out", "--format"),
+    "report": ("--config", "--out"),
 }
 
 
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
-    """Paths a drawn argv may name: good and damaged configs, bench csvs
-    and checkpoints, and paths that cannot be read or written."""
+    """Paths a drawn argv may name: good and damaged configs, bench
+    records and checkpoints, and paths that cannot be read or written."""
     root = tmp_path_factory.mktemp("fuzz")
     files = {"missing": root / "missing", "under_a_file": root / "config.json" / "x"}
     for name, text in (("config.json", "{}"), ("list.json", "[1]"),
-                       ("not.json", "{"), ("bad.csv", "variant,us\nx,y\n"),
-                       ("empty.csv", "")):
+                       ("not.json", "{"), ("old.csv", "variant,us\nx,y\n"),
+                       ("empty", "")):
         (root / name).write_text(text)
         files[name] = root / name
-    files["good.csv"] = root / "good.csv"
-    assert main(["bench", "--format", "csv", "--out", str(files["good.csv"]),
+    files["record.json"] = root / "record.json"
+    assert main(["bench", "--format", "json", "--out", str(files["record.json"]),
                  *(flag for setting in FUZZ_BASE["bench"]
                    for flag in ("--set", setting))]) == 0
-    files["bad_cell.csv"] = root / "bad_cell.csv"
-    files["bad_cell.csv"].write_text(with_cell(files["good.csv"].read_text(), "d_ff", "abc"))
-    files["two_runs.csv"] = root / "two_runs.csv"
-    good = files["good.csv"].read_text()
-    files["two_runs.csv"].write_text(good + with_cell(good, "b", "77").splitlines()[1] + "\n")
+    good = files["record.json"].read_text()
+    for name, field, value in (("bad_row.json", "d_ff", "abc"),
+                               ("nan_row.json", "decoder_us", float("nan"))):
+        files[name] = root / name
+        files[name].write_text(with_row_field(good, field, value))
     files["latin1.json"] = root / "latin1.json"
     files["latin1.json"].write_bytes(NOT_UTF8)
     model = ModelConfig(**FUZZ_MODEL)
@@ -589,8 +617,8 @@ def cli_argv(draw, files):
         argv += ["--set", setting]
     configs = ["config.json", "list.json", "not.json", "latin1.json", "missing"]
     if command == "report":
-        configs = ["good.csv", "bad.csv", "bad_cell.csv", "two_runs.csv", "empty.csv",
-                   "latin1.json", "missing"]
+        configs = ["record.json", "bad_row.json", "nan_row.json", "config.json",
+                   "list.json", "not.json", "old.csv", "empty", "latin1.json", "missing"]
     choices = {"--config": configs,
                "--seed": ["0", "1", "-1", "x"],
                "--out": ["out", "missing_dir", "under_a_file"],

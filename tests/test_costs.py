@@ -9,7 +9,7 @@ from mqa_lab.attention import (TrafficTally, attention_batched,
 from mqa_lab.cache import new_cache
 from mqa_lab.config import ModelConfig
 from mqa_lab.costs import (CostBreakdown, ShapeConfig, batched_costs,
-                           breakdown_csv, dff_for_parity,
+                           dff_for_parity,
                            flops_batched_closed, format_breakdown,
                            incremental_costs, incremental_step_flops,
                            kv_cache_words_step,
@@ -320,13 +320,3 @@ class TestRendering:
     def test_format_contains_totals(self):
         text = format_breakdown(batched_costs(REFERENCE_DIMS, "multi_head"))
         assert "320" in text and "144" in text and "9/20" in text
-
-    def test_csv_round_trips_values(self):
-        import csv
-        import io
-        bds = [batched_costs(REFERENCE_DIMS, k) for k in ("multi_head", "multi_query")]
-        rows = list(csv.DictReader(io.StringIO(breakdown_csv(bds))))
-        flops = {(r["kind"], r["name"]): r["value"] for r in rows
-                 if r["section"] == "total" and r["name"] == "flops"}
-        assert flops[("multi_head", "flops")] == "320"
-        assert flops[("multi_query", "flops")] == "256"

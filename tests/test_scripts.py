@@ -1,6 +1,7 @@
 """Smoke tests: every script under scripts/ runs to exit 0 at a tiny size."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -25,8 +26,8 @@ DECODE_BENCH_SMOKE = [
 
 
 @pytest.mark.parametrize("script,args", [
-    ("cost_sweep.py", ["--lens", "2", "4", "--batches", "1"]),
-    ("decode_bench.py", DECODE_BENCH_SMOKE),
+    ("cost_sweep.py", ["--lens", "2", "4", "--batches", "1", "--out", "sweep.json"]),
+    ("decode_bench.py", DECODE_BENCH_SMOKE + ["--format", "json", "--out", "bench.json"]),
     ("train_copy.py", ["--steps", "2", "--length", "4", "--batch", "2",
                        "--d", "8", "--heads", "2"]),
 ])
@@ -38,6 +39,16 @@ def test_script_runs(script, args, tmp_path):
                             timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+    if script == "cost_sweep.py":
+        assert [row["n"] for row in json.loads((tmp_path / "sweep.json").read_text())] \
+            == [2, 4]
+    if script == "decode_bench.py":  # the record it wrote renders as the table
+        report = subprocess.run([sys.executable, "-m", "mqa_lab", "report",
+                                 "--config", "bench.json"],
+                                capture_output=True, text=True, cwd=tmp_path, env=env,
+                                timeout=120)
+        assert report.returncode == 0, report.stderr
+        assert "| multi-head |" in report.stdout
 
 
 _SPY = """
