@@ -1,8 +1,11 @@
-"""Print one SHA-256 over the package's numerical outputs at fixed seeds.
+"""Print SHA-256 digests of the package's numerical outputs at fixed seeds.
 
 Two source trees whose arithmetic agrees byte for byte print the same
-digest, so a change that claims to move only speed or memory is checked by
-running this on the tree before and after it.  For each mode
+digests, so a change that claims to move only speed or memory is checked by
+running this on the tree before and after it.  It prints one digest per
+configuration, then on the last line one over every configuration's
+outputs in order, so a change meant to move one attention kind shows that
+the other did not move.  For each mode
 (encoder_decoder, decoder_only), attention kind (multi_head, multi_query)
 and decoder self-attention window (none, 2) it hashes:
 
@@ -114,8 +117,12 @@ def main(argv=None):
         formatter_class=argparse.RawDescriptionHelpFormatter).parse_args(argv)
     total = hashlib.sha256()
     for config, task in cases():
+        digest = hashlib.sha256()
         for data in case_outputs(config, task):
+            digest.update(data)
             total.update(data)
+        print(config.mode, config.dec_self_kind, f"window={config.dec_self_window}",
+              digest.hexdigest())
     print(total.hexdigest())
     return 0
 

@@ -27,16 +27,16 @@ immutable caches in `attention.py`/`cache.py` are the reference these
 outputs are tested against, together with the teacher-forced batched
 forward pass.
 
-Greedy and beam search share one layout.  The opener's last
-min(window, n) keys/values become the shared part, one copy per source
-row, and each of the b * beam rows (a source row's beams ride the batch
-axis) gets own rings for the positions generated after it.  A step folds
-a row's beams into the query rows of each key/value head, reads the
-shared part and the encoder memory once per source row, and takes one
-softmax over the shared part and the beam's own ring.  Reordering beams
-then gathers the own rings alone.  Greedy emission is the beam_size=1,
-length_alpha=0 special case, and the tests hold greedy and beam-1 to
-exact agreement.
+Greedy and beam search share one layout.  The opener's last min(window, n)
+keys/values become the shared part, one copy per source row, and each of the
+b * beam rows (a source row's beams ride the batch axis) gets own rings for
+the positions generated after it.  A step's queries are its projection's
+columns, whose rows of a source row's beams model._grouped views as query
+rows of each key/value head, so it reads the shared part and the encoder
+memory once per source row, and takes one softmax over the shared part and
+the beam's own ring.  Reordering beams then gathers the own rings alone.
+Greedy emission is the beam_size=1, length_alpha=0 special case, and the
+tests hold greedy and beam-1 to exact agreement.
 
 Greedy verifies its own repeats: when every live row's last r >= 2 tokens
 are one token, it feeds min(r, 3) more copies (`_draft`) with that token
@@ -63,6 +63,7 @@ from .exceptions import ConfigError, InputError
 from .model import (
     ModelParams,
     _attend,
+    _check_finite,
     _log_partition,
     _positions_first,
     _self_bias,
@@ -81,10 +82,10 @@ def encode_source(params: ModelParams, config: ModelConfig,
                   source: np.ndarray) -> np.ndarray:
     """Run the encoder stack once, with no backward tape, so each
     sub-layer's temporaries are freed as it returns; returns memory
-    [b, m, d]."""
+    [b, m, d], or NumericError if it holds non-finite values."""
     if not config.has_encoder:
         raise ConfigError("decoder_only models have no encoder")
-    return encode(params, config, source)
+    return _check_finite("encoder memory", encode(params, config, source))
 
 
 def _project_memory(memory: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
@@ -164,9 +165,10 @@ def _state(params, config, memory, batch_size, limit, slots) -> DecoderState:
     memory = None if memory is None else as_array("encoder memory", memory)
     shape = np.shape(memory)
     if memory is not None and (len(shape) != 3 or shape[1] < 1 or memory.dtype.kind != "f"
-                               or shape[::2] != (batch_size, config.d_model)):
-        raise InputError(f"encoder memory must be a float [batch_size {batch_size}, m, "
-                         f"d_model {config.d_model}] array, got shape {shape}")
+                               or shape[::2] != (batch_size, config.d_model)
+                               or not np.isfinite(memory).all()):
+        raise InputError(f"encoder memory must be a finite float [batch_size {batch_size}, "
+                         f"m, d_model {config.d_model}] array, got shape {shape}")
     if not (_is_int(limit) and 1 <= limit <= config.max_len):
         raise InputError(f"max_positions {limit!r} is not an integer in "
                          f"[1, {config.max_len}]")
@@ -185,15 +187,16 @@ def _attention(q, rows, calls, config):
     h, step = config.heads, len(calls)
     o = np.empty((len(q), h * config.d_v))
     for j, (parts, bias) in enumerate(calls):
-        _attend(_positions_first(q[j::step], rows, h), parts,
-                _positions_first(o[j::step], rows, h), bias)
+        _attend(q[j::step].reshape(rows, -1, h, config.d_k), parts,
+                o[j::step].reshape(rows, -1, h, config.d_v), bias)
     return o
 
 
 def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
           tokens: np.ndarray, every: bool = False) -> list[np.ndarray]:
     """Feed tokens [rows, c] at positions state.position .. + c - 1; returns
-    the logits [rows, vocab] after the last in a list, or (every) after each.
+    the logits [rows, vocab] after the last in a list, or (every) after each,
+    or NumericError if they hold non-finite values (as model._run does).
     Each layer writes the chunk's keys/values into the own rings (a chunk
     of c > 1 must fit them unwrapped).  The opener's queries attend under
     one masked softmax, the last layer's at the last position only; a
@@ -239,7 +242,8 @@ def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
         x = x + feed_forward(normed, block.ff)[0]
     state.position = t + c
     final, _ = layer_norm(x, params.dec_out_ln)
-    return [final[j::len(calls)] @ params.embedding.T for j in range(len(calls))]
+    return [_check_finite("logits", final[j::len(calls)] @ params.embedding.T)
+            for j in range(len(calls))]
 
 
 def decoder_step(params: ModelParams, config: ModelConfig,
@@ -492,7 +496,7 @@ def search(params: ModelParams, config: ModelConfig, decode_config: DecodeConfig
     """Run decode_config.strategy from an opener [b, n] and encoder memory
     [b, m, d_model] (None for decoder_only), as decode makes them.  The
     configs, params and opener are checked first, as decode checks them;
-    _state checks the memory."""
+    _state checks the memory, refusing non-finite values."""
     opener = _checked_opener(params, config, decode_config, opener)
     return _LOOPS[decode_config.strategy](params, config, decode_config, opener, memory)
 

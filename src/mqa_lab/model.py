@@ -5,18 +5,20 @@ projection, bias-free feed-forward layers.  Attention kind (multi-head or
 multi-query) is configured per site; both run one attention forward and
 backward pass, written over g key/value heads shared by groups of h // g
 query heads (g = h multi-head, g = 1 multi-query).  _attend is the one
-attention routine at run time: attention_forward and every attention of
-the decode engine take their logits, softmax and mix from it, over
-key/value parts of one set per row, or one per source row that its beams
-read once.  The training path runs
-on folded matmul shapes for speed: every product with a weight matrix is
-one 2-D product over all rows, and self-attention projects queries, keys
-and values in one product forward and one back.  The weights are stored
-in those products' layout (attention.AttentionWeights: qkv and out), so
-every pass reads them in place, and the backward pass writes each weight
-gradient straight into its place in the gradient tree.  Its outputs are
-pinned to the contraction kernels by equivalence tests, and every
-gradient here is checked against central finite differences.
+attention routine at run time: attention_forward and every attention of the
+decode engine take their logits, softmax and mix from it, over key/value
+parts of one set per row, or one per source row that its beams read once.
+Its queries and mix are [rows, positions, heads, .], which _grouped views
+per key/value head (for g in {1, h}) with rows ordered beam, position, head
+in group, and every part's logits go into one weights array in that order.
+The training path runs on folded matmul shapes for speed: every product with
+a weight matrix is one 2-D product over all rows, and self-attention
+projects queries, keys and values in one product forward and one back.  The
+weights are stored in those products' layout (attention.AttentionWeights:
+qkv and out), so every pass reads them in place, and the backward pass
+writes each weight gradient straight into its place in the gradient tree.
+Its outputs are pinned to the contraction kernels by equivalence tests, and
+every gradient here is checked against central finite differences.
 
 Only loss_and_grads keeps a backward tape: its forward pass pushes each
 sub-layer's cache on one list, and the reverse pass pops them.  forward
@@ -444,75 +446,54 @@ def _positions_first(cols, b, heads):  # [b*n, heads*w] -> [b, heads, n, w] view
     return cols.reshape(b, -1, heads, cols.shape[1] // heads).transpose(0, 2, 1, 3)
 
 
-def _fold_beams(x, b):
-    """[b*beam, g, r, w] -> [b, g, beam*r, w]: a source row's beams become
-    query rows of its groups, as multi-query folds heads into rows."""
-    rows, g, r, w = x.shape
-    if rows == b:
-        return x
-    return x.reshape(b, rows // b, g, r, w).swapaxes(1, 2).reshape(b, g, -1, w)
-
-
-def _unfold_beams(x, rows):
-    """The inverse of _fold_beams: [b, g, beam*r, w] -> [rows, g, r, w]."""
-    b, g, _, w = x.shape
-    if rows == b:
-        return x
-    return x.reshape(b, g, rows // b, -1, w).swapaxes(1, 2).reshape(rows, g, -1, w)
-
-
-def _group_rows(a, g, empty):
-    """[b, h, n, w] -> [b, g, h // g * n, w]: the query heads of each
-    key/value head as one block of rows (a copy unless g = h)."""
-    b, h, n, w = a.shape
-    if g == h:
-        return a
-    grouped = empty(a.shape)
-    np.copyto(grouped, a)
-    return grouped.reshape(b, g, h // g * n, w)
-
-
-def _ungrouped_product(left, right, heads, empty):
-    """left @ right, [p, g, rows // p * h // g * n, w], written into heads
-    [rows, h, n, w] (the inverse of _fold_beams and _group_rows): straight
-    into it when p = rows and g = h, else through a grouped array that is
-    then copied."""
-    if left.shape[:2] == heads.shape[:2]:
-        np.matmul(left, right, out=heads)
-    else:
-        grouped = np.matmul(left, right, out=empty(left.shape[:-1] + right.shape[-1:]))
-        np.copyto(heads, _unfold_beams(grouped, len(heads)).reshape(heads.shape))
+def _grouped(x, p, b, g, copy=None):
+    """x [rows, n, h, w] as [b, p // b, g, rows // p * n * h // g, w]: for
+    each of a part's p key/value sets (p = rows, or p = b when a source
+    row's rows // b beams read one set), the query rows of each key/value
+    head, ordered beam, position, head in group.  For g in {1, h}, a view
+    when each row's n * h * w values are contiguous, and for g = h also
+    over strided rows of one beam or one position; else numpy copies,
+    harmless for an input.  An output passes copy=False, and gets
+    ShapeError rather than a copy whose writes would be lost."""
+    rows, n, h, w = x.shape
+    split = x.reshape(p, rows // p, n, g, h // g, w).transpose(0, 3, 1, 2, 4, 5)
+    try:
+        return split.reshape(b, p // b, g, -1, w, copy=copy)
+    except ValueError:
+        raise ShapeError(f"no view of {x.shape} (strides {x.strides}) in {g} groups") from None
 
 
 def _attend(q, parts, heads, bias=None, empty=np.empty):
-    """The one attention routine: queries q [rows, h, n, k] over key/value
-    parts under one softmax, mixed into heads [rows, h, n, v].  A part is
+    """The one attention routine: queries q [rows, n, h, k] over key/value
+    parts under one softmax, mixed into heads [rows, n, h, v].  A part is
     (keys [p, g, t, k], values [p, g, t, v]), one set per row (p = rows) or,
     listed first, per source row (p = b, read once by its rows // b beams);
     empty parts are left out.  Group j of h // g query heads reads key/value
-    head j.  bias [n, all t] spans the parts' keys in order.  Temporaries
-    come from empty.  Returns the grouped queries and the softmax weights."""
+    head j.  Each part's logits are written into its columns of one weights
+    array [b, g, rows // b * n * h // g, all t], whose rows _grouped orders;
+    bias [n, all t] spans the parts' keys in order.  Temporaries come from
+    empty.  Returns the softmax weights."""
     parts = [part for part in parts if part[0].shape[2]]
-    rows, b = len(q), len(parts[0][0])
-    q = _group_rows(q, parts[0][0].shape[1], empty)
-    logits = []
+    (rows, n, h, _), (b, g) = q.shape, parts[0][0].shape[:2]
+    weights = empty((b, g, rows // b * n * h // g, sum(keys.shape[2] for keys, _ in parts)))
+    columns, start = [], 0
     for keys, _ in parts:
-        folded = _fold_beams(q, len(keys))
-        logits.append(_fold_beams(np.matmul(folded, keys.swapaxes(-1, -2), out=empty(
-            folded.shape[:-1] + keys.shape[2:3])), b))
-    weights = logits[0] if len(parts) == 1 else np.concatenate(logits, axis=-1)
+        p, t = len(keys), keys.shape[2]
+        columns.append(weights[..., start:start + t].reshape(b, g, p // b, -1, t).swapaxes(1, 2))
+        np.matmul(_grouped(q, p, b, g), keys.reshape(b, p // b, g, t, -1).swapaxes(-1, -2),
+                  out=columns[-1])
+        start += t
     if bias is not None:
-        weights.reshape(weights.shape[:2] + (-1,) + bias.shape)[...] += bias
+        weights.reshape(b, g, -1, n, h // g, weights.shape[-1])[...] += bias[:, None, :]
     _softmax_rows(weights)
-    start = 0
-    for i, (keys, values) in enumerate(parts):
-        part = _unfold_beams(weights[..., start:start + keys.shape[2]], len(keys))
-        start += keys.shape[2]
+    for i, ((_, values), part) in enumerate(zip(parts, columns)):
+        mixed = _grouped(heads, len(values), b, g, copy=False)
+        values = values.reshape(part.shape[:3] + values.shape[2:])
         if i == 0:
-            _ungrouped_product(part, values, heads, empty)
+            np.matmul(part, values, out=mixed)
         else:
-            heads += _unfold_beams(part @ values, rows).reshape(heads.shape)
-    return q, weights
+            mixed += part @ values
+    return weights
 
 
 def attention_forward(x_q, x_kv, w: AttentionWeights, bias, empty=np.empty):
@@ -521,9 +502,10 @@ def attention_forward(x_q, x_kv, w: AttentionWeights, bias, empty=np.empty):
     x_q [b, n, d], x_kv [b, m, d], bias [n, m] additive (0 / -inf) or None.
     Self-attention (x_kv is x_q) projects queries, keys and values in one
     product with w.qkv; otherwise the queries take one product with its
-    query columns and the keys and values another with the rest.  The h
-    query heads fold into g groups of h // g rows each, so every attention
-    product runs per (batch row, key/value head).
+    query columns and the keys and values another with the rest.  The
+    queries and the mix are those columns as [b, n, h, width]; _attend
+    groups the h // g query heads of each key/value head as rows, so
+    every attention product runs per (batch row, key/value head).
     Returns (y [b, n, d], cache).
     """
     b, n, d = x_q.shape
@@ -536,11 +518,11 @@ def attention_forward(x_q, x_kv, w: AttentionWeights, bias, empty=np.empty):
     else:
         q = np.matmul(x_q.reshape(b * n, d), w.qkv[:, :hk], out=empty((b * n, hk)))
         kv = np.matmul(x_kv.reshape(b * m, d), w.qkv[:, hk:], out=empty((b * m, cols - hk)))
+    q = q[:, :hk].reshape(b, n, h, k)
     key = _positions_first(kv[:, :g * k], b, g)
     val = _positions_first(kv[:, g * k:], b, g)
     o_fold = empty((b * n, h * val.shape[-1]))
-    q, weights = _attend(_positions_first(q[:, :hk], b, h), [(key, val)],
-                         _positions_first(o_fold, b, h), bias, empty)
+    weights = _attend(q, [(key, val)], o_fold.reshape(b, n, h, -1), bias, empty)
     y = np.matmul(o_fold, w.out.reshape(-1, d), out=empty((b * n, d)))
     return y.reshape(b, n, d), (x_q, x_kv, q, key, val, weights, o_fold)
 
@@ -565,7 +547,7 @@ def attention_backward(dy, cache, w: AttentionWeights,
     dy = dy.reshape(b * n, d)
     np.matmul(o_fold.T, dy, out=out.out.reshape(-1, d))
     d_o_fold = np.matmul(dy, w.out.reshape(-1, d).T, out=empty(o_fold.shape))
-    d_mixed = _group_rows(_positions_first(d_o_fold, b, h), g, empty)
+    d_mixed = _grouped(d_o_fold.reshape(b, n, h, -1), b, b, g)[:, 0]
 
     # the gradients of the projections' outputs, in their column layout;
     # the products below write into them directly
@@ -589,8 +571,15 @@ def attention_backward(dy, cache, w: AttentionWeights,
     row_sums = np.matmul(inner, np.ones(m), out=empty((len(inner),)))
     d_weights -= row_sums.reshape(weights.shape[:-1] + (1,))
     d_weights *= weights
-    np.matmul(d_weights.swapaxes(-1, -2), q, out=d_key)
-    _ungrouped_product(d_weights, key, _positions_first(d_q_cols[:, :hk], b, h), empty)
+    np.matmul(d_weights.swapaxes(-1, -2), _grouped(q, b, b, g)[:, 0], out=d_key)
+    # a multi-query gradient inside the fused columns has no grouped view
+    # (its rows' h * k values are not contiguous): it goes through a
+    # temporary, copied back
+    d_q = d_q_cols[:, :hk].reshape(b, n, h, k)
+    grouped = d_q if g == h or d_q_cols.shape[1] == hk else empty(d_q.shape)
+    np.matmul(d_weights, key, out=_grouped(grouped, b, b, g, copy=False)[:, 0])
+    if grouped is not d_q:
+        np.copyto(d_q, grouped)
 
     # back through the columns x_q took: all of qkv, or the query columns,
     # each weight gradient written into its columns of out.qkv
@@ -707,9 +696,10 @@ def _embed(params: ModelParams, config: ModelConfig, ids, what: str,
     return x
 
 
-def _check_finite(name: str, arr) -> None:
+def _check_finite(name: str, arr):
     if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values in {name}")
+    return arr
 
 
 @dataclass

@@ -25,8 +25,8 @@ from mqa_lab.decoding import (
     search,
     start_state,
 )
-from mqa_lab.exceptions import ConfigError, InputError, ShapeError
-from mqa_lab.model import Batch, encode, forward, init_params
+from mqa_lab.exceptions import ConfigError, InputError, NumericError, ShapeError
+from mqa_lab.model import Batch, encode, forward, init_params, named_arrays
 from mqa_lab.training import BOS, TaskSpec, decoder_opener, make_task_batch, train
 
 
@@ -925,6 +925,61 @@ def test_search_and_start_state_take_list_memory():
     state = start_state(params, config, batch_size=2, memory=memory)
     for (k, v), (k2, v2) in zip(listed.cross, state.cross):
         assert k.tobytes() == k2.tobytes() and v.tobytes() == v2.tobytes()
+
+
+class TestNonFiniteValues:
+    """Non-finite encoder memory handed to search or start_state is refused
+    with InputError before any work; non-finite params make the decode
+    engine raise NumericError, as score_sequence does, never an IndexError
+    or tokens read off NaN logits."""
+
+    @pytest.fixture
+    def no_rings(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decode work started before the memory check")
+        monkeypatch.setattr(decoding, "_rings", refuse)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    def test_search_refuses_non_finite_memory(self, no_rings, strategy, value):
+        config = MISFIT_CONFIG
+        memory = encode_source(init_params(config), config, MISFIT_SOURCE)
+        memory[1, 2, 3] = value
+        dc = DecodeConfig(strategy=strategy, beam_size=2 if strategy == "beam" else 1,
+                          max_steps=3)
+        with pytest.raises(InputError, match="finite"):
+            search(init_params(config), config, dc, MISFIT_SOURCE[:, :1], memory)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_start_state_refuses_non_finite_memory(self, no_rings, value):
+        memory = np.full((2, 3, 8), value)
+        with pytest.raises(InputError, match="finite"):
+            start_state(init_params(MISFIT_CONFIG), MISFIT_CONFIG, batch_size=2,
+                        memory=memory)
+
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
+    @pytest.mark.parametrize("site", ["embedding", "decoder.0.ff.w_out"])
+    def test_non_finite_params_raise_numeric_error(self, strategy, mode, site):
+        config = tiny_config(mode=mode, layers=1)
+        params = init_params(config)
+        dict(named_arrays(params))[site][0, 0] = np.nan
+        inputs = {"source" if mode == "encoder_decoder" else "prompt": _int_rows(2, 3)}
+        dc = DecodeConfig(strategy=strategy, beam_size=2 if strategy == "beam" else 1,
+                          max_steps=3)
+        with pytest.raises(NumericError):
+            decode(params, config, dc, **inputs)
+        with pytest.raises(NumericError):
+            score_sequence(params, config, [1, 2], **{k: v[0] for k, v in inputs.items()})
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    def test_a_step_on_non_finite_params_raises_numeric_error(self):
+        config = tiny_config(mode="decoder_only", layers=1)
+        params = init_params(config)
+        params.decoder[0].ff.w_out[0, 0] = np.inf
+        state = start_state(params, config, batch_size=2)
+        with pytest.raises(NumericError):
+            decoder_step(params, config, state, np.array([1, 2]))
 
 
 @pytest.mark.parametrize("strategy", ["greedy", "beam"])

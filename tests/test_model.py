@@ -7,6 +7,7 @@ scalar loop oracles.
 """
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -24,8 +25,10 @@ from mqa_lab.exceptions import InputError, ShapeError
 from mqa_lab.model import (
     Batch,
     _attend,
+    _grouped,
     _self_bias,
     _softmax_rows,
+    attention_backward,
     attention_forward,
     feed_forward,
     feed_forward_bwd,
@@ -234,9 +237,9 @@ class TestOneAttentionRoutine:
                      for p in (w.p_k, w.p_v))
 
     def _output(self, w, x, parts, bias):
-        heads = np.empty((len(x), self.H, x.shape[1], self.V))
-        _attend(np.einsum("rnd,hdk->rhnk", x, w.p_q), parts, heads, bias)
-        return np.einsum("rhnv,hdv->rnd", heads, w.p_o)
+        heads = np.empty((len(x), x.shape[1], self.H, self.V))
+        _attend(np.einsum("rnd,hdk->rnhk", x, w.p_q), parts, heads, bias)
+        return np.einsum("rnhv,hdv->rnd", heads, w.p_o)
 
     @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
     @pytest.mark.parametrize("masked", [False, True])
@@ -266,6 +269,100 @@ class TestOneAttentionRoutine:
         for padded in ([empty_shared] + parts, parts + [empty_own],
                        [parts[0], empty_own, parts[1]]):
             assert self._output(w, x, padded, None).tobytes() == want.tobytes()
+
+    def _step_case(self, rng, kind, beam, c):
+        """Inputs of c positions per row whose queries _columns_output
+        passes as the decode engine does, rows of [rows * c, h * k] columns
+        (strided for c > 1): returns (weights, x, each row's memory, a
+        local-window mask spec for one query, the shared and own parts,
+        the query columns)."""
+        w, x, shared, own = self._inputs(rng, kind, beam, c)
+        memory = np.concatenate([np.repeat(shared, beam, axis=0), own], axis=1)
+        spec = MaskSpec("local", len(x), self.H, 1, memory.shape[1], window=3)
+        q_cols = np.einsum("rnd,hdk->rnhk", x, w.p_q).reshape(-1, self.H * self.K)
+        return w, x, memory, spec, [self._part(p, w) for p in (shared, own)], q_cols
+
+    def _columns_output(self, w, q_cols, rows, c, j, parts, bias):
+        o = np.empty((rows * c, self.H * self.V))
+        _attend(q_cols[j::c].reshape(rows, -1, self.H, self.K), parts,
+                o[j::c].reshape(rows, -1, self.H, self.V), bias)
+        return np.einsum("rhv,hdv->rd", o[j::c].reshape(rows, self.H, self.V), w.p_o)
+
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    @pytest.mark.parametrize("beam,c,j", [(3, 1, 0), (1, 3, 0), (1, 3, 2)],
+                             ids=["beams-folded", "verify-0", "verify-2"])
+    def test_column_views_agree_with_the_kernel(self, rng, kind, beam, c, j):
+        """A step's beams folded over the per-source-row part, and one beam
+        per row at position j of a verify pass (queries q[j::c]), each with
+        a bias, read their queries from and write their mix into the
+        caller's columns."""
+        w, x, memory, spec, parts, q_cols = self._step_case(rng, kind, beam, c)
+        got = self._columns_output(w, q_cols, len(x), c, j, parts, build_mask(spec)[0, 0])
+        want = attention_batched(x[:, j:j + 1], memory, w, mask=spec)[:, 0]
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("g", [H, 1])
+    @pytest.mark.parametrize("beam,n,c", [(3, 2, 1), (1, 1, 3)],
+                             ids=["contiguous", "strided"])
+    def test_groupings_are_views_of_their_columns(self, g, beam, n, c):
+        """_grouped puts x[r, i, head] at row (beam, position, head in
+        group) of its source row's key/value head, as a view of the
+        columns: contiguous ones, and every c-th row as a verify pass
+        takes them."""
+        rows, hg = self.B * beam, self.H // g
+        cols = np.arange(rows * n * c * self.H * self.K, dtype=float).reshape(
+            rows * n * c, self.H * self.K)
+        x = cols[::c].reshape(rows, n, self.H, self.K)
+        for p in (self.B, rows):
+            grouped = _grouped(x, p, self.B, g, copy=False)
+            assert grouped.shape == (self.B, p // self.B, g, rows // p * n * hg, self.K)
+            assert np.shares_memory(grouped, cols)
+            for r, i, head in itertools.product(range(rows), range(n), range(self.H)):
+                at = r // (rows // p)  # the key/value set row r reads
+                row = (r % (rows // p) * n + i) * hg + head % hg
+                assert grouped[at // (p // self.B), at % (p // self.B), head // hg,
+                               row].tobytes() == x[r, i, head].tobytes()
+
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    def test_beams_folded_over_strided_rows_are_written_or_refused(self, rng, kind):
+        """Beams folded over every c-th row: multi-head's grouping is a
+        view and is written; multi-query's is not, and is refused rather
+        than mixed into a copy that would be dropped."""
+        w, x, memory, spec, parts, q_cols = self._step_case(rng, kind, 3, 2)
+        spec = dataclasses.replace(spec, m=self.S)
+        shared = (parts[:1], build_mask(spec)[0, 0])
+        if kind == "multi_query":
+            with pytest.raises(ShapeError, match="no view of"):
+                self._columns_output(w, q_cols, len(x), 2, 1, *shared)
+            return
+        got = self._columns_output(w, q_cols, len(x), 2, 1, *shared)
+        want = attention_batched(x[:, 1:], memory[:, :self.S], w, mask=spec)[:, 0]
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+class TestFusedQueryGradient:
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    def test_written_back_through_the_fused_columns(self, rng, kind):
+        """Self-attention's query gradient lives in the fused q/k/v
+        columns, where a multi-query grouping is no view: it goes through a
+        temporary and is copied back, so the fused pass's input gradient
+        equals the unfused pass's two (same x, passed as two arrays)."""
+        b, n, d, h, k, v = 2, 4, 8, 4, 3, 5
+        w = random_attention_weights(rng, kind, d=d, h=h, k=k, v=v)
+        x, dy = rng.normal(size=(2, b, n, d))
+        bias = _self_bias(tiny_config(), 0, n)
+        fused = attention_backward(dy, attention_forward(x, x, w, bias)[1], w)
+        split = attention_backward(dy, attention_forward(x, x.copy(), w, bias)[1], w)
+        assert fused[1] is None
+        assert np.max(np.abs(fused[0] - (split[0] + split[1]))) < 1e-12
+        for a, c in zip((fused[2].qkv, fused[2].out), (split[2].qkv, split[2].out)):
+            assert np.max(np.abs(a - c)) < 1e-12
+        # why the temporary is there: the fused columns' multi-query
+        # grouping has no view to write into
+        d_q = np.empty((b * n, w.qkv.shape[1]))[:, :h * k].reshape(b, n, h, k)
+        if kind == "multi_query":
+            with pytest.raises(ShapeError, match="no view of"):
+                _grouped(d_q, b, b, 1, copy=False)
 
 
 class TestInitAndTrees:

@@ -95,16 +95,23 @@ def test_script_caps_blas_threads_before_numpy_loads(script, tmp_path):
 
 
 def test_fingerprint_prints_one_stable_digest(tmp_path):
-    """The smoke run of fingerprint.py: run twice, one digest both times."""
+    """The smoke run of fingerprint.py: run twice, the same lines both
+    times, one digest per configuration of fingerprint.cases() under its
+    mode, kind and window, then the total on the last line."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, **dict.fromkeys(THREAD_ENV_VARS, "1"))
     argv = [sys.executable, str(ROOT / "scripts" / "fingerprint.py")]
     runs = [subprocess.run(argv, capture_output=True, text=True, cwd=tmp_path,
                            env=env, timeout=120) for _ in range(2)]
     assert runs[0].returncode == 0, runs[0].stderr
-    digest = runs[0].stdout.strip()
-    assert len(digest) == 64 and int(digest, 16) >= 0
-    assert runs[1].stdout.strip() == digest
+    *lines, total = runs[0].stdout.strip().splitlines()
+    digests = [line.split()[-1] for line in lines] + [total]
+    assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest in digests)
+    configs = [config for config, _ in _load_script("fingerprint").cases()]
+    assert [line.split()[:-1] for line in lines] == [
+        [c.mode, c.dec_self_kind, f"window={c.dec_self_window}"] for c in configs]
+    assert len(set(digests)) == len(configs) + 1
+    assert runs[1].stdout == runs[0].stdout
 
 
 def _load_script(name):
