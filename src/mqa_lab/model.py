@@ -446,21 +446,21 @@ def _positions_first(cols, b, heads):  # [b*n, heads*w] -> [b, heads, n, w] view
     return cols.reshape(b, -1, heads, cols.shape[1] // heads).transpose(0, 2, 1, 3)
 
 
-def _grouped(x, p, b, g, copy=None):
+def _grouped(x, p, b, g, out=False):
     """x [rows, n, h, w] as [b, p // b, g, rows // p * n * h // g, w]: for
     each of a part's p key/value sets (p = rows, or p = b when a source
     row's rows // b beams read one set), the query rows of each key/value
     head, ordered beam, position, head in group.  For g in {1, h}, a view
     when each row's n * h * w values are contiguous, and for g = h also
     over strided rows of one beam or one position; else numpy copies,
-    harmless for an input.  An output passes copy=False, and gets
-    ShapeError rather than a copy whose writes would be lost."""
+    harmless for an input.  An output (out) gets ShapeError rather than a
+    copy whose writes would be lost: a copy is a new buffer, outside x's."""
     rows, n, h, w = x.shape
     split = x.reshape(p, rows // p, n, g, h // g, w).transpose(0, 3, 1, 2, 4, 5)
-    try:
-        return split.reshape(b, p // b, g, -1, w, copy=copy)
-    except ValueError:
-        raise ShapeError(f"no view of {x.shape} (strides {x.strides}) in {g} groups") from None
+    grouped = split.reshape(b, p // b, g, -1, w)
+    if out and not np.may_share_memory(grouped, x):
+        raise ShapeError(f"no view of {x.shape} (strides {x.strides}) in {g} groups")
+    return grouped
 
 
 def _attend(q, parts, heads, bias=None, empty=np.empty):
@@ -487,7 +487,7 @@ def _attend(q, parts, heads, bias=None, empty=np.empty):
         weights.reshape(b, g, -1, n, h // g, weights.shape[-1])[...] += bias[:, None, :]
     _softmax_rows(weights)
     for i, ((_, values), part) in enumerate(zip(parts, columns)):
-        mixed = _grouped(heads, len(values), b, g, copy=False)
+        mixed = _grouped(heads, len(values), b, g, out=True)
         values = values.reshape(part.shape[:3] + values.shape[2:])
         if i == 0:
             np.matmul(part, values, out=mixed)
@@ -519,6 +519,8 @@ def attention_forward(x_q, x_kv, w: AttentionWeights, bias, empty=np.empty):
         q = np.matmul(x_q.reshape(b * n, d), w.qkv[:, :hk], out=empty((b * n, hk)))
         kv = np.matmul(x_kv.reshape(b * m, d), w.qkv[:, hk:], out=empty((b * m, cols - hk)))
     q = q[:, :hk].reshape(b, n, h, k)
+    if g != h:  # no grouped view of multi-query rows in the fused columns: copy once
+        q = np.ascontiguousarray(q)
     key = _positions_first(kv[:, :g * k], b, g)
     val = _positions_first(kv[:, g * k:], b, g)
     o_fold = empty((b * n, h * val.shape[-1]))
@@ -577,7 +579,7 @@ def attention_backward(dy, cache, w: AttentionWeights,
     # temporary, copied back
     d_q = d_q_cols[:, :hk].reshape(b, n, h, k)
     grouped = d_q if g == h or d_q_cols.shape[1] == hk else empty(d_q.shape)
-    np.matmul(d_weights, key, out=_grouped(grouped, b, b, g, copy=False)[:, 0])
+    np.matmul(d_weights, key, out=_grouped(grouped, b, b, g, out=True)[:, 0])
     if grouped is not d_q:
         np.copyto(d_q, grouped)
 

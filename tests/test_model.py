@@ -314,7 +314,7 @@ class TestOneAttentionRoutine:
             rows * n * c, self.H * self.K)
         x = cols[::c].reshape(rows, n, self.H, self.K)
         for p in (self.B, rows):
-            grouped = _grouped(x, p, self.B, g, copy=False)
+            grouped = _grouped(x, p, self.B, g, out=True)
             assert grouped.shape == (self.B, p // self.B, g, rows // p * n * hg, self.K)
             assert np.shares_memory(grouped, cols)
             for r, i, head in itertools.product(range(rows), range(n), range(self.H)):
@@ -362,7 +362,19 @@ class TestFusedQueryGradient:
         d_q = np.empty((b * n, w.qkv.shape[1]))[:, :h * k].reshape(b, n, h, k)
         if kind == "multi_query":
             with pytest.raises(ShapeError, match="no view of"):
-                _grouped(d_q, b, b, 1, copy=False)
+                _grouped(d_q, b, b, 1, out=True)
+
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    def test_cached_query_groups_as_a_view(self, rng, kind):
+        """The query self-attention caches for the backward pass is grouped
+        there as a view: multi-head's in the fused columns, multi-query's
+        in the one contiguous copy the forward pass made of them."""
+        b, n, d = 2, 4, 8
+        w = random_attention_weights(rng, kind, d=d, h=4, k=3, v=5)
+        x = rng.normal(size=(b, n, d))
+        q = attention_forward(x, x, w, None)[1][2]
+        assert q.flags.c_contiguous == (kind == "multi_query")
+        assert np.shares_memory(_grouped(q, b, b, w.groups, out=True), q)
 
 
 class TestInitAndTrees:
