@@ -16,8 +16,11 @@ are byte-equal over every seed, and each tree's median seconds per call:
   different layouts compare by value.
 
 Timing two trees in one process, interleaved, resolves differences of a
-few percent that separate perfbench processes do not.  Exit status 1 if
-any output differs.  Run it from the repository root:
+few percent that separate perfbench processes do not.  But the two trees
+share the process's state: BLAS threads and malloc's settings (the first
+training call of either tree tunes glibc's for both).  A change to such
+state reads equal here; measure it with paired perfbench processes
+instead.  Exit status 1 if any output differs.  Run it from the repository root:
 
     MQA_THREADS=1 PYTHONPATH=src python3 scripts/ab.py PARENT/src src \\
         --seeds 1 2 3 4 5 --rounds 10

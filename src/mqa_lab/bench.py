@@ -44,8 +44,7 @@ from .config import DecodeConfig, ModelConfig, _check_types, dataclass_from_dict
 from .costs import ShapeConfig, dff_for_parity, incremental_step_flops, kv_cache_words_step
 from .decoding import encode_source, search
 from .exceptions import ConfigError, InputError
-from .model import (Batch, Workspace, init_params, loss_and_grads, param_count,
-                    unflatten)
+from .model import Batch, init_params, loss_and_grads, param_count, unflatten
 from .training import decoder_opener, stream_batch
 
 LOCAL_WINDOW = 32
@@ -205,10 +204,10 @@ def run_bench(workload: Workload, variants=VARIANTS, *,
               include_beam: bool = True) -> BenchReport:
     """The full table, one pass per variant: its parameters, batch and
     counted columns are built once, then the training step (into one
-    gradient vector and Workspace kept across repetitions, as
-    training.train_steps runs it), the encoder, and greedy and (with
-    include_beam) beam search on the encoder's memory are timed in turn.
-    Every variant is checked before any is timed."""
+    gradient vector kept across repetitions, as training.train_steps runs
+    it), the encoder, and greedy and (with include_beam) beam search on
+    the encoder's memory are timed in turn.  Every variant is checked
+    before any is timed."""
     report = BenchReport(workload.b, workload.source_len, workload.target_len,
                          workload.repetitions)
     _fingerprint(report)
@@ -226,9 +225,8 @@ def run_bench(workload: Workload, variants=VARIANTS, *,
                        param_total=param_count(params),
                        kv_words_per_step=kv, flops_per_step=flops)
         grads = unflatten(np.empty(row.param_total), params)
-        work = Workspace()
         row.training_us, _ = _timed(
-            lambda: loss_and_grads(params, config, batch, grads, work),
+            lambda: loss_and_grads(params, config, batch, grads),
             workload, b * (workload.source_len + steps))
         row.encoder_us, memory = _timed(
             lambda: encode_source(params, config, batch.source),

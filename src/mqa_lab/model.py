@@ -37,10 +37,9 @@ max of many short rows one np.maximum per column (exact, so the same bits
 as z.max).
 
 loss_and_grads writes the gradients into a given tree (in training, views
-of one gradient vector) and can take its temporaries from a Workspace that
-keeps them from one training step to the next; entered in a with block, a
-Workspace carves them from one spare slab of free memory that outlives the
-training call, so the next call page-faults none of it.
+of one gradient vector); its temporaries are plain numpy results.  Its
+first call tells glibc's malloc to keep the memory a step frees, so the
+next step reuses those pages rather than page-faulting fresh ones.
 
 check_ids is the one input contract for token ids: _embed runs it on all
 ids a pass embeds, _checked_batch on the labels, and the decoding entry
@@ -53,12 +52,11 @@ module mutates its inputs.
 """
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import functools
 import itertools
-import math
-import sys
-import threading
+import platform
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,110 +251,24 @@ def _build_params(config: ModelConfig, rng) -> ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# temporaries
-
-class Workspace:
-    """Arrays for loss_and_grads's temporaries, kept from one call to the
-    next.
-
-    empty(shape) returns a kept buffer of that many values and that dtype,
-    shaped as asked, that nothing references any more, or makes and keeps
-    a new one.  A training run asks for the same shapes at every step, so
-    after its first step it allocates no temporary afresh, and glibc has
-    nothing to hand back to the OS and fault in again; what it keeps is
-    about one step's peak of live temporaries.  An array it hands out is
-    valid until the last reference to it goes; then a later request may
-    reuse its buffer.
-
-    Entered in a with block, a workspace also outlives its own buffers:
-    it takes the process's one spare slab, a raw byte block that holds
-    free memory and never values, and carves its new buffers from it
-    (past the slab's end they come from np.empty).  On exit it forgets
-    its buffers and hands back the larger of the slab it had and a new
-    one sized to every buffer it made, so the next call of the same shape
-    carves from memory the process already holds and page-faults none of
-    it.  At the train_copy shape (encoder-decoder, d 64, batch 32 of 12)
-    the slab is about 23 MB: one step's temporaries, the gradient vector
-    and Adam's moments.  The spare is swapped under a lock; a workspace
-    entered while another holds it starts with none and allocates afresh.
-    A carved buffer holds whatever its last user left there, so like
-    np.empty's it must be written before it is read, and nothing carved
-    may be used after the block exits.  Outside a with block nothing is
-    carved.
-    """
-
-    ALIGN = 64  # bytes; every carved buffer starts on a cache line
-    _spare: np.ndarray | None = None
-    _spare_lock = threading.Lock()
-
-    def __init__(self):
-        self._kept: dict[tuple, list[np.ndarray]] = {}
-        self._slab: np.ndarray | None = None
-        self._carved = 0  # offset of the slab's first free byte
-        self._made = 0    # bytes of every buffer made, each rounded up to ALIGN
-
-    def __enter__(self) -> "Workspace":
-        with Workspace._spare_lock:
-            self._slab, Workspace._spare = Workspace._spare, None
-        self._carved = 0 if self._slab is None else -self._slab.ctypes.data % self.ALIGN
-        self._made = 0
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        slab, self._slab = self._slab, None
-        self._kept.clear()
-        if slab is None or slab.nbytes < self._made + self.ALIGN:
-            slab = np.empty(self._made + self.ALIGN, np.uint8)
-        with Workspace._spare_lock:
-            if Workspace._spare is None or Workspace._spare.nbytes < slab.nbytes:
-                Workspace._spare = slab
-
-    def empty(self, shape, dtype=np.float64) -> np.ndarray:
-        size = math.prod(shape)
-        kept = self._kept.setdefault((size, np.dtype(dtype)), [])
-        for buffer in kept:
-            # held only by the list, this loop and getrefcount's argument;
-            # every array handed out is a view holding its buffer as base
-            if sys.getrefcount(buffer) == 3:
-                return buffer.reshape(shape)
-        kept.append(self._new(size, np.dtype(dtype)))
-        return kept[-1].reshape(shape)
-
-    def _new(self, size: int, dtype: np.dtype) -> np.ndarray:
-        nbytes = size * dtype.itemsize
-        span = -(-nbytes // self.ALIGN) * self.ALIGN
-        self._made += span
-        start = self._carved
-        if self._slab is None or start + nbytes > self._slab.nbytes:
-            return np.empty(size, dtype)
-        self._carved += span
-        # over a memoryview, not a slab slice: views of this buffer then
-        # hold it, not the slab, as their base, which the refcount test needs
-        return np.frombuffer(memoryview(self._slab)[start:start + nbytes], dtype)
-
-
-# ---------------------------------------------------------------------------
 # primitive layers (forward, backward) with explicit caches
 #
-# Every activation-sized array a pass makes comes from `empty` (np.empty,
-# or a training Workspace's).  Each backward pass writes its parameter gradients into
-# `out`, a tree of arrays shaped like its parameters (loss_and_grads passes
-# views of one gradient vector), or into new arrays when out is None.  Every
-# product with a weight matrix runs on the rows as one 2-D matrix.
+# Each backward pass writes its parameter gradients into `out`, a tree of
+# arrays shaped like its parameters (loss_and_grads passes views of one
+# gradient vector), or into new arrays when out is None.  Every product
+# with a weight matrix runs on the rows as one 2-D matrix.
 
-def layer_norm(x, ln: LayerNorm, empty=np.empty):
+def layer_norm(x, ln: LayerNorm):
     """x [..., d] normalised over its last axis.  The statistics run on x
     as [rows, d]: each row's mean and variance is one product with a 1/d
     vector, rather than a reduction looping once per short row.  The cache
     keeps xhat [rows, d] and inv [rows, 1]."""
     d = x.shape[-1]
     rows = x.reshape(-1, d)
-    n = len(rows)
     mean_of = np.full(d, 1.0 / d)
-    mu = np.matmul(rows, mean_of, out=empty((n,)))
-    xhat = np.subtract(rows, mu[:, None], out=empty((n, d)))
-    y = np.multiply(xhat, xhat, out=empty((n, d)))
-    inv = np.matmul(y, mean_of, out=mu)  # the variance, then 1 / sqrt(it + eps)
+    xhat = rows - (rows @ mean_of)[:, None]
+    y = xhat * xhat
+    inv = y @ mean_of  # the variance, then 1 / sqrt(it + eps)
     inv += LN_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
@@ -367,7 +279,7 @@ def layer_norm(x, ln: LayerNorm, empty=np.empty):
     return y.reshape(x.shape), (xhat, inv, ln.gain)
 
 
-def layer_norm_bwd(dy, cache, out: LayerNorm | None = None, empty=np.empty):
+def layer_norm_bwd(dy, cache, out: LayerNorm | None = None):
     """The gain and bias gradients are products of a ones vector with the
     [rows, d] rows, and the two row means products with a 1/d vector."""
     xhat, inv, gain = cache
@@ -375,43 +287,42 @@ def layer_norm_bwd(dy, cache, out: LayerNorm | None = None, empty=np.empty):
         out = LayerNorm(np.empty_like(gain), np.empty_like(gain))
     n, d = xhat.shape
     rows = dy.reshape(n, d)
-    scratch = np.multiply(rows, xhat, out=empty((n, d)))
+    scratch = rows * xhat
     ones = np.ones(n)
     np.matmul(ones, scratch, out=out.gain)
     np.matmul(ones, rows, out=out.bias)
     mean_of = np.full(d, 1.0 / d)
-    dx = np.multiply(rows, gain, out=empty((n, d)))
+    dx = rows * gain
     np.multiply(dx, xhat, out=scratch)
-    inner = np.matmul(scratch, mean_of, out=empty((n,)))
-    dx -= np.matmul(dx, mean_of, out=empty((n,)))[:, None]
+    inner = scratch @ mean_of
+    dx -= (dx @ mean_of)[:, None]
     np.multiply(xhat, inner[:, None], out=scratch)
     dx -= scratch
     dx *= inv
     return dx.reshape(dy.shape), out
 
 
-def feed_forward(x, ff: FeedForward, empty=np.empty):
+def feed_forward(x, ff: FeedForward):
     """x [..., d] -> [..., d].  The cache keeps the input rows and the
     activation; the activation is positive exactly where its
     pre-activation is, so it also serves as the ReLU mask."""
     rows = x.reshape(-1, x.shape[-1])
-    act = np.matmul(rows, ff.w_in, out=empty((len(rows), ff.w_in.shape[1])))
+    act = rows @ ff.w_in
     np.maximum(act, 0.0, out=act)
-    y = np.matmul(act, ff.w_out, out=empty(rows.shape))
+    y = act @ ff.w_out
     return y.reshape(x.shape), (rows, act)
 
 
-def feed_forward_bwd(dy, cache, ff: FeedForward, out: FeedForward | None = None,
-                     empty=np.empty):
+def feed_forward_bwd(dy, cache, ff: FeedForward, out: FeedForward | None = None):
     rows, act = cache
     if out is None:
         out = FeedForward(np.empty_like(ff.w_in), np.empty_like(ff.w_out))
     d_rows = dy.reshape(rows.shape)
     np.matmul(act.T, d_rows, out=out.w_out)
-    d_act = np.matmul(d_rows, ff.w_out.T, out=empty(act.shape))
-    d_act *= np.greater(act, 0.0, out=empty(act.shape, bool))
+    d_act = d_rows @ ff.w_out.T
+    d_act *= act > 0.0
     np.matmul(rows.T, d_act, out=out.w_in)
-    dx = np.matmul(d_act, ff.w_in.T, out=empty(rows.shape))
+    dx = d_act @ ff.w_in.T
     return dx.reshape(dy.shape), out
 
 
@@ -463,7 +374,7 @@ def _grouped(x, p, b, g, out=False):
     return grouped
 
 
-def _attend(q, parts, heads, bias=None, empty=np.empty):
+def _attend(q, parts, heads, bias=None):
     """The one attention routine: queries q [rows, n, h, k] over key/value
     parts under one softmax, mixed into heads [rows, n, h, v].  A part is
     (keys [p, g, t, k], values [p, g, t, v]), one set per row (p = rows) or,
@@ -471,11 +382,11 @@ def _attend(q, parts, heads, bias=None, empty=np.empty):
     empty parts are left out.  Group j of h // g query heads reads key/value
     head j.  Each part's logits are written into its columns of one weights
     array [b, g, rows // b * n * h // g, all t], whose rows _grouped orders;
-    bias [n, all t] spans the parts' keys in order.  Temporaries come from
-    empty.  Returns the softmax weights."""
+    bias [n, all t] spans the parts' keys in order.  Returns the softmax
+    weights."""
     parts = [part for part in parts if part[0].shape[2]]
     (rows, n, h, _), (b, g) = q.shape, parts[0][0].shape[:2]
-    weights = empty((b, g, rows // b * n * h // g, sum(keys.shape[2] for keys, _ in parts)))
+    weights = np.empty((b, g, rows // b * n * h // g, sum(keys.shape[2] for keys, _ in parts)))
     columns, start = [], 0
     for keys, _ in parts:
         p, t = len(keys), keys.shape[2]
@@ -496,7 +407,7 @@ def _attend(q, parts, heads, bias=None, empty=np.empty):
     return weights
 
 
-def attention_forward(x_q, x_kv, w: AttentionWeights, bias, empty=np.empty):
+def attention_forward(x_q, x_kv, w: AttentionWeights, bias):
     """Batched attention on folded matmul shapes.
 
     x_q [b, n, d], x_kv [b, m, d], bias [n, m] additive (0 / -inf) or None.
@@ -513,24 +424,24 @@ def attention_forward(x_q, x_kv, w: AttentionWeights, bias, empty=np.empty):
     h, g, k = w.heads, w.groups, w.key_width
     hk, cols = h * k, w.qkv.shape[1]
     if x_kv is x_q:
-        q = np.matmul(x_q.reshape(b * n, d), w.qkv, out=empty((b * n, cols)))
+        q = x_q.reshape(b * n, d) @ w.qkv
         kv = q[:, hk:]
     else:
-        q = np.matmul(x_q.reshape(b * n, d), w.qkv[:, :hk], out=empty((b * n, hk)))
-        kv = np.matmul(x_kv.reshape(b * m, d), w.qkv[:, hk:], out=empty((b * m, cols - hk)))
+        q = x_q.reshape(b * n, d) @ w.qkv[:, :hk]
+        kv = x_kv.reshape(b * m, d) @ w.qkv[:, hk:]
     q = q[:, :hk].reshape(b, n, h, k)
     if g != h:  # no grouped view of multi-query rows in the fused columns: copy once
         q = np.ascontiguousarray(q)
     key = _positions_first(kv[:, :g * k], b, g)
     val = _positions_first(kv[:, g * k:], b, g)
-    o_fold = empty((b * n, h * val.shape[-1]))
-    weights = _attend(q, [(key, val)], o_fold.reshape(b, n, h, -1), bias, empty)
-    y = np.matmul(o_fold, w.out.reshape(-1, d), out=empty((b * n, d)))
+    o_fold = np.empty((b * n, h * val.shape[-1]))
+    weights = _attend(q, [(key, val)], o_fold.reshape(b, n, h, -1), bias)
+    y = o_fold @ w.out.reshape(-1, d)
     return y.reshape(b, n, d), (x_q, x_kv, q, key, val, weights, o_fold)
 
 
 def attention_backward(dy, cache, w: AttentionWeights,
-                       out: AttentionWeights | None = None, empty=np.empty):
+                       out: AttentionWeights | None = None):
     """Returns (dx_q, dx_kv, AttentionWeights-shaped gradients).  As in the
     forward pass, self-attention runs one product back for q, k and v and
     one for their weights: dx_q is then the whole input gradient and dx_kv
@@ -548,29 +459,28 @@ def attention_backward(dy, cache, w: AttentionWeights,
         raise ShapeError("attention_backward writes into a C-contiguous out.out")
     dy = dy.reshape(b * n, d)
     np.matmul(o_fold.T, dy, out=out.out.reshape(-1, d))
-    d_o_fold = np.matmul(dy, w.out.reshape(-1, d).T, out=empty(o_fold.shape))
+    d_o_fold = dy @ w.out.reshape(-1, d).T
     d_mixed = _grouped(d_o_fold.reshape(b, n, h, -1), b, b, g)[:, 0]
 
     # the gradients of the projections' outputs, in their column layout;
     # the products below write into them directly
     if x_kv is x_q:
-        d_q_cols = empty((b * n, cols))
+        d_q_cols = np.empty((b * n, cols))
         d_kv_cols = d_q_cols[:, hk:]
     else:
-        d_q_cols = empty((b * n, hk))
-        d_kv_cols = empty((b * m, cols - hk))
+        d_q_cols = np.empty((b * n, hk))
+        d_kv_cols = np.empty((b * m, cols - hk))
     d_key = _positions_first(d_kv_cols[:, :g * k], b, g)
     d_val = _positions_first(d_kv_cols[:, g * k:], b, g)
 
     # Transposed operands go to BLAS as strided views, which it reads with
     # its transposed kernel: no contiguous copy is made.
-    d_weights = np.matmul(d_mixed, val.swapaxes(-1, -2), out=empty(weights.shape))
+    d_weights = d_mixed @ val.swapaxes(-1, -2)
     np.matmul(weights.swapaxes(-1, -2), d_mixed, out=d_val)
 
     # softmax rows: dz = w * (dw - sum(dw * w)), formed in d_weights, each
     # row's sum one product with a ones vector
-    inner = np.multiply(d_weights, weights, out=empty(weights.shape)).reshape(-1, m)
-    row_sums = np.matmul(inner, np.ones(m), out=empty((len(inner),)))
+    row_sums = (d_weights * weights).reshape(-1, m) @ np.ones(m)
     d_weights -= row_sums.reshape(weights.shape[:-1] + (1,))
     d_weights *= weights
     np.matmul(d_weights.swapaxes(-1, -2), _grouped(q, b, b, g)[:, 0], out=d_key)
@@ -578,7 +488,7 @@ def attention_backward(dy, cache, w: AttentionWeights,
     # (its rows' h * k values are not contiguous): it goes through a
     # temporary, copied back
     d_q = d_q_cols[:, :hk].reshape(b, n, h, k)
-    grouped = d_q if g == h or d_q_cols.shape[1] == hk else empty(d_q.shape)
+    grouped = d_q if g == h or d_q_cols.shape[1] == hk else np.empty(d_q.shape)
     np.matmul(d_weights, key, out=_grouped(grouped, b, b, g, out=True)[:, 0])
     if grouped is not d_q:
         np.copyto(d_q, grouped)
@@ -586,13 +496,12 @@ def attention_backward(dy, cache, w: AttentionWeights,
     # back through the columns x_q took: all of qkv, or the query columns,
     # each weight gradient written into its columns of out.qkv
     taken = d_q_cols.shape[1]
-    dx_q = np.matmul(d_q_cols, w.qkv[:, :taken].T, out=empty((b * n, d)))
+    dx_q = d_q_cols @ w.qkv[:, :taken].T
     np.matmul(x_q.reshape(b * n, d).T, d_q_cols, out=out.qkv[:, :taken])
     dx_kv = None
     if x_kv is not x_q:
         np.matmul(x_kv.reshape(b * m, d).T, d_kv_cols, out=out.qkv[:, hk:])
-        dx_kv = np.matmul(d_kv_cols, w.qkv[:, hk:].T,
-                          out=empty((b * m, d))).reshape(b, m, d)
+        dx_kv = (d_kv_cols @ w.qkv[:, hk:].T).reshape(b, m, d)
     return dx_q.reshape(b, n, d), dx_kv, out
 
 
@@ -622,40 +531,33 @@ def _keep(tape, sublayer):
     return out
 
 
-def _plus(x, y, empty):
-    return np.add(x, y, out=empty(x.shape))
-
-
-def _block_forward(x, block: Block, memory, bias, tape=None, empty=np.empty):
+def _block_forward(x, block: Block, memory, bias, tape=None):
     """One pre-norm block.  With a tape, each sub-layer's cache is pushed
     on it in order, for _block_backward to pop."""
-    normed = _keep(tape, layer_norm(x, block.ln_attn, empty))
-    x = _plus(x, _keep(tape, attention_forward(normed, normed, block.attn, bias,
-                                               empty)), empty)
+    normed = _keep(tape, layer_norm(x, block.ln_attn))
+    x = x + _keep(tape, attention_forward(normed, normed, block.attn, bias))
     if block.cross is not None:
-        normed = _keep(tape, layer_norm(x, block.ln_cross, empty))
-        x = _plus(x, _keep(tape, attention_forward(normed, memory, block.cross,
-                                                   None, empty)), empty)
-    normed = _keep(tape, layer_norm(x, block.ln_ff, empty))
-    return _plus(x, _keep(tape, feed_forward(normed, block.ff, empty)), empty)
+        normed = _keep(tape, layer_norm(x, block.ln_cross))
+        x = x + _keep(tape, attention_forward(normed, memory, block.cross, None))
+    normed = _keep(tape, layer_norm(x, block.ln_ff))
+    return x + _keep(tape, feed_forward(normed, block.ff))
 
 
-def _block_backward(dx, tape: list, block: Block, out: Block, empty):
+def _block_backward(dx, tape: list, block: Block, out: Block):
     """Pops the block's caches off the tape and writes its gradients into
     out; returns (d input, d memory or None)."""
-    d_in = feed_forward_bwd(dx, tape.pop(), block.ff, out.ff, empty)[0]
-    d_norm = layer_norm_bwd(d_in, tape.pop(), out.ln_ff, empty)[0]
+    d_in = feed_forward_bwd(dx, tape.pop(), block.ff, out.ff)[0]
+    d_norm = layer_norm_bwd(d_in, tape.pop(), out.ln_ff)[0]
     d_norm += dx
     dx = d_norm
     d_memory = None
     if block.cross is not None:
-        d_in, d_memory, _ = attention_backward(dx, tape.pop(), block.cross,
-                                               out.cross, empty)
-        d_norm = layer_norm_bwd(d_in, tape.pop(), out.ln_cross, empty)[0]
+        d_in, d_memory, _ = attention_backward(dx, tape.pop(), block.cross, out.cross)
+        d_norm = layer_norm_bwd(d_in, tape.pop(), out.ln_cross)[0]
         d_norm += dx
         dx = d_norm
-    d_in = attention_backward(dx, tape.pop(), block.attn, out.attn, empty)[0]
-    d_norm = layer_norm_bwd(d_in, tape.pop(), out.ln_attn, empty)[0]
+    d_in = attention_backward(dx, tape.pop(), block.attn, out.attn)[0]
+    d_norm = layer_norm_bwd(d_in, tape.pop(), out.ln_attn)[0]
     d_norm += dx
     return d_norm, d_memory
 
@@ -689,11 +591,9 @@ def check_ids(what: str, ids, config: ModelConfig, ndim: int = 2) -> np.ndarray:
     return ids
 
 
-def _embed(params: ModelParams, config: ModelConfig, ids, what: str,
-           empty=np.empty):
+def _embed(params: ModelParams, config: ModelConfig, ids, what: str):
     ids = check_ids(what, ids, config)
-    x = np.take(params.embedding, ids, axis=0,
-                out=empty(ids.shape + params.embedding.shape[1:]))
+    x = np.take(params.embedding, ids, axis=0)
     x += params.positions[:ids.shape[1]]
     return x
 
@@ -731,29 +631,26 @@ def _checked_batch(config: ModelConfig, batch: Batch) -> Batch:
     return batch
 
 
-def encode(params: ModelParams, config: ModelConfig, source, tape=None,
-           empty=np.empty):
+def encode(params: ModelParams, config: ModelConfig, source, tape=None):
     """The encoder stack on source ids [b, m]; returns memory [b, m, d]."""
-    x = _embed(params, config, source, "source", empty)
+    x = _embed(params, config, source, "source")
     for block in params.encoder:
-        x = _block_forward(x, block, None, None, tape, empty)
-    return _keep(tape, layer_norm(x, params.enc_out_ln, empty))
+        x = _block_forward(x, block, None, None, tape)
+    return _keep(tape, layer_norm(x, params.enc_out_ln))
 
 
-def _run(params: ModelParams, config: ModelConfig, batch: Batch, tape=None,
-         empty=np.empty):
+def _run(params: ModelParams, config: ModelConfig, batch: Batch, tape=None):
     """Forward pass; returns (the logits, a new array, and the checked
     batch, which callers read in place of theirs).  With a tape, every
     cache backward needs is pushed on it, the last being the final normed
     output."""
     batch = _checked_batch(config, batch)
-    memory = (encode(params, config, batch.source, tape, empty)
-              if config.has_encoder else None)
-    y = _embed(params, config, batch.target_in, "target", empty)
+    memory = encode(params, config, batch.source, tape) if config.has_encoder else None
+    y = _embed(params, config, batch.target_in, "target")
     bias = _self_bias(config, 0, y.shape[1])
     for block in params.decoder:
-        y = _block_forward(y, block, memory, bias, tape, empty)
-    final = _keep(tape, layer_norm(y, params.dec_out_ln, empty))
+        y = _block_forward(y, block, memory, bias, tape)
+    final = _keep(tape, layer_norm(y, params.dec_out_ln))
     if tape is not None:
         tape.append(final)
     b, n, d = final.shape
@@ -762,13 +659,11 @@ def _run(params: ModelParams, config: ModelConfig, batch: Batch, tape=None,
     return logits, batch
 
 
-def _log_partition(logits, empty=np.empty):
+def _log_partition(logits):
     """(logits less each row's maximum, the log of each row's sum of exp of
     that): log-softmax is the first less the second."""
-    shifted = np.subtract(logits, logits.max(axis=-1, keepdims=True),
-                          out=empty(logits.shape))
-    exp = np.exp(shifted, out=empty(logits.shape))
-    return shifted, np.log(exp.sum(axis=-1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted, np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _masked_loss(picked, batch: Batch) -> float:
@@ -793,23 +688,39 @@ def forward(params: ModelParams, config: ModelConfig, batch: Batch) -> ForwardRe
     return ForwardResult(logits, _masked_loss(picked, batch))
 
 
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """On glibc, once per process: malloc keeps up to 64 MiB of freed
+    memory and serves blocks under 32 MiB from its heap, so each training
+    step reuses the pages the last one freed instead of handing them back
+    to the OS and faulting them in again (about 6,000 minor faults per
+    train_copy step otherwise).  Elsewhere it does nothing; no result
+    depends on it."""
+    if platform.libc_ver()[0] == "glibc":
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(M_TRIM_THRESHOLD, 64 << 20)
+        mallopt(M_MMAP_THRESHOLD, 32 << 20)
+
+
 def loss_and_grads(params: ModelParams, config: ModelConfig, batch: Batch,
-                   out: ModelParams | None = None, work: Workspace | None = None):
+                   out: ModelParams | None = None):
     """Forward plus hand-written reverse pass.
 
     Writes every gradient into out, a tree shaped like params whose
     attention out arrays are C-contiguous; with no out, into a new tree
-    viewing one new vector.  Temporaries come from
-    work when given, else are allocated afresh.  train passes the views of
-    the one gradient vector it keeps across steps, and one Workspace.
-    Returns (loss, logits, out); logits are a new array.
+    viewing one new vector.  train passes the views of the one gradient
+    vector it keeps across steps.  Returns (loss, logits, out); logits are
+    a new array.
     """
-    empty = np.empty if work is None else work.empty
+    _keep_freed_memory()
     if out is None:
         out = unflatten(np.empty(param_count(params)), params)
     tape = []
-    logits, batch = _run(params, config, batch, tape, empty)
-    logp, logz = _log_partition(logits, empty)
+    logits, batch = _run(params, config, batch, tape)
+    logp, logz = _log_partition(logits)
     logp -= logz
     loss = _masked_loss(_at_labels(logp, batch), batch)
     # the logit gradient, formed in logp: softmax less the one-hot labels,
@@ -825,13 +736,12 @@ def loss_and_grads(params: ModelParams, config: ModelConfig, batch: Batch,
     d_logits = d_logits.reshape(b * n, vocab)
     final = tape.pop()
     np.matmul(d_logits.T, final.reshape(b * n, -1), out=out.embedding)
-    d_final = np.matmul(d_logits, params.embedding, out=empty((b * n, final.shape[-1])))
+    d_final = d_logits @ params.embedding
 
-    dy = layer_norm_bwd(d_final.reshape(final.shape), tape.pop(), out.dec_out_ln,
-                        empty)[0]
+    dy = layer_norm_bwd(d_final.reshape(final.shape), tape.pop(), out.dec_out_ln)[0]
     d_enc_out = None
     for block, grads in zip(reversed(params.decoder), reversed(out.decoder)):
-        dy, d_memory = _block_backward(dy, tape, block, grads, empty)
+        dy, d_memory = _block_backward(dy, tape, block, grads)
         if d_memory is not None:
             if d_enc_out is None:
                 d_enc_out = d_memory
@@ -843,9 +753,9 @@ def loss_and_grads(params: ModelParams, config: ModelConfig, batch: Batch,
     out.positions.fill(0.0)
     out.positions[:n] += dy.sum(axis=0)
     if config.has_encoder:
-        dx = layer_norm_bwd(d_enc_out, tape.pop(), out.enc_out_ln, empty)[0]
+        dx = layer_norm_bwd(d_enc_out, tape.pop(), out.enc_out_ln)[0]
         for block, grads in zip(reversed(params.encoder), reversed(out.encoder)):
-            dx = _block_backward(dx, tape, block, grads, empty)[0]
+            dx = _block_backward(dx, tape, block, grads)[0]
         np.add.at(out.embedding, batch.source.ravel(), dx.reshape(-1, dx.shape[-1]))
         out.positions[:batch.source.shape[1]] += dx.sum(axis=0)
     return loss, logits, out

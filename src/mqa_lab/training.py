@@ -14,8 +14,8 @@ import numpy as np
 
 from .config import ModelConfig, OptimizerSettings, TaskSpec, _check_types
 from .exceptions import ConfigError, TrainingError
-from .model import (Batch, ModelParams, Workspace, _run, check_params, flatten,
-                    init_params, loss_and_grads, unflatten)
+from .model import (Batch, ModelParams, _run, check_params, flatten, init_params,
+                    loss_and_grads, unflatten)
 
 BOS = 0
 
@@ -46,14 +46,11 @@ class AdamState:
     scratch: tuple[np.ndarray, np.ndarray]
 
 
-def adam_init(vector: np.ndarray, empty=np.empty) -> AdamState:
-    """Zero moments for the flat parameter vector, and Adam's scratch, in
-    arrays from empty (np.empty, or a training Workspace's)."""
+def adam_init(vector: np.ndarray) -> AdamState:
+    """Zero moments for the flat parameter vector, and Adam's scratch."""
     chunk = min(ADAM_CHUNK, len(vector))
-    mean, var = empty(vector.shape), empty(vector.shape)
-    mean.fill(0.0)
-    var.fill(0.0)
-    return AdamState(0, mean, var, (empty((chunk,)), empty((chunk,))))
+    return AdamState(0, np.zeros(vector.shape), np.zeros(vector.shape),
+                     (np.empty(chunk), np.empty(chunk)))
 
 
 def adam_update(vector: np.ndarray, grads: np.ndarray, state: AdamState,
@@ -129,10 +126,9 @@ def make_task_batch(task: TaskSpec, config: ModelConfig, rng) -> Batch:
 
 
 def teacher_forced_accuracy(params: ModelParams, config: ModelConfig,
-                            batch: Batch, empty=np.empty) -> float:
-    """Fraction of masked positions whose argmax logit hits the label.  The
-    forward pass's temporaries come from empty (np.empty, or a Workspace's)."""
-    logits, batch = _run(params, config, batch, empty=empty)
+                            batch: Batch) -> float:
+    """Fraction of masked positions whose argmax logit hits the label."""
+    logits, batch = _run(params, config, batch)
     hits = (np.argmax(logits, axis=-1) == batch.target_out) * batch.loss_mask
     return float(hits.sum() / batch.loss_mask.sum())
 
@@ -162,33 +158,26 @@ def train_steps(config: ModelConfig, task: TaskSpec, settings: OptimizerSettings
     named_arrays order, allocated here once: loss_and_grads writes each
     step's gradients into views of the one gradient vector and adam_update
     works on the vectors, so after set-up a step walks no parameter tree.
-    The gradient vector, the moments, Adam's scratch and the step's
-    temporaries come from one Workspace, entered for the whole run, so
-    after the first step a step allocates nothing the size of an
-    activation.  On the way out, at the end, on an error or when the
-    caller abandons the generator, the workspace hands its memory back as
-    the process's spare slab, and the next run carves from it rather than
-    page-faulting fresh memory; only free memory outlives the run, never
-    a value.  The parameter vector is never carved from the slab.
+    A step's temporaries are plain numpy arrays, which glibc's malloc
+    hands from one step to the next (see model.loss_and_grads).
     Raises TrainingError on non-finite or runaway loss.
     """
     vector = flatten(params)
     params = unflatten(vector, params)
-    with Workspace() as work:
-        grad_vector = work.empty(vector.shape)
-        grads = unflatten(grad_vector, params)
-        state = adam_init(vector, work.empty)
-        rng = np.random.default_rng(task.seed)
-        for step in range(1, steps + 1):
-            batch = make_task_batch(task, config, rng)
-            loss = loss_and_grads(params, config, batch, grads, work)[0]
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite loss at step {step}")
-            if loss > DIVERGENCE_CEILING:
-                raise TrainingError(f"loss {loss:.3g} over ceiling at step {step}")
-            lr = learning_rate(settings, config.d_model, step)
-            adam_update(vector, grad_vector, state, settings, lr)
-            yield step, loss, params
+    grad_vector = np.empty(vector.shape)
+    grads = unflatten(grad_vector, params)
+    state = adam_init(vector)
+    rng = np.random.default_rng(task.seed)
+    for step in range(1, steps + 1):
+        batch = make_task_batch(task, config, rng)
+        loss = loss_and_grads(params, config, batch, grads)[0]
+        if not np.isfinite(loss):
+            raise TrainingError(f"non-finite loss at step {step}")
+        if loss > DIVERGENCE_CEILING:
+            raise TrainingError(f"loss {loss:.3g} over ceiling at step {step}")
+        lr = learning_rate(settings, config.d_model, step)
+        adam_update(vector, grad_vector, state, settings, lr)
+        yield step, loss, params
 
 
 def train(config: ModelConfig, task: TaskSpec,
@@ -202,11 +191,7 @@ def train(config: ModelConfig, task: TaskSpec,
     annotated type, steps >= 1 and log_every >= 0, ShapeError unless given
     params fit the config.  Raises TrainingError on non-finite or runaway loss.
     The held-out accuracy at the end uses a batch sampled from a disjoint
-    seed, its temporaries carved from the spare slab train_steps handed
-    back.  What outlives the call is that slab alone, free memory and no
-    value (about 23 MB at the train_copy shape), so a second call in the
-    process reuses the first call's working memory instead of
-    page-faulting it afresh; the returned params never lie in the slab.
+    seed.
     """
     settings = OptimizerSettings() if settings is None else settings
     _check_types({"config": config, "task": task, "settings": settings, "steps": steps,
@@ -229,7 +214,5 @@ def train(config: ModelConfig, task: TaskSpec,
             print(f"step {step:5d}  loss {loss:.4f}  lr {lr:.2e}")
     held = make_task_batch(task, config,
                            np.random.default_rng(task.seed + HELDOUT_SEED_OFFSET))
-    with Workspace() as work:
-        accuracy = teacher_forced_accuracy(params, config, held, work.empty)
-    return TrainResult(params=params, losses=losses, final_loss=losses[-1],
-                       steps=steps, heldout_accuracy=accuracy)
+    return TrainResult(params=params, losses=losses, final_loss=losses[-1], steps=steps,
+                       heldout_accuracy=teacher_forced_accuracy(params, config, held))

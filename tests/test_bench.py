@@ -28,7 +28,7 @@ from mqa_lab.costs import ShapeConfig, incremental_costs
 from mqa_lab.decoding import decoder_step, encode_source, start_state
 from mqa_lab.exceptions import ConfigError, InputError
 from mqa_lab import bench
-from mqa_lab.model import Batch, ModelParams, Workspace, forward, init_params, param_count
+from mqa_lab.model import Batch, ModelParams, forward, init_params, param_count
 from mqa_lab.training import BOS
 
 GOLDEN = Path(__file__).parent / "golden" / "bench_report.md"
@@ -195,14 +195,13 @@ class TestTimingSmoke:
         assert timed == []
 
     def test_training_pass_times_the_step_train_runs(self, monkeypatch):
-        """Every timed call of a variant writes into the same gradient views
-        and takes its temporaries from the same Workspace, as train_steps
-        does."""
+        """Every timed call of a variant writes into the same gradient
+        views, as train_steps does."""
         calls = []
 
-        def recorded(params, config, batch, out=None, work=None):
-            calls.append((config.dec_self_kind, out, work))
-            return real(params, config, batch, out, work)
+        def recorded(params, config, batch, out=None):
+            calls.append((config.dec_self_kind, out))
+            return real(params, config, batch, out)
 
         real = bench.loss_and_grads
         monkeypatch.setattr(bench, "loss_and_grads", recorded)
@@ -212,11 +211,10 @@ class TestTimingSmoke:
         reps = 1 + workload.repetitions  # one warm-up call
         assert len(calls) == 2 * reps
         for variant_calls in (calls[:reps], calls[reps:]):
-            kind, out, work = variant_calls[0]
-            assert isinstance(out, ModelParams) and isinstance(work, Workspace)
-            assert all(k == kind and o is out and w is work
-                       for k, o, w in variant_calls)
-        assert calls[0][2] is not calls[-1][2]
+            kind, out = variant_calls[0]
+            assert isinstance(out, ModelParams)
+            assert all(k == kind and o is out for k, o in variant_calls)
+        assert calls[0][1] is not calls[-1][1]
 
     def test_run_bench_merges_columns(self):
         report = run_bench(tiny_workload(),

@@ -42,7 +42,6 @@ from mqa_lab.model import (
     param_count,
     param_layout,
     tree_map,
-    Workspace,
     unflatten,
 )
 
@@ -472,90 +471,6 @@ class TestInitAndTrees:
         assert params.decoder[0].cross is None
 
 
-class TestWorkspace:
-    def test_buffer_is_reused_once_nothing_holds_it(self):
-        work = Workspace()
-        first = work.empty((3, 4))
-        kept = id(first.base)
-        view = first[1:]
-        del first
-        assert id(work.empty((12,)).base) != kept  # the view still holds it
-        del view
-        again = work.empty((2, 6))
-        assert id(again.base) == kept and again.shape == (2, 6)
-
-    def test_buffers_differ_by_dtype(self):
-        work = Workspace()
-        assert work.empty((4,), bool).dtype == bool
-        assert work.empty((4,)).dtype == np.float64
-
-
-class TestWorkspaceSlab:
-    """Entered in a with block, a Workspace carves its buffers from the
-    process's spare slab and hands a slab back on exit."""
-
-    @pytest.fixture
-    def slab(self, monkeypatch):
-        slab = np.empty(4096, np.uint8)
-        monkeypatch.setattr(Workspace, "_spare", slab)
-        return slab
-
-    def test_a_view_of_a_carved_buffer_keeps_it_from_reuse(self, slab):
-        with Workspace() as work:
-            first = work.empty((3, 4))
-            assert np.shares_memory(first, slab) and first.base is not slab
-            where = first.ctypes.data
-            view = first[1:]
-            del first
-            other = work.empty((12,))
-            assert np.shares_memory(other, slab)
-            assert not np.shares_memory(other, view)
-            del view
-            again = work.empty((2, 6))
-            assert again.ctypes.data == where and again.shape == (2, 6)
-
-    def test_carved_buffers_are_aligned_and_disjoint(self, slab):
-        with Workspace() as work:
-            buffers = [work.empty((n,), dtype) for n, dtype in
-                       ((3, np.float64), (5, bool), (7, np.float64))]
-        assert all(b.ctypes.data % Workspace.ALIGN == 0 for b in buffers)
-        for i, a in enumerate(buffers):
-            assert not any(np.shares_memory(a, b) for b in buffers[i + 1:])
-
-    def test_the_spare_is_taken_while_entered(self, slab):
-        with Workspace() as work:
-            assert Workspace._spare is None
-            with Workspace() as other:  # finds no spare: allocates afresh
-                assert not np.shares_memory(other.empty((8,)), slab)
-            assert Workspace._spare is not slab
-            assert np.shares_memory(work.empty((8,)), slab)
-        assert Workspace._spare is slab  # the larger of the two
-
-    def test_the_larger_slab_is_kept_whichever_exits_last(self, slab):
-        first, second = Workspace(), Workspace()
-        first.__enter__()
-        second.__enter__()
-        second.empty((8,))
-        first.__exit__(None, None, None)
-        second.__exit__(None, None, None)
-        assert Workspace._spare is slab
-
-    def test_a_call_past_the_slab_leaves_a_larger_one(self, slab):
-        with Workspace() as work:
-            inside = work.empty((100,))
-            past = work.empty((1000,))
-        assert np.shares_memory(inside, slab)
-        assert not np.shares_memory(past, slab)
-        larger = Workspace._spare
-        assert larger.nbytes >= 1100 * 8 + Workspace.ALIGN
-        with Workspace() as work:
-            assert np.shares_memory(work.empty((1000,)), larger)
-
-    def test_without_a_with_block_nothing_is_carved(self, slab):
-        assert not np.shares_memory(Workspace().empty((8,)), slab)
-        assert Workspace._spare is slab
-
-
 class TestForward:
     def test_logit_shape_and_loss_finite(self, rng):
         config = tiny_config()
@@ -808,31 +723,21 @@ class TestGradients:
             loss_and_grads(params, config, make_batch(config, rng), out)
 
     @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
-    def test_a_reused_workspace_changes_no_result(self, rng, mode):
-        config = tiny_config(mode=mode, layers=2)
-        params = init_params(config)
-        work = Workspace()
-        for batch in (make_batch(config, rng), make_batch(config, rng)):
-            loss, logits, grads = loss_and_grads(params, config, batch, work=work)
-            fresh_loss, fresh_logits, fresh = loss_and_grads(params, config, batch)
-            assert loss == fresh_loss
-            assert logits.tobytes() == fresh_logits.tobytes()
-            assert flatten(grads).tobytes() == flatten(fresh).tobytes()
-
     @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
-    def test_results_do_not_depend_on_buffer_placement(self, rng, kind):
+    def test_repeated_calls_are_byte_identical(self, rng, mode, kind):
         """At a training shape (d 64, 32 rows of 12), where layer norm and
-        softmax backward run BLAS matrix-vector products: no Workspace, a
-        fresh one and a reused one give byte-identical results."""
-        config = ModelConfig(mode="encoder_decoder", layers=2, d_model=64,
-                             d_ff=256, heads=4, d_k=16, d_v=16, vocab_size=32,
+        softmax backward run BLAS matrix-vector products: calls into a new
+        tree and into one kept tree, each on memory the last call freed,
+        give byte-identical results."""
+        config = ModelConfig(mode=mode, layers=2, d_model=64, d_ff=256, heads=4,
+                             d_k=16, d_v=16, vocab_size=32,
                              max_len=16).with_attention_kind(kind)
         params = init_params(config)
         batch = make_batch(config, rng, b=32, n_src=12, n_tgt=12)
-        work = Workspace()
+        kept = tree_map(np.empty_like, params)
         runs = [loss_and_grads(params, config, batch),
-                loss_and_grads(params, config, batch, work=work),
-                loss_and_grads(params, config, batch, work=work)]
+                loss_and_grads(params, config, batch, kept),
+                loss_and_grads(params, config, batch, kept)]
         for loss, logits, grads in runs[1:]:
             assert loss == runs[0][0]
             assert logits.tobytes() == runs[0][1].tobytes()
