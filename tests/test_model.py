@@ -9,6 +9,7 @@ scalar loop oracles.
 import dataclasses
 import itertools
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -20,9 +21,12 @@ from mqa_lab.attention import (
     build_mask,
     random_attention_weights,
 )
+from mqa_lab import model
 from mqa_lab.config import ModelConfig
 from mqa_lab.exceptions import InputError, ShapeError
 from mqa_lab.model import (
+    M_MMAP_THRESHOLD,
+    M_TRIM_THRESHOLD,
     Batch,
     _attend,
     _grouped,
@@ -471,6 +475,51 @@ class TestInitAndTrees:
         assert params.decoder[0].cross is None
 
 
+@pytest.fixture
+def unset_allocator():
+    """The allocator helper not yet run in this process; afterwards the
+    next loss_and_grads runs the real one again."""
+    model._keep_freed_memory.cache_clear()
+    yield
+    model._keep_freed_memory.cache_clear()
+
+
+class TestKeepFreedMemory:
+    """loss_and_grads sets glibc's malloc thresholds once per process, and
+    does nothing elsewhere."""
+
+    def test_the_thresholds_are_set_once_per_process(self, monkeypatch,
+                                                       unset_allocator, rng):
+        calls = []
+        libc = types.SimpleNamespace(mallopt=lambda *call: calls.append(call))
+        monkeypatch.setattr(model, "platform",
+                            types.SimpleNamespace(libc_ver=lambda: ("glibc", "2.36")))
+        monkeypatch.setattr(model, "ctypes", types.SimpleNamespace(CDLL=lambda name: libc))
+        config = tiny_config()
+        params = init_params(config)
+        for _ in range(3):
+            loss_and_grads(params, config, make_batch(config, rng))
+        assert calls == [(M_TRIM_THRESHOLD, 64 << 20), (M_MMAP_THRESHOLD, 32 << 20)]
+
+    def test_without_glibc_nothing_is_set_and_no_result_moves(self, monkeypatch,
+                                                              unset_allocator, rng):
+        config = tiny_config(mode="decoder_only", layers=2)
+        params = init_params(config)
+        batch = make_batch(config, rng)
+        want = loss_and_grads(params, config, batch)
+
+        def no_libc(name):
+            raise AssertionError("the C library was opened")
+
+        monkeypatch.setattr(model, "platform",
+                            types.SimpleNamespace(libc_ver=lambda: ("", "")))
+        monkeypatch.setattr(model, "ctypes", types.SimpleNamespace(CDLL=no_libc))
+        model._keep_freed_memory.cache_clear()
+        loss, logits, grads = loss_and_grads(params, config, batch)
+        assert loss == want[0] and logits.tobytes() == want[1].tobytes()
+        assert flatten(grads).tobytes() == flatten(want[2]).tobytes()
+
+
 class TestForward:
     def test_logit_shape_and_loss_finite(self, rng):
         config = tiny_config()
@@ -721,6 +770,46 @@ class TestGradients:
         out.decoder[0].attn = dataclasses.replace(attn, out=np.asfortranarray(attn.out))
         with pytest.raises(ShapeError, match="C-contiguous"):
             loss_and_grads(params, config, make_batch(config, rng), out)
+
+    @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
+    def test_a_reused_workspace_changes_no_result(self, rng, mode):
+        """A call's working memory is what the last call left: its
+        gradient tree, passed back as out and still holding the last batch's
+        gradients, and the heap its temporaries freed.  On a new batch no
+        value left there changes a result."""
+        config = tiny_config(mode=mode, layers=2)
+        params = init_params(config)
+        kept = tree_map(np.empty_like, params)
+        for batch in (make_batch(config, rng), make_batch(config, rng)):
+            loss, logits, grads = loss_and_grads(params, config, batch, kept)
+            fresh_loss, fresh_logits, fresh = loss_and_grads(params, config, batch)
+            assert grads is kept and loss == fresh_loss
+            assert logits.tobytes() == fresh_logits.tobytes()
+            assert flatten(grads).tobytes() == flatten(fresh).tobytes()
+
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    def test_results_do_not_depend_on_buffer_placement(self, rng, kind):
+        """At a training shape (d 64, 32 rows of 12), where layer norm and
+        softmax backward run BLAS matrix-vector products: calls made while
+        blocks of other sizes are held, so that their temporaries land at
+        other addresses and alignments, give byte-identical results."""
+        config = ModelConfig(mode="encoder_decoder", layers=2, d_model=64,
+                             d_ff=256, heads=4, d_k=16, d_v=16, vocab_size=32,
+                             max_len=16).with_attention_kind(kind)
+        params = init_params(config)
+        batch = make_batch(config, rng, b=32, n_src=12, n_tgt=12)
+        runs, offsets = [], set()
+        for pad in (0, 1, 2, 3, 5):
+            held = ([np.empty(2 * k + pad) for k in range(1, 200)]
+                    + [np.empty(1000 * k + pad) for k in range(1, 40)])
+            runs.append(loss_and_grads(params, config, batch))
+            offsets.add(runs[-1][1].ctypes.data % 64)
+            del held
+        assert len(offsets) > 1  # the logits, at least, did move
+        for loss, logits, grads in runs[1:]:
+            assert loss == runs[0][0]
+            assert logits.tobytes() == runs[0][1].tobytes()
+            assert flatten(grads).tobytes() == flatten(runs[0][2]).tobytes()
 
     @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
     @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])

@@ -4,6 +4,7 @@ import dataclasses
 import platform
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -492,12 +493,72 @@ class TestTrainingTemporaries:
         monkeypatch.setattr(np, "empty", nan_empty)
         assert outcomes() == want
 
+
+def _poison_free_memory():
+    """Fill the memory the process keeps free with NaN: blocks of every
+    size a small run asks for are written and dropped, into malloc's free
+    lists (kept, not trimmed, below 64 MiB) and numpy's cache of small
+    blocks, where the next call's arrays are carved from."""
+    blocks = [np.full(n, np.nan) for n in range(1, 130) for _ in range(8)]
+    blocks += [np.full(k << 10, np.nan) for k in range(1, 64, 3)]
+    blocks += [np.full(1 << k, np.nan) for k in range(10, 19)]
+    del blocks
+
+
+class TestSpareSlab:
+    """A train call's working memory outlives it as free memory the
+    allocator keeps for the next call: no value left in it may change a
+    later call's results."""
+
+    @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
+    def test_a_poisoned_spare_changes_no_result(self, mode):
+        config = small_config(mode=mode, layers=2)
+        task = TaskSpec(length=5, batch_size=4, seed=3)
+        first = train(config, task, steps=3)
+        _poison_free_memory()
+        assert _outcome(train(config, task, steps=3)) == _outcome(first)
+        _abandoned(config, task)
+        _poison_free_memory()
+        assert _outcome(train(config, task, steps=3)) == _outcome(first)
+
+    def test_an_abandoned_run_hands_its_slab_back(self):
+        """A train_steps run left from inside its loop frees its flat
+        state (parameter and gradient vectors, Adam's moments and scratch)
+        as soon as its generator is dropped, with no collection pass."""
+        config = small_config()
+        task = TaskSpec(length=4, batch_size=2)
+        _abandoned(config, task)  # fills the caches a first call fills
+        vector_bytes = 8 * flatten(init_params(config)).size
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _abandoned(config, task)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < vector_bytes
+
+    def test_params_never_lie_in_the_slab(self):
+        """The params a train call returns own memory no later call frees
+        or reuses: a poisoned spare and another run leave them as they
+        were."""
+        config = small_config()
+        task = TaskSpec(length=4, batch_size=2)
+        result = train(config, task, steps=2)
+        kept = flatten(result.params).tobytes()
+        for _ in range(2):
+            _poison_free_memory()
+            train(config, task, steps=2, params=result.params)
+        _abandoned(config, task)
+        assert flatten(result.params).tobytes() == kept
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",  # CS_GNU_LIBC_VERSION
                         reason="the allocator setting is glibc's")
-    def test_a_warm_step_faults_in_no_fresh_memory(self):
+    def test_a_second_call_carves_everything_from_the_spare(self):
         """At the train_copy shape, after two warm-up calls, train(steps=1)
-        reuses the memory its last call freed: it takes a few minor page
-        faults, where glibc's default thresholds cost about 6,000."""
+        takes its memory from what its last call freed: it takes a few
+        minor page faults, where glibc's default thresholds cost about
+        6,000."""
         import resource  # POSIX only, like glibc
 
         config = ModelConfig(mode="encoder_decoder", layers=2, d_model=64, d_ff=256,
