@@ -14,11 +14,12 @@ through the layers, whose self- and cross-attention run `model._attend`
 (as the batched pass does) through `_attention`, and whose weight
 products read each layer's stored `qkv` and `out` in place.  A decode
 state holds, per decoder layer, self-attention key/value rings
-[rows, g, slots, k], g being the number of key/value heads (h for
-multi-head, 1 for multi-query), written in place, plus cross-attention
-keys/values [b, g, m, k] projected once from the encoder output.
-Attention reads only the slots written so far, and is masked (causal or
-local) only for a chunk of c > 1.  With a local window a ring holds only `window` slots:
+[rows, g, slots, k] (g key/value heads: h multi-head, 1 multi-query),
+written in place, and cross-attention keys/values [b, g, m, k] projected
+once from the encoder output as the batched pass projects them; both
+are split from a key|value product by `model._split_kv`.  Attention
+reads only the slots written so far, masked (causal or local) only for
+a chunk of c > 1.  A local window's ring holds only `window` slots:
 softmax is invariant to slot order, so the ring never rotates.
 Decoding reads only the logits after the opener's last token, so the
 opener's last layer runs its queries, output projection, cross-attention
@@ -65,8 +66,8 @@ from .model import (
     _attend,
     _check_finite,
     _log_partition,
-    _positions_first,
     _self_bias,
+    _split_kv,
     as_array,
     check_ids,
     check_layout,
@@ -86,17 +87,6 @@ def encode_source(params: ModelParams, config: ModelConfig,
     if not config.has_encoder:
         raise ConfigError("decoder_only models have no encoder")
     return _check_finite("encoder memory", encode(params, config, source))
-
-
-def _project_memory(memory: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-attention keys and values in buffer layout [b, g, m, .]: one
-    product each with the key and the value columns of w.qkv (one product
-    over both moves bits on multi-query shapes)."""
-    b, m, _ = memory.shape
-    k = w.key_width
-    return tuple(np.ascontiguousarray(_positions_first((memory @ cols).reshape(b * m, -1),
-                                                       b, w.groups))
-                 for cols in np.split(w.qkv[:, w.heads * k:], [w.groups * k], axis=1))
 
 
 @dataclass
@@ -175,8 +165,11 @@ def _state(params, config, memory, batch_size, limit, slots) -> DecoderState:
     keys, values = _rings(config, batch_size, slots)
     shared = list(zip(*_rings(config, batch_size, 0)))
     cross = None
-    if config.has_encoder:
-        cross = [_project_memory(memory, block.cross) for block in params.decoder]
+    if config.has_encoder:  # attention_forward's product and bits; contiguous reads faster
+        kv, hk = memory.reshape(-1, config.d_model), config.heads * config.d_k
+        cross = [tuple(map(np.ascontiguousarray,
+                           _split_kv(kv @ block.cross.qkv[:, hk:], batch_size, block.cross)))
+                 for block in params.decoder]
     return DecoderState(keys, values, shared, cross, 0, limit)
 
 
@@ -208,7 +201,7 @@ def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
         raise InputError(
             f"position {t + c - 1} is past the {state.limit} positions this "
             f"decode state was started for (max_len {config.max_len})")
-    h, dk, d, g = config.heads, config.d_k, config.d_model, state.keys[0].shape[1]
+    h, dk, d = config.heads, config.d_k, config.d_model
     start, valid = (t - first) % state.slots, min(t + c - first, state.slots)
     s = state.shared[0][0].shape[2]
     window = config.dec_self_window
@@ -223,9 +216,8 @@ def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
     for i, block in enumerate(params.decoder):
         keys, values = state.keys[i], state.values[i]
         normed, _ = layer_norm(x, block.ln_attn)
-        k_new, v_new = np.split(normed @ block.attn.qkv[:, h * dk:], [g * dk], axis=1)
-        keys[:, :, start:start + c] = _positions_first(k_new, rows, g)
-        values[:, :, start:start + c] = _positions_first(v_new, rows, g)
+        keys[:, :, start:start + c], values[:, :, start:start + c] = _split_kv(
+            normed @ block.attn.qkv[:, h * dk:], rows, block.attn)
         if i == len(params.decoder) - 1 and c > 1 and not every:
             x, normed, calls = x[c - 1::c], normed[c - 1::c], [(valid, bias[-1:])]
         shared = [part[..., drop:, :] for part in state.shared[i]]
@@ -340,7 +332,7 @@ def _checked_opener(params, config, decode: DecodeConfig, opener) -> np.ndarray:
     return opener
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)  # keyed on config and row count
 def _rows_keep_bits(config: ModelConfig, rows: int) -> bool:
     """Whether numpy gives each row of a product of `rows` rows with each
     weight [k, n] of a verify pass (n = 0: layer norm's vector) the bits it
@@ -351,8 +343,9 @@ def _rows_keep_bits(config: ModelConfig, rows: int) -> bool:
     rng = np.random.default_rng(0)
     for k, n in ((d, 0), (d, h * dk), (d, kv), (h * dv, d), (d, ff), (ff, d)):
         w, x = rng.random((k, n) if n else k), rng.random((4 * rows, k))
-        if any((x[j:rows * c:c].copy() @ w).tobytes() != (x[:rows * c] @ w)[j::c].tobytes()
-               for c in (2, 3, 4) for j in range(c)):
+        wholes = [x[:rows * c] @ w for c in (2, 3, 4)]
+        if any((x[j:rows * c:c].copy() @ w).tobytes() != whole[j::c].tobytes()
+               for c, whole in zip((2, 3, 4), wholes) for j in range(c)):
             return False
     return True
 

@@ -353,8 +353,12 @@ def _softmax_rows(z):
     return np.divide(z, z.sum(axis=-1, keepdims=True), out=z)
 
 
-def _positions_first(cols, b, heads):  # [b*n, heads*w] -> [b, heads, n, w] view
-    return cols.reshape(b, -1, heads, cols.shape[1] // heads).transpose(0, 2, 1, 3)
+def _split_kv(kv, rows, w: AttentionWeights):
+    """x @ (w.qkv's key and value columns), [rows * m, g * (k + v)], as
+    views key [rows, g, m, k] and value [rows, g, m, v]."""
+    g, k = w.groups, w.key_width
+    return tuple(cols.reshape(rows, -1, g, cols.shape[1] // g).transpose(0, 2, 1, 3)
+                 for cols in (kv[:, :g * k], kv[:, g * k:]))
 
 
 def _grouped(x, p, b, g, out=False):
@@ -420,20 +424,17 @@ def attention_forward(x_q, x_kv, w: AttentionWeights, bias):
     Returns (y [b, n, d], cache).
     """
     b, n, d = x_q.shape
-    m = x_kv.shape[1]
-    h, g, k = w.heads, w.groups, w.key_width
-    hk, cols = h * k, w.qkv.shape[1]
+    h, g, hk = w.heads, w.groups, w.heads * w.key_width
     if x_kv is x_q:
         q = x_q.reshape(b * n, d) @ w.qkv
         kv = q[:, hk:]
     else:
         q = x_q.reshape(b * n, d) @ w.qkv[:, :hk]
-        kv = x_kv.reshape(b * m, d) @ w.qkv[:, hk:]
-    q = q[:, :hk].reshape(b, n, h, k)
+        kv = x_kv.reshape(-1, d) @ w.qkv[:, hk:]
+    q = q[:, :hk].reshape(b, n, h, -1)
     if g != h:  # no grouped view of multi-query rows in the fused columns: copy once
         q = np.ascontiguousarray(q)
-    key = _positions_first(kv[:, :g * k], b, g)
-    val = _positions_first(kv[:, g * k:], b, g)
+    key, val = _split_kv(kv, b, w)
     o_fold = np.empty((b * n, h * val.shape[-1]))
     weights = _attend(q, [(key, val)], o_fold.reshape(b, n, h, -1), bias)
     y = o_fold @ w.out.reshape(-1, d)
@@ -470,8 +471,7 @@ def attention_backward(dy, cache, w: AttentionWeights,
     else:
         d_q_cols = np.empty((b * n, hk))
         d_kv_cols = np.empty((b * m, cols - hk))
-    d_key = _positions_first(d_kv_cols[:, :g * k], b, g)
-    d_val = _positions_first(d_kv_cols[:, g * k:], b, g)
+    d_key, d_val = _split_kv(d_kv_cols, b, w)
 
     # Transposed operands go to BLAS as strided views, which it reads with
     # its transposed kernel: no contiguous copy is made.

@@ -1,7 +1,8 @@
 """Self-contained verification suite.
 
-Every check is a named function that raises AssertionError (or any
-exception) on failure.  run_checks prints one PASS/FAIL line per check and
+Every check is a named function that raises on failure, by _check (an
+AssertionError naming the failed condition, which python -O keeps) or
+any exception.  run_checks prints one PASS/FAIL line per check and
 returns overall success.  The suite re-derives its expectations from
 first principles (loop references, closed forms, frozen constants) so it
 can vouch for a build without the test tree.
@@ -39,6 +40,11 @@ def _rng():
     return np.random.default_rng(0xBEEF)
 
 
+def _check(ok, condition: str) -> None:  # an assert that python -O keeps
+    if not ok:
+        raise AssertionError(condition)
+
+
 def check_contraction_matches_loops():
     rng = _rng()
     a = rng.normal(size=(3, 4))
@@ -49,12 +55,12 @@ def check_contraction_matches_loops():
         for j in range(4):
             for k in range(5):
                 want[i, k] += a[i, j] * b[j, k]
-    assert np.max(np.abs(got - want)) < 1e-12, "matrix case"
+    _check(np.max(np.abs(got - want)) < 1e-12, "matrix product matches loops")
     x = rng.normal(size=(2, 3, 4))
     y = rng.normal(size=(3, 4))
     got = contract(x, y, "bij,ij->b")
     want = (x * y).sum(axis=(1, 2))
-    assert np.max(np.abs(got - want)) < 1e-12, "double reduction"
+    _check(np.max(np.abs(got - want)) < 1e-12, "double reduction matches sum")
 
 
 def check_masked_softmax_renormalizes():
@@ -63,11 +69,11 @@ def check_masked_softmax_renormalizes():
     mask = np.zeros((2, 5))
     mask[:, 3:] = -np.inf
     w = masked_softmax(logits, mask)
-    assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-12)
-    assert (w[:, 3:] == 0.0).all()
+    _check(np.allclose(w.sum(axis=-1), 1.0, atol=1e-12), "weights sum to 1")
+    _check((w[:, 3:] == 0.0).all(), "masked weights are 0")
     kept = np.exp(logits[:, :3])
-    assert np.allclose(w[:, :3], kept / kept.sum(-1, keepdims=True),
-                       atol=1e-12)
+    _check(np.allclose(w[:, :3], kept / kept.sum(-1, keepdims=True), atol=1e-12),
+           "kept weights renormalize")
 
 
 def check_single_query_kernel_matches_loops():
@@ -85,7 +91,7 @@ def check_single_query_kernel_matches_loops():
         weights = e / e.sum()
         o = sum(weights[j] * (memory[j] @ w.p_v[head]) for j in range(m))
         want += w.p_o[head] @ o
-    assert np.max(np.abs(got - want)) < 1e-12
+    _check(np.max(np.abs(got - want)) < 1e-12, "kernel matches loops")
 
 
 def check_batched_kernels_respect_causal_mask():
@@ -99,7 +105,7 @@ def check_batched_kernels_respect_causal_mask():
         bumped = x.copy()
         bumped[:, -1] += 10.0
         y2 = attention_batched(bumped, bumped, w, mask=spec)
-        assert np.max(np.abs(y[:, :-1] - y2[:, :-1])) < 1e-12, kind
+        _check(np.max(np.abs(y[:, :-1] - y2[:, :-1])) < 1e-12, f"{kind} past ignores last")
 
 
 def check_incremental_matches_batched():
@@ -112,7 +118,7 @@ def check_incremental_matches_batched():
         cache = new_cache(batch=b, groups=w.groups, key_width=k, value_width=v)
         for t in range(n):
             y, cache = self_attention_incremental(x[:, t], cache, w)
-            assert np.max(np.abs(y - want[:, t])) < 1e-10, (kind, t)
+            _check(np.max(np.abs(y - want[:, t])) < 1e-10, f"{kind} step {t} matches batched")
 
 
 def check_cache_policies_bit_identical():
@@ -127,7 +133,7 @@ def check_cache_policies_bit_identical():
         for t in range(n):
             yg, grow = self_attention_incremental(x[:, t], grow, w)
             yp, pad = self_attention_incremental(x[:, t], pad, w)
-            assert yg.tobytes() == yp.tobytes(), (kind, t)
+            _check(yg.tobytes() == yp.tobytes(), f"{kind} step {t}: caches agree")
 
 
 def check_tied_heads_reduce_to_multi_query():
@@ -139,7 +145,7 @@ def check_tied_heads_reduce_to_multi_query():
     mem = rng.normal(size=(b, m, d))
     a = attention_batched(x, mem, mq)
     bb = attention_batched(x, mem, mh)
-    assert np.max(np.abs(a - bb)) < 1e-12
+    _check(np.max(np.abs(a - bb)) < 1e-12, "replicated heads match multi-query")
 
 
 def check_local_window_covers_causal():
@@ -147,8 +153,8 @@ def check_local_window_covers_causal():
         causal = build_mask(MaskSpec("causal", 1, 1, n, n))
         wide = build_mask(MaskSpec("local", 1, 1, n, n, window=n))
         wider = build_mask(MaskSpec("local", 1, 1, n, n, window=n + 3))
-        assert np.array_equal(causal, wide)
-        assert np.array_equal(causal, wider)
+        _check(np.array_equal(causal, wide), f"window {n} is causal at n {n}")
+        _check(np.array_equal(causal, wider), f"window {n + 3} is causal at n {n}")
 
 
 def check_kv_cache_ratio_is_heads():
@@ -159,7 +165,7 @@ def check_kv_cache_ratio_is_heads():
         for _ in range(4):
             mh = append(mh, rng.normal(size=(2, h, 3)), rng.normal(size=(2, h, 5)))
             mq = append(mq, rng.normal(size=(2, 1, 3)), rng.normal(size=(2, 1, 5)))
-        assert cache_words(mh) == h * cache_words(mq), h
+        _check(cache_words(mh) == h * cache_words(mq), f"{h} heads hold {h}x the words")
 
 
 def check_cost_duality():
@@ -173,14 +179,14 @@ def check_cost_duality():
         tally = TrafficTally()
         attention_batched(x, mem, w, tally=tally)
         table = batched_costs(cfg, kind)
-        assert tally.flops == table.flops, kind
-        assert tally.tensor_words() == table.tensor_words, kind
-        assert tally.traffic_words() == table.traffic_words, kind
+        _check(tally.flops == table.flops, f"{kind} flops match the table")
+        _check(tally.tensor_words() == table.tensor_words, f"{kind} tensor words match")
+        _check(tally.traffic_words() == table.traffic_words, f"{kind} traffic matches")
     square = ShapeConfig(b=2, n=4, m=4, d=6, h=2, k=3, v=2)
     for kind in ("multi_head", "multi_query"):
         inc = incremental_costs(square, kind)
         bat = batched_costs(square, kind)
-        assert inc.flops == bat.flops, kind
+        _check(inc.flops == bat.flops, f"{kind} incremental flops equal batched")
 
 
 def check_parity_constants():
@@ -188,14 +194,14 @@ def check_parity_constants():
                       d_ff=4096, heads=8, d_k=128, d_v=128, vocab_size=32768,
                       max_len=256)
     mq = wmt.with_attention_kind("multi_query")
-    assert dff_for_parity(wmt, mq).d_ff == 5440
+    _check(dff_for_parity(wmt, mq).d_ff == 5440, "multi-query parity d_ff is 5440")
     import dataclasses
     one_head = dataclasses.replace(wmt, heads=1)
-    assert dff_for_parity(wmt, one_head).d_ff == 6784
+    _check(dff_for_parity(wmt, one_head).d_ff == 6784, "one-head parity d_ff is 6784")
     lm = ModelConfig(mode="decoder_only", layers=6, d_model=1024, d_ff=8192,
                      heads=8, d_k=128, d_v=128, vocab_size=10000, max_len=256)
     lm_mq = lm.with_attention_kind("multi_query")
-    assert dff_for_parity(lm, lm_mq).d_ff == 9088
+    _check(dff_for_parity(lm, lm_mq).d_ff == 9088, "decoder_only parity d_ff is 9088")
 
 
 def _tiny_model():
@@ -213,7 +219,7 @@ def check_greedy_decode_matches_replay():
                  source=source)
     batch = stream_batch(decoder_opener(config, source), out.tokens, source)
     logits = forward(params, config, batch).logits
-    assert np.array_equal(np.argmax(logits, axis=-1), out.tokens)
+    _check(np.array_equal(np.argmax(logits, axis=-1), out.tokens), "tokens are replay argmax")
 
 
 def check_beam_one_equals_greedy():
@@ -226,7 +232,7 @@ def check_beam_one_equals_greedy():
     b = decode(params, config, DecodeConfig(strategy="beam", beam_size=1, max_steps=8),
                source=source)
     for field in ("tokens", "lengths", "raw_scores"):
-        assert getattr(g, field).tobytes() == getattr(b, field).tobytes(), field
+        _check(getattr(g, field).tobytes() == getattr(b, field).tobytes(), f"{field} agree")
 
 
 def check_gradients_spotcheck():
@@ -249,7 +255,7 @@ def check_gradients_spotcheck():
         fd = (up - down) / (2 * eps)
         err = abs(got[name][idx] - fd) / max(abs(fd), abs(got[name][idx]),
                                              1e-3)
-        assert err < 1e-6, f"{name}[{idx}]"
+        _check(err < 1e-6, f"{name}[{idx}] gradient is finite differences' within 1e-6")
 
 
 def check_checkpoint_round_trip():
@@ -257,11 +263,11 @@ def check_checkpoint_round_trip():
     with tempfile.TemporaryDirectory() as tmp:
         save_checkpoint(tmp, params, config, extra={"note": "verify"})
         loaded, loaded_config, extra = load_checkpoint(tmp)
-        assert loaded_config == config
-        assert extra == {"note": "verify"}
+        _check(loaded_config == config, "config round-trips")
+        _check(extra == {"note": "verify"}, "extra round-trips")
         for (name, a), (_, b) in zip(named_arrays(params),
                                      named_arrays(loaded)):
-            assert a.tobytes() == b.tobytes(), name
+            _check(a.tobytes() == b.tobytes(), f"{name} round-trips")
 
 
 CHECKS = [

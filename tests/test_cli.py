@@ -1,7 +1,8 @@
 """Command line behavior: exit codes, config plumbing, output delivery.
 
-Everything runs through cli.main() in process; one subprocess test pins
-the lazy-import design that lets MQA_THREADS act before numpy loads.
+Everything runs through cli.main() in process but two subprocess tests:
+one pins the lazy-import design that lets MQA_THREADS act before numpy
+loads, the other that verify's checks still fail under python -O.
 """
 
 import argparse
@@ -9,15 +10,18 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import mqa_lab
 from mqa_lab import bench
 from mqa_lab.checkpoint import save_checkpoint
 from mqa_lab.cli import THREAD_ENV_VARS, build_parser, configure_threads, main
@@ -249,6 +253,30 @@ class TestVerify:
         assert code == 1
         assert "FAIL boom" in out
         assert "result: FAIL" in out
+
+    def test_sabotaged_check_fails_under_python_o(self, tmp_path):
+        """python -O strips assert statements, not the checks: with
+        forward's logits zeroed, greedy_decode_matches_replay reports FAIL,
+        naming its condition, and verify exits 1."""
+        probe = "\n".join([
+            "import sys",
+            "import mqa_lab.verify as verify",
+            "from mqa_lab.cli import main",
+            "real = verify.forward",
+            "def zeroed(*args):",
+            "    out = real(*args)",
+            "    out.logits[...] = 0.0",
+            "    return out",
+            "verify.forward = zeroed",
+            "sys.exit(main(['verify', '--only', 'greedy_decode_matches_replay']))"])
+        src = str(Path(mqa_lab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True,
+                                text=True, cwd=tmp_path, env=env, timeout=120)
+        assert result.returncode == 1, result.stderr
+        assert "FAIL greedy_decode_matches_replay: tokens are replay argmax" in result.stdout
+        assert "result: FAIL" in result.stdout
 
     def test_out_file_gets_report(self, capsys, tmp_path):
         path = tmp_path / "report.txt"

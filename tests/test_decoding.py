@@ -6,7 +6,10 @@ beam_size=1, and beam against exhaustive enumeration under the re-scoring
 oracle.
 """
 
+import dataclasses
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from mqa_lab import decoding
-from mqa_lab.config import DecodeConfig, ModelConfig, OptimizerSettings, TaskSpec
+from mqa_lab.config import DecodeConfig, ModelConfig, OptimizerSettings, TaskSpec, kv_head_count
+from mqa_lab.costs import dff_for_parity
 from mqa_lab.decoding import (
     _begin,
     decode,
@@ -26,7 +30,7 @@ from mqa_lab.decoding import (
     start_state,
 )
 from mqa_lab.exceptions import ConfigError, InputError, NumericError, ShapeError
-from mqa_lab.model import Batch, encode, forward, init_params, named_arrays
+from mqa_lab.model import Batch, attention_forward, encode, forward, init_params, named_arrays
 from mqa_lab.training import BOS, TaskSpec, decoder_opener, make_task_batch, train
 
 
@@ -35,6 +39,24 @@ def tiny_config(**overrides):
                 heads=2, d_k=8, d_v=8, vocab_size=10, max_len=24, init_seed=5)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def _fingerprint_configs():
+    """scripts/fingerprint.py's configs with no local window."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "fingerprint.py"
+    spec = importlib.util.spec_from_file_location("fingerprint", path)
+    fingerprint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fingerprint)
+    return [config for config, _ in fingerprint.cases() if config.dec_self_window is None]
+
+
+def _greedy_long_configs():
+    """The greedy_long workload's widths: multi-head, and multi-query with
+    d_ff widened to the same parameter count."""
+    head = tiny_config(d_model=256, d_ff=1024, heads=8, d_k=32, d_v=32, vocab_size=64,
+                       max_len=256)
+    query = head.with_attention_kind("multi_query")
+    return [head, dataclasses.replace(query, d_ff=dff_for_parity(head, query).d_ff)]
 
 
 def replay_logits(params, config, source, emitted):
@@ -188,6 +210,24 @@ class TestStepAgainstBatchedForward:
         expected = encode(params, config, source, tape)
         assert len(tape) == 4 * config.layers + 1
         assert encode_source(params, config, source).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("config,b,m", [
+        *[pytest.param(tiny_config(d_model=32, d_ff=64, heads=8, d_k=4, d_v=4)
+                       .with_attention_kind(kind), 3, 6, id=f"d32-h8-k4-{kind}")
+          for kind in ("multi_head", "multi_query")],
+        *[pytest.param(config, 8, 32, id=f"greedy_long-{config.cross_kind}")
+          for config in _greedy_long_configs()]])
+    def test_cross_memory_is_the_batched_pass(self, rng, config, b, m):
+        """start_state's cross-attention keys and values are, bit for bit,
+        those attention_forward caches for the same memory."""
+        params = init_params(config)
+        memory = encode_source(params, config, rng.integers(1, config.vocab_size, size=(b, m)))
+        state = start_state(params, config, batch_size=b, memory=memory)
+        normed = rng.normal(size=(b, 2, config.d_model))
+        for block, (keys, values) in zip(params.decoder, state.cross):
+            cache = attention_forward(normed, memory, block.cross, None)[1]
+            assert keys.tobytes() == cache[3].tobytes()
+            assert values.tobytes() == cache[4].tobytes()
 
     def two_row_state(self, rng):
         config = tiny_config()
@@ -444,6 +484,35 @@ class TestGreedyVerifiesRepeats:
         got = decode(params, config, DecodeConfig(max_steps=10), prompt=prompt)
         for field in ("tokens", "lengths", "raw_scores", "scores"):
             assert getattr(got, field).tobytes() == getattr(stepped, field).tobytes()
+
+    @pytest.mark.parametrize("config,rows", [
+        *[pytest.param(tiny_config(), rows, id=f"tiny-{rows}") for rows in (1, 2, 3, 4, 5, 8)],
+        *[pytest.param(tiny_config(mode="decoder_only", d_model=256, d_ff=512, heads=8, d_k=32,
+                                   d_v=32, vocab_size=12).with_attention_kind(kind), rows,
+                       id=f"d256-{kind}-{rows}")
+          for kind in ("multi_head", "multi_query") for rows in (4, 5, 8)],
+        *[pytest.param(config, rows, id=f"fingerprint-{config.mode}-{config.dec_self_kind}-{rows}")
+          for config in _fingerprint_configs() for rows in (3, 8)],
+        *[pytest.param(config, 8, id=f"greedy_long-{config.dec_self_kind}")
+          for config in _greedy_long_configs()]])
+    def test_rows_keep_bits_verdicts(self, config, rows):
+        """The probe that takes each whole product once per (weight, c)
+        gives the verdicts of one that takes it again for every row j."""
+        h, dk, dv, d, ff = config.heads, config.d_k, config.d_v, config.d_model, config.d_ff
+        kv = kv_head_count(config.dec_self_kind, h) * (dk + dv)
+        rng = np.random.default_rng(0)
+        want = True
+        for k, n in ((d, 0), (d, h * dk), (d, kv), (h * dv, d), (d, ff), (ff, d)):
+            w, x = rng.random((k, n) if n else k), rng.random((4 * rows, k))
+            want &= all((x[j:rows * c:c].copy() @ w).tobytes()
+                        == (x[:rows * c] @ w)[j::c].tobytes()
+                        for c in (2, 3, 4) for j in range(c))
+        assert decoding._rows_keep_bits.__wrapped__(config, rows) == want
+
+    def test_rows_keep_bits_cache_is_bounded(self):
+        """Its cache is keyed on config and row count, so it keeps the 64
+        latest, as model._layout_shapes does."""
+        assert decoding._rows_keep_bits.cache_info().maxsize == 64
 
     @pytest.mark.parametrize("emitted,live,want", [
         pytest.param([[1, 2, 2], [5, 5, 5]], [True, True], [[2, 2], [5, 5]], id="run-2"),
