@@ -13,31 +13,34 @@ verify pass a chunk of a token and its drafts, so all take one route
 through the layers, whose self- and cross-attention run `model._attend`
 (as the batched pass does) through `_attention`, and whose weight
 products read each layer's stored `qkv` and `out` in place.  A decode
-state holds, per decoder layer, self-attention key/value rings
-[rows, g, slots, k] (g key/value heads: h multi-head, 1 multi-query),
-written in place, and cross-attention keys/values [b, g, m, k] projected
-once from the encoder output as the batched pass projects them; both
-are split from a key|value product by `model._split_kv`.  Attention
-reads only the slots written so far, masked (causal or local) only for
-a chunk of c > 1.  A local window's ring holds only `window` slots:
-softmax is invariant to slot order, so the ring never rotates.
-Decoding reads only the logits after the opener's last token, so the
-opener's last layer runs its queries, output projection, cross-attention
-and feed-forward at that position alone.  The contraction kernels and
-immutable caches in `attention.py`/`cache.py` are the reference these
-outputs are tested against, together with the teacher-forced batched
-forward pass.
+state holds, per decoder layer, self-attention keys/values (g key/value
+heads: h multi-head, 1 multi-query) on one position map: a shared part
+[b, g, first, k] of positions 0 .. first - 1 as the opener's pass wrote
+them, and own rings [rows, g, slots, k], position p >= first in slot
+(p - first) % slots; and cross-attention keys/values [b, g, m, k],
+projected once from the encoder output as the batched pass projects
+them, all split by `model._split_kv`.  Attention reads the shared
+positions from max(0, t - window + 1) on and the own slots written so
+far, masked (causal or local) only in a masked pass of c > 1.  A local
+window's own ring holds only `window` slots: softmax is invariant to
+slot order, so the ring never rotates.  Decoding reads only the logits
+after the opener's last token, so the opener's last layer runs its
+queries, output projection, cross-attention and feed-forward at that
+position alone.  The contraction kernels and immutable caches in
+`attention.py`/`cache.py` are the reference these outputs are tested
+against, together with the teacher-forced batched forward pass.
 
-Greedy and beam search share one layout.  The opener's last min(window, n)
-keys/values become the shared part, one copy per source row, and each of the
-b * beam rows (a source row's beams ride the batch axis) gets own rings for
-the positions generated after it.  A step's queries are its projection's
-columns, whose rows of a source row's beams model._grouped views as query
-rows of each key/value head, so it reads the shared part and the encoder
-memory once per source row, and takes one softmax over the shared part and
-the beam's own ring.  Reordering beams then gathers the own rings alone.
-Greedy emission is the beam_size=1, length_alpha=0 special case, and the
-tests hold greedy and beam-1 to exact agreement.
+Greedy and beam search share one layout.  The opener's pass leaves its
+n keys/values as the shared part (first = n), one copy per source row,
+and each of the b * beam rows (a source row's beams ride the batch axis)
+gets own rings for the positions generated after it.  A step's queries
+are its projection's columns, whose rows of a source row's beams
+model._grouped views as query rows of each key/value head, so it reads
+the shared part and the encoder memory once per source row, and takes
+one softmax over the shared part and the beam's own ring.  Reordering
+beams then gathers the own rings alone.  Greedy emission is the
+beam_size=1, length_alpha=0 special case, and the tests hold greedy and
+beam-1 to exact agreement.
 
 Greedy verifies its own repeats: when every live row's last r >= 2 tokens
 are one token, it feeds min(r, 3) more copies (`_draft`) with that token
@@ -91,20 +94,20 @@ def encode_source(params: ModelParams, config: ModelConfig,
 
 @dataclass
 class DecoderState:
-    """Buffers for one decode run, written in place.
+    """Buffers for one decode run, written in place, on one position map.
 
-    keys[i] / values[i] are layer i's own self-attention rings
-    [rows, g, slots, k], one per batch row; position p >= first sits in
-    slot (p - first) % slots.  shared[i] is layer i's (keys, values)
-    [b, g, s, k] of the positions first - s .. first - 1, in order, read
-    once by all rows // b beams of a source row: the opener's last
-    min(window, n) positions after _begin, and empty (s = 0, first = 0)
-    from start_state.  cross[i] is layer i's projected encoder memory
-    (keys, values) [b, g, m, k], likewise read once per source row, or
-    None for decoder_only models.  position is the next position to feed;
-    limit is how many positions the run was started for.  Rewind: position
-    may be set back past fed positions, which are written again before any
-    read, but not under a local window, whose ring the chunk overwrote.
+    shared[i] is layer i's (keys, values) [b, g, first, k] of positions
+    0 .. first - 1 at indices 0 .. first - 1, as the opener's pass wrote
+    them (empty from start_state), read once by all rows // b beams of a
+    source row.  keys[i] / values[i] are layer i's own self-attention
+    rings [rows, g, slots, k], one per batch row; position p >= first sits
+    in slot (p - first) % slots.  cross[i] is layer i's projected encoder
+    memory (keys, values) [b, g, m, k], likewise read once per source row,
+    or None for decoder_only models.  position is the next position to
+    feed; limit is how many positions the run was started for.  Rewind:
+    position may be set back past fed positions, which are written again
+    before any read, but not under a local window, whose ring the chunk
+    overwrote.
     """
 
     keys: list[np.ndarray]
@@ -113,7 +116,10 @@ class DecoderState:
     cross: list[tuple[np.ndarray, np.ndarray]] | None
     position: int
     limit: int
-    first: int = 0
+
+    @property
+    def first(self) -> int:  # the shared part's length
+        return self.shared[0][0].shape[2]
 
     @property
     def slots(self) -> int:
@@ -191,10 +197,11 @@ def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
     the logits [rows, vocab] after the last in a list, or (every) after each,
     or NumericError if they hold non-finite values (as model._run does).
     Each layer writes the chunk's keys/values into the own rings (a chunk
-    of c > 1 must fit them unwrapped).  The opener's queries attend under
-    one masked softmax, the last layer's at the last position only; a
-    verify pass (every) runs each weight product once over rows * c, and
-    attention and the vocabulary head per position as a step (bit for bit)."""
+    of c > 1 must fit them unwrapped).  A masked pass (the opener's, or any
+    chunk of c > 1 without every) attends under one masked softmax, the
+    last layer's at the last position only; a verify pass (every) runs
+    each weight product once over rows * c, and attention and the
+    vocabulary head per position unmasked, as a step (bit for bit)."""
     rows, c = tokens.shape
     t, first = state.position, state.first
     if t + c > state.limit:
@@ -203,13 +210,9 @@ def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
             f"decode state was started for (max_len {config.max_len})")
     h, dk, d = config.heads, config.d_k, config.d_model
     start, valid = (t - first) % state.slots, min(t + c - first, state.slots)
-    s = state.shared[0][0].shape[2]
-    window = config.dec_self_window
-    # the shared part holds positions first - s .. first - 1; a local
-    # window has dropped those before t - window + 1
-    drop = 0 if window is None else min(s, max(0, t - window + 1 - first + s))
-    # the attended keys are positions first - s + drop .. t + c - 1 in order
-    bias = None if c == 1 else _self_bias(config, t, c, first - s + drop)
+    window = config.dec_self_window  # attended keys: positions drop .. t + c - 1
+    drop = 0 if window is None else min(first, max(0, t - window + 1))
+    bias = None if c == 1 or every else _self_bias(config, t, c, drop)
     calls = ([(min(t + j + 1 - first, state.slots), None) for j in range(c)]
              if every else [(valid, bias)])
     x = (params.embedding[tokens] + params.positions[t:t + c]).reshape(rows * c, -1)
@@ -218,7 +221,7 @@ def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
         normed, _ = layer_norm(x, block.ln_attn)
         keys[:, :, start:start + c], values[:, :, start:start + c] = _split_kv(
             normed @ block.attn.qkv[:, h * dk:], rows, block.attn)
-        if i == len(params.decoder) - 1 and c > 1 and not every:
+        if i == len(params.decoder) - 1 and bias is not None:
             x, normed, calls = x[c - 1::c], normed[c - 1::c], [(valid, bias[-1:])]
         shared = [part[..., drop:, :] for part in state.shared[i]]
         own = [([shared, (keys[..., :seen, :], values[..., :seen, :])], mask)
@@ -253,20 +256,16 @@ def decoder_step(params: ModelParams, config: ModelConfig,
 
 def _begin(params, config, decode: DecodeConfig, opener, memory, beam=1):
     """Start a state sized for the run and feed it the opener [b, n] in one
-    call; returns (state, logits [b*beam, vocab]).  The opener's pass
-    writes buffers of all n positions; its last min(window, n) keys/values,
-    in position order, become the shared part, and every one of the
-    b*beam rows gets own rings for the positions fed after the opener."""
+    call; returns (state, logits [b*beam, vocab]).  The buffers the
+    opener's pass wrote, position p at index p, become the shared part as
+    they are, and every one of the b*beam rows gets own rings for the
+    positions fed after the opener."""
     b, n = opener.shape
     limit = n + decode.max_steps - 1
-    state = _state(params, config, memory, b, n, n)
+    state = _state(params, config, memory, b, limit, n)
     logits = _feed(params, config, state, opener)[-1]
-    s = _ring_slots(config, n)
-    state.shared = [(np.ascontiguousarray(k[:, :, n - s:]),
-                     np.ascontiguousarray(v[:, :, n - s:]))
-                    for k, v in zip(state.keys, state.values)]
+    state.shared = list(zip(state.keys, state.values))
     state.keys, state.values = _rings(config, b * beam, _ring_slots(config, limit - n))
-    state.first, state.limit = n, limit
     return state, np.repeat(logits, beam, axis=0)
 
 

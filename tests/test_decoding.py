@@ -127,9 +127,9 @@ class TestStepAgainstBatchedForward:
     @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
     @pytest.mark.parametrize("window", [None, 3])
     def test_prefill_then_steps_match_teacher_forcing(self, rng, kind, window):
-        # a 6-token prompt is fed in one pass; with window 3 it is longer
-        # than the shared part it leaves, and the own rings of 3 slots
-        # wrap while stepping
+        # a 6-token prompt is fed in one pass and all of it is the shared
+        # part; with window 3 it is longer than the window, and the own
+        # rings of 3 slots wrap while stepping
         config = tiny_config(mode="decoder_only", dec_self_kind=kind,
                              dec_self_window=window)
         params = init_params(config)
@@ -138,8 +138,7 @@ class TestStepAgainstBatchedForward:
         state, logits = _begin(params, config, DecodeConfig(max_steps=steps + 1),
                                stream[:, :n], None)
         stepwise = [logits]
-        assert state.position == state.first == n
-        assert state.shared[0][0].shape[2] == (n if window is None else window)
+        assert state.position == state.first == state.shared[0][0].shape[2] == n
         for j in range(n, n + steps):
             logits, state = decoder_step(params, config, state, stream[:, j])
             stepwise.append(logits)
@@ -170,9 +169,10 @@ class TestStepAgainstBatchedForward:
     @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
     def test_one_pass_opener_matches_stepped_opener(self, rng, mode, kind,
                                                     window, layers):
-        """A 7-token opener fed in one pass gives the logits and shared
-        keys/values of the same opener stepped token by token; windows 2
-        and 5 are shorter than it, 9 longer."""
+        """A 7-token opener fed in one pass gives the logits of the same
+        opener stepped token by token, and its shared part's last
+        min(window, 7) keys/values are the stepped ring's; windows 2 and 5
+        are shorter than it, 9 longer."""
         config = tiny_config(mode=mode, layers=layers, dec_self_window=window) \
             .with_attention_kind(kind)
         params = init_params(config)
@@ -193,11 +193,69 @@ class TestStepAgainstBatchedForward:
         s = n if window is None else min(window, n)
         oldest_first = np.arange(n - s, n) % stepped.slots
         for i, (shared_keys, shared_values) in enumerate(state.shared):
-            assert shared_keys.shape[2] == shared_values.shape[2] == s
-            assert np.max(np.abs(shared_keys
+            assert shared_keys.shape[2] == shared_values.shape[2] == n
+            assert np.max(np.abs(shared_keys[:, :, n - s:]
                                  - stepped.keys[i][:, :, oldest_first])) < 1e-12
-            assert np.max(np.abs(shared_values
+            assert np.max(np.abs(shared_values[:, :, n - s:]
                                  - stepped.values[i][:, :, oldest_first])) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    @pytest.mark.parametrize("window", [None, 2, 5])
+    @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
+    def test_shared_part_is_the_opener_pass_buffers(self, rng, monkeypatch, mode, kind,
+                                                    window):
+        """_begin keeps the buffers the opener's pass wrote as the shared
+        part, uncopied, with all n positions even under a shorter window."""
+        config = tiny_config(mode=mode, dec_self_window=window).with_attention_kind(kind)
+        params = init_params(config)
+        b, n = 2, 7
+        made, rings = [], decoding._rings
+
+        def spy(*args):
+            made.append(rings(*args))
+            return made[-1]
+
+        monkeypatch.setattr(decoding, "_rings", spy)
+        memory = None
+        if config.has_encoder:
+            memory = encode_source(params, config,
+                                   rng.integers(1, config.vocab_size, size=(b, 3)))
+        opener = rng.integers(1, config.vocab_size, size=(b, n))
+        state, _ = _begin(params, config, DecodeConfig(max_steps=3), opener, memory)
+        written = next(rings for rings in made if rings[0][0].shape[2] == n)
+        g = kv_head_count(config.dec_self_kind, config.heads)
+        assert state.first == n
+        for (shared_keys, shared_values), keys, values in zip(state.shared, *written):
+            assert shared_keys.shape == (b, g, n, config.d_k)
+            assert shared_values.shape == (b, g, n, config.d_v)
+            assert np.shares_memory(shared_keys, keys)
+            assert np.shares_memory(shared_values, values)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    @pytest.mark.parametrize("window", [None, 3, 5])
+    @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
+    def test_masked_chunk_after_opener_matches_teacher_forcing(self, rng, mode, kind,
+                                                               window, layers):
+        """A masked 3-token chunk fed right after a 6-token opener, its
+        mask's origin past position 0 under windows 3 and 5, gives the
+        teacher-forced logits at its last position."""
+        config = tiny_config(mode=mode, layers=layers, dec_self_window=window) \
+            .with_attention_kind(kind)
+        params = init_params(config)
+        b, n, c = 2, 6, 3
+        stream = rng.integers(1, config.vocab_size, size=(b, n + c))
+        source = memory = None
+        if config.has_encoder:
+            source = rng.integers(1, config.vocab_size, size=(b, 4))
+            memory = encode_source(params, config, source)
+        state, _ = _begin(params, config, DecodeConfig(max_steps=c + 1), stream[:, :n],
+                          memory)
+        logits = decoding._feed(params, config, state, stream[:, n:], every=False)
+        assert len(logits) == 1 and state.position == n + c
+        batch = Batch(source, stream, stream, np.ones_like(stream, dtype=float))
+        teacher = forward(params, config, batch).logits[:, -1]
+        assert np.max(np.abs(logits[0] - teacher)) < 1e-10
 
     @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
     def test_encode_source_matches_training_encoder(self, rng, kind):
