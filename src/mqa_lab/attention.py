@@ -12,9 +12,10 @@ reshapes split the heads axis h into (g, h // g) or merge it back.  The
 incremental kernel accumulates over cached positions in index order, which
 makes growing and padded cache layouts bit-identical.
 
-AttentionWeights stores a site's projections in the layout the model's
-products read; the kernels here read the paper's per-head tensors p_q, p_k,
-p_v and p_o, views of that storage.
+The kernels read model.AttentionWeights, a site's projections in the
+layout the model's products read, through the paper's per-head tensors
+p_q, p_k, p_v and p_o, views of that storage.  share_heads and
+replicate_heads convert weights between the two kinds.
 
 An optional TrafficTally records, per operation, the flops performed and the
 words of every tensor read and written, so closed-form cost predictions can
@@ -29,90 +30,10 @@ import numpy as np
 
 from .cache import KVCache, append, validity_bias
 from .exceptions import CacheError, ConfigError, ShapeError
+from .model import AttentionWeights
 from .tensor import as_array, contract, contraction_flops, masked_softmax
 
 MASK_KINDS = ("none", "causal", "local")
-
-
-@dataclass(frozen=True)
-class AttentionWeights:
-    """Projection weights for one attention site, stored as the products
-    read them.
-
-    qkv [d, h*k + g*k + g*v] holds the query, key and value projections as
-    head-major column blocks: x @ qkv gives every query head's queries, then
-    every key/value head's keys, then its values.  out [h, v, d] is the
-    output projection: the mix [rows, h*v] @ out.reshape(h*v, d).  g is h
-    for multi_head and 1 for multi_query; h, v and d are read from out's
-    shape, k from qkv's column count.  p_q [h, d, k], p_k / p_v ([h, d, .]
-    multi-head, one shared [d, .] multi-query) and p_o [h, d, v], the
-    paper's per-head tensors, are views of these two arrays.
-    """
-
-    kind: str
-    qkv: np.ndarray
-    out: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in ("multi_head", "multi_query"):
-            raise ConfigError(f"unknown attention kind {self.kind!r}")
-        if self.qkv.ndim != 2:
-            raise ShapeError(f"qkv must be [d, columns], got {self.qkv.shape}")
-        d = self.qkv.shape[0]
-        if self.out.ndim != 3 or self.out.shape[0] < 1 or self.out.shape[2] != d:
-            raise ShapeError(f"out must be [h, v, d={d}], got {self.out.shape}")
-        h, g, v = self.heads, self.groups, self.value_width
-        k, rest = divmod(self.qkv.shape[1] - g * v, h + g)
-        if rest or k < 1:
-            raise ShapeError(
-                f"{self.kind} qkv must have h*k + g*k + g*v columns for h={h}, "
-                f"g={g}, v={v} and an integer k >= 1, got {self.qkv.shape[1]}")
-
-    @property
-    def heads(self) -> int:
-        return self.out.shape[0]
-
-    @property
-    def groups(self) -> int:
-        """Key/value heads g: h for multi_head, 1 for multi_query."""
-        return self.heads if self.kind == "multi_head" else 1
-
-    @property
-    def model_width(self) -> int:
-        return self.qkv.shape[0]
-
-    @property
-    def key_width(self) -> int:
-        return (self.qkv.shape[1] - self.groups * self.value_width) // (
-            self.heads + self.groups)
-
-    @property
-    def value_width(self) -> int:
-        return self.out.shape[1]
-
-    def _columns(self, start, heads, width):  # a column block as [heads, d, width]
-        block = self.qkv[:, start:start + heads * width]
-        return block.reshape(len(block), heads, width).transpose(1, 0, 2)
-
-    def _kv(self, start, width):  # [h, d, width] multi-head, [d, width] multi-query
-        heads = self._columns(start, self.groups, width)
-        return heads if self.kind == "multi_head" else heads[0]
-
-    @property
-    def p_q(self) -> np.ndarray:
-        return self._columns(0, self.heads, self.key_width)
-
-    @property
-    def p_k(self) -> np.ndarray:
-        return self._kv(self.heads * self.key_width, self.key_width)
-
-    @property
-    def p_v(self) -> np.ndarray:
-        return self._kv((self.heads + self.groups) * self.key_width, self.value_width)
-
-    @property
-    def p_o(self) -> np.ndarray:
-        return self.out.transpose(0, 2, 1)
 
 
 def _kv_heads(p: np.ndarray) -> np.ndarray:
@@ -127,33 +48,6 @@ def _from_heads(kind, p_q, p_k, p_v, p_o) -> AttentionWeights:
     qkv = np.concatenate([p.transpose(1, 0, 2).reshape(d, -1)
                           for p in (p_q, _kv_heads(p_k), _kv_heads(p_v))], axis=1)
     return AttentionWeights(kind, qkv, np.ascontiguousarray(p_o.transpose(0, 2, 1)))
-
-
-def scaled_uniform(rng, shape, fan) -> np.ndarray:
-    """Uniform entries of std 1/sqrt(fan), drawn from rng: every weight's
-    initial values."""
-    bound = np.sqrt(3.0 / fan)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def random_attention_weights(rng, kind, *, d, h, k, v) -> AttentionWeights:
-    """Draw projection weights with scaled-uniform entries, std 1/sqrt(fan_in).
-
-    p_q gets an extra 1/sqrt(k) so query-key logits start at unit scale;
-    the usual explicit logit scaling is folded into the projection instead
-    of appearing in the kernels.  The draws are p_q, p_o, p_k, p_v in that
-    order, each in its own C order, written through those views into qkv
-    and out.  With rng None nothing is drawn or stored: qkv and out are
-    read-only zero-stride arrays of their shapes.
-    """
-    g = h if kind == "multi_head" else 1
-    shapes = (d, (h + g) * k + g * v), (h, v, d)
-    if rng is None:
-        return AttentionWeights(kind, *(np.broadcast_to(0.0, shape) for shape in shapes))
-    w = AttentionWeights(kind, *map(np.empty, shapes))
-    for part, fan in ((w.p_q, d * k), (w.p_o, h * v), (w.p_k, d), (w.p_v, d)):
-        part[...] = scaled_uniform(rng, part.shape, fan)
-    return w
 
 
 def share_heads(w: AttentionWeights) -> AttentionWeights:

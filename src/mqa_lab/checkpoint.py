@@ -4,7 +4,7 @@ A checkpoint is a directory holding manifest.json and params.npy.  The
 manifest records the format (3), the model configuration, the caller's
 `extra` dict and a `tensors` map from each parameter name to its shape, in
 named_arrays order; each attention site is two tensors, `….qkv` and
-`….out`, in attention.AttentionWeights's layout.  params.npy is every
+`….out`, in model.AttentionWeights's layout.  params.npy is every
 parameter flattened in that order into one little-endian float64 vector,
 so saving is one write and loading
 one read of the payload into the vector it returns; the loaded parameters

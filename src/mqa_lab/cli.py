@@ -32,6 +32,7 @@ import sys
 from pathlib import Path
 
 from .config import apply_override, dataclass_from_dict, reject_unknown
+from .costs import PARITY_PRESETS
 from .exceptions import ConfigError, InputError, ShapeError
 
 DEFAULT_SEED = 0
@@ -155,36 +156,10 @@ def _cmd_cost(args) -> int:
     return 0
 
 
-# Translation-scale and language-model-scale sizes used for the published
-# parity constants; "wmt-one-head" keeps multi-head attention but drops to a
-# single head.
-_PARITY_PRESETS = {
-    "wmt": (
-        {"mode": "encoder_decoder", "layers": 6, "d_model": 1024,
-         "d_ff": 4096, "heads": 8, "d_k": 128, "d_v": 128,
-         "vocab_size": 32000, "max_len": 256},
-        {"enc_self_kind": "multi_query", "dec_self_kind": "multi_query",
-         "cross_kind": "multi_query"},
-    ),
-    "wmt-one-head": (
-        {"mode": "encoder_decoder", "layers": 6, "d_model": 1024,
-         "d_ff": 4096, "heads": 8, "d_k": 128, "d_v": 128,
-         "vocab_size": 32000, "max_len": 256},
-        {"heads": 1},
-    ),
-    "lm": (
-        {"mode": "decoder_only", "layers": 6, "d_model": 1024,
-         "d_ff": 8192, "heads": 8, "d_k": 128, "d_v": 128,
-         "vocab_size": 32000, "max_len": 256},
-        {"dec_self_kind": "multi_query"},
-    ),
-}
-
-
 def _cmd_parity(args) -> int:
     from .config import ModelConfig, dataclass_to_dict
     from .costs import dff_for_parity
-    base_defaults, variant_defaults = _PARITY_PRESETS[args.preset]
+    base_defaults, variant_defaults = PARITY_PRESETS[args.preset]
     config = _load_config(
         args, {"baseline": base_defaults, "variant": variant_defaults})
     baseline = _section(args, config, "baseline", ModelConfig)
@@ -375,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     parity = command("parity",
                      "feed-forward width restoring parameter parity")
-    parity.add_argument("--preset", choices=sorted(_PARITY_PRESETS),
+    parity.add_argument("--preset", choices=sorted(PARITY_PRESETS),
                         default="wmt", help="baseline/variant pair")
 
     command("train", "train a toy model on a synthetic task", seeded)

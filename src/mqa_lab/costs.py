@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import ATTENTION_KINDS, ModelConfig, _check_types, kv_head_count
+from .config import ModelConfig, _check_types, kv_head_count
 from .exceptions import ConfigError
 
 OP_NAMES = ("q_proj", "k_proj", "v_proj", "logits", "softmax", "mix", "out_proj")
@@ -97,11 +97,6 @@ class CostBreakdown:
     ratio: Fraction
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in ATTENTION_KINDS:
-        raise ConfigError(f"unknown attention kind {kind!r}")
-
-
 def batched_costs(cfg: ShapeConfig, kind: str) -> CostBreakdown:
     """Cost breakdown of one batched attention pass."""
     dims = dict(cfg.dims(), g=kv_head_count(kind, cfg.h))
@@ -122,7 +117,7 @@ def batched_costs(cfg: ShapeConfig, kind: str) -> CostBreakdown:
 def flops_batched_closed(cfg: ShapeConfig, kind: str) -> int:
     """Closed-form batched flop total, written out independently of the
     operation table."""
-    _check_kind(kind)
+    kv_head_count(kind, cfg.h)  # refuses an unknown kind
     b, n, m, d, h, k, v = cfg.b, cfg.n, cfg.m, cfg.d, cfg.h, cfg.k, cfg.v
     if kind == "multi_head":
         projections = 2 * b * h * d * (n * k + m * k + m * v + n * v)
@@ -134,7 +129,7 @@ def flops_batched_closed(cfg: ShapeConfig, kind: str) -> int:
 
 def memory_batched_closed(cfg: ShapeConfig, kind: str) -> int:
     """Closed-form batched declared-words total."""
-    _check_kind(kind)
+    kv_head_count(kind, cfg.h)  # refuses an unknown kind
     b, n, m, d, h, k, v = cfg.b, cfg.n, cfg.m, cfg.d, cfg.h, cfg.k, cfg.v
     io = 2 * b * n * d + b * m * d
     activations = b * h * n * k + 3 * b * h * n * m + b * h * n * v
@@ -245,6 +240,21 @@ class ParityAdjustment:
     attention_delta: int
     ff_layers: int
     raw: Fraction
+
+
+_WMT = {"mode": "encoder_decoder", "layers": 6, "d_model": 1024, "d_ff": 4096,
+        "heads": 8, "d_k": 128, "d_v": 128, "vocab_size": 32000, "max_len": 256}
+
+# `mqa-lab parity --preset` pairs, a baseline's ModelConfig fields and the
+# fields its variant changes: translation-scale and language-model-scale
+# sizes used for the published parity constants; "wmt-one-head" keeps
+# multi-head attention but drops to a single head.
+PARITY_PRESETS = {
+    "wmt": (_WMT, {"enc_self_kind": "multi_query", "dec_self_kind": "multi_query",
+                   "cross_kind": "multi_query"}),
+    "wmt-one-head": (_WMT, {"heads": 1}),
+    "lm": (dict(_WMT, mode="decoder_only", d_ff=8192), {"dec_self_kind": "multi_query"}),
+}
 
 
 def dff_for_parity(baseline: ModelConfig, variant: ModelConfig) -> ParityAdjustment:

@@ -43,8 +43,8 @@ beam_size=1, length_alpha=0 special case, and the tests hold greedy and
 beam-1 to exact agreement.
 
 Greedy verifies its own repeats: when every live row's last r >= 2 tokens
-are one token, it feeds min(r, 3) more copies (`_draft`) with that token
-in one verify pass, keeps those every live row's argmax confirms and
+are one token, it feeds min(r, MAX_DRAFTS) more copies (`_draft`) with that
+token in one verify pass, keeps those every live row's argmax confirms and
 rewinds the state past the rest, where that is exact (`_rows_keep_bits`).
 
 decode, search, score_sequence and decoder_step check their ids before
@@ -80,6 +80,8 @@ from .model import (
     layer_norm,
 )
 from .training import decoder_opener, stream_batch
+
+MAX_DRAFTS = 3  # a greedy verify pass feeds c = 2 .. MAX_DRAFTS + 1 tokens
 
 
 def encode_source(params: ModelParams, config: ModelConfig,
@@ -335,25 +337,26 @@ def _checked_opener(params, config, decode: DecodeConfig, opener) -> np.ndarray:
 def _rows_keep_bits(config: ModelConfig, rows: int) -> bool:
     """Whether numpy gives each row of a product of `rows` rows with each
     weight [k, n] of a verify pass (n = 0: layer norm's vector) the bits it
-    gets among rows * c, c = 2..4.  BLAS picks kernels by shape alone: 1-3
-    rows, or a small-matrix kernel at `rows` alone, fail."""
+    gets among rows * c, c = 2 .. MAX_DRAFTS + 1.  BLAS picks kernels by
+    shape alone: 1-3 rows, or a small-matrix kernel at `rows` alone, fail."""
     h, dk, dv, d, ff = config.heads, config.d_k, config.d_v, config.d_model, config.d_ff
     kv = kv_head_count(config.dec_self_kind, h) * (dk + dv)
-    rng = np.random.default_rng(0)
+    rng, chunks = np.random.default_rng(0), range(2, MAX_DRAFTS + 2)
     for k, n in ((d, 0), (d, h * dk), (d, kv), (h * dv, d), (d, ff), (ff, d)):
-        w, x = rng.random((k, n) if n else k), rng.random((4 * rows, k))
-        wholes = [x[:rows * c] @ w for c in (2, 3, 4)]
+        w, x = rng.random((k, n) if n else k), rng.random((chunks[-1] * rows, k))
+        wholes = [x[:rows * c] @ w for c in chunks]
         if any((x[j:rows * c:c].copy() @ w).tobytes() != whole[j::c].tobytes()
-               for c, whole in zip((2, 3, 4), wholes) for j in range(c)):
+               for c, whole in zip(chunks, wholes) for j in range(c)):
             return False
     return True
 
 
 def _draft(emitted: np.ndarray, live: np.ndarray) -> np.ndarray:
     """Drafts [rows, d] after emitted [rows, t]: when every live row's last
-    r >= 2 tokens are one token, min(r, 3) more copies of it, else none."""
-    run, last = 1, emitted[:, -1]
-    while run < min(3, emitted.shape[1]) and (emitted[:, -1 - run] == last)[live].all():
+    r >= 2 tokens are one token, min(r, MAX_DRAFTS) more copies of it, else
+    none."""
+    run, last, cap = 1, emitted[:, -1], min(MAX_DRAFTS, emitted.shape[1])
+    while run < cap and (emitted[:, -1 - run] == last)[live].all():
         run += 1
     return np.repeat(emitted[:, -1:], run, axis=1) if run > 1 else emitted[:, :0]
 

@@ -14,9 +14,10 @@ in group, and every part's logits go into one weights array in that order.
 The training path runs on folded matmul shapes for speed: every product with
 a weight matrix is one 2-D product over all rows, and self-attention
 projects queries, keys and values in one product forward and one back.  The
-weights are stored in those products' layout (attention.AttentionWeights:
-qkv and out), so every pass reads them in place, and the backward pass
-writes each weight gradient straight into its place in the gradient tree.
+weights are stored in those products' layout (AttentionWeights: qkv and
+out, with g from config.kv_head_count), so every pass reads them in place,
+and the backward pass writes each weight gradient straight into its place
+in the gradient tree.
 Its outputs are pinned to the contraction kernels by equivalence tests, and
 every gradient here is checked against central finite differences.
 
@@ -61,8 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionWeights, random_attention_weights, scaled_uniform
-from .config import ModelConfig, _check_types
+from .config import ModelConfig, _check_types, kv_head_count
 from .exceptions import InputError, NumericError, ShapeError
 
 LN_EPS = 1e-5
@@ -78,6 +78,85 @@ class LayerNorm:
 class FeedForward:
     w_in: np.ndarray
     w_out: np.ndarray
+
+
+@dataclass(frozen=True)
+class AttentionWeights:
+    """Projection weights for one attention site, stored as the products
+    read them.
+
+    qkv [d, h*k + g*k + g*v] holds the query, key and value projections as
+    head-major column blocks: x @ qkv gives every query head's queries, then
+    every key/value head's keys, then its values.  out [h, v, d] is the
+    output projection: the mix [rows, h*v] @ out.reshape(h*v, d).  g is h
+    for multi_head and 1 for multi_query; h, v and d are read from out's
+    shape, k from qkv's column count.  p_q [h, d, k], p_k / p_v ([h, d, .]
+    multi-head, one shared [d, .] multi-query) and p_o [h, d, v], the
+    paper's per-head tensors, are views of these two arrays.
+    """
+
+    kind: str
+    qkv: np.ndarray
+    out: np.ndarray
+
+    def __post_init__(self):  # self.groups refuses an unknown kind
+        if self.qkv.ndim != 2:
+            raise ShapeError(f"qkv must be [d, columns], got {self.qkv.shape}")
+        d = self.qkv.shape[0]
+        if self.out.ndim != 3 or self.out.shape[0] < 1 or self.out.shape[2] != d:
+            raise ShapeError(f"out must be [h, v, d={d}], got {self.out.shape}")
+        h, g, v = self.heads, self.groups, self.value_width
+        k, rest = divmod(self.qkv.shape[1] - g * v, h + g)
+        if rest or k < 1:
+            raise ShapeError(
+                f"{self.kind} qkv must have h*k + g*k + g*v columns for h={h}, "
+                f"g={g}, v={v} and an integer k >= 1, got {self.qkv.shape[1]}")
+
+    @property
+    def heads(self) -> int:
+        return self.out.shape[0]
+
+    @property
+    def groups(self) -> int:
+        """Key/value heads g: h for multi_head, 1 for multi_query."""
+        return kv_head_count(self.kind, self.heads)
+
+    @property
+    def model_width(self) -> int:
+        return self.qkv.shape[0]
+
+    @property
+    def key_width(self) -> int:
+        return (self.qkv.shape[1] - self.groups * self.value_width) // (
+            self.heads + self.groups)
+
+    @property
+    def value_width(self) -> int:
+        return self.out.shape[1]
+
+    def _columns(self, start, heads, width):  # a column block as [heads, d, width]
+        block = self.qkv[:, start:start + heads * width]
+        return block.reshape(len(block), heads, width).transpose(1, 0, 2)
+
+    def _kv(self, start, width):  # [h, d, width] multi-head, [d, width] multi-query
+        heads = self._columns(start, self.groups, width)
+        return heads if self.kind == "multi_head" else heads[0]
+
+    @property
+    def p_q(self) -> np.ndarray:
+        return self._columns(0, self.heads, self.key_width)
+
+    @property
+    def p_k(self) -> np.ndarray:
+        return self._kv(self.heads * self.key_width, self.key_width)
+
+    @property
+    def p_v(self) -> np.ndarray:
+        return self._kv((self.heads + self.groups) * self.key_width, self.value_width)
+
+    @property
+    def p_o(self) -> np.ndarray:
+        return self.out.transpose(0, 2, 1)
 
 
 @dataclass
@@ -181,6 +260,33 @@ def init_params(config: ModelConfig) -> ModelParams:
     """Scaled-uniform init, std 1/sqrt(fan_in); the query projection gets an
     extra 1/sqrt(d_k) in place of explicit logit scaling."""
     return _build_params(config, np.random.default_rng(config.init_seed))
+
+
+def scaled_uniform(rng, shape, fan) -> np.ndarray:
+    """Uniform entries of std 1/sqrt(fan), drawn from rng: every weight's
+    initial values."""
+    bound = np.sqrt(3.0 / fan)
+    return rng.uniform(-bound, bound, size=shape)
+
+
+def random_attention_weights(rng, kind, *, d, h, k, v) -> AttentionWeights:
+    """Draw projection weights with scaled-uniform entries, std 1/sqrt(fan_in).
+
+    p_q gets an extra 1/sqrt(k) so query-key logits start at unit scale;
+    the usual explicit logit scaling is folded into the projection instead
+    of appearing in the kernels.  The draws are p_q, p_o, p_k, p_v in that
+    order, each in its own C order, written through those views into qkv
+    and out.  With rng None nothing is drawn or stored: qkv and out are
+    read-only zero-stride arrays of their shapes.
+    """
+    g = kv_head_count(kind, h)
+    shapes = (d, (h + g) * k + g * v), (h, v, d)
+    if rng is None:
+        return AttentionWeights(kind, *(np.broadcast_to(0.0, shape) for shape in shapes))
+    w = AttentionWeights(kind, *map(np.empty, shapes))
+    for part, fan in ((w.p_q, d * k), (w.p_o, h * v), (w.p_k, d), (w.p_v, d)):
+        part[...] = scaled_uniform(rng, part.shape, fan)
+    return w
 
 
 def param_layout(config: ModelConfig) -> ModelParams:
@@ -508,13 +614,13 @@ def attention_backward(dy, cache, w: AttentionWeights,
 # ---------------------------------------------------------------------------
 # blocks and stacks
 
-def _self_bias(config: ModelConfig, t: int, c: int, first: int = 0):
-    """Decoder self-attention's additive mask [c, t + c - first] for the
-    queries at positions t .. t + c - 1 over the keys at first .. t + c - 1:
+def _self_bias(config: ModelConfig, t: int, c: int, origin: int = 0):
+    """Decoder self-attention's additive mask [c, t + c - origin] for the
+    queries at positions t .. t + c - 1 over the keys at origin .. t + c - 1:
     0 where the query may see the key (causal, and inside dec_self_window
     when set), -inf elsewhere.  attention.build_mask is its reference."""
     query = np.arange(t, t + c)[:, None]
-    key = np.arange(first, t + c)
+    key = np.arange(origin, t + c)
     hidden = key > query
     if config.dec_self_window is not None:
         hidden |= key <= query - config.dec_self_window

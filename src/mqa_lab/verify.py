@@ -21,17 +21,18 @@ from .attention import (
     attention_batched,
     build_mask,
     multihead_attention_single,
-    random_attention_weights,
     replicate_heads,
     self_attention_incremental,
 )
 from .cache import append, cache_words, new_cache
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import DecodeConfig, ModelConfig
-from .costs import ShapeConfig, batched_costs, dff_for_parity, incremental_costs
+from .costs import (PARITY_PRESETS, ShapeConfig, batched_costs, dff_for_parity,
+                    incremental_costs)
 from .decoding import decode
 from .exceptions import ConfigError
-from .model import forward, init_params, loss_and_grads, named_arrays
+from .model import (forward, init_params, loss_and_grads, named_arrays,
+                    random_attention_weights)
 from .tensor import contract, masked_softmax
 from .training import decoder_opener, stream_batch
 
@@ -189,19 +190,11 @@ def check_cost_duality():
         _check(inc.flops == bat.flops, f"{kind} incremental flops equal batched")
 
 
-def check_parity_constants():
-    wmt = ModelConfig(mode="encoder_decoder", layers=6, d_model=1024,
-                      d_ff=4096, heads=8, d_k=128, d_v=128, vocab_size=32768,
-                      max_len=256)
-    mq = wmt.with_attention_kind("multi_query")
-    _check(dff_for_parity(wmt, mq).d_ff == 5440, "multi-query parity d_ff is 5440")
-    import dataclasses
-    one_head = dataclasses.replace(wmt, heads=1)
-    _check(dff_for_parity(wmt, one_head).d_ff == 6784, "one-head parity d_ff is 6784")
-    lm = ModelConfig(mode="decoder_only", layers=6, d_model=1024, d_ff=8192,
-                     heads=8, d_k=128, d_v=128, vocab_size=10000, max_len=256)
-    lm_mq = lm.with_attention_kind("multi_query")
-    _check(dff_for_parity(lm, lm_mq).d_ff == 9088, "decoder_only parity d_ff is 9088")
+def check_parity_constants():  # the shapes `mqa-lab parity --preset` prints
+    for preset, d_ff in (("wmt", 5440), ("wmt-one-head", 6784), ("lm", 9088)):
+        base, change = PARITY_PRESETS[preset]
+        found = dff_for_parity(ModelConfig(**base), ModelConfig(**base | change)).d_ff
+        _check(found == d_ff, f"{preset} parity d_ff is {d_ff}, got {found}")
 
 
 def _tiny_model():

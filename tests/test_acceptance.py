@@ -24,7 +24,6 @@ from mqa_lab.attention import (
     TrafficTally,
     attention_batched,
     build_mask,
-    random_attention_weights,
     replicate_heads,
     self_attention_incremental,
 )
@@ -34,7 +33,7 @@ from mqa_lab.cli import THREAD_ENV_VARS
 from mqa_lab.config import DecodeConfig, ModelConfig, OptimizerSettings, TaskSpec
 from mqa_lab.costs import ShapeConfig, batched_costs, dff_for_parity, incremental_costs
 from mqa_lab.decoding import decode, score_sequence
-from mqa_lab.model import Batch, forward, init_params
+from mqa_lab.model import Batch, forward, init_params, random_attention_weights
 from mqa_lab.training import (
     HELDOUT_SEED_OFFSET,
     make_task_batch,

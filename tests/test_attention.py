@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqa_lab.attention import (AttentionWeights, MaskSpec, TrafficTally,
-                               attention_batched, build_mask,
-                               dot_product_attention,
-                               multihead_attention_single,
-                               random_attention_weights, replicate_heads,
+from mqa_lab.attention import (MaskSpec, TrafficTally, attention_batched,
+                               build_mask, dot_product_attention,
+                               multihead_attention_single, replicate_heads,
                                self_attention_incremental, share_heads)
 from mqa_lab.cache import new_cache
 from mqa_lab.exceptions import CacheError, ConfigError, ShapeError
+from mqa_lab.model import AttentionWeights, random_attention_weights
 
 from oracles import (attend_ref, masked_single_ref, multihead_single_ref,
                      multiquery_single_ref)
@@ -443,3 +442,10 @@ class TestWeights:
         base.update(mutation)
         with pytest.raises(ShapeError):
             AttentionWeights(**base)
+
+    def test_unknown_kind_rejected(self):
+        qkv, out = np.zeros((6, 2 * 4 + 2 * 4 + 2 * 5)), np.zeros((2, 5, 6))
+        with pytest.raises(ConfigError, match="unknown attention kind 'grouped'"):
+            AttentionWeights("grouped", qkv, out)
+        with pytest.raises(ConfigError, match="unknown attention kind 'grouped'"):
+            random_attention_weights(None, "grouped", d=6, h=2, k=4, v=5)

@@ -1,8 +1,9 @@
 """Command line behavior: exit codes, config plumbing, output delivery.
 
-Everything runs through cli.main() in process but two subprocess tests:
+Everything runs through cli.main() in process but three subprocess tests:
 one pins the lazy-import design that lets MQA_THREADS act before numpy
-loads, the other that verify's checks still fail under python -O.
+loads, one that the runtime modules load none of the reference oracle's,
+and the last that verify's checks still fail under python -O.
 """
 
 import argparse
@@ -536,6 +537,20 @@ class TestThreads:
         result = subprocess.run([sys.executable, "-c", probe],
                                 capture_output=True)
         assert result.returncode == 0, result.stderr.decode()
+
+    def test_runtime_modules_do_not_import_the_reference_oracle(self):
+        # decoding, training and benchmarking run on model.py alone
+        probe = ("import sys\n"
+                 "import mqa_lab.decoding, mqa_lab.training, mqa_lab.checkpoint\n"
+                 "import mqa_lab.bench, mqa_lab.cli\n"
+                 "print(*sorted(m for m in sys.modules if m.startswith('mqa_lab.')))")
+        result = subprocess.run([sys.executable, "-c", probe],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        loaded = result.stdout.split()
+        for oracle in ("mqa_lab.attention", "mqa_lab.cache", "mqa_lab.tensor"):
+            assert oracle not in loaded, loaded
+        assert len(loaded) == 9, loaded
 
 
 # ---------------------------------------------------------------------------

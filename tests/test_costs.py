@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mqa_lab.attention import (TrafficTally, attention_batched,
-                               random_attention_weights,
                                self_attention_incremental)
 from mqa_lab.cache import new_cache
 from mqa_lab.config import ModelConfig
@@ -16,6 +15,7 @@ from mqa_lab.costs import (CostBreakdown, ShapeConfig, batched_costs,
                            kv_cache_words_total,
                            memory_batched_closed, param_count_attention)
 from mqa_lab.exceptions import ConfigError
+from mqa_lab.model import random_attention_weights
 
 REFERENCE_DIMS = ShapeConfig(b=1, n=2, m=2, d=4, h=2, k=2, v=2)
 
@@ -68,6 +68,11 @@ class TestBatchedTotals:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             batched_costs(REFERENCE_DIMS, "grouped")
+
+    @pytest.mark.parametrize("closed", [flops_batched_closed, memory_batched_closed])
+    def test_closed_forms_refuse_an_unknown_kind(self, closed):
+        with pytest.raises(ConfigError, match="unknown attention kind 'grouped'"):
+            closed(REFERENCE_DIMS, "grouped")
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ConfigError):

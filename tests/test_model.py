@@ -19,7 +19,6 @@ from mqa_lab.attention import (
     _kv_heads,
     attention_batched,
     build_mask,
-    random_attention_weights,
 )
 from mqa_lab import model
 from mqa_lab.config import ModelConfig
@@ -45,6 +44,7 @@ from mqa_lab.model import (
     named_arrays,
     param_count,
     param_layout,
+    random_attention_weights,
     tree_map,
     unflatten,
 )
@@ -196,7 +196,7 @@ class TestFastAttentionMatchesKernels:
     @pytest.mark.parametrize("t", [0, 3, 7])
     @pytest.mark.parametrize("c", [1, 2, 4])
     def test_self_bias_is_a_slice_of_build_mask(self, window, t, c):
-        """The mask of queries t .. t+c-1 over keys first .. t+c-1 is that
+        """The mask of queries t .. t+c-1 over keys origin .. t+c-1 is that
         block of build_mask's (t+c)-square causal or local mask, bit for
         bit."""
         n = t + c
@@ -204,10 +204,10 @@ class TestFastAttentionMatchesKernels:
             else MaskSpec("local", 1, 1, n, n, window=window)
         full = build_mask(spec)[0, 0]
         config = tiny_config(dec_self_window=window)
-        for first in range(t + 1):
-            got = _self_bias(config, t, c, first)
-            assert got.shape == (c, n - first)
-            assert got.tobytes() == full[t:, first:].tobytes()
+        for origin in range(t + 1):
+            got = _self_bias(config, t, c, origin)
+            assert got.shape == (c, n - origin)
+            assert got.tobytes() == full[t:, origin:].tobytes()
 
     @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
     def test_cross_attention_agrees(self, rng, kind):
