@@ -9,7 +9,10 @@ a).  Per workload, kind and call it prints whether the two trees' outputs
 are byte-equal over every seed, and each tree's median seconds per call:
 
 - decode: `full` is the workload's decode call, `first` the same with
-  max_steps=1; the outputs are tokens, lengths, raw scores and scores;
+  max_steps=1; the outputs are tokens, lengths, raw scores and scores.
+  A line whose outputs differ also says whether the tokens and lengths
+  are equal, and gives the largest |raw_scores| difference, so a change
+  of rounding reads apart from a change of output;
 - train: `full` is the workload's train(steps), `first` train(steps=1);
   the outputs are the losses, the held-out accuracy and the parameters,
   in fingerprint.head_major's order, so trees that store the weights in
@@ -85,7 +88,7 @@ def decode_calls(workload, seed, tree):
 
             def run(params=params, config=config, decode_config=decode_config):
                 out = tree.decoding.decode(params, config, decode_config, **inputs)
-                return _bytes(out.tokens, out.lengths, out.raw_scores, out.scores)
+                return out.tokens, out.lengths, out.raw_scores, out.scores
             calls[kind, call] = run
     return calls
 
@@ -101,33 +104,47 @@ def train_calls(workload, seed, tree):
             def run(params=params, config=config, steps=steps):
                 result = tree.training.train(config, task, settings, steps=steps,
                                              params=params)
-                return _bytes(result.losses, result.heldout_accuracy,
-                              *head_major(result.params))
+                return result.losses, result.heldout_accuracy, *head_major(result.params)
             calls[kind, call] = run
     return calls
+
+
+def verdict(equal: bool, decodes=()) -> str:
+    """A line's verdict, "equal" or "DIFFER".  decodes, [(a, b)] per seed of
+    each tree's decode outputs (tokens, lengths, raw_scores, scores), make a
+    DIFFER say whether the tokens and lengths are equal, and the largest
+    |raw_scores| difference."""
+    if equal or not decodes:
+        return "equal" if equal else "DIFFER"
+    steps = all(np.array_equal(x, y) for a, b in decodes for x, y in zip(a[:2], b[:2]))
+    raw = max(float(np.max(np.abs(a[2] - b[2]))) for a, b in decodes)
+    return (f"DIFFER (tokens and lengths {'equal' if steps else 'DIFFER'}, "
+            f"largest |raw_scores| difference {raw:.1e})")
 
 
 def compare(name, workload, trees, seeds, rounds):
     """Alternate the trees' calls; returns whether every output was equal."""
     make = train_calls if isinstance(workload, TrainWorkload) else decode_calls
-    times = {}
-    equal = {}
+    times, equal, decodes = {}, {}, {}
     for seed in seeds:
         calls = [make(workload, seed, tree) for tree in trees]
         for key in calls[0]:
-            outputs = [set(), set()]
+            outputs, last = [set(), set()], [None, None]
             for r in range(rounds):
                 for i in (0, 1) if r % 2 == 0 else (1, 0):
                     start = time.perf_counter()
-                    outputs[i].add(calls[i][key]())
+                    last[i] = calls[i][key]()
                     times.setdefault(key, ([], []))[i].append(time.perf_counter() - start)
+                    outputs[i].add(_bytes(*last[i]))
             equal[key] = equal.get(key, True) and len(outputs[0]) == 1 \
                 and outputs[0] == outputs[1]
+            if make is decode_calls:
+                decodes.setdefault(key, []).append(tuple(last))
     for kind in KINDS:
         for call in ("first", "full"):
             a, b = (statistics.median(t) for t in times[kind, call])
-            verdict = "equal" if equal[kind, call] else "DIFFER"
-            print(f"{name} {kind} {call}: outputs {verdict}; median a {a * 1e3:.3f} ms, "
+            said = verdict(equal[kind, call], decodes.get((kind, call), ()))
+            print(f"{name} {kind} {call}: outputs {said}; median a {a * 1e3:.3f} ms, "
                   f"b {b * 1e3:.3f} ms, b/a {b / a:.3f} ({len(times[kind, call][0])} "
                   "calls each)")
     return all(equal.values())

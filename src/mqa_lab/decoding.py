@@ -21,14 +21,16 @@ them, and own rings [rows, g, slots, k], position p >= first in slot
 projected once from the encoder output as the batched pass projects
 them, all split by `model._split_kv`.  Attention reads the shared
 positions from max(0, t - window + 1) on and the own slots written so
-far, masked (causal or local) only in a masked pass of c > 1.  A local
-window's own ring holds only `window` slots: softmax is invariant to
-slot order, so the ring never rotates.  Decoding reads only the logits
-after the opener's last token, so the opener's last layer runs its
-queries, output projection, cross-attention and feed-forward at that
-position alone.  The contraction kernels and immutable caches in
-`attention.py`/`cache.py` are the reference these outputs are tested
-against, together with the teacher-forced batched forward pass.
+far; a masked pass of c > 1 attends in blocks of ATTEND_BLOCK query
+positions, each over the own slots up to its last position, masked
+(causal or local) by its rows of the mask.  A local window's own ring
+holds only `window` slots: softmax is invariant to slot order, so the
+ring never rotates.  Decoding reads only the logits after the opener's
+last token, so the opener's last layer runs its queries, output
+projection, cross-attention and feed-forward at that position alone.
+The contraction kernels and immutable caches in `attention.py`/`cache.py`
+are the reference these outputs are tested against, together with the
+teacher-forced batched forward pass.
 
 Greedy and beam search share one layout.  The opener's pass leaves its
 n keys/values as the shared part (first = n), one copy per source row,
@@ -82,6 +84,7 @@ from .model import (
 from .training import decoder_opener, stream_batch
 
 MAX_DRAFTS = 3  # a greedy verify pass feeds c = 2 .. MAX_DRAFTS + 1 tokens
+ATTEND_BLOCK = 32  # a masked pass attends this many query positions at a time
 
 
 def encode_source(params: ModelParams, config: ModelConfig,
@@ -183,13 +186,13 @@ def _state(params, config, memory, batch_size, limit, slots) -> DecoderState:
 
 def _attention(q, rows, calls, config):
     """model._attend for queries q [rows * n, heads * d_k], position minor:
-    call j of `calls`, (key/value parts, bias), serves positions j,
-    j + len(calls), ...  Returns the mix [rows * n, heads * d_v]."""
-    h, step = config.heads, len(calls)
+    each call (position slice, key/value parts, bias) serves the positions
+    of its slice.  Returns the mix [rows * n, heads * d_v]."""
+    h = config.heads
     o = np.empty((len(q), h * config.d_v))
-    for j, (parts, bias) in enumerate(calls):
-        _attend(q[j::step].reshape(rows, -1, h, config.d_k), parts,
-                o[j::step].reshape(rows, -1, h, config.d_v), bias)
+    for span, parts, bias in calls:
+        _attend(q.reshape(rows, -1, h, config.d_k)[:, span], parts,
+                o.reshape(rows, -1, h, config.d_v)[:, span], bias)
     return o
 
 
@@ -200,10 +203,12 @@ def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
     or NumericError if they hold non-finite values (as model._run does).
     Each layer writes the chunk's keys/values into the own rings (a chunk
     of c > 1 must fit them unwrapped).  A masked pass (the opener's, or any
-    chunk of c > 1 without every) attends under one masked softmax, the
-    last layer's at the last position only; a verify pass (every) runs
-    each weight product once over rows * c, and attention and the
-    vocabulary head per position unmasked, as a step (bit for bit)."""
+    chunk of c > 1 without every) attends in blocks of ATTEND_BLOCK query
+    positions, block [s, e) over the keys up to position t + e - 1 under
+    rows s .. e - 1 of the mask, the last layer's at the last position
+    only; a verify pass (every) runs each weight product once over
+    rows * c, and attention and the vocabulary head per position
+    unmasked, as a step (bit for bit)."""
     rows, c = tokens.shape
     t, first = state.position, state.first
     if t + c > state.limit:
@@ -215,8 +220,10 @@ def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
     window = config.dec_self_window  # attended keys: positions drop .. t + c - 1
     drop = 0 if window is None else min(first, max(0, t - window + 1))
     bias = None if c == 1 or every else _self_bias(config, t, c, drop)
-    calls = ([(min(t + j + 1 - first, state.slots), None) for j in range(c)]
-             if every else [(valid, bias)])
+    size = 1 if bias is None else ATTEND_BLOCK  # block [s, e) sees positions < t + e
+    blocks = [(s, min(s + size, c)) for s in range(0, c, size)]
+    calls = [(slice(s, e), min(t + e - first, state.slots),
+              None if bias is None else bias[s:e, :t + e - drop]) for s, e in blocks]
     x = (params.embedding[tokens] + params.positions[t:t + c]).reshape(rows * c, -1)
     for i, block in enumerate(params.decoder):
         keys, values = state.keys[i], state.values[i]
@@ -224,15 +231,16 @@ def _feed(params: ModelParams, config: ModelConfig, state: DecoderState,
         keys[:, :, start:start + c], values[:, :, start:start + c] = _split_kv(
             normed @ block.attn.qkv[:, h * dk:], rows, block.attn)
         if i == len(params.decoder) - 1 and bias is not None:
-            x, normed, calls = x[c - 1::c], normed[c - 1::c], [(valid, bias[-1:])]
+            x, normed = x[c - 1::c], normed[c - 1::c]
+            calls = [(slice(0, 1), valid, bias[-1:])]
         shared = [part[..., drop:, :] for part in state.shared[i]]
-        own = [([shared, (keys[..., :seen, :], values[..., :seen, :])], mask)
-               for seen, mask in calls]
+        own = [(span, [shared, (keys[..., :seen, :], values[..., :seen, :])], mask)
+               for span, seen, mask in calls]
         x = x + (_attention(normed @ block.attn.qkv[:, :h * dk], rows, own, config)
                  @ block.attn.out.reshape(-1, d))
         if block.cross is not None:
             normed, _ = layer_norm(x, block.ln_cross)
-            memory = [([state.cross[i]], None)] * len(calls)
+            memory = [(span, [state.cross[i]], None) for span, _, _ in calls]
             x = x + (_attention(normed @ block.cross.qkv[:, :h * dk], rows, memory, config)
                      @ block.cross.out.reshape(-1, d))
         normed, _ = layer_norm(x, block.ln_ff)

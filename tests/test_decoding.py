@@ -349,6 +349,107 @@ class TestStepAgainstBatchedForward:
             start_state(init_params(config), config, **sizes)
 
 
+def _max_diff(got, want):
+    return max(np.max(np.abs(a - b)) for a, b in zip(got, want))
+
+
+class TestBlockedMaskedPass:
+    """A masked pass attends decoding.ATTEND_BLOCK query positions at a
+    time, each block over the keys its mask lets it see: the same pass as
+    one block of all its positions, to rounding."""
+
+    @staticmethod
+    def blocked_and_whole(monkeypatch, run):
+        """run() as the engine blocks it, then as one block."""
+        blocked = run()
+        monkeypatch.setattr(decoding, "ATTEND_BLOCK", 10 ** 6)
+        return blocked, run()
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    @pytest.mark.parametrize("window", [None, 3, 40])
+    @pytest.mark.parametrize("n", [33, 64, 97])
+    def test_opener(self, rng, monkeypatch, n, window, kind, layers):
+        config = tiny_config(mode="decoder_only", layers=layers, max_len=112,
+                             dec_self_window=window).with_attention_kind(kind)
+        params = init_params(config)
+        prompt = rng.integers(1, config.vocab_size, size=(2, n))
+
+        def run():
+            state, logits = _begin(params, config, DecodeConfig(max_steps=2), prompt, None)
+            return [logits, *itertools.chain(*state.shared)]
+
+        blocked, whole = self.blocked_and_whole(monkeypatch, run)
+        assert _max_diff(blocked, whole) < 1e-12
+        batch = Batch(None, prompt, prompt, np.ones((2, n)))
+        assert np.max(np.abs(blocked[0] - forward(params, config, batch).logits[:, -1])) < 1e-10
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    @pytest.mark.parametrize("mode", ["encoder_decoder", "decoder_only"])
+    @pytest.mark.parametrize("c", [33, 40])
+    def test_masked_chunk_after_opener(self, rng, monkeypatch, c, mode, kind, layers):
+        """With no window: a chunk must fit a windowed ring unwrapped."""
+        config = tiny_config(mode=mode, layers=layers, max_len=112).with_attention_kind(kind)
+        params = init_params(config)
+        b, n = 2, 6
+        stream = rng.integers(1, config.vocab_size, size=(b, n + c))
+        source = memory = None
+        if config.has_encoder:
+            source = rng.integers(1, config.vocab_size, size=(b, 4))
+            memory = encode_source(params, config, source)
+
+        def run():
+            state, _ = _begin(params, config, DecodeConfig(max_steps=c + 1), stream[:, :n],
+                              memory)
+            logits = decoding._feed(params, config, state, stream[:, n:])
+            return logits + state.keys + state.values
+
+        blocked, whole = self.blocked_and_whole(monkeypatch, run)
+        assert _max_diff(blocked, whole) < 1e-12
+        batch = Batch(source, stream, stream, np.ones_like(stream, dtype=float))
+        assert np.max(np.abs(blocked[0] - forward(params, config, batch).logits[:, -1])) < 1e-10
+
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    @pytest.mark.parametrize("window", [None, 3, 40])
+    @pytest.mark.parametrize("strategy,beam", [("greedy", 1), ("beam", 4)])
+    def test_decode_after_a_long_prompt(self, rng, monkeypatch, strategy, beam, window,
+                                        kind):
+        config = tiny_config(mode="decoder_only", max_len=112,
+                             dec_self_window=window).with_attention_kind(kind)
+        params = init_params(config)
+        prompt = rng.integers(1, config.vocab_size, size=(3, 97))
+        dc = DecodeConfig(strategy=strategy, beam_size=beam, max_steps=12)
+
+        def run():
+            out = decode(params, config, dc, prompt=prompt)
+            return out.tokens, out.lengths
+
+        (tokens, lengths), (whole_tokens, whole_lengths) = self.blocked_and_whole(
+            monkeypatch, run)
+        assert np.array_equal(tokens, whole_tokens)
+        assert np.array_equal(lengths, whole_lengths)
+
+    @pytest.mark.parametrize("kind", ["multi_head", "multi_query"])
+    def test_no_masked_call_is_wider_than_a_block(self, rng, monkeypatch, kind):
+        """A 97-token opener's first layer attends blocks of 32, 32, 32 and
+        1 positions, its last layer the last position alone."""
+        config = tiny_config(mode="decoder_only", max_len=112).with_attention_kind(kind)
+        params = init_params(config)
+        attend, widths = decoding._attend, []
+
+        def spy(q, parts, heads, bias=None):
+            if bias is not None:
+                widths.append(q.shape[1])
+            return attend(q, parts, heads, bias)
+
+        monkeypatch.setattr(decoding, "_attend", spy)
+        prompt = rng.integers(1, config.vocab_size, size=(2, 97))
+        _begin(params, config, DecodeConfig(max_steps=2), prompt, None)
+        assert decoding.ATTEND_BLOCK == 32
+        assert widths == [32, 32, 32, 1, 1]
+
+
 class TestGreedy:
     def test_trained_model_copies(self):
         config = ModelConfig(mode="encoder_decoder", layers=1, d_model=32,

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mqa_lab
@@ -160,3 +161,22 @@ def test_ab_finds_a_tree_equal_to_itself(tmp_path):
     assert result.returncode == 0, result.stderr
     lines = result.stdout.strip().splitlines()
     assert len(lines) == 12 and all("outputs equal" in line for line in lines)
+
+
+def test_ab_says_how_decode_outputs_differ(monkeypatch):
+    """A decode line that differs says whether tokens and lengths are equal
+    and gives the largest |raw_scores| difference; a train line says
+    DIFFER alone."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    monkeypatch.delenv("MQA_THREADS", raising=False)
+    ab = _load_script("ab")
+
+    def out(raw, first=3):  # one row's tokens, lengths, raw_scores and scores
+        return np.array([[first, 4]]), np.array([2]), np.array([raw]), np.array([raw / 2])
+
+    assert ab.verdict(True, [(out(-1.0), out(-1.0))]) == "equal"
+    assert ab.verdict(False) == "DIFFER"
+    assert ab.verdict(False, [(out(-1.0), out(-1.0)), (out(-2.0), out(-2.0 + 1.5e-14))]) == (
+        "DIFFER (tokens and lengths equal, largest |raw_scores| difference 1.5e-14)")
+    assert ab.verdict(False, [(out(-1.0), out(-1.25, first=5))]) == (
+        "DIFFER (tokens and lengths DIFFER, largest |raw_scores| difference 2.5e-01)")
